@@ -306,13 +306,12 @@ def _sample_ball(center: np.ndarray, radius: float, dim: int, per_axis: int) -> 
     return center.reshape(dim, 1) + offs[:, keep]
 
 
-def neighborhood_bounds(
-    model: DispersionModel,
-    spectrum,
-    grid: Grid | None = None,
-    samples: int = 161,
-) -> BandNeighborhoodBounds:
-    """Safe radius around +-k_* and derivative sups over those balls."""
+def safe_radius(model: DispersionModel, spectrum, grid: Grid | None = None) -> float:
+    """Radius pi0 of the balls around +-k_* that keep clear of the flagged set.
+
+    Raises ``SpectrumOnSingularSet`` when a carrier is singular or within
+    grid resolution of a flagged node.
+    """
     kvecs = np.atleast_2d(np.array([np.atleast_1d(p[1]) for p in spectrum.pairs], dtype=float))
     if grid is None:
         span = float(np.abs(kvecs).max()) + 2.0
@@ -332,8 +331,17 @@ def neighborhood_bounds(
                     )
                 dists.append(d)
     base = min(dists) if dists else 1.0
-    pi0 = 0.5 * min(base, 1.0)
+    return 0.5 * min(base, 1.0)
 
+
+def neighborhood_bounds(
+    model: DispersionModel,
+    spectrum,
+    grid: Grid | None = None,
+    samples: int = 161,
+) -> BandNeighborhoodBounds:
+    """Safe radius around +-k_* and derivative sups over those balls."""
+    pi0 = safe_radius(model, spectrum, grid)
     c1 = 0.0
     c2 = 0.0
     h = min(pi0 / 10.0, 1e-3)
@@ -449,6 +457,7 @@ __all__ = [
     "detect_band_crossings",
     "flagged_wavevectors",
     "neighborhood_bounds",
+    "safe_radius",
     "symbol_eigensystem",
     "positive_band_values",
 ]

@@ -196,29 +196,60 @@ def _tensor_entries(tensor: np.ndarray):
     return [(tuple(i), tensor[tuple(i)]) for i in idx]
 
 
-def _chi_fft_batch(args, tensor_entries, grid: Grid, pad: int, ncomp: int) -> np.ndarray:
-    """m-fold convolution of batched spectra via de-aliased r-space products.
+def _entry_groups(tensor: np.ndarray, arg_ids: Sequence[int]):
+    """Tensor entries grouped into the r-space products they need.
 
-    ``args``: list of m arrays (B, C, *shape).  Returns (B, C, *shape).
+    Entry (i, j_1..j_m) multiplies component j_t of argument ``arg_ids[t]``.
+    Pointwise products commute, so entries whose (argument, component)
+    factors are permutations of one another share one product, which is
+    accumulated into every output component with the summed coefficient.
+    Returns (factors, coeffs): a list of G sorted factor tuples and the
+    (C, G) coefficients of each product in each output component.
+    """
+    groups: dict = {}
+    for entry, coeff in _tensor_entries(tensor):
+        factors = tuple(sorted(zip(arg_ids, entry[1:])))
+        outs = groups.setdefault(factors, np.zeros(tensor.shape[0], dtype=complex))
+        outs[entry[0]] += coeff
+    kept = [(f, c) for f, c in groups.items() if c.any()]
+    coeffs = np.zeros((tensor.shape[0], len(kept)), dtype=complex)
+    for g, (_, c) in enumerate(kept):
+        coeffs[:, g] = c
+    return [f for f, _ in kept], coeffs
+
+
+def _r_products(args, factors, grid: Grid, pad: int) -> np.ndarray:
+    """(B, G, X) padded r-space products, one per factor tuple.
+
+    Each argument is padded and inverse-transformed once.  Kept apart from
+    ``_chi_fft_batch`` so the r-space arguments are freed before the
+    forward transform, which lowers the solver's peak memory.
     """
     pg = grid.padded(pad)
+    b, c = args[0].shape[:2]
     r_args = [
-        spectrum_to_samples(pad_spectrum(a, grid, pad), pg) for a in args
+        spectrum_to_samples(pad_spectrum(a, grid, pad), pg).reshape(b, c, -1) for a in args
     ]
-    b = args[0].shape[0]
-    out_r = np.zeros((b, ncomp) + pg.shape, dtype=complex)
-    for entry, coeff in tensor_entries:
-        i, js = entry[0], entry[1:]
-        prod = r_args[0][:, js[0]].copy()
-        for t in range(1, len(js)):
-            prod *= r_args[t][:, js[t]]
-        out_r[:, i] += coeff * prod
+    prods = np.empty((b, len(factors), r_args[0].shape[-1]), dtype=complex)
+    for g, fac in enumerate(factors):
+        (a0, c0), (a1, c1) = fac[:2]
+        np.multiply(r_args[a0][:, c0], r_args[a1][:, c1], out=prods[:, g])
+        for a, c in fac[2:]:
+            prods[:, g] *= r_args[a][:, c]
+    return prods
+
+
+def _chi_fft_batch(args, groups, grid: Grid, pad: int) -> np.ndarray:
+    """m-fold convolution of batched spectra via de-aliased r-space products.
+
+    ``args``: the distinct argument arrays (B, C, *shape) that the factors of
+    ``groups`` (see ``_entry_groups``) index.  Returns (B, C, *shape).
+    """
+    factors, coeffs = groups
+    pg = grid.padded(pad)
+    out_r = np.matmul(coeffs, _r_products(args, factors, grid, pad))
+    out_r = out_r.reshape((args[0].shape[0], coeffs.shape[0]) + pg.shape)
     return crop_spectrum(samples_to_spectrum(out_r, pg), grid, pad)
-
-
-def _direct_offsets(grid: Grid, idx_tuples):
-    half = np.array([n // 2 for n in grid.n])
-    return [np.array(t) for t in idx_tuples], half
 
 
 def _chi_direct(args, susceptibility: Susceptibility, grid: Grid) -> np.ndarray:
@@ -304,12 +335,14 @@ def apply_nonlinearity(
         out = _chi_direct(args, susceptibility, grid)
     else:
         pad = dealias_factor or math.ceil((susceptibility.order + 1) / 2)
+        # identical argument fields are transformed once and share products
+        distinct = list({id(f): f for f in fields}.values())
+        arg_ids = [next(r for r, d in enumerate(distinct) if d is f) for f in fields]
         out = _chi_fft_batch(
-            [a[None] for a in args],
-            _tensor_entries(susceptibility.tensor),
+            [d.values[None] for d in distinct],
+            _entry_groups(susceptibility.tensor, arg_ids),
             grid,
             pad,
-            args[0].shape[0],
         )[0]
     return ModalField(grid, out, frame=fields[0].frame)
 
@@ -353,6 +386,23 @@ class PropagatorTables:
         x = int(np.prod(grid.shape))
         self.omega_flat = omega.reshape(omega.shape[0], x)
         self.basis_flat = None if basis is None else basis.reshape(x, omega.shape[0], omega.shape[0])
+        self._step_table = None  # (h, e^{-i j h L/rho} for j < chunk length)
+
+    def chunk_phases(self, t0: float, h: float, b: int) -> np.ndarray:
+        """e^{-i (t0 + j h) L/rho} for j < b on a scalar symbol, shape (b, C, X).
+
+        Factored as e^{-i t0 L/rho} times a table of e^{-i j h L/rho} that is
+        cached for the mesh step ``h``, so a solve evaluates one (B, C, X)
+        exponential instead of two per chunk.  Callers pass ``h`` itself:
+        ``taus[1] - taus[0]`` differs in its last bits from chunk to chunk.
+        """
+        if (self._step_table is None or self._step_table[0] != h
+                or self._step_table[1].shape[0] < b):
+            j = np.arange(b)
+            table = np.exp((-1j * h / self.rho) * j[:, None, None] * self.omega_flat[None])
+            self._step_table = (h, table)
+        start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
+        return self._step_table[1][:b] * start
 
     def apply(self, values: np.ndarray, taus: np.ndarray, sign: int) -> np.ndarray:
         """e^{sign * i * tau * L / rho} on batched spectra (B, C, *shape)."""
@@ -426,23 +476,71 @@ def time_mesh(problem: EvolutionProblem, config: SolverConfig) -> tuple[float, i
     return problem.tau_star / n, n
 
 
-def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, problem: EvolutionProblem,
-                    tables: PropagatorTables, entries_per_term, pad: int,
-                    mode: str) -> np.ndarray:
-    """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) for a chunk of times."""
-    fast = tables.apply(values, taus, -1)
+def _term_groups(problem: EvolutionProblem):
+    """Per nonlinear term, its grouped products on m copies of one field."""
+    return [
+        _entry_groups(s.tensor, [0] * s.order) if s.tensor is not None else None
+        for s in problem.nonlinearity
+    ]
+
+
+def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
+                    problem: EvolutionProblem, tables: PropagatorTables, groups_per_term,
+                    pad: int, mode: str) -> np.ndarray:
+    """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) for a chunk of times.
+
+    ``taus`` must be ``taus[0] + h * arange(B)``; ``groups_per_term`` comes
+    from ``_term_groups``.
+    """
+    scalar = tables.basis_flat is None
+    if scalar:
+        phases = tables.chunk_phases(taus[0], h, values.shape[0]).reshape(values.shape)
+        fast = values * phases
+    else:
+        fast = tables.apply(values, taus, -1)
     out = np.zeros_like(values)
-    for susc, entries in zip(problem.nonlinearity, entries_per_term):
+    for susc, groups in zip(problem.nonlinearity, groups_per_term):
         if mode == "direct-oracle" or susc.callback is not None:
-            acc = np.empty_like(values)
             for b in range(values.shape[0]):
-                acc[b] = _chi_direct([fast[b]] * susc.order, susc, problem.grid)
-            out += acc
+                out[b] += _chi_direct([fast[b]] * susc.order, susc, problem.grid)
         else:
-            out += _chi_fft_batch(
-                [fast] * susc.order, entries, problem.grid, pad, problem.model.ncomp
-            )
+            out += _chi_fft_batch([fast], groups, problem.grid, pad)
+    if scalar:
+        out *= np.conj(phases, out=phases)
+        return out
     return tables.apply(out, taus, +1)
+
+
+def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,
+                     g: np.ndarray, h: float) -> np.ndarray:
+    """Write h0 plus the composite-trapezoid integral at each node of a chunk.
+
+    ``integral`` is the value at the node before the chunk, whose integrand
+    is ``g_prev`` (None on the first chunk, where the integral starts at 0).
+    The cumsum is seeded with it, so the additions happen node by node.
+    Returns the integral at the chunk's last node.
+    """
+    steps = np.empty((g.shape[0] + 1,) + g.shape[1:], dtype=complex)
+    steps[0] = integral
+    steps[1] = 0.0 if g_prev is None else g_prev + g[0]
+    np.add(g[:-1], g[1:], out=steps[2:])
+    steps[1:] *= 0.5 * h
+    cum = np.cumsum(steps, axis=0)
+    np.add(h0, cum[1:], out=out)
+    return cum[-1].copy()
+
+
+def _max_node_l1(values: np.ndarray, grid: Grid) -> float:
+    """Largest L1 norm (as ``l1_norm_values``) over the nodes of (B, C, *shape) values."""
+    mod = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
+    return float(mod.reshape(values.shape[0], -1).sum(axis=1).max() * grid.cell)
+
+
+def _running_sup(dist: float, d: float, distances: list) -> float:
+    """max(dist, d) for Picard distances; a non-finite d means the iterate blew up."""
+    if not math.isfinite(d):
+        raise PicardDiverged(f"non-finite Picard iterate (distance {d})", distances + [d])
+    return max(dist, d)
 
 
 def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = None) -> Trajectory:
@@ -452,10 +550,7 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
     taus = h * np.arange(n + 1)
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
     pad = problem.dealias_factor(config)
-    entries_per_term = [
-        _tensor_entries(s.tensor) if s.tensor is not None else None
-        for s in problem.nonlinearity
-    ]
+    groups_per_term = _term_groups(problem)
 
     r_init = l1_norm(problem.initial)
     if problem.nonlinearity:
@@ -489,19 +584,15 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
             for i0 in range(0, n + 1, chunk):
                 i1 = min(i0 + chunk, n + 1)
                 g = _slow_rhs_chunk(
-                    u_old[i0:i1], taus[i0:i1], problem, tables, entries_per_term, pad,
+                    u_old[i0:i1], taus[i0:i1], h, problem, tables, groups_per_term, pad,
                     config.convolution_mode,
                 )
-                for j in range(i1 - i0):
-                    if i0 + j > 0:
-                        prev = g_prev if j == 0 else g[j - 1]
-                        integral += 0.5 * h * (prev + g[j])
-                    u_new[i0 + j] = problem.initial.values + integral
-                    dist = max(
-                        dist,
-                        l1_norm_values(u_new[i0 + j] - u_old[i0 + j], problem.grid),
-                    )
-                g_prev = g[-1]
+                integral = _trapezoid_chunk(
+                    u_new[i0:i1], problem.initial.values, integral, g_prev, g, h
+                )
+                g_prev = g[-1].copy()
+                d = _max_node_l1(u_new[i0:i1] - u_old[i0:i1], problem.grid)
+                dist = _running_sup(dist, d, distances)
             distances.append(dist)
             iterations = it
             if dist <= config.picard_tol:
@@ -547,14 +638,11 @@ def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
     h = problem.tau_star / n_steps
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
     pad = dealias_factor or math.ceil((problem.max_order + 1) / 2)
-    entries_per_term = [
-        _tensor_entries(s.tensor) if s.tensor is not None else None
-        for s in problem.nonlinearity
-    ]
+    groups_per_term = _term_groups(problem)
 
     def rhs(vals: np.ndarray, tau: float) -> np.ndarray:
         return _slow_rhs_chunk(
-            vals[None], np.array([tau]), problem, tables, entries_per_term, pad, "fft"
+            vals[None], np.array([tau]), h, problem, tables, groups_per_term, pad, "fft"
         )[0]
 
     u = problem.initial.values.copy()

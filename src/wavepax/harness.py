@@ -13,7 +13,6 @@ import copy
 import itertools
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +103,11 @@ def load_config(cfg: dict) -> RunConfig:
         if np.any(np.abs(r_star) > r_extent):
             warnings.warn("packet position exceeds the r-grid extent", stacklevel=2)
     # carriers must be regular and the packet scale must fit their safe radius
-    bounds = dsp.neighborhood_bounds(model, spectrum, grid)
-    if np.sqrt(beta) > bounds.pi0:
+    pi0 = dsp.safe_radius(model, spectrum, grid)
+    if np.sqrt(beta) > pi0:
         warnings.warn(
             f"sqrt(beta) = {np.sqrt(beta):.3g} exceeds the carrier-neighborhood "
-            f"radius {bounds.pi0:.3g}",
+            f"radius {pi0:.3g}",
             stacklevel=2,
         )
     return RunConfig(
@@ -718,6 +717,8 @@ def sweep(cfg: dict, force: bool = False, workers: int = 1) -> ExperimentResult:
             _set_path(sub, k, v)
         jobs.append((name, sub, force))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_one, jobs))
     else:

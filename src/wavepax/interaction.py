@@ -22,8 +22,10 @@ from .evolution import (
     EvolutionProblem,
     PropagatorTables,
     SolverConfig,
+    _running_sup,
     _slow_rhs_chunk,
     _tensor_entries,
+    _term_groups,
     time_mesh,
 )
 from .grids import (
@@ -292,10 +294,7 @@ def solve_interaction_system(
     h, n = time_mesh(problem, config)
     taus = h * np.arange(n + 1)
     pad = problem.dealias_factor(config)
-    entries_per_term = [
-        _tensor_entries(s.tensor) if s.tensor is not None else None
-        for s in problem.nonlinearity
-    ]
+    groups_per_term = _term_groups(problem)
     h_win = _initial_windows(layout, problem)
     ncomp = problem.model.ncomp
     x = int(np.prod(problem.grid.shape))
@@ -328,9 +327,10 @@ def solve_interaction_system(
                 g = _slow_rhs_chunk(
                     full.reshape((b, ncomp) + problem.grid.shape),
                     taus[i0:i1],
+                    h,
                     problem,
                     tables,
-                    entries_per_term,
+                    groups_per_term,
                     pad,
                     config.convolution_mode,
                 ).reshape(b, ncomp, x)
@@ -341,11 +341,12 @@ def solve_interaction_system(
                     stacked = integral[None]
                     for key in layout.keys:
                         w_new[key][i0 + j] = h_win[key] + layout.window(key, stacked)[0]
-                        dist = max(
+                        dist = _running_sup(
                             dist,
                             layout.component_l1(
                                 key, w_new[key][i0 + j] - w_old[key][i0 + j]
                             ),
+                            distances,
                         )
                 g_prev = g[-1]
             distances.append(dist)
@@ -581,9 +582,10 @@ def solve_averaged_system(
                         prev = g_prev[key][-1] if j == 0 else g[key][j - 1]
                         integral[key] += 0.5 * h * (prev + g[key][j])
                     w_new[key][i0 + j] = h_win[key] + integral[key]
-                    dist = max(
+                    dist = _running_sup(
                         dist,
                         layout.component_l1(key, w_new[key][i0 + j] - w_old[key][i0 + j]),
+                        distances,
                     )
             g_prev = {key: g[key][-1:] for key in layout.keys}
         distances.append(dist)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
 from wavepax import evolution as ev
@@ -90,6 +92,61 @@ def test_callback_susceptibility_direct(rng):
     expected = base.values.copy()
     expected[0] *= (1 + k2) / 1.0
     assert np.abs(out.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.sampled_from([2, 3]),
+    n=st.sampled_from([8, 16, 32, 64]),
+    sharing=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_fft_kernel_matches_direct_oracle(order, n, sharing, seed):
+    # random sparse complex tensors; ``sharing`` decides which argument slots
+    # hold the same field object (all identical, all distinct, or mixed)
+    rng = np.random.default_rng(seed)
+    g = Grid(1, (n,), (2.0,))
+    shape = (2,) * (order + 1)
+    tensor = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.6)
+    chi = ev.Susceptibility(order=order, tensor=tensor)
+    pool = [ModalField(g, rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))
+            for _ in range(3)]
+    fields = [pool[t] for t in sharing[:order]]
+    o_fft = ev.apply_nonlinearity(fields, chi, mode="fft")
+    o_dir = ev.apply_nonlinearity(fields, chi, mode="direct-oracle")
+    scale = max(np.abs(o_dir.values).max(), 1e-300)
+    assert np.abs(o_fft.values - o_dir.values).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("chi, products", [(ev.cubic_full(0.9), 4), (ev.cubic_conjugate(1.3), 2),
+                                           (ev.quadratic_conjugate(0.7), 3)])
+def test_permuted_entries_share_one_product(chi, products):
+    factors, coeffs = ev._entry_groups(chi.tensor, [0] * chi.order)
+    assert len(factors) == products and coeffs.shape == (2, products)
+    assert np.isclose(coeffs.sum(axis=1), chi.tensor.reshape(2, -1).sum(axis=1)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(0.01, 1.0),
+    tau_star=st.floats(0.05, 0.5),
+    n_steps=st.integers(16, 200),
+    chunk=st.integers(2, 64),
+)
+def test_factored_phase_table_matches_direct_exp(rho, tau_star, n_steps, chunk):
+    model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}})
+    tables = ev.PropagatorTables(model, Grid(1, (32,), (2.0,)), rho)
+    h = tau_star / n_steps
+    taus = h * np.arange(n_steps + 1)
+    direct = np.exp((-1j / rho) * taus[:, None, None] * tables.omega_flat[None])
+    got = np.empty_like(direct)
+    for i0 in range(0, n_steps + 1, chunk):
+        i1 = min(i0 + chunk, n_steps + 1)  # the last chunk is usually shorter
+        got[i0:i1] = tables.chunk_phases(taus[i0], h, i1 - i0)
+        if i0 == 0:
+            table = tables._step_table
+        assert tables._step_table is table  # one table per mesh step
+    assert np.abs(got - direct).max() <= 1e-12
 
 
 def test_cubic_matches_r_space_product(nls_model, rng):

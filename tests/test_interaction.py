@@ -7,6 +7,7 @@ from wavepax import evolution as ev
 from wavepax import interaction as ia
 from wavepax import resonance as rs
 from wavepax import wavepacket as wp
+from wavepax.errors import PicardDiverged
 from wavepax.grids import Grid, ModalField, l1_norm_values
 
 
@@ -303,3 +304,26 @@ def test_particle_norm_bounded_along_averaged_run(counterprop):
                 positions.append(np.zeros(1))
         norms.append(wp.particle_norm(comps, positions, BETA, EPS))
     assert max(norms) <= 2.0 * norms[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["full", "interaction", "averaged"])
+def test_overflowing_iterate_raises_picard_diverged(nls_model, solver):
+    # amplitude 1e60 overflows the cubic term on the first iteration; the
+    # solvers must not report the NaN iterate as converged
+    grid = Grid(1, (64,), (2.0,))
+    spec = wp.WavepacketSpec(n=1, k_star=1.0, r_star=0.0, beta=0.5, epsilon=EPS,
+                             envelope=wp.Envelope("gaussian", 0.5, 1e60))
+    initial = wp.build_wavepacket(spec, nls_model, grid)
+    prob = ev.EvolutionProblem(nls_model, [ev.cubic_conjugate(1.0)], 0.1, 0.25, grid, initial)
+    spectrum = rs.spectrum_from_list([[1, 1.0]])
+    with pytest.raises(PicardDiverged) as err:
+        if solver == "full":
+            ev.solve_integrated(prob)
+        elif solver == "interaction":
+            ia.solve_interaction_system(prob, spectrum, beta=0.5, epsilon=EPS)
+        else:
+            sets = ia.build_index_sets(spectrum, nls_model, [3])
+            ia.solve_averaged_system(prob, spectrum, sets, beta=0.5, epsilon=EPS)
+    history = err.value.args[1]
+    assert history and not np.isfinite(history[-1])
