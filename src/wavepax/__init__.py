@@ -11,16 +11,14 @@ from .errors import (  # noqa: F401
     EnvelopeUnderresolved,
     GridMismatch,
     HypothesisViolated,
-    NotConverged,
     ParameterSignError,
     PicardDiverged,
     PicardMaxIter,
     RadiusUnresolvable,
     SpectrumOnSingularSet,
-    SublevelSetSplit,
     WavepaxError,
 )
-from .grids import Grid, ModalField, l1_norm, sup_time_norm  # noqa: F401
+from .grids import Grid, ModalField, l1_norm  # noqa: F401
 from .dispersion import (  # noqa: F401
     BandNeighborhoodBounds,
     DispersionModel,

@@ -116,19 +116,6 @@ def _raw_band_values(model: DispersionModel, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def positive_band_values(model: DispersionModel, pts_like) -> np.ndarray:
-    """Sorted (ascending) positive-branch band values, shape (J, M)."""
-    pts = _as_points(model, pts_like)
-    if model.kind == "scalar-band":
-        return np.sort(_raw_band_values(model, pts), axis=0)
-    vals = np.empty((model.j_bands, pts.shape[1]))
-    for i in range(pts.shape[1]):
-        kq = pts[:, i] if model.dim > 1 else pts[0, i]
-        e = np.linalg.eigvalsh(np.asarray(model.symbol(kq), dtype=complex))
-        vals[:, i] = e[model.j_bands :]
-    return vals
-
-
 def _eigh_at(model: DispersionModel, k):
     kq = np.asarray(k, dtype=float)
     arg = kq if model.dim > 1 else float(np.atleast_1d(kq)[0])
@@ -459,5 +446,4 @@ __all__ = [
     "neighborhood_bounds",
     "safe_radius",
     "symbol_eigensystem",
-    "positive_band_values",
 ]

@@ -21,13 +21,6 @@ class BandCrossingAtOutput(WavepaxError):
     """A resonance output wavevector hit the flagged set."""
 
 
-class NotConverged(WavepaxError):
-    """An iterative procedure ran out of iterations.
-
-    Carries the last iterate in ``args[1]`` when available.
-    """
-
-
 class RadiusUnresolvable(WavepaxError):
     """A cutoff radius is below what the grid can resolve."""
 
@@ -38,10 +31,6 @@ class EnvelopeUnderresolved(WavepaxError):
 
 class EmptySublevelSet(WavepaxError):
     """No probe point fell below the position-detection threshold."""
-
-
-class SublevelSetSplit(WavepaxError):
-    """The position sublevel set is disconnected; no single position exists."""
 
 
 class GridMismatch(WavepaxError):

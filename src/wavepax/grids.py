@@ -210,11 +210,6 @@ def linf_r_norm(f: ModalField) -> float:
     return float(pointwise_modulus(to_r_space(f)).max())
 
 
-def sup_time_norm(fields, a: float = 0.0) -> float:
-    """Sup over stored time samples of the (weighted) L1 norm."""
-    return max(l1_norm(f, a) for f in fields)
-
-
 def gradient_k(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Central-difference k-gradient with periodic wrap.
 
@@ -244,6 +239,5 @@ __all__ = [
     "l1_norm",
     "l1_norm_values",
     "linf_r_norm",
-    "sup_time_norm",
     "gradient_k",
 ]

@@ -10,7 +10,6 @@ diagonal / reduced systems restrict the index sets further.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dfield
 
@@ -22,20 +21,14 @@ from .evolution import (
     EvolutionProblem,
     PropagatorTables,
     SolverConfig,
+    _pointwise_products,
     _running_sup,
     _slow_rhs_chunk,
     _tensor_entries,
     _term_groups,
     time_mesh,
 )
-from .grids import (
-    Grid,
-    ModalField,
-    crop_spectrum,
-    pad_spectrum,
-    samples_to_spectrum,
-    spectrum_to_samples,
-)
+from .grids import Grid, ModalField, samples_to_spectrum, spectrum_to_samples
 from .resonance import (
     NkSpectrum,
     partial_gvm_check,
@@ -173,7 +166,6 @@ class ComponentLayout:
             (l, theta) for l in range(1, spectrum.n_pairs + 1) for theta in (+1, -1)
         ]
         self.cut: dict = {}
-        self.arg_clip: dict = {}
         self.mask: dict = {}
         self.basis_win: dict = {}
         _, basis, _ = eigensystem_tables(model, grid)
@@ -184,9 +176,6 @@ class ComponentLayout:
             idx = np.nonzero(cut > 0)[0]
             self.mask[(l, theta)] = idx
             self.cut[(l, theta)] = cut[idx]
-            # argument clip for the averaged system: the window profile again,
-            # neutral on cutoff-built data, damping only skirt spillover
-            self.arg_clip[(l, theta)] = cut[idx]
             n_l = spectrum.band(l)
             c = dsp.comp_index(n_l, theta)
             if basis is None:
@@ -197,8 +186,10 @@ class ComponentLayout:
 
     def window(self, key, full_flat: np.ndarray) -> np.ndarray:
         """Project full (B, C, X) values onto the cutoff window of one component."""
-        idx = self.mask[key]
-        vals = full_flat[..., idx]
+        return self.project(key, full_flat[..., self.mask[key]])
+
+    def project(self, key, vals: np.ndarray) -> np.ndarray:
+        """Band projection and cutoff of (B, C, win) values on one component's window."""
         g = self.basis_win[key]
         if isinstance(g, (int, np.integer)):
             out = np.zeros_like(vals)
@@ -380,9 +371,18 @@ def solve_interaction_system(
 class MonomialEvaluator:
     """Evaluates index-set-restricted nonlinearities on windowed states.
 
+    Each product of component windows is an exact linear convolution on a
+    small grid with the problem's dk.  Argument window t sits at its
+    bounding-box start ``lo_t`` on P nodes per axis, with P >= sum_t W_t - m + 1
+    for window widths W_t, so the circular convolution cannot wrap: its node
+    q is output node ``q + sum_t lo_t - (m-1) n/2`` of the full grid.
+    Carrier centres need not lie on nodes; only these integer offsets matter.
+    Phases and projections are evaluated on window nodes only.
+
     Terms are grouped at construction: decorated indices that are
-    permutations of one another share a single r-space product, and only the
-    band components actually present in each window are transformed.
+    permutations of one another share a single r-space product, products
+    with the same total offset are accumulated before one forward transform,
+    and only the band components present in each window are transformed.
     """
 
     def __init__(
@@ -391,128 +391,134 @@ class MonomialEvaluator:
         layout: ComponentLayout,
         sets_flat: dict,          # (l,theta) -> [(m, DecoratedIndex)]
         clip_arguments: bool = True,
-        pad: int | None = None,
     ):
         self.problem = problem
         self.layout = layout
-        self.sets_flat = sets_flat
         self.clip_arguments = clip_arguments
         self.tables = PropagatorTables(problem.model, problem.grid, problem.rho)
-        self.pad = pad or math.ceil((problem.max_order + 1) / 2)
-        self.pgrid = problem.grid.padded(self.pad)
-        self.by_order = {s.order: s for s in problem.nonlinearity}
-        if len(self.by_order) != len(problem.nonlinearity):
+        by_order = {s.order: s for s in problem.nonlinearity}
+        if len(by_order) != len(problem.nonlinearity):
             raise ValueError("one susceptibility per order expected here")
-        self.present: dict = {}
+        grid = problem.grid
+        ncomp = problem.model.ncomp
+        present = {}
         for key in layout.keys:
             g = layout.basis_win[key]
-            if isinstance(g, (int, np.integer)):
-                self.present[key] = (int(g),)
+            if layout.mask[key].size == 0:
+                present[key] = ()
+            elif isinstance(g, (int, np.integer)):
+                present[key] = (int(g),)
             else:
-                self.present[key] = tuple(range(problem.model.ncomp))
-        self.entries = {
-            m: _tensor_entries(s.tensor) for m, s in self.by_order.items() if s.tensor is not None
-        }
-        # jobs[key]: {(factors, out_comp): coeff} with factors a sorted tuple
+                present[key] = tuple(range(ncomp))
+        entries = {m: _tensor_entries(s.tensor) for m, s in by_order.items() if s.tensor is not None}
+        # jobs[key]: [(factors, out_comp, coeff)] with factors a sorted tuple
         # of (arg_key, component); pointwise products commute, so permuted
-        # monomials collapse into one job.
+        # monomials collapse into one job.  A scalar window keeps only its
+        # band component, so other output components are never formed.
         self.jobs: dict = {}
-        self.needed: dict = {key: set() for key in layout.keys}
         for key in layout.keys:
             grouped: dict = {}
             for m, index in sets_flat.get(key, []):
-                entries = self.entries.get(m)
-                if entries is None:
-                    continue
                 arg_keys = [(l, z) for z, l in index.entries]
-                for entry, coeff in entries:
+                for entry, coeff in entries.get(m, []):
                     i, js = entry[0], entry[1:]
-                    if any(js[t] not in self.present[arg_keys[t]] for t in range(m)):
+                    if i not in present[key]:
+                        continue
+                    if any(js[t] not in present[arg_keys[t]] for t in range(m)):
                         continue
                     factors = tuple(sorted(zip(arg_keys, js)))
                     grouped[(factors, i)] = grouped.get((factors, i), 0.0) + coeff
-                    for ak, c in zip(arg_keys, js):
-                        self.needed[ak].add(c)
             self.jobs[key] = [
                 (factors, i, coeff) for (factors, i), coeff in grouped.items() if coeff != 0
             ]
 
-    def _fast_r_args(self, states: dict, taus: np.ndarray) -> dict:
-        """Fast-frame r-space transforms of needed components, padded grid."""
-        b = taus.shape[0]
-        x = int(np.prod(self.problem.grid.shape))
-        scalar = self.tables.basis_flat is None
-        out = {}
-        for key in self.layout.keys:
-            comps = sorted(self.needed[key])
-            if not comps:
-                out[key] = {}
-                continue
-            vals = states[key]
-            if self.clip_arguments:
-                vals = vals * self.layout.arg_clip[key][None, None, :]
-            if scalar:
-                full = np.zeros((b, len(comps), x), dtype=complex)
-                full[..., self.layout.mask[key]] = vals[:, comps]
-                phases = np.exp(
-                    (-1j / self.problem.rho)
-                    * taus[:, None, None]
-                    * self.tables.omega_flat[comps][None]
+        # window bounding boxes and the small grid
+        sub = {key: np.unravel_index(layout.mask[key], grid.shape) for key in layout.keys}
+        args = [key for key in layout.keys if present[key]]
+        lo = {key: np.array([s.min() for s in sub[key]]) for key in args}
+        width = {key: np.array([s.max() + 1 for s in sub[key]]) - lo[key] for key in args}
+        span = np.ones(grid.dim, dtype=int)
+        for jobs in self.jobs.values():
+            for factors, _, _ in jobs:
+                span = np.maximum(span, sum(width[ak] for ak, _ in factors) - len(factors) + 1)
+        size = tuple(max(4, 1 << int(v - 1).bit_length()) for v in span)
+        self.sgrid = Grid(grid.dim, size,
+                          tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
+
+        # needed[key]: argument components to transform; factors are stored
+        # as (arg_key, position in needed[arg_key])
+        needed: dict = {}
+        for jobs in self.jobs.values():
+            for factors, _, _ in jobs:
+                for ak, c in factors:
+                    needed.setdefault(ak, set()).add(c)
+        self.needed = {key: sorted(comps) for key, comps in needed.items()}
+        self.local = {
+            key: np.ravel_multi_index(tuple(s - o for s, o in zip(sub[key], lo[key])), size)
+            for key in self.needed
+        }
+        # groups[key]: per (order, total offset), the distinct factor tuples,
+        # their (n_out, G) coefficients, the output components and the
+        # window positions ``dst`` filled from small-grid nodes ``src``
+        half = np.array(grid.n) // 2
+        self.groups: dict = {}
+        for key, jobs in self.jobs.items():
+            by_offset: dict = {}
+            for factors, i, coeff in jobs:
+                m = len(factors)
+                offset = sum(lo[ak] for ak, _ in factors) - (m - 1) * half
+                local = tuple((ak, self.needed[ak].index(c)) for ak, c in factors)
+                prods = by_offset.setdefault((m, tuple(offset)), {})
+                prods.setdefault(local, np.zeros(ncomp, dtype=complex))[i] += coeff
+            groups = []
+            for (m, offset), prods in by_offset.items():
+                q = [s - o for s, o in zip(sub[key], offset)]
+                ok = np.logical_and.reduce([(qa >= 0) & (qa < p) for qa, p in zip(q, size)])
+                if not ok.any():
+                    continue
+                # the transforms' fftshift convention moves node q by -(m-1)P/2
+                src = np.ravel_multi_index(
+                    tuple((qa[ok] - (m - 1) * p // 2) % p for qa, p in zip(q, size)), size
                 )
-                fast = (full * phases).reshape((b, len(comps)) + self.problem.grid.shape)
-            else:
-                allfull = np.zeros((b, self.problem.model.ncomp, x), dtype=complex)
-                allfull[..., self.layout.mask[key]] = vals
-                fast = self.tables.apply(
-                    allfull.reshape((b, -1) + self.problem.grid.shape), taus, -1
-                )[:, comps]
-            r = spectrum_to_samples(
-                pad_spectrum(fast, self.problem.grid, self.pad), self.pgrid
-            )
-            out[key] = {c: r[:, t] for t, c in enumerate(comps)}
-        return out
+                factors = list(prods)
+                coeffs = np.stack([prods[f] for f in factors], axis=1)
+                comps = np.nonzero(coeffs.any(axis=1))[0]
+                groups.append((factors, coeffs[comps], comps, np.nonzero(ok)[0], src))
+            self.groups[key] = groups
 
     def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
         """Windowed integrand values g_{l,theta} for a chunk of times."""
         b = taus.shape[0]
         ncomp = self.problem.model.ncomp
-        x = int(np.prod(self.problem.grid.shape))
-        scalar = self.tables.basis_flat is None
-        r_args = self._fast_r_args(states, taus)
+        size = self.sgrid.shape
+        nodes = int(np.prod(size))
+        r_args = {}
+        for key, comps in self.needed.items():
+            # states may hold one time slice for the whole chunk
+            vals = np.broadcast_to(states[key], (b,) + states[key].shape[1:])
+            if self.clip_arguments:
+                # the window profile again: neutral on cutoff-built data,
+                # it damps only spillover into the window's skirt
+                vals = vals * self.layout.cut[key]
+            fast = self.tables.apply(vals, taus, -1, nodes=self.layout.mask[key])
+            small = np.zeros((b, len(comps), nodes), dtype=complex)
+            small[..., self.local[key]] = fast[:, comps]
+            r_args[key] = spectrum_to_samples(
+                small.reshape((b, len(comps)) + size), self.sgrid
+            ).reshape(b, len(comps), nodes)
         out = {}
         for key in self.layout.keys:
-            jobs = self.jobs[key]
-            if not jobs:
-                out[key] = np.zeros(
-                    (b, ncomp, self.layout.mask[key].size), dtype=complex
-                )
-                continue
-            out_comps = sorted({i for _, i, _ in jobs})
-            pos = {i: t for t, i in enumerate(out_comps)}
-            acc_r = np.zeros((b, len(out_comps)) + self.pgrid.shape, dtype=complex)
-            for factors, i, coeff in jobs:
-                (ak0, c0) = factors[0]
-                prod = r_args[ak0][c0].copy()
-                for ak, c in factors[1:]:
-                    prod *= r_args[ak][c]
-                acc_r[:, pos[i]] += coeff * prod
-            spec = crop_spectrum(
-                samples_to_spectrum(acc_r, self.pgrid), self.problem.grid, self.pad
-            ).reshape(b, len(out_comps), x)
-            full = np.zeros((b, ncomp, x), dtype=complex)
-            if scalar:
-                phases = np.exp(
-                    (1j / self.problem.rho)
-                    * taus[:, None, None]
-                    * self.tables.omega_flat[out_comps][None]
-                )
-                full[:, out_comps] = spec * phases
-            else:
-                full[:, out_comps] = spec
-                full = self.tables.apply(
-                    full.reshape((b, ncomp) + self.problem.grid.shape), taus, +1
-                ).reshape(b, ncomp, x)
-            out[key] = self.layout.window(key, full)
+            mask = self.layout.mask[key]
+            acc = np.zeros((b, ncomp, mask.size), dtype=complex)
+            for factors, coeffs, comps, dst, src in self.groups[key]:
+                out_r = np.matmul(coeffs, _pointwise_products(r_args, factors, b, nodes))
+                spec = samples_to_spectrum(
+                    out_r.reshape((b, len(comps)) + size), self.sgrid
+                ).reshape(b, len(comps), nodes)
+                acc[:, comps[:, None], dst] += spec[:, :, src]
+            if self.groups[key]:
+                acc = self.tables.apply(acc, taus, +1, nodes=mask)
+            out[key] = self.layout.project(key, acc)
         return out
 
 

@@ -21,7 +21,6 @@ from .grids import (
     gradient_k,
     l1_norm,
     l1_norm_values,
-    sup_time_norm,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "PositionFix",
     "particle_norm",
     "l1_norm",
-    "sup_time_norm",
     "eigensystem_tables",
     "project_band_values",
 ]
@@ -278,9 +276,6 @@ def regularity_defect(f: ModalField, spec: WavepacketSpec, model: dsp.Dispersion
 
 def _component_values(f: ModalField, component) -> np.ndarray:
     if component is None:
-        if f.ncomp != 1:
-            # treat the whole vector as the payload
-            return f.values
         return f.values
     return f.values[component : component + 1]
 

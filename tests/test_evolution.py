@@ -149,6 +149,20 @@ def test_factored_phase_table_matches_direct_exp(rho, tau_star, n_steps, chunk):
     assert np.abs(got - direct).max() <= 1e-12
 
 
+def test_trapezoid_chunk_matches_cumsum(rng):
+    # the node-by-node running sum adds in the order of np.cumsum
+    g = rng.normal(size=(65, 2, 64)) + 1j * rng.normal(size=(65, 2, 64))
+    g_prev, integral, h0 = (rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+                            for _ in range(3))
+    h = 0.013
+    steps = np.concatenate([integral[None], (g_prev + g[0])[None], g[:-1] + g[1:]])
+    steps[1:] *= 0.5 * h
+    cum = np.cumsum(steps, axis=0)
+    out = np.empty_like(g)
+    last = ev._trapezoid_chunk(out, h0, integral, g_prev, g, h)
+    assert np.array_equal(out, h0 + cum[1:]) and np.array_equal(last, cum[-1])
+
+
 def test_cubic_matches_r_space_product(nls_model, rng):
     # spectrally concentrated fields: i q U+^2 U- equals the transformed
     # pointwise r-space product even on the unpadded grid

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wavepax import dispersion as dsp
 from wavepax import evolution as ev
 from wavepax import interaction as ia
 from wavepax import resonance as rs
@@ -220,6 +223,135 @@ def test_reduced_mode_universal_partition_matches_diagonal(counterprop):
     ref = ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS,
                                    mode="diagonal")
     assert ia.interaction_distance(out, ref) == 0.0
+
+
+# -- baseband evaluator ------------------------------------------------------------------
+
+def oracle_integrand(problem, layout, sets_flat, states, taus, clip):
+    """Literal-sum reference for ``MonomialEvaluator.integrand_chunk``.
+
+    Every window is scattered onto the full grid and moved to the fast
+    frame; each decorated index applies its susceptibility by the direct
+    convolution sum; the summed terms go back to the slow frame and through
+    the output window.
+    """
+    grid, model, rho = problem.grid, problem.model, problem.rho
+    ncomp, x = model.ncomp, int(np.prod(grid.shape))
+    by_order = {s.order: s for s in problem.nonlinearity}
+    rows = {key: [] for key in layout.keys}
+    for j, tau in enumerate(taus):
+        fast = {}
+        for key in layout.keys:
+            full = np.zeros((ncomp, x), dtype=complex)
+            full[:, layout.mask[key]] = states[key][j] * (layout.cut[key] if clip else 1.0)
+            slow = ModalField(grid, full.reshape((ncomp,) + grid.shape))
+            fast[key] = ev.fast_slow_transform(slow, model, rho, tau, "to_fast")
+        for key in layout.keys:
+            total = np.zeros((ncomp,) + grid.shape, dtype=complex)
+            for m, index in sets_flat.get(key, []):
+                fields = [fast[(l, z)] for z, l in index.entries]
+                total += ev.apply_nonlinearity(fields, by_order[m], mode="direct-oracle").values
+            back = ev.fast_slow_transform(ModalField(grid, total, frame="fast"), model, rho,
+                                          tau, "to_slow")
+            rows[key].append(back.values.reshape(ncomp, x))
+    return {key: layout.window(key, np.stack(rows[key])) for key in layout.keys}
+
+
+def _matrix_model():
+    def symbol(k):
+        return np.array([[k * k + 6.0, 1.0 + 0.5j], [1.0 - 0.5j, -(k * k) - 6.0]])
+
+    return dsp.matrix_symbol_model(symbol, j_bands=1)
+
+
+# (model, grid, beta, carrier range) per geometry: radius 2 beta^0.9 spans a
+# few nodes, so products reach partly into and partly past the output windows
+GEOMETRIES = {
+    "scalar-1d": (lambda: dsp.model_from_config({"preset": "nls1d", "params": {"a0": 1.0}}),
+                  Grid(1, (16,), (2.0,)), 0.3, 1.2),
+    "matrix-1d": (_matrix_model, Grid(1, (16,), (2.0,)), 0.3, 1.2),
+    "scalar-2d": (lambda: dsp.scalar_band_model([lambda k: (k ** 2).sum(axis=0) + 1.0], dim=2),
+                  Grid(2, (8, 8), (2.0, 2.0)), 0.6, 0.8),
+}
+
+
+@pytest.mark.filterwarnings("ignore:component windows")
+@pytest.mark.parametrize("geometry, chi", [
+    ("scalar-1d", ev.quadratic_conjugate(0.7)),
+    ("scalar-1d", ev.cubic_conjugate(1.3)),
+    ("scalar-1d", ev.cubic_full(0.9)),
+    ("matrix-1d", ev.quadratic_conjugate(0.7)),
+    ("matrix-1d", ev.cubic_full(0.9)),
+    ("scalar-2d", ev.quadratic_conjugate(1.1)),
+])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_baseband_evaluator_matches_direct_oracle(geometry, chi, data):
+    make_model, grid, beta, k_range = GEOMETRIES[geometry]
+    model, m = make_model(), chi.order
+    carriers = data.draw(st.lists(
+        st.lists(st.floats(-k_range, k_range), min_size=grid.dim, max_size=grid.dim),
+        min_size=1, max_size=2,
+    ))
+    assume(len(carriers) == 1 or np.linalg.norm(np.subtract(*carriers)) > 1e-3)
+    spectrum = rs.spectrum_from_list([[1] + k for k in carriers])
+    layout = ia.ComponentLayout(spectrum, model, grid, beta, EPS)
+    slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (1, -1)]
+    # per output window, indices whose products can reach it, the closest first
+    sets_flat = {}
+    for l, theta in layout.keys:
+        centre = theta * spectrum.kvec(l)
+        reach = []
+        for entries in itertools.product(slots, repeat=m):
+            land = sum(z * spectrum.kvec(s) for z, s in entries)
+            dist = float(np.linalg.norm(land - centre))
+            if dist < (m + 1) * layout.radius:
+                reach.append((dist, rs.DecoratedIndex(entries)))
+        reach.sort(key=lambda t: t[0])
+        picks = data.draw(st.lists(st.integers(0, len(reach) - 1), max_size=3, unique=True)
+                          if reach else st.just([]))
+        sets_flat[(l, theta)] = [(m, reach[i][1]) for i in sorted({0, *picks}) if reach]
+    clip = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = int(np.prod(grid.shape))
+    states = {
+        key: layout.window(key, rng.normal(size=(2, model.ncomp, x))
+                           + 1j * rng.normal(size=(2, model.ncomp, x)))
+        for key in layout.keys
+    }
+    taus = np.sort(rng.uniform(0.0, 0.3, size=2))
+    problem = ev.EvolutionProblem(model, [chi], 0.05, 0.3, grid,
+                                  ModalField(grid, np.zeros((model.ncomp,) + grid.shape)))
+
+    got = ia.MonomialEvaluator(problem, layout, sets_flat, clip).integrand_chunk(states, taus)
+    want = oracle_integrand(problem, layout, sets_flat, states, taus, clip)
+    scale = max(np.abs(v).max(initial=0.0) for v in want.values())
+    # bound on any convolution value, also of products landing off the grid;
+    # round-off relative to it keeps an all-zero reference comparable
+    mods = [np.sqrt((np.abs(v) ** 2).sum(axis=1)) for v in states.values()]
+    bound = ((grid.cell / (2 * np.pi) ** grid.dim) ** (m - 1) * chi.sup_norm()
+             * max(md.sum(axis=-1).max() for md in mods) ** (m - 1)
+             * max(md.max() for md in mods))
+    for key in layout.keys:
+        err = np.abs(got[key] - want[key]).max(initial=0.0)
+        assert err <= 1e-12 * scale + 1e-15 * bound
+
+
+def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model):
+    # acceptance geometry: 129-node windows, cubic products need 3 * 129 - 2
+    grid = Grid(1, (2048,), (4.0,))
+    spectrum = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
+    sets = ia.build_index_sets(spectrum, nls_model, [3])
+    initial = ModalField(grid, np.zeros((2, 2048)))
+    prob = ev.EvolutionProblem(nls_model, [ev.cubic_full(1.0)], 0.004, 0.25, grid, initial)
+    layout = ia.ComponentLayout(spectrum, nls_model, grid, 0.1, 0.1)
+    evaluator = ia.MonomialEvaluator(prob, layout, sets.flat(sets.contributing))
+    assert {layout.mask[key].size for key in layout.keys} == {129}
+    assert evaluator.sgrid.shape == (512,)
+    assert evaluator.sgrid.dk == grid.dk
+    # a scalar window keeps only the jobs of its own band component
+    for key, jobs in evaluator.jobs.items():
+        assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
 
 
 # -- coupling norm ----------------------------------------------------------------------
