@@ -199,23 +199,48 @@ def eval_projector(model: DispersionModel, n: int, zeta: int, k) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def band_frequencies(model: DispersionModel, k, tol: float | None = None):
+    """Positive-branch frequencies and the singular-set test at many points.
+
+    ``k`` holds M wavevectors, shape (dim, M) (or (M,) in 1-d).  Returns
+    ``(omega, singular)``: omega_{n,+} as a (J, M) array and a (M,) mask of
+    points on the singular set (a gap collapse or omega_1 = 0).  A point whose
+    evaluation raises counts as singular and gets NaN frequencies.
+    Scalar-band models evaluate all points in one call; matrix-symbol models
+    eigendecompose each point.
+    """
+    pts = _as_points(model, k)
+    j, npts = model.j_bands, pts.shape[1]
+    failed = np.zeros(npts, dtype=bool)
+    if model.kind == "scalar-band":
+        try:
+            vals = np.sort(_raw_band_values(model, pts), axis=0)
+            neg = -np.sort(_raw_band_values(model, -pts), axis=0)[::-1]
+        except Exception:
+            if npts == 1:
+                return np.full((j, 1), np.nan), np.ones(1, dtype=bool)
+            parts = [band_frequencies(model, pts[:, i:i + 1], tol) for i in range(npts)]
+            return (np.concatenate([p[0] for p in parts], axis=1),
+                    np.concatenate([p[1] for p in parts]))
+        evals = np.concatenate([neg, vals])
+    else:
+        evals = np.full((2 * j, npts), np.nan)
+        for i in range(npts):
+            try:
+                evals[:, i] = _eigh_at(model, pts[:, i])[0]
+            except Exception:
+                failed[i] = True
+    if tol is None:
+        tol = _gap_tolerance(model, np.abs(evals).max(axis=0))
+    singular = failed | (np.diff(evals, axis=0).min(axis=0) < tol)
+    # omega_{1,+/-} vanishing also counts as singular
+    singular |= np.minimum(np.abs(evals[j]), np.abs(evals[j - 1])) < tol
+    return evals[j:], singular
+
+
 def is_band_crossing(model: DispersionModel, k, tol: float | None = None) -> bool:
     """Point query against the singular set (gap collapse or omega_1 = 0)."""
-    try:
-        if model.kind == "scalar-band":
-            pts = _as_points(model, k)
-            vals = np.sort(_raw_band_values(model, pts), axis=0)[:, 0]
-            neg = -np.sort(_raw_band_values(model, -pts), axis=0)[:, 0][::-1]
-            evals = np.concatenate([neg, vals])
-        else:
-            evals, _ = _eigh_at(model, k)
-    except Exception:
-        return True
-    tol = tol if tol is not None else _gap_tolerance(model, float(np.abs(evals).max()))
-    if np.min(np.diff(evals)) < tol:
-        return True
-    # omega_{1,+/-} vanishing also counts as singular
-    return bool(min(abs(evals[model.j_bands]), abs(evals[model.j_bands - 1])) < tol)
+    return bool(band_frequencies(model, k, tol)[1][0])
 
 
 # -- grid sweeps ---------------------------------------------------------------
@@ -440,6 +465,7 @@ __all__ = [
     "eval_omega",
     "group_velocity",
     "eval_projector",
+    "band_frequencies",
     "is_band_crossing",
     "detect_band_crossings",
     "flagged_wavevectors",

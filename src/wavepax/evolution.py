@@ -413,23 +413,29 @@ class PropagatorTables:
         return self._step_table[1][:b] * start
 
     def apply(self, values: np.ndarray, taus: np.ndarray, sign: int,
-              nodes: np.ndarray | None = None) -> np.ndarray:
+              nodes: np.ndarray | None = None, comps=None) -> np.ndarray:
         """e^{sign * i * tau * L / rho} on batched spectra (B, C, *shape).
 
         With ``nodes`` (flat grid indices) the spectra are given on those
-        nodes only, as (B, C, len(nodes)) values.
+        nodes only, as (B, C, len(nodes)) values.  With ``comps`` only those
+        component rows of the result are returned; a scalar symbol then
+        evaluates their phases only, a matrix symbol still rotates every row.
         """
         b, c = values.shape[0], values.shape[1]
         flat = values.reshape(b, c, -1)
         omega = self.omega_flat if nodes is None else self.omega_flat[:, nodes]
-        phases = np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
         if self.basis_flat is None:
-            out = flat * phases
+            if comps is not None:
+                flat, omega = flat[:, comps], omega[comps]
+            out = flat * np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
         else:
+            phases = np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
             basis = self.basis_flat if nodes is None else self.basis_flat[nodes]
             coeff = np.einsum("xac,bax->bcx", basis.conj(), flat)
             out = np.einsum("xac,bcx->bax", basis, coeff * phases)
-        return out.reshape(values.shape)
+            if comps is not None:
+                out = out[:, comps]
+        return out.reshape((b, out.shape[1]) + values.shape[2:])
 
 
 # -- trajectories -----------------------------------------------------------------------

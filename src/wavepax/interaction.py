@@ -410,6 +410,8 @@ class MonomialEvaluator:
                 present[key] = (int(g),)
             else:
                 present[key] = tuple(range(ncomp))
+        # rows of the back-transformed integrand that the window projection reads
+        self.out_rows = {key: list(comps) for key, comps in present.items()}
         entries = {m: _tensor_entries(s.tensor) for m, s in by_order.items() if s.tensor is not None}
         # jobs[key]: [(factors, out_comp, coeff)] with factors a sorted tuple
         # of (arg_key, component); pointwise products commute, so permuted
@@ -500,9 +502,10 @@ class MonomialEvaluator:
                 # the window profile again: neutral on cutoff-built data,
                 # it damps only spillover into the window's skirt
                 vals = vals * self.layout.cut[key]
-            fast = self.tables.apply(vals, taus, -1, nodes=self.layout.mask[key])
             small = np.zeros((b, len(comps), nodes), dtype=complex)
-            small[..., self.local[key]] = fast[:, comps]
+            small[..., self.local[key]] = self.tables.apply(
+                vals, taus, -1, nodes=self.layout.mask[key], comps=comps
+            )
             r_args[key] = spectrum_to_samples(
                 small.reshape((b, len(comps)) + size), self.sgrid
             ).reshape(b, len(comps), nodes)
@@ -517,7 +520,8 @@ class MonomialEvaluator:
                 ).reshape(b, len(comps), nodes)
                 acc[:, comps[:, None], dst] += spec[:, :, src]
             if self.groups[key]:
-                acc = self.tables.apply(acc, taus, +1, nodes=mask)
+                rows = self.out_rows[key]
+                acc[:, rows] = self.tables.apply(acc, taus, +1, nodes=mask, comps=rows)
             out[key] = self.layout.project(key, acc)
         return out
 

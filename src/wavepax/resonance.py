@@ -14,14 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import DispersionModel, eval_omega, group_velocity, is_band_crossing
-from .errors import BandCrossingAtOutput, EnumerationCapExceeded
+from .dispersion import DispersionModel, band_frequencies, eval_omega, group_velocity
+from .errors import BandCrossingAtOutput, EnumerationCapExceeded, WavepaxError
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 DEFAULT_CLOSURE_MAX_ITER = 16
+_DISTANCE_BLOCK = 256  # rows per block of pairwise distances
 
 
 # -- spectra ------------------------------------------------------------------
@@ -195,6 +197,81 @@ def omega_combination(index: DecoratedIndex, spectrum: NkSpectrum, model: Disper
     )
 
 
+def _index_table(n_pairs: int, m: int):
+    """Signs and 0-based slots of every order-m index, each (M, m), in ``all_indices`` order."""
+    e = np.indices((2 * n_pairs,) * m).reshape(m, (2 * n_pairs) ** m).T
+    return 1 - 2 * (e % 2), e // 2
+
+
+def _slot_sums(signs: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_j z_j * values[l_j] for each row of an index table; values is (n_pairs, d).
+
+    Starts from zero and adds one slot at a time in entry order, as ``kappa``
+    and ``omega_combination`` do, so the sums agree with theirs bit for bit.
+    """
+    out = np.zeros((signs.shape[0], values.shape[1]))
+    for j in range(signs.shape[1]):
+        out = out + signs[:, j, None] * values[slots[:, j]]
+    return out
+
+
+def _kvec_table(spectrum: NkSpectrum) -> np.ndarray:
+    return np.array([k for _, k in spectrum.pairs], dtype=float).reshape(
+        spectrum.n_pairs, spectrum.dim
+    )
+
+
+class _OrderTable(NamedTuple):
+    """All order-m decorated indices as arrays, in ``all_indices`` order."""
+
+    m: int
+    signs: np.ndarray   # (M, m)
+    slots: np.ndarray   # (M, m), 0-based
+    kappa: np.ndarray   # (M, dim)
+
+
+def _candidates(spectrum: NkSpectrum, model: DispersionModel, orders):
+    """Index tables of the orders and their (index, zeta) output rows.
+
+    Returns ``(tables, out_k, comb, starts)``: one ``_OrderTable`` per
+    order, then per row zeta * kappa and the index's frequency sum (as
+    ``omega_combination``).  Rows run over the orders, index-major with
+    zeta = +1, -1 inner, which is the order the per-index loop visited them
+    in; order i owns rows ``starts[i]:starts[i + 1]``.
+    """
+    kvecs = _kvec_table(spectrum)
+    omegas = np.array(
+        [eval_omega(model, n, +1, k) for n, k in spectrum.pairs], dtype=float
+    ).reshape(-1, 1)
+    tables, outs, combs = [], [np.empty((0, spectrum.dim))], [np.empty(0)]
+    for m in orders:
+        signs, slots = _index_table(spectrum.n_pairs, m)
+        kap = _slot_sums(signs, slots, kvecs)
+        tables.append(_OrderTable(m, signs, slots, kap))
+        outs.append(np.stack([kap, -kap], axis=1).reshape(-1, spectrum.dim))
+        combs.append(np.repeat(_slot_sums(signs, slots, omegas)[:, 0], 2))
+    starts = np.cumsum([0] + [len(c) for c in combs[1:]])
+    return tables, np.concatenate(outs), np.concatenate(combs), starts
+
+
+def _output_bands(model: DispersionModel, out_k: np.ndarray, rounded: bool):
+    """omega_{n,+} (R, J) and singular flags (R,) at output wavevectors (R, dim).
+
+    Each distinct row is evaluated once.  With ``rounded`` rows are keyed on
+    their 12-decimal rounding and all take the value at the first row with
+    their key; otherwise every row takes its own value.
+    """
+    key = np.round(out_k, 12) if rounded else out_k.view(np.int64)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    omega, singular = band_frequencies(model, out_k[first].T)
+    inverse = inverse.reshape(-1)
+    return omega.T[inverse], singular[inverse]
+
+
+def _index_at(signs: np.ndarray, slots: np.ndarray, i: int) -> "DecoratedIndex":
+    return DecoratedIndex(tuple((int(z), int(l) + 1) for z, l in zip(signs[i], slots[i])))
+
+
 # -- resonance solutions ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -268,59 +345,72 @@ def enumerate_solutions(
     if tol_res is None:
         tol_res = default_tol_res(spectrum, model)
 
-    omega_cache: dict = {}
-    crossing_cache: dict = {}
-
-    def omega_at(n: int, kv: np.ndarray) -> float:
-        key = (n, tuple(np.round(kv, 12)))
-        if key not in omega_cache:
-            omega_cache[key] = eval_omega(model, n, +1, kv)
-        return omega_cache[key]
-
-    def crossing_at(kv: np.ndarray) -> bool:
-        key = tuple(np.round(kv, 12))
-        if key not in crossing_cache:
-            crossing_cache[key] = is_band_crossing(model, kv)
-        return crossing_cache[key]
+    tables, out_k, comb, starts = _candidates(spectrum, model, orders)
+    omega, singular = _output_bands(model, out_k, rounded=True)
+    zeta = np.tile([1, -1], out_k.shape[0] // 2)
+    residual = (-zeta)[:, None] * omega + comb[:, None]
+    hit = (np.abs(residual) <= tol_res) & ~singular[:, None]
 
     out: list[ResonanceSolution] = []
-    for m in orders:
-        for index in all_indices(n_pairs, m):
-            kap = np.atleast_1d(np.asarray(kappa(index, spectrum), dtype=float))
-            comb = omega_combination(index, spectrum, model)
-            for zeta in (+1, -1):
-                out_k = zeta * kap
-                if crossing_at(out_k):
-                    if collect_skipped is not None:
-                        collect_skipped.append((m, zeta, index, out_k.copy()))
-                    continue
-                for n in range(1, model.j_bands + 1):
-                    residual = -zeta * omega_at(n, out_k) + comb
-                    if abs(residual) <= tol_res:
-                        out.append(_classify_solution(spectrum, n, zeta, index, kap, abs(residual)))
+    for (m, signs, slots, kap), start, stop in zip(tables, starts, starts[1:]):
+        if collect_skipped is not None:
+            for r in np.nonzero(singular[start:stop])[0]:
+                collect_skipped.append(
+                    (m, int(zeta[r]), _index_at(signs, slots, r // 2), out_k[start + r].copy())
+                )
+        for r, b in np.argwhere(hit[start:stop]):
+            out.append(_classify_solution(
+                spectrum, int(b) + 1, int(zeta[r]), _index_at(signs, slots, r // 2),
+                kap[r // 2].copy(), float(abs(residual[start + r, b])),
+            ))
     out.sort(key=lambda s: (s.m, -s.zeta, s.n, s.index.entries))
     return out
 
 
+def _greedy_distinct(rows: np.ndarray, tol: float, labels: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the rows (R, d) that a greedy pass in row order keeps.
+
+    A row is dropped when it lies within ``tol`` of a kept earlier row (with
+    the same label).  Exact repeats are dropped first: each lies within
+    ``tol`` of whatever kept or dropped its first occurrence.
+    """
+    key = rows if labels is None else np.column_stack([labels, rows])
+    _, first = np.unique(key, axis=0, return_index=True)
+    first = np.sort(first)
+    rows = rows[first]
+    keep = np.zeros(len(first), dtype=bool)
+    for a in range(0, len(first), _DISTANCE_BLOCK):
+        b = min(a + _DISTANCE_BLOCK, len(first))
+        close = np.linalg.norm(rows[a:b, None] - rows[None, :b], axis=-1) <= tol
+        if labels is not None:
+            close &= labels[first[a:b], None] == labels[first[None, :b]]
+        for i in range(a, b):
+            keep[i] = not (close[i - a, :i] & keep[:i]).any()
+    return first[keep]
+
+
 def output_spectrum(spectrum: NkSpectrum, orders, tol_k: float | None = None) -> list[np.ndarray]:
-    """All signed wavevector combinations reachable at the given orders."""
+    """All signed wavevector combinations reachable at the given orders.
+
+    A combination is kept unless it lies within ``tol_k`` of one kept before
+    it in ``all_indices`` order.
+    """
     tol = tol_k if tol_k is not None else spectrum.tol_k
-    seen: list[np.ndarray] = []
-    for m in sorted(set(int(v) for v in orders)):
-        for index in all_indices(spectrum.n_pairs, m):
-            kap = np.atleast_1d(np.asarray(kappa(index, spectrum), dtype=float))
-            if not any(np.linalg.norm(kap - s) <= tol for s in seen):
-                seen.append(kap)
-    return seen
+    kvecs = _kvec_table(spectrum)
+    kap = np.concatenate(
+        [_slot_sums(*_index_table(spectrum.n_pairs, m), kvecs) for m in sorted(set(int(v) for v in orders))]
+        + [np.empty((0, spectrum.dim))]
+    )
+    return list(kap[_greedy_distinct(kap, tol)])
 
 
 def resonant_output_pairs(solutions, tol_k: float) -> list[tuple[int, np.ndarray]]:
-    pairs: list[tuple[int, np.ndarray]] = []
-    for s in solutions:
-        out_k = s.zeta * s.kappa
-        if not any(n == s.n and np.linalg.norm(out_k - k) <= tol_k for n, k in pairs):
-            pairs.append((s.n, out_k))
-    return pairs
+    """Distinct (band, zeta * kappa) outputs of the solutions, in solution order."""
+    if not solutions:
+        return []
+    bands = np.array([s.n for s in solutions])
+    out_k = np.stack([s.zeta * s.kappa for s in solutions])
+    return [(int(bands[i]), out_k[i]) for i in _greedy_distinct(out_k, tol_k, bands)]
 
 
 def resonance_select(
@@ -533,33 +623,31 @@ def resonant_index_sets(
     ``resonant[(l, theta, m)]`` lists every index whose frequency mismatch for
     the output (band(l), theta) vanishes.  ``contributing`` keeps only those
     whose signed wavevector sum equals theta * k_l, i.e. the terms that
-    survive the output cutoff in the interaction equations.
+    survive the output cutoff in the interaction equations.  Both list
+    indices in ``all_indices`` order.
     """
     if tol_res is None:
         tol_res = default_tol_res(spectrum, model)
+    orders = sorted(set(int(m) for m in orders))
+    tables, out_k, comb, starts = _candidates(spectrum, model, orders)
+    omega, singular = _output_bands(model, out_k, rounded=False)
     resonant: dict = {}
     contributing: dict = {}
-    orders = sorted(set(int(m) for m in orders))
     for l in range(1, spectrum.n_pairs + 1):
         n_l = spectrum.band(l)
         k_l = spectrum.kvec(l)
         for theta in (+1, -1):
-            for m in orders:
-                res_list, con_list = [], []
-                for index in all_indices(spectrum.n_pairs, m):
-                    kap = np.atleast_1d(np.asarray(kappa(index, spectrum), dtype=float))
-                    out_k = theta * kap
-                    if is_band_crossing(model, out_k):
-                        continue
-                    residual = -theta * eval_omega(model, n_l, +1, out_k) + omega_combination(
-                        index, spectrum, model
-                    )
-                    if abs(residual) <= tol_res:
-                        res_list.append(index)
-                        if np.linalg.norm(kap - theta * k_l) <= spectrum.tol_k:
-                            con_list.append(index)
+            for (m, signs, slots, kap), start, stop in zip(tables, starts, starts[1:]):
+                # rows of this order with zeta = theta
+                rows = slice(start + (0 if theta > 0 else 1), stop, 2)
+                residual = -theta * omega[rows, n_l - 1] + comb[rows]
+                hits = np.nonzero((np.abs(residual) <= tol_res) & ~singular[rows])[0]
+                res_list = [_index_at(signs, slots, i) for i in hits]
                 resonant[(l, theta, m)] = res_list
-                contributing[(l, theta, m)] = con_list
+                contributing[(l, theta, m)] = [
+                    index for i, index in zip(hits, res_list)
+                    if np.linalg.norm(kap[i] - theta * k_l) <= spectrum.tol_k
+                ]
     return resonant, contributing
 
 
@@ -682,15 +770,15 @@ def genericity_probe(
         for n, k in spectrum.pairs:
             shift = rng.uniform(-radius, radius, size=spectrum.dim)
             pairs.append((n, k + shift))
+        trial = NkSpectrum(tuple(pairs), dim=spectrum.dim)
         try:
-            report = classify(
-                NkSpectrum(tuple(pairs), dim=spectrum.dim), model, orders,
-                with_closure=False,
-            )
-            if report.classification == "universally_invariant":
-                hits += 1
-        except Exception:
-            pass
+            report = classify(trial, model, orders, with_closure=False)
+        except EnumerationCapExceeded:
+            raise  # the same for every trial: no sample to count
+        except WavepaxError:
+            continue  # e.g. a perturbed carrier on the singular set
+        if report.classification == "universally_invariant":
+            hits += 1
     return hits / trials
 
 

@@ -1,11 +1,17 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
 from wavepax import resonance as rs
-from wavepax.errors import BandCrossingAtOutput, EnumerationCapExceeded
+from wavepax.cli import main as cli_main
+from wavepax.errors import BandCrossing, BandCrossingAtOutput, EnumerationCapExceeded
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def model(a0):
@@ -283,3 +289,250 @@ def test_probe_determinism():
     a = rs.genericity_probe(s, m, [3], trials=25, radius=0.05, seed=11)
     b = rs.genericity_probe(s, m, [3], trials=25, radius=0.05, seed=11)
     assert a == b
+
+
+def test_genericity_probe_propagates_unexpected_errors(monkeypatch):
+    m = model(1.0)
+    s = rs.spectrum_from_list([[1, 1.0]])
+
+    def raising(exc):
+        def classify(*args, **kwargs):
+            raise exc
+        return classify
+
+    monkeypatch.setattr(rs, "classify", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError):
+        rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
+    monkeypatch.setattr(rs, "classify", raising(EnumerationCapExceeded("cap")))
+    with pytest.raises(EnumerationCapExceeded):
+        rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
+    # a trial carrier on the singular set is a miss, not an error
+    monkeypatch.setattr(rs, "classify", raising(BandCrossing("gap")))
+    assert rs.genericity_probe(s, m, [3], trials=3, radius=0.05) == 0.0
+
+
+# -- golden CLI report ------------------------------------------------------------------
+
+def test_cli_report_matches_golden_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli_main([
+        "resonance", "analyze", "--probe", "20",
+        "--config", str(ROOT / "demos" / "configs" / "resonance_counterprop.json"),
+        "--out", str(out),
+    ])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "resonance_counterprop_probe20.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+# -- table enumeration against the per-index loop ---------------------------------------
+#
+# The functions below are the per-index enumeration that the table code
+# replaced, kept literally as a reference oracle.
+
+def _oracle_crossing(model, k, tol=None):
+    try:
+        if model.kind == "scalar-band":
+            pts = dsp._as_points(model, k)
+            vals = np.sort(dsp._raw_band_values(model, pts), axis=0)[:, 0]
+            neg = -np.sort(dsp._raw_band_values(model, -pts), axis=0)[:, 0][::-1]
+            evals = np.concatenate([neg, vals])
+        else:
+            evals, _ = dsp._eigh_at(model, k)
+    except Exception:
+        return True
+    tol = tol if tol is not None else dsp._gap_tolerance(model, float(np.abs(evals).max()))
+    if np.min(np.diff(evals)) < tol:
+        return True
+    return bool(min(abs(evals[model.j_bands]), abs(evals[model.j_bands - 1])) < tol)
+
+
+def _oracle_enumerate(spectrum, model, orders, collect_skipped):
+    orders = sorted(set(int(m) for m in orders))
+    tol_res = rs.default_tol_res(spectrum, model)
+    omega_cache: dict = {}
+    crossing_cache: dict = {}
+
+    def omega_at(n, kv):
+        key = (n, tuple(np.round(kv, 12)))
+        if key not in omega_cache:
+            omega_cache[key] = dsp.eval_omega(model, n, +1, kv)
+        return omega_cache[key]
+
+    def crossing_at(kv):
+        key = tuple(np.round(kv, 12))
+        if key not in crossing_cache:
+            crossing_cache[key] = _oracle_crossing(model, kv)
+        return crossing_cache[key]
+
+    out = []
+    for m in orders:
+        for index in rs.all_indices(spectrum.n_pairs, m):
+            kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
+            comb = rs.omega_combination(index, spectrum, model)
+            for zeta in (+1, -1):
+                out_k = zeta * kap
+                if crossing_at(out_k):
+                    collect_skipped.append((m, zeta, index, out_k.copy()))
+                    continue
+                for n in range(1, model.j_bands + 1):
+                    residual = -zeta * omega_at(n, out_k) + comb
+                    if abs(residual) <= tol_res:
+                        out.append(rs._classify_solution(spectrum, n, zeta, index, kap, abs(residual)))
+    out.sort(key=lambda s: (s.m, -s.zeta, s.n, s.index.entries))
+    return out
+
+
+def _oracle_output_spectrum(spectrum, orders):
+    seen = []
+    for m in sorted(set(int(v) for v in orders)):
+        for index in rs.all_indices(spectrum.n_pairs, m):
+            kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
+            if not any(np.linalg.norm(kap - s) <= spectrum.tol_k for s in seen):
+                seen.append(kap)
+    return seen
+
+
+def _oracle_output_pairs(solutions, tol_k):
+    pairs = []
+    for s in solutions:
+        out_k = s.zeta * s.kappa
+        if not any(n == s.n and np.linalg.norm(out_k - k) <= tol_k for n, k in pairs):
+            pairs.append((s.n, out_k))
+    return pairs
+
+
+def _oracle_index_sets(spectrum, model, orders):
+    tol_res = rs.default_tol_res(spectrum, model)
+    resonant, contributing = {}, {}
+    orders = sorted(set(int(m) for m in orders))
+    for l in range(1, spectrum.n_pairs + 1):
+        n_l = spectrum.band(l)
+        k_l = spectrum.kvec(l)
+        for theta in (+1, -1):
+            for m in orders:
+                res_list, con_list = [], []
+                for index in rs.all_indices(spectrum.n_pairs, m):
+                    kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
+                    out_k = theta * kap
+                    if _oracle_crossing(model, out_k):
+                        continue
+                    residual = -theta * dsp.eval_omega(model, n_l, +1, out_k) + rs.omega_combination(
+                        index, spectrum, model
+                    )
+                    if abs(residual) <= tol_res:
+                        res_list.append(index)
+                        if np.linalg.norm(kap - theta * k_l) <= spectrum.tol_k:
+                            con_list.append(index)
+                resonant[(l, theta, m)] = res_list
+                contributing[(l, theta, m)] = con_list
+    return resonant, contributing
+
+
+def _coupled_symbol(k):
+    w = k * k + 1.0
+    return np.array([[w, 0.4 * k], [0.4 * k, -w]], dtype=complex)
+
+
+ORACLE_MODELS = {
+    "nls_a0_1": model(1.0),
+    "nls_a0_2": model(2.0),
+    "nls_a0_0": model(0.0),
+    "power_p1": dsp.model_from_config({"preset": "power", "params": {"p": 1.0, "a0": 0.0}}),
+    "twoband": dsp.model_from_config({"preset": "twoband", "params": {}}),
+    # an odd part breaks k -> -k symmetry; omega_{1,+} vanishes at k = -0.5
+    # where omega_{1,-} does not
+    "tilted": dsp.scalar_band_model(
+        [lambda k: k ** 2 + 0.5 * k], [lambda k: 2.0 * k + 0.5], name="tilted"
+    ),
+    "matrix": dsp.matrix_symbol_model(_coupled_symbol, j_bands=1),
+    "paraboloid2d": dsp.scalar_band_model(
+        [lambda k: (k ** 2).sum(axis=0) + 1.0], dim=2, name="paraboloid2d"
+    ),
+}
+# exact values make repeated sums, exact resonances and singular outputs likely
+_CARRIER = st.one_of(
+    st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]),
+    st.floats(-2.5, 2.5, allow_nan=False),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_MODELS)))
+    m = ORACLE_MODELS[name]
+    rows = draw(st.lists(
+        st.tuples(st.integers(1, m.j_bands), st.lists(_CARRIER, min_size=m.dim, max_size=m.dim)),
+        min_size=1, max_size=3,
+    ))
+    orders = draw(st.sampled_from([[2], [3], [2, 3]]))
+    return name, [[n] + k for n, k in rows], orders
+
+
+def _spectrum_or_reject(rows, dim):
+    try:
+        return rs.spectrum_from_list(rows, dim=dim)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+@example(("nls_a0_2", [[1, 1.0], [1, 2.0]], [2]))
+@example(("nls_a0_2", [[1, 1.0], [1, 2.0]], [2, 3]))
+@example(("nls_a0_0", [[1, 1.0], [1, -1.0]], [2, 3]))
+@example(("power_p1", [[1, 1.0], [1, 2.0], [1, 0.5]], [3]))
+@example(("twoband", [[1, 1.0], [2, 1.0]], [2, 3]))
+@example(("tilted", [[1, 1.0], [1, -1.5]], [2, 3]))
+@example(("paraboloid2d", [[1, 1.0, 0.0], [1, 0.0, 1.0]], [2, 3]))
+def test_enumeration_matches_per_index_oracle(case):
+    name, rows, orders = case
+    m = ORACLE_MODELS[name]
+    s = _spectrum_or_reject(rows, m.dim)
+
+    skipped, want_skipped = [], []
+    got = rs.enumerate_solutions(s, m, orders, collect_skipped=skipped)
+    want = _oracle_enumerate(s, m, orders, want_skipped)
+    assert [x.key() for x in got] == [x.key() for x in want]
+    scale = 1.0 + max(abs(dsp.eval_omega(m, n, +1, k)) for n, k in s.pairs)
+    for a, b in zip(got, want):
+        assert (a.klass, a.target, a.b_row, a.c_vec, a.delta) == (b.klass, b.target, b.b_row, b.c_vec, b.delta)
+        assert np.array_equal(a.kappa, b.kappa)
+        assert abs(a.omega_residual - b.omega_residual) <= 1e-12 * scale
+    assert len(skipped) == len(want_skipped)
+    for (m1, z1, i1, k1), (m2, z2, i2, k2) in zip(skipped, want_skipped):
+        assert (m1, z1, i1.entries) == (m2, z2, i2.entries)
+        assert np.array_equal(k1, k2)
+
+    out = rs.output_spectrum(s, orders)
+    want_out = _oracle_output_spectrum(s, orders)
+    assert len(out) == len(want_out)
+    for a, b in zip(out, want_out):
+        assert np.linalg.norm(a - b) <= s.tol_k
+    pairs = rs.resonant_output_pairs(got, s.tol_k)
+    want_pairs = _oracle_output_pairs(want, s.tol_k)
+    assert [n for n, _ in pairs] == [n for n, _ in want_pairs]
+    for (_, a), (_, b) in zip(pairs, want_pairs):
+        assert np.array_equal(a, b)
+
+    resonant, contributing = rs.resonant_index_sets(s, m, orders)
+    want_res, want_con = _oracle_index_sets(s, m, orders)
+    for got_sets, want_sets in ((resonant, want_res), (contributing, want_con)):
+        assert list(got_sets) == list(want_sets)
+        for key in want_sets:
+            assert [ix.entries for ix in got_sets[key]] == [ix.entries for ix in want_sets[key]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.lists(_CARRIER, min_size=1, max_size=24))
+def test_band_frequencies_match_point_queries(name, values):
+    m = ORACLE_MODELS[name]
+    pts = np.array(values[: len(values) // m.dim * m.dim] or [0.0] * m.dim).reshape(-1, m.dim).T
+    omega, singular = dsp.band_frequencies(m, pts)
+    assert omega.shape == (m.j_bands, pts.shape[1])
+    for i in range(pts.shape[1]):
+        k = pts[:, i]
+        assert singular[i] == _oracle_crossing(m, k) == dsp.is_band_crossing(m, k)
+        if not singular[i]:
+            for n in range(1, m.j_bands + 1):
+                assert omega[n - 1, i] == dsp.eval_omega(m, n, +1, k)
