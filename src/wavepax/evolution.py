@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -450,9 +451,12 @@ class Trajectory:
     iterations: int
     distances: list
 
+    @cached_property
+    def _tables(self) -> PropagatorTables:
+        return PropagatorTables(self.problem.model, self.problem.grid, self.problem.rho)
+
     def fast_field(self, i: int) -> ModalField:
-        tables = PropagatorTables(self.problem.model, self.problem.grid, self.problem.rho)
-        vals = tables.apply(self.fields[i].values[None], np.array([self.times[i]]), -1)[0]
+        vals = self._tables.apply(self.fields[i].values[None], np.array([self.times[i]]), -1)[0]
         return ModalField(self.problem.grid, vals, frame="fast")
 
     def sup_l1(self, a: float = 0.0) -> float:
@@ -531,14 +535,15 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,
-                     g: np.ndarray, h: float) -> np.ndarray:
+                     g: np.ndarray, h: float, project=None) -> np.ndarray:
     """Write h0 plus the composite-trapezoid integral at each node of a chunk.
 
     ``integral`` is the value at the node before the chunk, whose integrand
     is ``g_prev`` (None on the first chunk, where the integral starts at 0).
     The running sum is seeded with it and adds node by node, in the order of
     ``np.cumsum`` but about four times faster on complex (B, C, X) chunks.
-    Returns the integral at the chunk's last node.
+    ``project``, if given, maps the chunk's integrals before h0 is added.
+    Returns the (unprojected) integral at the chunk's last node.
     """
     cum = np.empty((g.shape[0] + 1,) + g.shape[1:], dtype=complex)
     cum[0] = integral
@@ -547,98 +552,124 @@ def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_pr
     cum[1:] *= 0.5 * h
     for j in range(1, cum.shape[0]):
         np.add(cum[j - 1], cum[j], out=cum[j])
-    np.add(h0, cum[1:], out=out)
+    np.add(h0, cum[1:] if project is None else project(cum[1:]), out=out)
     return cum[-1].copy()
 
 
-def _max_node_l1(values: np.ndarray, grid: Grid) -> float:
-    """Largest L1 norm (as ``l1_norm_values``) over the nodes of (B, C, *shape) values."""
+def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:
+    """L1 norm (as ``l1_norm_values``) of each slice b of (B, C, ...) values, shape (B,)."""
     mod = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
-    return float(mod.reshape(values.shape[0], -1).sum(axis=1).max() * grid.cell)
+    return mod.reshape(values.shape[0], -1).sum(axis=1) * cell
 
 
-def _running_sup(dist: float, d: float, distances: list) -> float:
-    """max(dist, d) for Picard distances; a non-finite d means the iterate blew up."""
-    if not math.isfinite(d):
-        raise PicardDiverged(f"non-finite Picard iterate (distance {d})", distances + [d])
-    return max(dist, d)
+def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | None, h: float,
+                    chunk: int, cell: float, project=None) -> dict:
+    """One composite-trapezoid pass: out = h0 + integral_0^tau rhs(state) on the mesh h j.
+
+    ``state``, ``out`` and ``ref`` map each key to (n+1, C, nodes) values,
+    ``h0`` to (C, nodes).  ``rhs_chunk(states, taus)`` maps the state on a
+    chunk of at most ``chunk`` mesh nodes to the integrand of every key.
+    ``project(key, values)``, if given, is applied to the integrals before
+    h0 is added (see ``_trapezoid_chunk``).  Returns per key the largest
+    node L1 norm of out - ref (of out itself when ``ref`` is None); the pass
+    stops at the first non-finite one.
+    """
+    taus = h * np.arange(next(iter(state.values())).shape[0])
+    integral = dict.fromkeys(h0, 0.0)
+    g_prev = dict.fromkeys(h0)
+    sup = dict.fromkeys(h0, 0.0)
+    for i0 in range(0, taus.size, chunk):
+        i1 = min(i0 + chunk, taus.size)
+        g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
+        for key, gk in g.items():
+            new = out[key][i0:i1]
+            integral[key] = _trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h,
+                                             None if project is None else partial(project, key))
+            g_prev[key] = gk[-1].copy()
+            d = float(_node_l1(new if ref is None else new - ref[key][i0:i1], cell).max())
+            if not d <= sup[key]:  # a NaN replaces the sup too
+                sup[key] = d
+            if not math.isfinite(d):
+                return sup
+    return sup
+
+
+def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
+                      config: SolverConfig, chunk: int, project=None) -> tuple[dict, int, list]:
+    """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
+
+    The state maps each key of ``h0`` to (n+1, C, nodes) values, h0[key] at
+    every node to start.  Each iteration is one ``_trapezoid_pass``; its
+    distance is the largest node L1 norm of the change over all keys.  With
+    ``rhs_chunk`` None (no nonlinearity) the constant start is returned;
+    ``project`` is passed on to the pass.
+    Raises PicardDiverged on a non-finite distance (last in the history) or
+    when distances grow three times in a row to above ten times their
+    minimum, and PicardMaxIter when ``config.picard_tol`` is never reached.
+    A solve that converges after its distances grew warns once with the
+    largest observed ratio d_{k+1}/d_k.  Returns (state, iterations, distances).
+    """
+    old = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
+    distances: list[float] = []
+    if rhs_chunk is None:
+        return old, 0, distances
+    new = {key: np.empty_like(v) for key, v in old.items()}
+    grow_run = 0
+    grew = False
+    for it in range(1, config.picard_max_iter + 1):
+        dist = float(np.max(list(
+            _trapezoid_pass(rhs_chunk, old, h0, new, old, h, chunk, cell, project).values()
+        )))
+        if not math.isfinite(dist):
+            raise PicardDiverged(f"non-finite Picard iterate (distance {dist})",
+                                 distances + [dist])
+        distances.append(dist)
+        if dist <= config.picard_tol:
+            if grew:
+                ratio = max(b / a for a, b in zip(distances, distances[1:]))
+                warnings.warn(f"Picard distances grew before converging: largest observed "
+                              f"ratio d[k+1]/d[k] = {ratio:.3g}", stacklevel=3)
+            return new, it, distances
+        if len(distances) >= 2 and dist > distances[-2]:
+            grow_run += 1
+            grew = True
+            if grow_run >= 3 and dist > 10.0 * min(distances):
+                raise PicardDiverged(
+                    f"Picard distances grew for {grow_run} consecutive iterations", distances
+                )
+        else:
+            grow_run = 0
+        old, new = new, old
+    raise PicardMaxIter(f"no convergence within {config.picard_max_iter} iterations", distances)
 
 
 def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = None) -> Trajectory:
     """Picard solution of the integrated slow-frame equation."""
     config = config or SolverConfig()
     h, n = time_mesh(problem, config)
-    taus = h * np.arange(n + 1)
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
     pad = problem.dealias_factor(config)
     groups_per_term = _term_groups(problem)
+    shape = problem.initial.values.shape
 
-    r_init = l1_norm(problem.initial)
-    if problem.nonlinearity:
-        c_f = sum(
-            s.bound(problem.grid.dim) * s.order ** 2 * (4.0 * r_init) ** (s.order - 1)
-            for s in problem.nonlinearity
-        )
-        if c_f * problem.tau_star >= 1.0:
-            warnings.warn(
-                f"contraction heuristic violated: C_F*tau_star = {c_f * problem.tau_star:.3g}",
-                stacklevel=2,
-            )
+    def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
+        u = states["u"]
+        g = _slow_rhs_chunk(u.reshape(u.shape[:1] + shape), taus, h, problem, tables,
+                            groups_per_term, pad, config.convolution_mode)
+        return {"u": g.reshape(u.shape)}
 
-    shape = (n + 1,) + problem.initial.values.shape
-    u_old = np.broadcast_to(problem.initial.values, shape).copy()
-    u_new = np.empty_like(u_old)
-    distances: list[float] = []
-    grow_run = 0
-    chunk = DEFAULT_CHUNK
-
-    if not problem.nonlinearity:
-        u_final = u_old
-        iterations = 0
-    else:
-        u_final = None
-        iterations = 0
-        for it in range(1, config.picard_max_iter + 1):
-            integral = np.zeros(problem.initial.values.shape, dtype=complex)
-            g_prev = None
-            dist = 0.0
-            for i0 in range(0, n + 1, chunk):
-                i1 = min(i0 + chunk, n + 1)
-                g = _slow_rhs_chunk(
-                    u_old[i0:i1], taus[i0:i1], h, problem, tables, groups_per_term, pad,
-                    config.convolution_mode,
-                )
-                integral = _trapezoid_chunk(
-                    u_new[i0:i1], problem.initial.values, integral, g_prev, g, h
-                )
-                g_prev = g[-1].copy()
-                d = _max_node_l1(u_new[i0:i1] - u_old[i0:i1], problem.grid)
-                dist = _running_sup(dist, d, distances)
-            distances.append(dist)
-            iterations = it
-            if dist <= config.picard_tol:
-                u_final = u_new
-                break
-            if len(distances) >= 2 and dist > distances[-2]:
-                grow_run += 1
-                if grow_run >= 3 and dist > 10.0 * min(distances):
-                    raise PicardDiverged(
-                        f"distances grew for {grow_run} consecutive iterations", distances
-                    )
-            else:
-                grow_run = 0
-            u_old, u_new = u_new, u_old
-        if u_final is None:
-            raise PicardMaxIter(
-                f"no convergence within {config.picard_max_iter} iterations", distances
-            )
-
+    states, iterations, distances = _picard_trapezoid(
+        rhs_chunk if problem.nonlinearity else None,
+        {"u": problem.initial.values.reshape(shape[0], -1)},
+        n, h, problem.grid.cell, config, DEFAULT_CHUNK,
+    )
+    u = states["u"].reshape((n + 1,) + shape)
     stride = config.record_stride or max(1, n // 128)
     keep = sorted(set(range(0, n + 1, stride)) | {n})
-    fields = [ModalField(problem.grid, u_final[i].copy(), frame="slow") for i in keep]
+    fields = [ModalField(problem.grid, u[i].copy(), frame="slow") for i in keep]
     return Trajectory(
         problem=problem,
-        times=taus[keep],
+        times=h * np.array(keep),
         fields=fields,
         h_tau=h,
         n_steps=n,

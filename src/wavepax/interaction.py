@@ -16,14 +16,16 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import dispersion as dsp
-from .errors import HypothesisViolated, PicardDiverged, PicardMaxIter
+from .errors import HypothesisViolated
 from .evolution import (
     EvolutionProblem,
     PropagatorTables,
     SolverConfig,
+    _node_l1,
+    _picard_trapezoid,
     _pointwise_products,
-    _running_sup,
     _slow_rhs_chunk,
+    _trapezoid_pass,
     _tensor_entries,
     _term_groups,
     time_mesh,
@@ -208,8 +210,8 @@ class ComponentLayout:
         return out
 
     def component_l1(self, key, win_vals: np.ndarray) -> float:
-        mod = np.sqrt((np.abs(win_vals) ** 2).sum(axis=0))
-        return float(mod.sum() * self.grid.cell)
+        """L1 norm of one component's (C, win) window values."""
+        return float(_node_l1(win_vals[None], self.grid.cell)[0])
 
 
 @dataclass
@@ -236,9 +238,6 @@ class InteractionSolution:
         full = self.layout.embed(states, 1, self.problem.model.ncomp)[0]
         return full.reshape((self.problem.model.ncomp,) + self.problem.grid.shape)
 
-    def sum_field(self, i: int) -> ModalField:
-        return ModalField(self.problem.grid, self.sum_values(i), frame="slow")
-
     def component_field(self, l: int, theta: int, i: int) -> ModalField:
         key = (l, theta)
         x = int(np.prod(self.problem.grid.shape))
@@ -250,25 +249,10 @@ class InteractionSolution:
             frame="slow",
         )
 
-    def sup_component_l1(self, l: int, theta: int) -> float:
-        key = (l, theta)
-        mods = np.sqrt((np.abs(self.data[key]) ** 2).sum(axis=1))
-        return float(mods.sum(axis=1).max() * self.problem.grid.cell)
-
 
 def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict:
     h_flat = problem.initial.values.reshape(problem.model.ncomp, -1)[None]
     return {key: layout.window(key, h_flat)[0] for key in layout.keys}
-
-
-def _picard_guard(distances, grow_run):
-    if len(distances) >= 2 and distances[-1] > distances[-2]:
-        grow_run += 1
-        if grow_run >= 3 and distances[-1] > 10.0 * min(distances):
-            raise PicardDiverged("interaction Picard distances growing", distances)
-    else:
-        grow_run = 0
-    return grow_run
 
 
 def solve_interaction_system(
@@ -283,86 +267,32 @@ def solve_interaction_system(
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
     h, n = time_mesh(problem, config)
-    taus = h * np.arange(n + 1)
     pad = problem.dealias_factor(config)
     groups_per_term = _term_groups(problem)
-    h_win = _initial_windows(layout, problem)
     ncomp = problem.model.ncomp
-    x = int(np.prod(problem.grid.shape))
 
-    w_old = {
-        key: np.broadcast_to(h_win[key], (n + 1,) + h_win[key].shape).copy()
-        for key in layout.keys
-    }
-    w_new = {key: np.empty_like(w_old[key]) for key in layout.keys}
-    distances: list[float] = []
-    grow_run = 0
-    chunk = AVERAGED_CHUNK
-    converged = not problem.nonlinearity
-    iterations = 0
+    def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
+        b = taus.shape[0]
+        full = layout.embed(states, b, ncomp).reshape((b, ncomp) + problem.grid.shape)
+        g = _slow_rhs_chunk(full, taus, h, problem, tables, groups_per_term, pad,
+                            config.convolution_mode).reshape(b, ncomp, -1)
+        return {key: g[..., layout.mask[key]] for key in layout.keys}
 
-    if converged:
-        w_final = w_old
-    else:
-        w_final = None
-        for it in range(1, config.picard_max_iter + 1):
-            integral = np.zeros((ncomp, x), dtype=complex)
-            g_prev = None
-            dist = 0.0
-            for i0 in range(0, n + 1, chunk):
-                i1 = min(i0 + chunk, n + 1)
-                b = i1 - i0
-                full = layout.embed(
-                    {k: w_old[k][i0:i1] for k in layout.keys}, b, ncomp
-                )
-                g = _slow_rhs_chunk(
-                    full.reshape((b, ncomp) + problem.grid.shape),
-                    taus[i0:i1],
-                    h,
-                    problem,
-                    tables,
-                    groups_per_term,
-                    pad,
-                    config.convolution_mode,
-                ).reshape(b, ncomp, x)
-                for j in range(b):
-                    if i0 + j > 0:
-                        prev = g_prev if j == 0 else g[j - 1]
-                        integral += 0.5 * h * (prev + g[j])
-                    stacked = integral[None]
-                    for key in layout.keys:
-                        w_new[key][i0 + j] = h_win[key] + layout.window(key, stacked)[0]
-                        dist = _running_sup(
-                            dist,
-                            layout.component_l1(
-                                key, w_new[key][i0 + j] - w_old[key][i0 + j]
-                            ),
-                            distances,
-                        )
-                g_prev = g[-1]
-            distances.append(dist)
-            iterations = it
-            if dist <= config.picard_tol:
-                w_final = w_new
-                break
-            grow_run = _picard_guard(distances, grow_run)
-            w_old, w_new = w_new, w_old
-        if w_final is None:
-            raise PicardMaxIter(
-                f"interaction system: no convergence in {config.picard_max_iter} iterations",
-                distances,
-            )
-
-    stride = config.record_stride or max(1, n // 128)
+    # the integrand is integrated unprojected and the integral projected:
+    # projecting node by node first would round differently
+    data, iterations, distances = _picard_trapezoid(
+        rhs_chunk if problem.nonlinearity else None, _initial_windows(layout, problem),
+        n, h, problem.grid.cell, config, AVERAGED_CHUNK, layout.project,
+    )
     return InteractionSolution(
         spectrum=spectrum,
         layout=layout,
         problem=problem,
-        times=taus,
-        data=w_final,
+        times=h * np.arange(n + 1),
+        data=data,
         iterations=iterations,
         distances=distances,
-        record_stride=stride,
+        record_stride=config.record_stride or max(1, n // 128),
     )
 
 
@@ -565,55 +495,13 @@ def solve_averaged_system(
     evaluator = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=clip_arguments)
     h, n = time_mesh(problem, config)
     taus = h * np.arange(n + 1)
-    h_win = _initial_windows(layout, problem)
-
-    w_old = {
-        key: np.broadcast_to(h_win[key], (n + 1,) + h_win[key].shape).copy()
-        for key in layout.keys
-    }
-    w_new = {key: np.empty_like(w_old[key]) for key in layout.keys}
-    distances: list[float] = []
-    grow_run = 0
-    chunk = AVERAGED_CHUNK
-    w_final = None
-    iterations = 0
-    for it in range(1, config.picard_max_iter + 1):
-        integral = {key: np.zeros_like(h_win[key]) for key in layout.keys}
-        g_prev = None
-        dist = 0.0
-        for i0 in range(0, n + 1, chunk):
-            i1 = min(i0 + chunk, n + 1)
-            g = evaluator.integrand_chunk(
-                {k: w_old[k][i0:i1] for k in layout.keys}, taus[i0:i1]
-            )
-            for j in range(i1 - i0):
-                for key in layout.keys:
-                    if i0 + j > 0:
-                        prev = g_prev[key][-1] if j == 0 else g[key][j - 1]
-                        integral[key] += 0.5 * h * (prev + g[key][j])
-                    w_new[key][i0 + j] = h_win[key] + integral[key]
-                    dist = _running_sup(
-                        dist,
-                        layout.component_l1(key, w_new[key][i0 + j] - w_old[key][i0 + j]),
-                        distances,
-                    )
-            g_prev = {key: g[key][-1:] for key in layout.keys}
-        distances.append(dist)
-        iterations = it
-        if dist <= config.picard_tol:
-            w_final = w_new
-            break
-        grow_run = _picard_guard(distances, grow_run)
-        w_old, w_new = w_new, w_old
-    if w_final is None:
-        raise PicardMaxIter(
-            f"averaged system: no convergence in {config.picard_max_iter} iterations",
-            distances,
-        )
-    stride = config.record_stride or max(1, n // 128)
+    data, iterations, distances = _picard_trapezoid(
+        evaluator.integrand_chunk, _initial_windows(layout, problem),
+        n, h, problem.grid.cell, config, AVERAGED_CHUNK,
+    )
     # size of the argument-clip ambiguity on the converged state: the same
     # integrand with and without the clip, on a few late-time samples
-    probe = {key: w_final[key][-1:] for key in layout.keys}
+    probe = {key: data[key][-1:] for key in layout.keys}
     taus_probe = taus[-1:]
     other = MonomialEvaluator(problem, layout, sets_flat,
                               clip_arguments=not clip_arguments)
@@ -627,10 +515,10 @@ def solve_averaged_system(
         layout=layout,
         problem=problem,
         times=taus,
-        data=w_final,
+        data=data,
         iterations=iterations,
         distances=distances,
-        record_stride=stride,
+        record_stride=config.record_stride or max(1, n // 128),
         diagnostics={"clip_difference": float(clip_diff)},
     )
 
@@ -639,12 +527,8 @@ def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> floa
     """Sum over components of the sup-time L1 distance (shared full mesh)."""
     if len(a.times) != len(b.times):
         raise ValueError("solutions discretise time differently")
-    total = 0.0
-    for key in a.layout.keys:
-        diff = a.data[key] - b.data[key]
-        mods = np.sqrt((np.abs(diff) ** 2).sum(axis=1))
-        total += float(mods.sum(axis=1).max() * a.problem.grid.cell)
-    return total
+    cell = a.problem.grid.cell
+    return sum(float(_node_l1(a.data[key] - b.data[key], cell).max()) for key in a.layout.keys)
 
 
 def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSets,
@@ -657,27 +541,14 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
     coup = index_sets.flat(index_sets.coupling(partition))
     if not any(coup.values()):
         return 0.0
-    problem = solution.problem
-    layout = solution.layout
-    evaluator = MonomialEvaluator(problem, layout, coup, clip_arguments=clip_arguments)
-    n = len(solution.times) - 1
+    evaluator = MonomialEvaluator(solution.problem, solution.layout, coup,
+                                  clip_arguments=clip_arguments)
+    data = solution.data
+    zero = {key: np.zeros_like(v[0]) for key, v in data.items()}
+    out = {key: np.empty_like(v) for key, v in data.items()}
     h = solution.times[1] - solution.times[0]
-    integral = {key: np.zeros_like(solution.data[key][0]) for key in layout.keys}
-    sup = {key: 0.0 for key in layout.keys}
-    g_prev = None
-    chunk = AVERAGED_CHUNK
-    for i0 in range(0, n + 1, chunk):
-        i1 = min(i0 + chunk, n + 1)
-        g = evaluator.integrand_chunk(
-            {k: solution.data[k][i0:i1] for k in layout.keys}, solution.times[i0:i1]
-        )
-        for j in range(i1 - i0):
-            for key in layout.keys:
-                if i0 + j > 0:
-                    prev = g_prev[key][-1] if j == 0 else g[key][j - 1]
-                    integral[key] += 0.5 * h * (prev + g[key][j])
-                sup[key] = max(sup[key], layout.component_l1(key, integral[key]))
-        g_prev = {key: g[key][-1:] for key in layout.keys}
+    sup = _trapezoid_pass(evaluator.integrand_chunk, data, zero, out, None, h,
+                          AVERAGED_CHUNK, solution.problem.grid.cell)
     return float(sum(sup.values()))
 
 
@@ -713,11 +584,8 @@ def homogeneity_check(
     taus = np.linspace(0.13 * problem.tau_star, problem.tau_star, n_times)
 
     ref = evaluator.integrand_chunk(base, taus)
-    scale = max(
-        layout.component_l1(key, ref[key][j])
-        for key in layout.keys
-        for j in range(n_times)
-    )
+    cell = problem.grid.cell
+    scale = max(float(_node_l1(ref[key], cell).max()) for key in layout.keys)
     worst = 0.0
     for phases in phase_tuples:
         phases = np.atleast_1d(np.asarray(phases, dtype=float))
@@ -729,11 +597,7 @@ def homogeneity_check(
         for key in layout.keys:
             l, theta = key
             rhs = np.exp(1j * theta * phases[l - 1]) * ref[key]
-            for j in range(n_times):
-                worst = max(
-                    worst,
-                    layout.component_l1(key, lhs[key][j] - rhs[j]) / (scale + 1e-300),
-                )
+            worst = max(worst, float(_node_l1(lhs[key] - rhs, cell).max()) / (scale + 1e-300))
     return worst
 
 

@@ -1,12 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from wavepax import dispersion as dsp
 from wavepax.grids import Grid
-
-warnings.filterwarnings("ignore", message="contraction heuristic")
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
 from wavepax import evolution as ev
+from wavepax import interaction as ia
+from wavepax import resonance as rs
 from wavepax import wavepacket as wp
-from wavepax.errors import GridMismatch, PicardMaxIter
+from wavepax.errors import GridMismatch, PicardDiverged, PicardMaxIter
 from wavepax.grids import (
     Grid,
     ModalField,
@@ -163,6 +165,83 @@ def test_trapezoid_chunk_matches_cumsum(rng):
     assert np.array_equal(out, h0 + cum[1:]) and np.array_equal(last, cum[-1])
 
 
+# -- the Picard-trapezoid driver ---------------------------------------------------------
+
+def linear_solve(a, u0, tau, n, chunk, rhs=None, **config):
+    """Driver solve of u' = a[key] u with the keys and (C, nodes) starts of ``u0``."""
+    def linear(states, taus):
+        return {key: a[key] * v for key, v in states.items()}
+
+    return ev._picard_trapezoid(rhs or linear, u0, n, tau / n, 1.0,
+                                ev.SolverConfig(**config), chunk)
+
+
+def trapezoid_oracle(a, u0, tau, n):
+    """Exact composite-trapezoid fixed point u_j = ((1 + a h/2) / (1 - a h/2))^j u_0."""
+    h = tau / n
+    r = (1 + a * h / 2) / (1 - a * h / 2)
+    return r ** np.arange(n + 1)[:, None, None] * u0
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.tuples(st.complex_numbers(max_magnitude=1.0), st.complex_numbers(max_magnitude=1.0)),
+    tau=st.floats(0.1, 1.0),
+    n=st.integers(1, 150),
+    chunk=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_picard_trapezoid_matches_linear_oracle(a, tau, n, chunk, seed):
+    # |a| tau <= 1: contracting, so the solve converges with no warning; the
+    # last chunk is short whenever chunk does not divide n + 1
+    rng = np.random.default_rng(seed)
+    coeffs = {"p": a[0], "q": a[1]}
+    u0 = {key: rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for key in coeffs}
+    state, iterations, distances = linear_solve(coeffs, u0, tau, n, chunk, picard_tol=1e-13)
+    assert iterations == len(distances) and distances[-1] <= 1e-13
+    for key in coeffs:
+        want = trapezoid_oracle(coeffs[key], u0[key], tau, n)
+        assert np.abs(state[key] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_picard_trapezoid_warns_after_growth():
+    # a tau = 3: the first distances grow, then the iteration converges
+    u0 = {"u": np.ones((1, 1), complex)}
+    with pytest.warns(UserWarning, match="grew before converging") as record:
+        state, _, distances = linear_solve({"u": 3.0}, u0, 1.0, 200, 64, picard_tol=1e-13)
+    assert len(record) == 1 and distances[1] > distances[0]
+    want = trapezoid_oracle(3.0, u0["u"], 1.0, 200)
+    assert np.abs(state["u"] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_picard_trapezoid_growth_raises_diverged():
+    # a tau = 50: the Picard distances grow like (a tau)^k / k! for k < 50
+    with pytest.raises(PicardDiverged, match="grew") as err:
+        linear_solve({"u": 50.0}, {"u": np.ones((1, 1), complex)}, 1.0, 200, 64)
+    history = err.value.args[1]
+    assert np.isfinite(history).all() and len(history) < 64
+    assert history[-3] < history[-2] < history[-1]
+
+
+def test_picard_trapezoid_nan_rhs_raises_diverged():
+    def rhs(states, taus):
+        return {"finite": 0.5 * states["finite"], "nan": np.full_like(states["nan"], np.nan)}
+
+    u0 = {key: np.ones((1, 4), complex) for key in ("finite", "nan")}
+    with pytest.raises(PicardDiverged) as err:
+        linear_solve(None, u0, 1.0, 40, 16, rhs=rhs)
+    history = err.value.args[1]
+    assert len(history) == 1 and not np.isfinite(history[-1])
+
+
+def test_picard_trapezoid_max_iter_raises():
+    with pytest.raises(PicardMaxIter) as err:
+        linear_solve({"u": 0.5}, {"u": np.ones((1, 1), complex)}, 1.0, 40, 16,
+                     picard_max_iter=1)
+    assert len(err.value.args[1]) == 1
+
+
 def test_cubic_matches_r_space_product(nls_model, rng):
     # spectrally concentrated fields: i q U+^2 U- equals the transformed
     # pointwise r-space product even on the unpadded grid
@@ -267,6 +346,7 @@ def test_zero_nonlinearity_is_exact(nls_model, grid256):
     assert all(np.abs(f.values - h.values).max() == 0.0 for f in traj.fields)
 
 
+@pytest.mark.filterwarnings("error")
 def test_picard_matches_midpoint_oracle(nls_model):
     g = Grid(1, (256,), (2.0,))
     h = packet(nls_model, g, beta=0.1, amp=0.25, width=0.5)
@@ -297,6 +377,7 @@ def test_single_mode_closed_form(nls_model):
     assert got == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 def test_mesh_halving_second_order(nls_model):
     g = Grid(1, (256,), (2.0,))
     h = packet(nls_model, g, beta=0.1, amp=0.3, width=0.5)
@@ -338,8 +419,15 @@ def test_picard_max_iter_raises(nls_model):
     g = Grid(1, (128,), (2.0,))
     h = packet(nls_model, g, beta=0.12, amp=0.4, width=0.5)
     prob = ev.EvolutionProblem(nls_model, [ev.cubic_conjugate(2.0)], 0.1, 0.3, g, h)
-    with pytest.raises(PicardMaxIter):
-        ev.solve_integrated(prob, ev.SolverConfig(picard_max_iter=1))
+    cfg = ev.SolverConfig(picard_max_iter=1)
+    spectrum = rs.spectrum_from_list([[1, 1.0]])
+    sets = ia.build_index_sets(spectrum, nls_model, [3])
+    for solve in (lambda: ev.solve_integrated(prob, cfg),
+                  lambda: ia.solve_interaction_system(prob, spectrum, cfg, beta=0.12),
+                  lambda: ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=0.12)):
+        with pytest.raises(PicardMaxIter) as err:
+            solve()
+        assert len(err.value.args[1]) == 1
 
 
 def test_trajectory_records_endpoints(nls_model, grid256):

@@ -132,6 +132,7 @@ def test_interaction_support_property(counterprop):
         assert np.abs(f.values[:, outside]).max() == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_sum_consistency_improves_with_rho(counterprop):
     model, grid, spectrum, initial = counterprop
     cfg = ev.SolverConfig(substeps_per_rho=10)
@@ -352,6 +353,174 @@ def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model):
     # a scalar window keeps only the jobs of its own band component
     for key, jobs in evaluator.jobs.items():
         assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
+
+
+# -- the parent's per-node Picard loops, kept as oracles ---------------------------------------
+#
+# ``solve_interaction_system``, ``solve_averaged_system`` and ``coupling_norm``
+# used to run their own trapezoid and Picard loops node by node and window by
+# window; these are those loops, kept literally (with their L1 formula and
+# guards), so the shared driver can be compared with them.
+
+def _component_l1(layout, win_vals):
+    mod = np.sqrt((np.abs(win_vals) ** 2).sum(axis=0))
+    return float(mod.sum() * layout.grid.cell)
+
+
+def _running_sup(dist, d, distances):
+    if not np.isfinite(d):
+        raise PicardDiverged(f"non-finite Picard iterate (distance {d})", distances + [d])
+    return max(dist, d)
+
+
+def _picard_guard(distances, grow_run):
+    if len(distances) >= 2 and distances[-1] > distances[-2]:
+        grow_run += 1
+        if grow_run >= 3 and distances[-1] > 10.0 * min(distances):
+            raise PicardDiverged("interaction Picard distances growing", distances)
+    else:
+        grow_run = 0
+    return grow_run
+
+
+def parent_interaction_loop(problem, spectrum, config, beta, epsilon):
+    layout = ia.ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
+    tables = ev.PropagatorTables(problem.model, problem.grid, problem.rho)
+    h, n = ev.time_mesh(problem, config)
+    taus = h * np.arange(n + 1)
+    pad = problem.dealias_factor(config)
+    groups_per_term = ev._term_groups(problem)
+    h_win = ia._initial_windows(layout, problem)
+    ncomp = problem.model.ncomp
+    x = int(np.prod(problem.grid.shape))
+    w_old = {
+        key: np.broadcast_to(h_win[key], (n + 1,) + h_win[key].shape).copy()
+        for key in layout.keys
+    }
+    w_new = {key: np.empty_like(w_old[key]) for key in layout.keys}
+    distances = []
+    grow_run = 0
+    chunk = ia.AVERAGED_CHUNK
+    for it in range(1, config.picard_max_iter + 1):
+        integral = np.zeros((ncomp, x), dtype=complex)
+        g_prev = None
+        dist = 0.0
+        for i0 in range(0, n + 1, chunk):
+            i1 = min(i0 + chunk, n + 1)
+            b = i1 - i0
+            full = layout.embed({k: w_old[k][i0:i1] for k in layout.keys}, b, ncomp)
+            g = ev._slow_rhs_chunk(
+                full.reshape((b, ncomp) + problem.grid.shape), taus[i0:i1], h, problem,
+                tables, groups_per_term, pad, config.convolution_mode,
+            ).reshape(b, ncomp, x)
+            for j in range(b):
+                if i0 + j > 0:
+                    prev = g_prev if j == 0 else g[j - 1]
+                    integral += 0.5 * h * (prev + g[j])
+                stacked = integral[None]
+                for key in layout.keys:
+                    w_new[key][i0 + j] = h_win[key] + layout.window(key, stacked)[0]
+                    dist = _running_sup(
+                        dist,
+                        _component_l1(layout, w_new[key][i0 + j] - w_old[key][i0 + j]),
+                        distances,
+                    )
+            g_prev = g[-1]
+        distances.append(dist)
+        if dist <= config.picard_tol:
+            return w_new, it, distances
+        grow_run = _picard_guard(distances, grow_run)
+        w_old, w_new = w_new, w_old
+    raise AssertionError("the parent loop did not converge")
+
+
+def parent_averaged_loop(problem, spectrum, sets, config, beta, epsilon):
+    layout = ia.ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
+    evaluator = ia.MonomialEvaluator(problem, layout, sets.flat(sets.contributing))
+    h, n = ev.time_mesh(problem, config)
+    taus = h * np.arange(n + 1)
+    h_win = ia._initial_windows(layout, problem)
+    w_old = {
+        key: np.broadcast_to(h_win[key], (n + 1,) + h_win[key].shape).copy()
+        for key in layout.keys
+    }
+    w_new = {key: np.empty_like(w_old[key]) for key in layout.keys}
+    distances = []
+    grow_run = 0
+    chunk = ia.AVERAGED_CHUNK
+    for it in range(1, config.picard_max_iter + 1):
+        integral = {key: np.zeros_like(h_win[key]) for key in layout.keys}
+        g_prev = None
+        dist = 0.0
+        for i0 in range(0, n + 1, chunk):
+            i1 = min(i0 + chunk, n + 1)
+            g = evaluator.integrand_chunk({k: w_old[k][i0:i1] for k in layout.keys}, taus[i0:i1])
+            for j in range(i1 - i0):
+                for key in layout.keys:
+                    if i0 + j > 0:
+                        prev = g_prev[key][-1] if j == 0 else g[key][j - 1]
+                        integral[key] += 0.5 * h * (prev + g[key][j])
+                    w_new[key][i0 + j] = h_win[key] + integral[key]
+                    dist = _running_sup(
+                        dist,
+                        _component_l1(layout, w_new[key][i0 + j] - w_old[key][i0 + j]),
+                        distances,
+                    )
+            g_prev = {key: g[key][-1:] for key in layout.keys}
+        distances.append(dist)
+        if dist <= config.picard_tol:
+            return w_new, it, distances
+        grow_run = _picard_guard(distances, grow_run)
+        w_old, w_new = w_new, w_old
+    raise AssertionError("the parent loop did not converge")
+
+
+def parent_coupling_norm(solution, index_sets):
+    coup = index_sets.flat(index_sets.coupling(None))
+    layout = solution.layout
+    evaluator = ia.MonomialEvaluator(solution.problem, layout, coup)
+    n = len(solution.times) - 1
+    h = solution.times[1] - solution.times[0]
+    integral = {key: np.zeros_like(solution.data[key][0]) for key in layout.keys}
+    sup = {key: 0.0 for key in layout.keys}
+    g_prev = None
+    chunk = ia.AVERAGED_CHUNK
+    for i0 in range(0, n + 1, chunk):
+        i1 = min(i0 + chunk, n + 1)
+        g = evaluator.integrand_chunk(
+            {k: solution.data[k][i0:i1] for k in layout.keys}, solution.times[i0:i1]
+        )
+        for j in range(i1 - i0):
+            for key in layout.keys:
+                if i0 + j > 0:
+                    prev = g_prev[key][-1] if j == 0 else g[key][j - 1]
+                    integral[key] += 0.5 * h * (prev + g[key][j])
+                sup[key] = max(sup[key], _component_l1(layout, integral[key]))
+        g_prev = {key: g[key][-1:] for key in layout.keys}
+    return float(sum(sup.values()))
+
+
+@pytest.mark.parametrize("chi", [ev.cubic_conjugate(1.0), ev.cubic_full(0.8)])
+def test_solvers_match_parent_loops(counterprop, chi):
+    # 41 mesh nodes: one full chunk of 32 and a short one of 9
+    model, grid, spectrum, initial = counterprop
+    cfg = ev.SolverConfig(substeps_per_rho=10)
+    sets = ia.build_index_sets(spectrum, model, [3])
+    prob = ev.EvolutionProblem(model, [chi], 0.05, 0.2, grid, initial)
+    w = ia.solve_interaction_system(prob, spectrum, cfg, beta=BETA, epsilon=EPS)
+    v = ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS)
+    assert len(w.times) == 41
+    # the full-grid integral is kept, so the interaction system matches exactly too
+    for sol, (data, iterations, distances) in (
+        (w, parent_interaction_loop(prob, spectrum, cfg, BETA, EPS)),
+        (v, parent_averaged_loop(prob, spectrum, sets, cfg, BETA, EPS)),
+    ):
+        assert all(np.array_equal(sol.data[key], data[key]) for key in sol.layout.keys)
+        assert sol.iterations == iterations
+        np.testing.assert_allclose(sol.distances, distances, rtol=1e-12, atol=0.0)
+    coupling = ia.coupling_norm(v, sets)
+    assert coupling > 0.0
+    assert coupling == pytest.approx(parent_coupling_norm(v, sets), rel=1e-12, abs=0.0)
 
 
 # -- coupling norm ----------------------------------------------------------------------
