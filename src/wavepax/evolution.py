@@ -148,13 +148,14 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 64
     substeps_per_rho: int = 10
-    dealias_factor: Optional[int] = None
     convolution_mode: str = "fft"  # 'fft' | 'direct-oracle'
     record_stride: Optional[int] = None
 
     def __post_init__(self):
         if min(self.picard_tol, self.picard_max_iter, self.substeps_per_rho) <= 0:
             raise ValueError("solver parameters must be positive")
+        if not all(isinstance(v, int) for v in (self.picard_max_iter, self.record_stride or 1)):
+            raise TypeError("picard_max_iter and record_stride must be integers")
         if self.convolution_mode not in ("fft", "direct-oracle"):
             raise ValueError("convolution_mode must be 'fft' or 'direct-oracle'")
 
@@ -178,17 +179,6 @@ class EvolutionProblem:
         if self.initial.values.shape[0] != self.model.ncomp:
             raise ValueError("initial data component count does not match model")
 
-    @property
-    def orders(self) -> list[int]:
-        return sorted({s.order for s in self.nonlinearity})
-
-    @property
-    def max_order(self) -> int:
-        return max(self.orders) if self.nonlinearity else 2
-
-    def dealias_factor(self, config: SolverConfig) -> int:
-        return config.dealias_factor or math.ceil((self.max_order + 1) / 2)
-
 
 # -- convolution kernels --------------------------------------------------------------
 
@@ -197,68 +187,154 @@ def _tensor_entries(tensor: np.ndarray):
     return [(tuple(i), tensor[tuple(i)]) for i in idx]
 
 
-def _entry_groups(tensor: np.ndarray, arg_ids: Sequence[int]):
-    """Tensor entries grouped into the r-space products they need.
+def _entry_groups(terms):
+    """Tensor entries of (tensor, arg_ids) terms grouped into the r-space products they need.
 
-    Entry (i, j_1..j_m) multiplies component j_t of argument ``arg_ids[t]``.
-    Pointwise products commute, so entries whose (argument, component)
-    factors are permutations of one another share one product, which is
-    accumulated into every output component with the summed coefficient.
-    Returns (factors, coeffs): a list of G sorted factor tuples and the
-    (C, G) coefficients of each product in each output component.
+    Entry (i, j_1..j_m) of a term multiplies component j_t of argument
+    ``arg_ids[t]``.  Pointwise products commute, so entries (of any of the
+    terms) whose (argument, component) factors are permutations of one
+    another share one product, which is accumulated into every output
+    component with the summed coefficient.  Returns (factors, coeffs): a list
+    of G sorted factor tuples and the (C, G) coefficients of each product in
+    each output component.
     """
     groups: dict = {}
-    for entry, coeff in _tensor_entries(tensor):
-        factors = tuple(sorted(zip(arg_ids, entry[1:])))
-        outs = groups.setdefault(factors, np.zeros(tensor.shape[0], dtype=complex))
-        outs[entry[0]] += coeff
+    for tensor, arg_ids in terms:
+        for entry, coeff in _tensor_entries(tensor):
+            factors = tuple(sorted(zip(arg_ids, entry[1:])))
+            outs = groups.setdefault(factors, np.zeros(tensor.shape[0], dtype=complex))
+            outs[entry[0]] += coeff
     kept = [(f, c) for f, c in groups.items() if c.any()]
-    coeffs = np.zeros((tensor.shape[0], len(kept)), dtype=complex)
+    coeffs = np.zeros((terms[0][0].shape[0], len(kept)), dtype=complex)
     for g, (_, c) in enumerate(kept):
         coeffs[:, g] = c
     return [f for f, _ in kept], coeffs
 
 
-def _r_products(args, factors, grid: Grid, pad: int) -> np.ndarray:
-    """(B, G, X) padded r-space products, one per factor tuple.
-
-    Each argument is padded and inverse-transformed once.  Kept apart from
-    ``_chi_fft_batch`` so the r-space arguments are freed before the
-    forward transform, which lowers the solver's peak memory.
-    """
-    pg = grid.padded(pad)
-    b, c = args[0].shape[:2]
-    r_args = [
-        spectrum_to_samples(pad_spectrum(a, grid, pad), pg).reshape(b, c, -1) for a in args
-    ]
-    return _pointwise_products(r_args, factors, b, r_args[0].shape[-1])
-
-
-def _pointwise_products(r_args, factors, b: int, x: int) -> np.ndarray:
+def _pointwise_products(r_args: dict, factors, b: int, x: int) -> np.ndarray:
     """(B, G, X) products, one per factor tuple.
 
-    Factor (a, c) of a tuple is the (B, X) r-space array ``r_args[a][:, c]``.
+    Factor (a, c) of a tuple is the (B, X) r-space array ``r_args[a, c]``.
     """
     out = np.empty((b, len(factors), x), dtype=complex)
     for g, fac in enumerate(factors):
-        (a0, c0), (a1, c1) = fac[:2]
-        np.multiply(r_args[a0][:, c0], r_args[a1][:, c1], out=out[:, g])
-        for a, c in fac[2:]:
-            out[:, g] *= r_args[a][:, c]
+        np.multiply(r_args[fac[0]], r_args[fac[1]], out=out[:, g])
+        for f in fac[2:]:
+            out[:, g] *= r_args[f]
     return out
 
 
-def _chi_fft_batch(args, groups, grid: Grid, pad: int) -> np.ndarray:
-    """m-fold convolution of batched spectra via de-aliased r-space products.
+class _ConvolutionPlan:
+    """m-fold convolutions of spectra given on sets of grid nodes.
 
-    ``args``: the distinct argument arrays (B, C, *shape) that the factors of
-    ``groups`` (see ``_entry_groups``) index.  Returns (B, C, *shape).
+    ``nodes`` maps each argument key to the flat grid indices its spectra
+    are given on, or None for the whole grid; ``terms`` maps each output key
+    (also a key of ``nodes``) to its (tensor, argument keys) terms, evaluated
+    on that key's nodes.  The entries of all terms of an output key are
+    grouped by ``_entry_groups``, summed in r-space through one coefficient
+    ``matmul`` and forward-transformed once.
+
+    Spectra sit on a transform grid with the grid's dk and P nodes per axis,
+    node j at (j - n/2 + P/2) mod P: the centred index modulo P, so the
+    circular convolution adds centred indices like the linear one.  P is the
+    smallest power of two per axis at which no wrapped product lands on a
+    gathered output node and no argument wraps onto itself, judged on index
+    boxes; on the whole grid that is the centred zero-pad to (m+1)n/2 nodes
+    or more.
     """
-    factors, coeffs = groups
-    pg = grid.padded(pad)
-    out_r = np.matmul(coeffs, _r_products(args, factors, grid, pad))
-    out_r = out_r.reshape((args[0].shape[0], coeffs.shape[0]) + pg.shape)
-    return crop_spectrum(samples_to_spectrum(out_r, pg), grid, pad)
+
+    def __init__(self, grid: Grid, nodes: dict, terms: dict):
+        self.grid = grid
+        # centred (dim, nodes) index of every node of each key
+        centred = {
+            key: np.array(np.unravel_index(np.arange(math.prod(grid.n)) if idx is None else idx,
+                                           grid.shape)) - np.array(grid.n)[:, None] // 2
+            for key, idx in nodes.items()
+        }
+        need = np.full(grid.dim, 4)
+        # outs[key]: (factors, (rows, G) coefficients, the output components ``rows``);
+        # comps[key]: the argument components the products read
+        self.outs: dict = {}
+        comps: dict = {}
+        for key, key_terms in terms.items():
+            factors, coeffs = _entry_groups(key_terms) if key_terms else ([], None)
+            if not factors:
+                continue
+            for fac in factors:
+                for a, c in fac:
+                    comps.setdefault(a, set()).add(int(c))
+                # P exceeds every argument's width and the largest distance
+                # from a product index to a gathered output index, either way
+                args = [centred[a] for a, _ in fac]
+                need = np.max([need, *(np.ptp(c, axis=1) + 1 for c in args),
+                               sum(c.max(axis=1) for c in args) - centred[key].min(axis=1) + 1,
+                               centred[key].max(axis=1) - sum(c.min(axis=1) for c in args) + 1],
+                              axis=0)
+            self.ncomp = coeffs.shape[0]
+            rows = np.nonzero(coeffs.any(axis=1))[0]
+            self.outs[key] = (factors, coeffs[rows], rows)
+        self.comps = {key: sorted(cs) for key, cs in comps.items()}
+        size = tuple(1 << int(v - 1).bit_length() for v in need)
+        self.tgrid = Grid(grid.dim, size,
+                          tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
+        # transform-grid positions of the nodes of each key not on the whole grid
+        p = np.array(size)[:, None]
+        self.slots = {key: np.ravel_multi_index(tuple((c + p // 2) % p), size)
+                      for key, c in centred.items() if nodes[key] is not None}
+
+    def __call__(self, values: dict) -> dict:
+        """Convolutions of the spectra ``values`` on every output key.
+
+        ``values[key]`` holds (B, c, *nodes) spectra of an argument key, with
+        c either all C components or those of ``comps[key]``, and *nodes the
+        grid shape for a whole-grid key, else the key's node count.  Returns
+        per output key with products its (B, C, *nodes) values; rows of
+        components no term forms are zero.
+        """
+        if not self.outs:
+            return {}
+        tg = self.tgrid
+        prods = self._products(values)
+        out = {}
+        for key, (_, coeffs, rows) in self.outs.items():
+            b, _, x = prods[key].shape
+            out_r = np.matmul(coeffs, prods.pop(key)).reshape((b, len(rows)) + tg.shape)
+            spec = samples_to_spectrum(out_r, tg)
+            if key in self.slots:
+                vals = spec.reshape(b, len(rows), x)[..., self.slots[key]]
+            else:
+                vals = crop_spectrum(spec, self.grid)
+            if len(rows) < self.ncomp:
+                full = np.zeros((b, self.ncomp) + vals.shape[2:], dtype=complex)
+                full[:, rows] = vals
+                vals = full
+            out[key] = vals
+        return out
+
+    def _products(self, values: dict) -> dict:
+        """Per output key its (B, G, X) r-space products on the transform grid.
+
+        Kept apart from ``__call__`` so the r-space arguments are freed
+        before the forward transforms, which lowers the solver's peak memory.
+        """
+        tg = self.tgrid
+        x = int(np.prod(tg.shape))
+        b = next(iter(values.values())).shape[0]
+        r_args = {}
+        for key, comps in self.comps.items():
+            v = values[key]
+            if v.shape[1] != len(comps):
+                v = v[:, comps]
+            if key in self.slots:
+                small = np.zeros((b, len(comps), x), dtype=complex)
+                small[..., self.slots[key]] = v
+                small = small.reshape((b, len(comps)) + tg.shape)
+            else:
+                small = pad_spectrum(v, self.grid, tg.shape)
+            r = spectrum_to_samples(small, tg).reshape(b, len(comps), x)
+            r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
+        return {key: _pointwise_products(r_args, factors, b, x)
+                for key, (factors, _, _) in self.outs.items()}
 
 
 def _chi_direct(args, susceptibility: Susceptibility, grid: Grid) -> np.ndarray:
@@ -333,7 +409,6 @@ def apply_nonlinearity(
     fields: Sequence[ModalField],
     susceptibility: Susceptibility,
     mode: str = "fft",
-    dealias_factor: Optional[int] = None,
 ) -> ModalField:
     """Evaluate one m-linear convolution term on m argument fields."""
     if len(fields) != susceptibility.order:
@@ -343,16 +418,14 @@ def apply_nonlinearity(
     if mode == "direct-oracle" or susceptibility.callback is not None:
         out = _chi_direct(args, susceptibility, grid)
     else:
-        pad = dealias_factor or math.ceil((susceptibility.order + 1) / 2)
-        # identical argument fields are transformed once and share products
+        # one key per distinct field: identical fields are transformed once
+        # and share products
         distinct = list({id(f): f for f in fields}.values())
         arg_ids = [next(r for r, d in enumerate(distinct) if d is f) for f in fields]
-        out = _chi_fft_batch(
-            [d.values[None] for d in distinct],
-            _entry_groups(susceptibility.tensor, arg_ids),
-            grid,
-            pad,
-        )[0]
+        plan = _ConvolutionPlan(grid, dict.fromkeys(range(len(distinct))),
+                                {0: [(susceptibility.tensor, arg_ids)]})
+        conv = plan({r: d.values[None] for r, d in enumerate(distinct)})
+        out = conv[0][0] if conv else np.zeros_like(fields[0].values)
     return ModalField(grid, out, frame=fields[0].frame)
 
 
@@ -499,21 +572,19 @@ def time_mesh(problem: EvolutionProblem, config: SolverConfig) -> tuple[float, i
     return problem.tau_star / n, n
 
 
-def _term_groups(problem: EvolutionProblem):
-    """Per nonlinear term, its grouped products on m copies of one field."""
-    return [
-        _entry_groups(s.tensor, [0] * s.order) if s.tensor is not None else None
-        for s in problem.nonlinearity
-    ]
+def _problem_plan(problem: EvolutionProblem) -> _ConvolutionPlan:
+    """The problem's tensor terms on one key "u" covering the whole grid."""
+    terms = [(s.tensor, ["u"] * s.order) for s in problem.nonlinearity if s.tensor is not None]
+    return _ConvolutionPlan(problem.grid, {"u": None}, {"u": terms})
 
 
 def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
-                    problem: EvolutionProblem, tables: PropagatorTables, groups_per_term,
-                    pad: int, mode: str) -> np.ndarray:
+                    problem: EvolutionProblem, tables: PropagatorTables,
+                    plan: _ConvolutionPlan, mode: str) -> np.ndarray:
     """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) for a chunk of times.
 
-    ``taus`` must be ``taus[0] + h * arange(B)``; ``groups_per_term`` comes
-    from ``_term_groups``.
+    ``taus`` must be ``taus[0] + h * arange(B)``; ``plan`` comes from
+    ``_problem_plan``.
     """
     scalar = tables.basis_flat is None
     if scalar:
@@ -522,12 +593,12 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
     else:
         fast = tables.apply(values, taus, -1)
     out = np.zeros_like(values)
-    for susc, groups in zip(problem.nonlinearity, groups_per_term):
+    if mode == "fft" and plan.outs:
+        out += plan({"u": fast})["u"]
+    for susc in problem.nonlinearity:
         if mode == "direct-oracle" or susc.callback is not None:
             for b in range(values.shape[0]):
                 out[b] += _chi_direct([fast[b]] * susc.order, susc, problem.grid)
-        else:
-            out += _chi_fft_batch([fast], groups, problem.grid, pad)
     if scalar:
         out *= np.conj(phases, out=phases)
         return out
@@ -648,14 +719,13 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
     config = config or SolverConfig()
     h, n = time_mesh(problem, config)
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
-    pad = problem.dealias_factor(config)
-    groups_per_term = _term_groups(problem)
+    plan = _problem_plan(problem)
     shape = problem.initial.values.shape
 
     def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
         u = states["u"]
         g = _slow_rhs_chunk(u.reshape(u.shape[:1] + shape), taus, h, problem, tables,
-                            groups_per_term, pad, config.convolution_mode)
+                            plan, config.convolution_mode)
         return {"u": g.reshape(u.shape)}
 
     states, iterations, distances = _picard_trapezoid(
@@ -679,8 +749,7 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
 
 
 def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
-                            record_stride: int | None = None,
-                            dealias_factor: int | None = None) -> Trajectory:
+                            record_stride: int | None = None) -> Trajectory:
     """Independent second-order time integrator for cross-checking the solver.
 
     Explicit midpoint stepping of the slow-frame ODE; the linear propagator
@@ -689,13 +758,10 @@ def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
     """
     h = problem.tau_star / n_steps
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
-    pad = dealias_factor or math.ceil((problem.max_order + 1) / 2)
-    groups_per_term = _term_groups(problem)
+    plan = _problem_plan(problem)
 
     def rhs(vals: np.ndarray, tau: float) -> np.ndarray:
-        return _slow_rhs_chunk(
-            vals[None], np.array([tau]), h, problem, tables, groups_per_term, pad, "fft"
-        )[0]
+        return _slow_rhs_chunk(vals[None], np.array([tau]), h, problem, tables, plan, "fft")[0]
 
     u = problem.initial.values.copy()
     stride = record_stride or max(1, n_steps // 128)

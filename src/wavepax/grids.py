@@ -82,14 +82,6 @@ class Grid:
             idx.append(j)
         return tuple(idx)
 
-    def padded(self, factor: int) -> "Grid":
-        """Grid refined in r by zero-padding the spectrum (same dk)."""
-        return Grid(
-            self.dim,
-            tuple(factor * v for v in self.n),
-            tuple(factor * v for v in self.k_max),
-        )
-
     def descriptor(self) -> dict:
         return {"dim": self.dim, "n": list(self.n), "k_max": list(self.k_max)}
 
@@ -162,24 +154,17 @@ def from_r_space(samples: np.ndarray, grid: Grid, frame: str = "slow") -> ModalF
     return ModalField(grid, samples_to_spectrum(samples, grid), frame)
 
 
-def pad_spectrum(values: np.ndarray, grid: Grid, factor: int) -> np.ndarray:
-    """Zero-pad high-|k| tails so degree-m products de-alias exactly."""
-    if factor == 1:
-        return values
+def pad_spectrum(values: np.ndarray, grid: Grid, shape) -> np.ndarray:
+    """Zero-pad spectra on ``grid`` symmetrically to ``shape`` nodes per axis (same dk)."""
     pads = [(0, 0)] * (values.ndim - grid.dim)
-    for a in range(grid.dim):
-        w = (factor - 1) * grid.n[a] // 2
-        pads.append((w, w))
+    pads += [((p - n) // 2,) * 2 for p, n in zip(shape, grid.n)]
     return np.pad(values, pads)
 
 
-def crop_spectrum(values: np.ndarray, grid: Grid, factor: int) -> np.ndarray:
-    if factor == 1:
-        return values
+def crop_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The central ``grid.shape`` nodes of spectra padded by ``pad_spectrum``."""
     sl = [slice(None)] * (values.ndim - grid.dim)
-    for a in range(grid.dim):
-        w = (factor - 1) * grid.n[a] // 2
-        sl.append(slice(w, w + grid.n[a]))
+    sl += [slice((p - n) // 2, (p + n) // 2) for p, n in zip(values.shape[-grid.dim:], grid.n)]
     return values[tuple(sl)]
 
 

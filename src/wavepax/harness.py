@@ -23,7 +23,7 @@ from . import evolution as ev
 from . import interaction as ia
 from . import resonance as rs
 from . import wavepacket as wp
-from .errors import ConfigError, HypothesisViolated, ParameterSignError
+from .errors import ConfigError, HypothesisViolated, ParameterSignError, WavepaxError
 from .grids import (
     Grid,
     ModalField,
@@ -69,6 +69,14 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _solver_config(block: dict, **defaults) -> ev.SolverConfig:
+    """SolverConfig from a config's "solver" block over ``defaults``."""
+    try:
+        return ev.SolverConfig(**{**defaults, **block})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid solver block: {exc}") from exc
+
+
 def load_config(cfg: dict) -> RunConfig:
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a mapping")
@@ -96,7 +104,7 @@ def load_config(cfg: dict) -> RunConfig:
     if len(packets) == 1 and spectrum.n_pairs > 1:
         packets = [copy.deepcopy(packets[0]) for _ in range(spectrum.n_pairs)]
     _require(len(packets) == spectrum.n_pairs, "one packet block per spectrum pair")
-    solver = ev.SolverConfig(**cfg.get("solver", {}))
+    solver = _solver_config(cfg.get("solver", {}))
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
         r_star = np.atleast_1d(np.asarray(p.get("r_star", 0.0), dtype=float))
@@ -564,8 +572,7 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     initial = ModalField(grid, vals)
     nl = [ev.cubic_conjugate(q)] if q != 0.0 else []
     problem = ev.EvolutionProblem(model, nl, rho, tau_star, grid, initial)
-    solver = ev.SolverConfig(**{"substeps_per_rho": 20, "picard_max_iter": 96,
-                                **cfg.get("solver", {})})
+    solver = _solver_config(cfg.get("solver", {}), substeps_per_rho=20, picard_max_iter=96)
     traj = ev.solve_integrated(problem, solver)
 
     u0 = to_r_space(traj.fast_field(0))[0]
@@ -692,9 +699,10 @@ def _sweep_one(args):
     name, cfg, force = args
     try:
         result = EXPERIMENTS[name](cfg, force=force)
-        return {"status": "ok", "result": result.to_dict()}
-    except Exception as exc:  # per-run failures recorded, sweep continues
-        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    except WavepaxError as exc:  # per-run failures recorded, sweep continues
+        kind = type(exc).__name__
+        return {"status": "error", "error": f"{kind}: {exc}", "error_type": kind}
+    return {"status": "ok", "result": result.to_dict()}
 
 
 def sweep(cfg: dict, force: bool = False, workers: int = 1) -> ExperimentResult:
@@ -734,7 +742,7 @@ def sweep(cfg: dict, force: bool = False, workers: int = 1) -> ExperimentResult:
             rows.append({**row, "result": outcome["result"]})
         else:
             n_failed += 1
-            rows.append({**row, "error": outcome["error"]})
+            rows.append({**row, "error": outcome["error"], "error_type": outcome["error_type"]})
     passed = bool(
         n_failed == 0
         and all(r.get("passed") in (True, None) for r in rows)

@@ -21,16 +21,15 @@ from .evolution import (
     EvolutionProblem,
     PropagatorTables,
     SolverConfig,
+    _ConvolutionPlan,
     _node_l1,
     _picard_trapezoid,
-    _pointwise_products,
+    _problem_plan,
     _slow_rhs_chunk,
     _trapezoid_pass,
-    _tensor_entries,
-    _term_groups,
     time_mesh,
 )
-from .grids import Grid, ModalField, samples_to_spectrum, spectrum_to_samples
+from .grids import Grid, ModalField
 from .resonance import (
     NkSpectrum,
     partial_gvm_check,
@@ -267,14 +266,13 @@ def solve_interaction_system(
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     tables = PropagatorTables(problem.model, problem.grid, problem.rho)
     h, n = time_mesh(problem, config)
-    pad = problem.dealias_factor(config)
-    groups_per_term = _term_groups(problem)
+    plan = _problem_plan(problem)
     ncomp = problem.model.ncomp
 
     def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
         b = taus.shape[0]
         full = layout.embed(states, b, ncomp).reshape((b, ncomp) + problem.grid.shape)
-        g = _slow_rhs_chunk(full, taus, h, problem, tables, groups_per_term, pad,
+        g = _slow_rhs_chunk(full, taus, h, problem, tables, plan,
                             config.convolution_mode).reshape(b, ncomp, -1)
         return {key: g[..., layout.mask[key]] for key in layout.keys}
 
@@ -301,18 +299,12 @@ def solve_interaction_system(
 class MonomialEvaluator:
     """Evaluates index-set-restricted nonlinearities on windowed states.
 
-    Each product of component windows is an exact linear convolution on a
-    small grid with the problem's dk.  Argument window t sits at its
-    bounding-box start ``lo_t`` on P nodes per axis, with P >= sum_t W_t - m + 1
-    for window widths W_t, so the circular convolution cannot wrap: its node
-    q is output node ``q + sum_t lo_t - (m-1) n/2`` of the full grid.
-    Carrier centres need not lie on nodes; only these integer offsets matter.
-    Phases and projections are evaluated on window nodes only.
-
-    Terms are grouped at construction: decorated indices that are
-    permutations of one another share a single r-space product, products
-    with the same total offset are accumulated before one forward transform,
-    and only the band components present in each window are transformed.
+    The terms of every window are convolved by one ``_ConvolutionPlan``
+    with one key per window, so each product is an exact linear convolution
+    on a small transform grid with the problem's dk; carrier centres need
+    not lie on nodes.  Phases and projections are evaluated on window nodes
+    only, and only the band components present in each window are
+    transformed.
     """
 
     def __init__(
@@ -329,127 +321,58 @@ class MonomialEvaluator:
         by_order = {s.order: s for s in problem.nonlinearity}
         if len(by_order) != len(problem.nonlinearity):
             raise ValueError("one susceptibility per order expected here")
-        grid = problem.grid
-        ncomp = problem.model.ncomp
         present = {}
         for key in layout.keys:
             g = layout.basis_win[key]
             if layout.mask[key].size == 0:
-                present[key] = ()
+                present[key] = []
             elif isinstance(g, (int, np.integer)):
-                present[key] = (int(g),)
+                present[key] = [int(g)]
             else:
-                present[key] = tuple(range(ncomp))
+                present[key] = list(range(problem.model.ncomp))
         # rows of the back-transformed integrand that the window projection reads
-        self.out_rows = {key: list(comps) for key, comps in present.items()}
-        entries = {m: _tensor_entries(s.tensor) for m, s in by_order.items() if s.tensor is not None}
-        # jobs[key]: [(factors, out_comp, coeff)] with factors a sorted tuple
-        # of (arg_key, component); pointwise products commute, so permuted
-        # monomials collapse into one job.  A scalar window keeps only its
-        # band component, so other output components are never formed.
-        self.jobs: dict = {}
+        self.out_rows = present
+        # a scalar window holds its band component only, so each term is
+        # restricted to the components present in its windows
+        terms: dict = {}
         for key in layout.keys:
-            grouped: dict = {}
             for m, index in sets_flat.get(key, []):
-                arg_keys = [(l, z) for z, l in index.entries]
-                for entry, coeff in entries.get(m, []):
-                    i, js = entry[0], entry[1:]
-                    if i not in present[key]:
-                        continue
-                    if any(js[t] not in present[arg_keys[t]] for t in range(m)):
-                        continue
-                    factors = tuple(sorted(zip(arg_keys, js)))
-                    grouped[(factors, i)] = grouped.get((factors, i), 0.0) + coeff
-            self.jobs[key] = [
-                (factors, i, coeff) for (factors, i), coeff in grouped.items() if coeff != 0
-            ]
-
-        # window bounding boxes and the small grid
-        sub = {key: np.unravel_index(layout.mask[key], grid.shape) for key in layout.keys}
-        args = [key for key in layout.keys if present[key]]
-        lo = {key: np.array([s.min() for s in sub[key]]) for key in args}
-        width = {key: np.array([s.max() + 1 for s in sub[key]]) - lo[key] for key in args}
-        span = np.ones(grid.dim, dtype=int)
-        for jobs in self.jobs.values():
-            for factors, _, _ in jobs:
-                span = np.maximum(span, sum(width[ak] for ak, _ in factors) - len(factors) + 1)
-        size = tuple(max(4, 1 << int(v - 1).bit_length()) for v in span)
-        self.sgrid = Grid(grid.dim, size,
-                          tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
-
-        # needed[key]: argument components to transform; factors are stored
-        # as (arg_key, position in needed[arg_key])
-        needed: dict = {}
-        for jobs in self.jobs.values():
-            for factors, _, _ in jobs:
-                for ak, c in factors:
-                    needed.setdefault(ak, set()).add(c)
-        self.needed = {key: sorted(comps) for key, comps in needed.items()}
-        self.local = {
-            key: np.ravel_multi_index(tuple(s - o for s, o in zip(sub[key], lo[key])), size)
-            for key in self.needed
-        }
-        # groups[key]: per (order, total offset), the distinct factor tuples,
-        # their (n_out, G) coefficients, the output components and the
-        # window positions ``dst`` filled from small-grid nodes ``src``
-        half = np.array(grid.n) // 2
-        self.groups: dict = {}
-        for key, jobs in self.jobs.items():
-            by_offset: dict = {}
-            for factors, i, coeff in jobs:
-                m = len(factors)
-                offset = sum(lo[ak] for ak, _ in factors) - (m - 1) * half
-                local = tuple((ak, self.needed[ak].index(c)) for ak, c in factors)
-                prods = by_offset.setdefault((m, tuple(offset)), {})
-                prods.setdefault(local, np.zeros(ncomp, dtype=complex))[i] += coeff
-            groups = []
-            for (m, offset), prods in by_offset.items():
-                q = [s - o for s, o in zip(sub[key], offset)]
-                ok = np.logical_and.reduce([(qa >= 0) & (qa < p) for qa, p in zip(q, size)])
-                if not ok.any():
+                susc = by_order.get(m)
+                if susc is None or susc.tensor is None:
                     continue
-                # the transforms' fftshift convention moves node q by -(m-1)P/2
-                src = np.ravel_multi_index(
-                    tuple((qa[ok] - (m - 1) * p // 2) % p for qa, p in zip(q, size)), size
-                )
-                factors = list(prods)
-                coeffs = np.stack([prods[f] for f in factors], axis=1)
-                comps = np.nonzero(coeffs.any(axis=1))[0]
-                groups.append((factors, coeffs[comps], comps, np.nonzero(ok)[0], src))
-            self.groups[key] = groups
+                arg_keys = [(l, z) for z, l in index.entries]
+                keep = np.zeros(susc.tensor.shape, dtype=bool)
+                keep[np.ix_(present[key], *(present[a] for a in arg_keys))] = True
+                terms.setdefault(key, []).append((np.where(keep, susc.tensor, 0), arg_keys))
+        self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms)
+        # jobs[key]: [(factors, out_comp, coeff)], one per product and output
+        # component; permuted monomials share one product
+        self.jobs = {key: [] for key in layout.keys}
+        for key, (factors, coeffs, rows) in self.plan.outs.items():
+            self.jobs[key] = [(f, int(rows[i]), coeffs[i, g]) for g, f in enumerate(factors)
+                              for i in range(len(rows)) if coeffs[i, g] != 0]
 
     def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
         """Windowed integrand values g_{l,theta} for a chunk of times."""
         b = taus.shape[0]
-        ncomp = self.problem.model.ncomp
-        size = self.sgrid.shape
-        nodes = int(np.prod(size))
-        r_args = {}
-        for key, comps in self.needed.items():
+        args = {}
+        for key, comps in self.plan.comps.items():
             # states may hold one time slice for the whole chunk
             vals = np.broadcast_to(states[key], (b,) + states[key].shape[1:])
             if self.clip_arguments:
                 # the window profile again: neutral on cutoff-built data,
                 # it damps only spillover into the window's skirt
                 vals = vals * self.layout.cut[key]
-            small = np.zeros((b, len(comps), nodes), dtype=complex)
-            small[..., self.local[key]] = self.tables.apply(
-                vals, taus, -1, nodes=self.layout.mask[key], comps=comps
-            )
-            r_args[key] = spectrum_to_samples(
-                small.reshape((b, len(comps)) + size), self.sgrid
-            ).reshape(b, len(comps), nodes)
+            args[key] = self.tables.apply(vals, taus, -1, nodes=self.layout.mask[key],
+                                          comps=comps)
+        conv = self.plan(args)
         out = {}
         for key in self.layout.keys:
             mask = self.layout.mask[key]
-            acc = np.zeros((b, ncomp, mask.size), dtype=complex)
-            for factors, coeffs, comps, dst, src in self.groups[key]:
-                out_r = np.matmul(coeffs, _pointwise_products(r_args, factors, b, nodes))
-                spec = samples_to_spectrum(
-                    out_r.reshape((b, len(comps)) + size), self.sgrid
-                ).reshape(b, len(comps), nodes)
-                acc[:, comps[:, None], dst] += spec[:, :, src]
-            if self.groups[key]:
+            acc = conv.get(key)
+            if acc is None:
+                acc = np.zeros((b, self.problem.model.ncomp, mask.size), dtype=complex)
+            else:
                 rows = self.out_rows[key]
                 acc[:, rows] = self.tables.apply(acc, taus, +1, nodes=mask, comps=rows)
             out[key] = self.layout.project(key, acc)

@@ -98,21 +98,24 @@ def test_callback_susceptibility_direct(rng):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    order=st.sampled_from([2, 3]),
-    n=st.sampled_from([8, 16, 32, 64]),
-    sharing=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    # the literal-sum oracle is slow: order 4 and 2-d grids only on few nodes
+    order_shape=st.sampled_from([(m, (n,)) for m in (2, 3) for n in (8, 16, 32, 64)]
+                                + [(4, (8,)), (4, (16,)), (2, (8, 8)), (3, (4, 4))]),
+    sharing=st.lists(st.integers(0, 3), min_size=4, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grouped_fft_kernel_matches_direct_oracle(order, n, sharing, seed):
+def test_grouped_fft_kernel_matches_direct_oracle(order_shape, sharing, seed):
     # random sparse complex tensors; ``sharing`` decides which argument slots
     # hold the same field object (all identical, all distinct, or mixed)
+    order, grid_shape = order_shape
     rng = np.random.default_rng(seed)
-    g = Grid(1, (n,), (2.0,))
+    g = Grid(len(grid_shape), grid_shape, (2.0,) * len(grid_shape))
     shape = (2,) * (order + 1)
     tensor = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.6)
     chi = ev.Susceptibility(order=order, tensor=tensor)
-    pool = [ModalField(g, rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))
-            for _ in range(3)]
+    fshape = (2,) + grid_shape
+    pool = [ModalField(g, rng.normal(size=fshape) + 1j * rng.normal(size=fshape))
+            for _ in range(4)]
     fields = [pool[t] for t in sharing[:order]]
     o_fft = ev.apply_nonlinearity(fields, chi, mode="fft")
     o_dir = ev.apply_nonlinearity(fields, chi, mode="direct-oracle")
@@ -123,7 +126,7 @@ def test_grouped_fft_kernel_matches_direct_oracle(order, n, sharing, seed):
 @pytest.mark.parametrize("chi, products", [(ev.cubic_full(0.9), 4), (ev.cubic_conjugate(1.3), 2),
                                            (ev.quadratic_conjugate(0.7), 3)])
 def test_permuted_entries_share_one_product(chi, products):
-    factors, coeffs = ev._entry_groups(chi.tensor, [0] * chi.order)
+    factors, coeffs = ev._entry_groups([(chi.tensor, [0] * chi.order)])
     assert len(factors) == products and coeffs.shape == (2, products)
     assert np.isclose(coeffs.sum(axis=1), chi.tensor.reshape(2, -1).sum(axis=1)).all()
 

@@ -37,6 +37,10 @@ def test_load_config_validation():
     rc = harness.load_config(counterprop_cfg())
     assert rc.spectrum.n_pairs == 2
     assert rc.orders == [3]
+    for solver in ({"picard_tolerance": 1e-10}, {"dealias_factor": 2},
+                   {"picard_tol": "tight"}, {"picard_max_iter": 2.5}):
+        with pytest.raises(ConfigError, match="solver"):
+            harness.load_config(counterprop_cfg(solver=solver))
 
 
 def test_config_hash_stability():
@@ -173,6 +177,22 @@ def test_sweep_shapes_and_determinism(tmp_path):
     assert len(one.runs) == 1
 
 
+def test_sweep_records_typed_failures(monkeypatch):
+    cfg = sweep_cfg()
+    cfg["grid"] = {"n": 512, "k_max": 4.0}
+    cfg["experiment"]["sweep"] = {"rho": [0.04, 2.0]}
+    res = harness.sweep(cfg)
+    assert [r["status"] for r in res.runs] == ["ok", "error"]
+    assert res.runs[1]["error_type"] == "ConfigError" and not res.passed
+
+    def boom(cfg, force=False):
+        raise RuntimeError("not a run failure")
+
+    monkeypatch.setitem(harness.EXPERIMENTS, "preservation", boom)
+    with pytest.raises(RuntimeError, match="not a run failure"):
+        harness.sweep(cfg)
+
+
 def test_experiment_rerun_byte_identical(tmp_path):
     cfg = counterprop_cfg()
     cfg["experiment"] = {"beta_rho_pairs": [[0.12, 0.02]], "seed": 5}
@@ -275,6 +295,14 @@ def test_cli_experiment_exit_codes(tmp_path):
     # runtime error -> 3
     assert cli_main(["experiment", "soliton", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o4")]) == 3
+    # unknown solver key or bad solver value -> 3
+    for i, solver in enumerate(({"picard_tolerance": 1e-10}, {"picard_tol": "tight"})):
+        p5 = tmp_path / f"solver{i}.json"
+        p5.write_text(json.dumps({**fail_cfg, "solver": solver}))
+        assert cli_main(["experiment", "soliton", "--config", str(p5),
+                         "--out", str(tmp_path / "o5")]) == 3
+        p5.write_text(json.dumps(counterprop_cfg(solver=solver)))
+        assert cli_main(["simulate", "--config", str(p5), "--out", str(tmp_path / "o6")]) == 3
 
 
 def test_cli_entry_point_subprocess(tmp_path):

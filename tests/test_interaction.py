@@ -338,21 +338,37 @@ def test_baseband_evaluator_matches_direct_oracle(geometry, chi, data):
         assert err <= 1e-12 * scale + 1e-15 * bound
 
 
-def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model):
-    # acceptance geometry: 129-node windows, cubic products need 3 * 129 - 2
+def quartic(q: float = 1.0) -> ev.Susceptibility:
+    t = np.zeros((2,) * 5, dtype=complex)
+    t[0, 0, 0, 1, 1], t[1, 1, 1, 0, 0] = 1j * q, -1j * q
+    return ev.Susceptibility(order=4, tensor=t)
+
+
+@pytest.mark.parametrize("order, windows, size", [(3, True, 512), (2, False, 4096),
+                                                  (3, False, 4096), (4, False, 8192)],
+                         ids=["averaging", "whole-2", "whole-3", "whole-4"])
+def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, windows, size):
+    # acceptance geometry: a cubic product of 129-node windows spans 3 * 128 + 1
+    # nodes centred on its 129-node output window, so P > 256; on the whole
+    # grid of n nodes, products need P >= (m + 1) n / 2
     grid = Grid(1, (2048,), (4.0,))
-    spectrum = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
-    sets = ia.build_index_sets(spectrum, nls_model, [3])
+    chi = {2: ev.quadratic_conjugate(1.0), 3: ev.cubic_full(1.0), 4: quartic()}[order]
     initial = ModalField(grid, np.zeros((2, 2048)))
-    prob = ev.EvolutionProblem(nls_model, [ev.cubic_full(1.0)], 0.004, 0.25, grid, initial)
-    layout = ia.ComponentLayout(spectrum, nls_model, grid, 0.1, 0.1)
-    evaluator = ia.MonomialEvaluator(prob, layout, sets.flat(sets.contributing))
-    assert {layout.mask[key].size for key in layout.keys} == {129}
-    assert evaluator.sgrid.shape == (512,)
-    assert evaluator.sgrid.dk == grid.dk
-    # a scalar window keeps only the jobs of its own band component
-    for key, jobs in evaluator.jobs.items():
-        assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
+    prob = ev.EvolutionProblem(nls_model, [chi], 0.004, 0.25, grid, initial)
+    if windows:
+        spectrum = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
+        sets = ia.build_index_sets(spectrum, nls_model, [order])
+        layout = ia.ComponentLayout(spectrum, nls_model, grid, 0.1, 0.1)
+        evaluator = ia.MonomialEvaluator(prob, layout, sets.flat(sets.contributing))
+        assert {layout.mask[key].size for key in layout.keys} == {129}
+        # a scalar window keeps only the jobs of its own band component
+        for key, jobs in evaluator.jobs.items():
+            assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
+        plan = evaluator.plan
+    else:
+        plan = ev._problem_plan(prob)
+    assert plan.tgrid.shape == (size,)
+    assert plan.tgrid.dk == grid.dk
 
 
 # -- the parent's per-node Picard loops, kept as oracles ---------------------------------------
@@ -388,8 +404,7 @@ def parent_interaction_loop(problem, spectrum, config, beta, epsilon):
     tables = ev.PropagatorTables(problem.model, problem.grid, problem.rho)
     h, n = ev.time_mesh(problem, config)
     taus = h * np.arange(n + 1)
-    pad = problem.dealias_factor(config)
-    groups_per_term = ev._term_groups(problem)
+    plan = ev._problem_plan(problem)
     h_win = ia._initial_windows(layout, problem)
     ncomp = problem.model.ncomp
     x = int(np.prod(problem.grid.shape))
@@ -411,7 +426,7 @@ def parent_interaction_loop(problem, spectrum, config, beta, epsilon):
             full = layout.embed({k: w_old[k][i0:i1] for k in layout.keys}, b, ncomp)
             g = ev._slow_rhs_chunk(
                 full.reshape((b, ncomp) + problem.grid.shape), taus[i0:i1], h, problem,
-                tables, groups_per_term, pad, config.convolution_mode,
+                tables, plan, config.convolution_mode,
             ).reshape(b, ncomp, x)
             for j in range(b):
                 if i0 + j > 0:
