@@ -29,10 +29,6 @@ def comp_index(n: int, zeta: int) -> int:
     return 2 * (n - 1) + (0 if zeta > 0 else 1)
 
 
-def band_of_comp(c: int) -> tuple[int, int]:
-    return c // 2 + 1, (1 if c % 2 == 0 else -1)
-
-
 @dataclass(frozen=True)
 class DispersionModel:
     """Dispersion relations of the Hermitian symbol L(k)."""
@@ -461,7 +457,6 @@ __all__ = [
     "matrix_symbol_model",
     "model_from_config",
     "comp_index",
-    "band_of_comp",
     "eval_omega",
     "group_velocity",
     "eval_projector",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -240,17 +240,19 @@ class _ConvolutionPlan:
     smallest power of two per axis at which no wrapped product lands on a
     gathered output node and no argument wraps onto itself, judged on index
     boxes; on the whole grid that is the centred zero-pad to (m+1)n/2 nodes
-    or more.
+    or more.  Products whose index box misses their output key's box are
+    dropped before P is sized: they vanish on every output node.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
         self.grid = grid
-        # centred (dim, nodes) index of every node of each key
+        # centred (dim, nodes) index of every node of each key, and its (lo, hi) box
         centred = {
             key: np.array(np.unravel_index(np.arange(math.prod(grid.n)) if idx is None else idx,
                                            grid.shape)) - np.array(grid.n)[:, None] // 2
             for key, idx in nodes.items()
         }
+        box = {key: (c.min(axis=1), c.max(axis=1)) for key, c in centred.items() if c.size}
         need = np.full(grid.dim, 4)
         # outs[key]: (factors, (rows, G) coefficients, the output components ``rows``);
         # comps[key]: the argument components the products read
@@ -258,18 +260,24 @@ class _ConvolutionPlan:
         comps: dict = {}
         for key, key_terms in terms.items():
             factors, coeffs = _entry_groups(key_terms) if key_terms else ([], None)
-            if not factors:
-                continue
-            for fac in factors:
+            # a product's index box is the sum of its arguments' boxes; one that
+            # misses the output box on some axis is zero on every output node
+            kept = []
+            for g, fac in enumerate(factors):
+                lo = sum(box[a][0] for a, _ in fac)
+                hi = sum(box[a][1] for a, _ in fac)
+                if np.any(hi < box[key][0]) or np.any(lo > box[key][1]):
+                    continue
+                kept.append(g)
                 for a, c in fac:
                     comps.setdefault(a, set()).add(int(c))
                 # P exceeds every argument's width and the largest distance
                 # from a product index to a gathered output index, either way
-                args = [centred[a] for a, _ in fac]
-                need = np.max([need, *(np.ptp(c, axis=1) + 1 for c in args),
-                               sum(c.max(axis=1) for c in args) - centred[key].min(axis=1) + 1,
-                               centred[key].max(axis=1) - sum(c.min(axis=1) for c in args) + 1],
-                              axis=0)
+                need = np.max([need, *(box[a][1] - box[a][0] + 1 for a, _ in fac),
+                               hi - box[key][0] + 1, box[key][1] - lo + 1], axis=0)
+            if not kept:
+                continue
+            factors, coeffs = [factors[g] for g in kept], coeffs[:, kept]
             self.ncomp = coeffs.shape[0]
             rows = np.nonzero(coeffs.any(axis=1))[0]
             self.outs[key] = (factors, coeffs[rows], rows)
@@ -606,15 +614,14 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,
-                     g: np.ndarray, h: float, project=None) -> np.ndarray:
+                     g: np.ndarray, h: float) -> np.ndarray:
     """Write h0 plus the composite-trapezoid integral at each node of a chunk.
 
     ``integral`` is the value at the node before the chunk, whose integrand
     is ``g_prev`` (None on the first chunk, where the integral starts at 0).
     The running sum is seeded with it and adds node by node, in the order of
     ``np.cumsum`` but about four times faster on complex (B, C, X) chunks.
-    ``project``, if given, maps the chunk's integrals before h0 is added.
-    Returns the (unprojected) integral at the chunk's last node.
+    Returns the integral at the chunk's last node.
     """
     cum = np.empty((g.shape[0] + 1,) + g.shape[1:], dtype=complex)
     cum[0] = integral
@@ -623,7 +630,7 @@ def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_pr
     cum[1:] *= 0.5 * h
     for j in range(1, cum.shape[0]):
         np.add(cum[j - 1], cum[j], out=cum[j])
-    np.add(h0, cum[1:] if project is None else project(cum[1:]), out=out)
+    np.add(h0, cum[1:], out=out)
     return cum[-1].copy()
 
 
@@ -634,16 +641,14 @@ def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:
 
 
 def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | None, h: float,
-                    chunk: int, cell: float, project=None) -> dict:
+                    chunk: int, cell: float) -> dict:
     """One composite-trapezoid pass: out = h0 + integral_0^tau rhs(state) on the mesh h j.
 
     ``state``, ``out`` and ``ref`` map each key to (n+1, C, nodes) values,
     ``h0`` to (C, nodes).  ``rhs_chunk(states, taus)`` maps the state on a
     chunk of at most ``chunk`` mesh nodes to the integrand of every key.
-    ``project(key, values)``, if given, is applied to the integrals before
-    h0 is added (see ``_trapezoid_chunk``).  Returns per key the largest
-    node L1 norm of out - ref (of out itself when ``ref`` is None); the pass
-    stops at the first non-finite one.
+    Returns per key the largest node L1 norm of out - ref (of out itself
+    when ``ref`` is None); the pass stops at the first non-finite one.
     """
     taus = h * np.arange(next(iter(state.values())).shape[0])
     integral = dict.fromkeys(h0, 0.0)
@@ -654,8 +659,7 @@ def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | Non
         g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
         for key, gk in g.items():
             new = out[key][i0:i1]
-            integral[key] = _trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h,
-                                             None if project is None else partial(project, key))
+            integral[key] = _trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h)
             g_prev[key] = gk[-1].copy()
             d = float(_node_l1(new if ref is None else new - ref[key][i0:i1], cell).max())
             if not d <= sup[key]:  # a NaN replaces the sup too
@@ -666,14 +670,13 @@ def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | Non
 
 
 def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int, project=None) -> tuple[dict, int, list]:
+                      config: SolverConfig, chunk: int) -> tuple[dict, int, list]:
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
     The state maps each key of ``h0`` to (n+1, C, nodes) values, h0[key] at
     every node to start.  Each iteration is one ``_trapezoid_pass``; its
     distance is the largest node L1 norm of the change over all keys.  With
-    ``rhs_chunk`` None (no nonlinearity) the constant start is returned;
-    ``project`` is passed on to the pass.
+    ``rhs_chunk`` None (no nonlinearity) the constant start is returned.
     Raises PicardDiverged on a non-finite distance (last in the history) or
     when distances grow three times in a row to above ten times their
     minimum, and PicardMaxIter when ``config.picard_tol`` is never reached.
@@ -689,7 +692,7 @@ def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
     grew = False
     for it in range(1, config.picard_max_iter + 1):
         dist = float(np.max(list(
-            _trapezoid_pass(rhs_chunk, old, h0, new, old, h, chunk, cell, project).values()
+            _trapezoid_pass(rhs_chunk, old, h0, new, old, h, chunk, cell).values()
         )))
         if not math.isfinite(dist):
             raise PicardDiverged(f"non-finite Picard iterate (distance {dist})",

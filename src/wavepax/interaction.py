@@ -2,14 +2,17 @@
 
 The interaction unknowns are the 2N cutoff-projected components w_{l,theta}
 of the solution, each supported in a ball of radius beta^(1-eps) around
-theta * k_l inside its band eigenspace.  The full system feeds the sum of
-the components through the complete nonlinearity; the averaged system keeps
-only the decorated monomials whose frequency mismatch vanishes, and the
-diagonal / reduced systems restrict the index sets further.
+theta * k_l inside its band eigenspace.  Both systems evaluate the same
+windowed monomials: the full system keeps every decorated index of each
+order, which by multilinearity is the complete nonlinearity of the
+components' sum; the averaged system keeps only the decorated monomials
+whose frequency mismatch vanishes, and the diagonal / reduced systems
+restrict the index sets further.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field as dfield
 
@@ -24,13 +27,12 @@ from .evolution import (
     _ConvolutionPlan,
     _node_l1,
     _picard_trapezoid,
-    _problem_plan,
-    _slow_rhs_chunk,
     _trapezoid_pass,
     time_mesh,
 )
 from .grids import Grid, ModalField
 from .resonance import (
+    DecoratedIndex,
     NkSpectrum,
     partial_gvm_check,
     resonant_index_sets,
@@ -200,12 +202,12 @@ class ComponentLayout:
             out = g[None] * coeff[:, None, :]
         return out * self.cut[key][None, None, :]
 
-    def embed(self, states: dict, b: int, ncomp: int) -> np.ndarray:
-        """Sum of all components as full (B, C, X) values."""
-        x = int(np.prod(self.grid.shape))
-        out = np.zeros((b, ncomp, x), dtype=complex)
-        for key in self.keys:
-            out[..., self.mask[key]] += states[key]
+    def embed(self, states: dict) -> np.ndarray:
+        """Sum of the (B, C, win) values of the components in ``states`` as full (B, C, X) values."""
+        b, ncomp = next(iter(states.values())).shape[:2]
+        out = np.zeros((b, ncomp, int(np.prod(self.grid.shape))), dtype=complex)
+        for key, vals in states.items():
+            out[..., self.mask[key]] += vals
         return out
 
     def component_l1(self, key, win_vals: np.ndarray) -> float:
@@ -233,20 +235,15 @@ class InteractionSolution:
         return sorted(set(range(0, n + 1, self.record_stride)) | {n})
 
     def sum_values(self, i: int) -> np.ndarray:
-        states = {k: self.data[k][i][None] for k in self.layout.keys}
-        full = self.layout.embed(states, 1, self.problem.model.ncomp)[0]
-        return full.reshape((self.problem.model.ncomp,) + self.problem.grid.shape)
+        return self._embedded(self.layout.keys, i)
 
     def component_field(self, l: int, theta: int, i: int) -> ModalField:
-        key = (l, theta)
-        x = int(np.prod(self.problem.grid.shape))
-        flat = np.zeros((self.problem.model.ncomp, x), dtype=complex)
-        flat[:, self.layout.mask[key]] = self.data[key][i]
-        return ModalField(
-            self.problem.grid,
-            flat.reshape((self.problem.model.ncomp,) + self.problem.grid.shape),
-            frame="slow",
-        )
+        return ModalField(self.problem.grid, self._embedded([(l, theta)], i), frame="slow")
+
+    def _embedded(self, keys, i: int) -> np.ndarray:
+        """Sum of the components ``keys`` at mesh node i on the full grid, (C, *shape)."""
+        full = self.layout.embed({key: self.data[key][i][None] for key in keys})[0]
+        return full.reshape((self.problem.model.ncomp,) + self.problem.grid.shape)
 
 
 def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict:
@@ -254,33 +251,25 @@ def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict
     return {key: layout.window(key, h_flat)[0] for key in layout.keys}
 
 
-def solve_interaction_system(
-    problem: EvolutionProblem,
-    spectrum: NkSpectrum,
-    config: SolverConfig | None = None,
-    beta: float = 0.1,
-    epsilon: float = 0.1,
-) -> InteractionSolution:
-    """Picard solution of the cutoff-projected interaction system."""
+def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
+                    beta: float, epsilon: float, sets_flat: dict | None,
+                    clip_arguments: bool) -> tuple[InteractionSolution, MonomialEvaluator | None]:
+    """Picard solution of the windowed system whose nonlinearity keeps ``sets_flat``.
+
+    With ``sets_flat`` None the nonlinearity is zero and the initial windows
+    are returned after 0 iterations.  Returns the solution and its evaluator.
+    """
     config = config or SolverConfig()
+    if config.convolution_mode == "direct-oracle":
+        raise ValueError("the windowed solvers convolve by FFT only; "
+                         "the direct oracle runs through apply_nonlinearity")
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
-    tables = PropagatorTables(problem.model, problem.grid, problem.rho)
+    evaluator = (None if sets_flat is None
+                 else MonomialEvaluator(problem, layout, sets_flat, clip_arguments))
     h, n = time_mesh(problem, config)
-    plan = _problem_plan(problem)
-    ncomp = problem.model.ncomp
-
-    def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
-        b = taus.shape[0]
-        full = layout.embed(states, b, ncomp).reshape((b, ncomp) + problem.grid.shape)
-        g = _slow_rhs_chunk(full, taus, h, problem, tables, plan,
-                            config.convolution_mode).reshape(b, ncomp, -1)
-        return {key: g[..., layout.mask[key]] for key in layout.keys}
-
-    # the integrand is integrated unprojected and the integral projected:
-    # projecting node by node first would round differently
     data, iterations, distances = _picard_trapezoid(
-        rhs_chunk if problem.nonlinearity else None, _initial_windows(layout, problem),
-        n, h, problem.grid.cell, config, AVERAGED_CHUNK, layout.project,
+        None if evaluator is None else evaluator.integrand_chunk, _initial_windows(layout, problem),
+        n, h, problem.grid.cell, config, AVERAGED_CHUNK,
     )
     return InteractionSolution(
         spectrum=spectrum,
@@ -291,20 +280,43 @@ def solve_interaction_system(
         iterations=iterations,
         distances=distances,
         record_stride=config.record_stride or max(1, n // 128),
-    )
+    ), evaluator
 
 
-# -- averaged monomial machinery ---------------------------------------------------------
+def solve_interaction_system(
+    problem: EvolutionProblem,
+    spectrum: NkSpectrum,
+    config: SolverConfig | None = None,
+    beta: float = 0.1,
+    epsilon: float = 0.1,
+) -> InteractionSolution:
+    """Picard solution of the cutoff-projected interaction system.
+
+    Its nonlinearity keeps every decorated index of each order; the windows
+    are never clipped again.
+    """
+    slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (+1, -1)]
+    every = [(m, DecoratedIndex(entries))
+             for m in sorted({s.order for s in problem.nonlinearity})
+             for entries in itertools.product(slots, repeat=m)]
+    sets_flat = {(l, z): every for z, l in slots} if every else None
+    solution, _ = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                                  clip_arguments=False)
+    return solution
+
+
+# -- windowed monomial machinery ---------------------------------------------------------
 
 class MonomialEvaluator:
     """Evaluates index-set-restricted nonlinearities on windowed states.
 
-    The terms of every window are convolved by one ``_ConvolutionPlan``
-    with one key per window, so each product is an exact linear convolution
-    on a small transform grid with the problem's dk; carrier centres need
-    not lie on nodes.  Phases and projections are evaluated on window nodes
-    only, and only the band components present in each window are
-    transformed.
+    The terms of every window, over all susceptibilities of each order, are
+    convolved by one ``_ConvolutionPlan`` with one key per window, so each
+    product is an exact linear convolution on a small transform grid with
+    the problem's dk; carrier centres need not lie on nodes.  Phases and
+    projections are evaluated on window nodes only, and only the band
+    components present in each window are transformed.  Callback
+    susceptibilities are refused.
     """
 
     def __init__(
@@ -318,9 +330,9 @@ class MonomialEvaluator:
         self.layout = layout
         self.clip_arguments = clip_arguments
         self.tables = PropagatorTables(problem.model, problem.grid, problem.rho)
-        by_order = {s.order: s for s in problem.nonlinearity}
-        if len(by_order) != len(problem.nonlinearity):
-            raise ValueError("one susceptibility per order expected here")
+        by_order: dict = {}
+        for susc in problem.nonlinearity:
+            by_order.setdefault(susc.order, []).append(susc)
         present = {}
         for key in layout.keys:
             g = layout.basis_win[key]
@@ -337,13 +349,14 @@ class MonomialEvaluator:
         terms: dict = {}
         for key in layout.keys:
             for m, index in sets_flat.get(key, []):
-                susc = by_order.get(m)
-                if susc is None or susc.tensor is None:
-                    continue
                 arg_keys = [(l, z) for z, l in index.entries]
-                keep = np.zeros(susc.tensor.shape, dtype=bool)
-                keep[np.ix_(present[key], *(present[a] for a in arg_keys))] = True
-                terms.setdefault(key, []).append((np.where(keep, susc.tensor, 0), arg_keys))
+                for susc in by_order.get(m, []):
+                    if susc.tensor is None:
+                        raise ValueError(f"windowed evaluation needs a tensor susceptibility; "
+                                         f"{susc.name or 'a callback'} has none")
+                    keep = np.zeros(susc.tensor.shape, dtype=bool)
+                    keep[np.ix_(present[key], *(present[a] for a in arg_keys))] = True
+                    terms.setdefault(key, []).append((np.where(keep, susc.tensor, 0), arg_keys))
         self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms)
         # jobs[key]: [(factors, out_comp, coeff)], one per product and output
         # component; permuted monomials share one product
@@ -404,7 +417,6 @@ def solve_averaged_system(
     force: bool = False,
 ) -> InteractionSolution:
     """Picard solution with the nonlinearity restricted to resonant monomials."""
-    config = config or SolverConfig()
     if mode == "reduced" and not force:
         ok, violations = partial_gvm_check(
             spectrum, partition, problem.model, index_sets.orders, tol_res=index_sets.tol_res
@@ -413,19 +425,14 @@ def solve_averaged_system(
             raise HypothesisViolated(
                 f"partition is not group-velocity decoupled ({len(violations)} violations)"
             )
-    layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     sets_flat = _sets_for_mode(index_sets, mode, partition)
-    evaluator = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=clip_arguments)
-    h, n = time_mesh(problem, config)
-    taus = h * np.arange(n + 1)
-    data, iterations, distances = _picard_trapezoid(
-        evaluator.integrand_chunk, _initial_windows(layout, problem),
-        n, h, problem.grid.cell, config, AVERAGED_CHUNK,
-    )
+    solution, evaluator = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                                          clip_arguments)
     # size of the argument-clip ambiguity on the converged state: the same
     # integrand with and without the clip, on a few late-time samples
-    probe = {key: data[key][-1:] for key in layout.keys}
-    taus_probe = taus[-1:]
+    layout = solution.layout
+    probe = {key: solution.data[key][-1:] for key in layout.keys}
+    taus_probe = solution.times[-1:]
     other = MonomialEvaluator(problem, layout, sets_flat,
                               clip_arguments=not clip_arguments)
     g_clip = evaluator.integrand_chunk(probe, taus_probe)
@@ -433,17 +440,8 @@ def solve_averaged_system(
     clip_diff = sum(
         layout.component_l1(key, g_clip[key][0] - g_raw[key][0]) for key in layout.keys
     )
-    return InteractionSolution(
-        spectrum=spectrum,
-        layout=layout,
-        problem=problem,
-        times=taus,
-        data=data,
-        iterations=iterations,
-        distances=distances,
-        record_stride=config.record_stride or max(1, n // 128),
-        diagnostics={"clip_difference": float(clip_diff)},
-    )
+    solution.diagnostics["clip_difference"] = float(clip_diff)
+    return solution
 
 
 def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> float:

@@ -40,8 +40,7 @@ class NkSpectrum:
     """Ordered list of distinct (band, wavevector) pairs.
 
     Pairs are re-ordered on construction so that the first occurrences of the
-    distinct wavevectors form a prefix; ``i_of(l)`` maps a pair to its slot in
-    the k-spectrum.
+    distinct wavevectors form a prefix; this fixes the pair numbering.
     """
 
     pairs: tuple  # ((n, kvec), ...) with kvec an ndarray of shape (dim,)
@@ -73,27 +72,6 @@ class NkSpectrum:
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
-
-    @property
-    def k_spectrum(self) -> list[np.ndarray]:
-        return [p[1] for p in self.pairs[: self._n_distinct()]]
-
-    def _n_distinct(self) -> int:
-        count = 0
-        seen: list[np.ndarray] = []
-        for _, k in self.pairs:
-            if not any(np.linalg.norm(k - s) <= self.tol_k for s in seen):
-                seen.append(k)
-                count += 1
-        return count
-
-    def i_of(self, l: int) -> int:
-        """Slot of pair l (1-based) in the k-spectrum (1-based)."""
-        k = self.pairs[l - 1][1]
-        for i, kv in enumerate(self.k_spectrum):
-            if np.linalg.norm(k - kv) <= self.tol_k:
-                return i + 1
-        raise AssertionError("pair wavevector missing from k-spectrum")
 
     def band(self, l: int) -> int:
         return self.pairs[l - 1][0]
@@ -152,9 +130,6 @@ class DecoratedIndex:
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    def signs(self) -> tuple:
-        return tuple(z for z, _ in self.entries)
 
     def slots(self) -> tuple:
         return tuple(l for _, l in self.entries)

@@ -380,17 +380,11 @@ def locate_position(
 def particle_norm(fields, positions, beta: float, epsilon: float) -> float:
     """Scale-weighted gradient norm plus L1 mass, summed over components.
 
-    ``fields`` and ``positions`` run over the packet components; the phase
-    e^{+i r.k} cancels each packet's own carrier phase before the gradient
-    is taken.
+    ``fields`` and ``positions`` run over the packet components; the
+    gradient term is ``position_detection`` at the packet's position, whose
+    phase e^{+i r.k} cancels the packet's own carrier phase.
     """
     total = 0.0
     for f, r in zip(fields, positions):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        mesh = f.grid.k_mesh()
-        phase = np.exp(1j * np.tensordot(r, mesh, axes=(0, 0)))
-        shifted = f.values * phase
-        grad = gradient_k(shifted, f.grid)
-        gnorm = float(np.sqrt((np.abs(grad) ** 2).sum(axis=(0, 1))).sum() * f.grid.cell)
-        total += beta ** (1.0 + epsilon) * gnorm + l1_norm(f)
+        total += beta ** (1.0 + epsilon) * position_detection(f, r) + l1_norm(f)
     return total

@@ -152,7 +152,7 @@ def test_soliton_linear_control_disperses():
 
 def sweep_cfg():
     cfg = counterprop_cfg()
-    cfg["grid"] = {"n": 256, "k_max": 4.0}
+    cfg["grid"] = {"n": 512, "k_max": 4.0}
     cfg["spectrum"] = [[1, 1.0]]
     cfg["beta"] = 0.15
     cfg["experiment"] = {
@@ -170,6 +170,7 @@ def test_sweep_shapes_and_determinism(tmp_path):
     res = harness.sweep(cfg)
     assert len(res.runs) == 6
     assert [r["run_index"] for r in res.runs] == list(range(6))
+    assert [r["status"] for r in res.runs] == ["ok"] * 6
     res2 = harness.sweep(cfg)
     assert res.to_json() == res2.to_json()
     one = harness.sweep({**cfg, "experiment": {"name": "preservation",
@@ -179,7 +180,6 @@ def test_sweep_shapes_and_determinism(tmp_path):
 
 def test_sweep_records_typed_failures(monkeypatch):
     cfg = sweep_cfg()
-    cfg["grid"] = {"n": 512, "k_max": 4.0}
     cfg["experiment"]["sweep"] = {"rho": [0.04, 2.0]}
     res = harness.sweep(cfg)
     assert [r["status"] for r in res.runs] == ["ok", "error"]

@@ -298,20 +298,15 @@ def test_baseband_evaluator_matches_direct_oracle(geometry, chi, data):
     spectrum = rs.spectrum_from_list([[1] + k for k in carriers])
     layout = ia.ComponentLayout(spectrum, model, grid, beta, EPS)
     slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (1, -1)]
-    # per output window, indices whose products can reach it, the closest first
+    # per output window, the index whose product lands closest to it and up to
+    # three drawn from all (2N)^m, so some products miss the window entirely
     sets_flat = {}
     for l, theta in layout.keys:
         centre = theta * spectrum.kvec(l)
-        reach = []
-        for entries in itertools.product(slots, repeat=m):
-            land = sum(z * spectrum.kvec(s) for z, s in entries)
-            dist = float(np.linalg.norm(land - centre))
-            if dist < (m + 1) * layout.radius:
-                reach.append((dist, rs.DecoratedIndex(entries)))
-        reach.sort(key=lambda t: t[0])
-        picks = data.draw(st.lists(st.integers(0, len(reach) - 1), max_size=3, unique=True)
-                          if reach else st.just([]))
-        sets_flat[(l, theta)] = [(m, reach[i][1]) for i in sorted({0, *picks}) if reach]
+        every = sorted(itertools.product(slots, repeat=m), key=lambda entries: float(
+            np.linalg.norm(sum(z * spectrum.kvec(s) for z, s in entries) - centre)))
+        picks = data.draw(st.lists(st.integers(0, len(every) - 1), max_size=3, unique=True))
+        sets_flat[(l, theta)] = [(m, rs.DecoratedIndex(every[i])) for i in sorted({0, *picks})]
     clip = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     x = int(np.prod(grid.shape))
@@ -344,31 +339,98 @@ def quartic(q: float = 1.0) -> ev.Susceptibility:
     return ev.Susceptibility(order=4, tensor=t)
 
 
-@pytest.mark.parametrize("order, windows, size", [(3, True, 512), (2, False, 4096),
-                                                  (3, False, 4096), (4, False, 8192)],
-                         ids=["averaging", "whole-2", "whole-3", "whole-4"])
-def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, windows, size):
+def every_index(spectrum, order):
+    """Every decorated index of one order, as in the full interaction system."""
+    slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (1, -1)]
+    return [(order, rs.DecoratedIndex(e)) for e in itertools.product(slots, repeat=order)]
+
+
+@pytest.mark.parametrize("order, sets, size", [(3, "contributing", 512), (3, "every", 512),
+                                               (2, None, 4096), (3, None, 4096),
+                                               (4, None, 8192)],
+                         ids=["averaging", "interaction", "whole-2", "whole-3", "whole-4"])
+def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, sets, size):
     # acceptance geometry: a cubic product of 129-node windows spans 3 * 128 + 1
-    # nodes centred on its 129-node output window, so P > 256; on the whole
-    # grid of n nodes, products need P >= (m + 1) n / 2
+    # nodes centred on its 129-node output window, so P > 256; products of all
+    # decorated indices whose boxes miss the window are dropped first, so the
+    # full interaction system keeps that P; on the whole grid of n nodes,
+    # products need P >= (m + 1) n / 2
     grid = Grid(1, (2048,), (4.0,))
     chi = {2: ev.quadratic_conjugate(1.0), 3: ev.cubic_full(1.0), 4: quartic()}[order]
     initial = ModalField(grid, np.zeros((2, 2048)))
     prob = ev.EvolutionProblem(nls_model, [chi], 0.004, 0.25, grid, initial)
-    if windows:
+    if sets:
         spectrum = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
-        sets = ia.build_index_sets(spectrum, nls_model, [order])
         layout = ia.ComponentLayout(spectrum, nls_model, grid, 0.1, 0.1)
-        evaluator = ia.MonomialEvaluator(prob, layout, sets.flat(sets.contributing))
+        if sets == "every":
+            sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, order))
+        else:
+            index_sets = ia.build_index_sets(spectrum, nls_model, [order])
+            sets_flat = index_sets.flat(index_sets.contributing)
+        evaluator = ia.MonomialEvaluator(prob, layout, sets_flat, clip_arguments=sets != "every")
         assert {layout.mask[key].size for key in layout.keys} == {129}
-        # a scalar window keeps only the jobs of its own band component
+        # a scalar window keeps only the jobs of its own band component; of
+        # all decorated indices, products of two windows at its centre and one
+        # opposite reach it: 6 distinct products
         for key, jobs in evaluator.jobs.items():
             assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
+            assert len(evaluator.plan.outs[key][0]) == (6 if sets == "every" else 2)
         plan = evaluator.plan
     else:
         plan = ev._problem_plan(prob)
     assert plan.tgrid.shape == (size,)
     assert plan.tgrid.dk == grid.dk
+
+
+def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
+    # the interaction system takes every susceptibility of an order; two
+    # cubic terms act as their summed tensor
+    model, grid, spectrum, initial = counterprop
+    layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
+    sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
+    pair = [ev.cubic_conjugate(1.0), ev.cubic_full(0.8)]
+    summed = ev.Susceptibility(order=3, tensor=pair[0].tensor + pair[1].tensor)
+    x = int(np.prod(grid.shape))
+    states = {key: layout.window(key, rng.normal(size=(3, 2, x)) + 1j * rng.normal(size=(3, 2, x)))
+              for key in layout.keys}
+    taus = np.array([0.0, 0.07, 0.19])
+    got, want = (
+        ia.MonomialEvaluator(ev.EvolutionProblem(model, chis, 0.05, 0.2, grid, initial), layout,
+                             sets_flat, clip_arguments=False).integrand_chunk(states, taus)
+        for chis in (pair, [summed])
+    )
+    scale = max(np.abs(v).max() for v in want.values())
+    assert scale > 0.0
+    for key in layout.keys:
+        assert np.abs(got[key] - want[key]).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("solver", ["interaction", "averaged"])
+def test_windowed_solvers_refuse_callback_susceptibility(counterprop, solver):
+    # the windowed evaluator convolves tensors only; a callback term must not
+    # be integrated as zero
+    model, grid, spectrum, initial = counterprop
+    chi = ev.Susceptibility(order=3, callback=lambda k, kvecs: np.zeros((2,) * 4))
+    prob = ev.EvolutionProblem(model, [chi], 0.05, 0.2, grid, initial)
+    with pytest.raises(ValueError, match="tensor susceptibility"):
+        if solver == "interaction":
+            ia.solve_interaction_system(prob, spectrum, beta=BETA, epsilon=EPS)
+        else:
+            sets = ia.build_index_sets(spectrum, model, [3])
+            ia.solve_averaged_system(prob, spectrum, sets, beta=BETA, epsilon=EPS)
+
+
+@pytest.mark.parametrize("solver", ["interaction", "averaged"])
+def test_windowed_solvers_refuse_direct_oracle(counterprop, solver):
+    model, grid, spectrum, initial = counterprop
+    cfg = ev.SolverConfig(convolution_mode="direct-oracle")
+    prob = ev.EvolutionProblem(model, [ev.cubic_conjugate(1.0)], 0.05, 0.2, grid, initial)
+    with pytest.raises(ValueError, match="FFT only"):
+        if solver == "interaction":
+            ia.solve_interaction_system(prob, spectrum, cfg, beta=BETA, epsilon=EPS)
+        else:
+            sets = ia.build_index_sets(spectrum, model, [3])
+            ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS)
 
 
 # -- the parent's per-node Picard loops, kept as oracles ---------------------------------------
@@ -423,7 +485,7 @@ def parent_interaction_loop(problem, spectrum, config, beta, epsilon):
         for i0 in range(0, n + 1, chunk):
             i1 = min(i0 + chunk, n + 1)
             b = i1 - i0
-            full = layout.embed({k: w_old[k][i0:i1] for k in layout.keys}, b, ncomp)
+            full = layout.embed({k: w_old[k][i0:i1] for k in layout.keys})
             g = ev._slow_rhs_chunk(
                 full.reshape((b, ncomp) + problem.grid.shape), taus[i0:i1], h, problem,
                 tables, plan, config.convolution_mode,
@@ -525,14 +587,19 @@ def test_solvers_match_parent_loops(counterprop, chi):
     w = ia.solve_interaction_system(prob, spectrum, cfg, beta=BETA, epsilon=EPS)
     v = ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS)
     assert len(w.times) == 41
-    # the full-grid integral is kept, so the interaction system matches exactly too
-    for sol, (data, iterations, distances) in (
-        (w, parent_interaction_loop(prob, spectrum, cfg, BETA, EPS)),
-        (v, parent_averaged_loop(prob, spectrum, sets, cfg, BETA, EPS)),
-    ):
-        assert all(np.array_equal(sol.data[key], data[key]) for key in sol.layout.keys)
-        assert sol.iterations == iterations
-        np.testing.assert_allclose(sol.distances, distances, rtol=1e-12, atol=0.0)
+    # the interaction system sums window convolutions and projects node by
+    # node where the parent convolved the windows' sum on the whole grid and
+    # projected the integral, so it matches to rounding
+    data, iterations, distances = parent_interaction_loop(prob, spectrum, cfg, BETA, EPS)
+    scale = max(np.abs(data[key]).max() for key in w.layout.keys)
+    assert all(np.abs(w.data[key] - data[key]).max() <= 1e-12 * scale for key in w.layout.keys)
+    assert w.iterations == iterations
+    np.testing.assert_allclose(w.distances, distances, rtol=1e-12, atol=1e-14)
+    # the averaged system keeps the parent's arithmetic exactly
+    data, iterations, distances = parent_averaged_loop(prob, spectrum, sets, cfg, BETA, EPS)
+    assert all(np.array_equal(v.data[key], data[key]) for key in v.layout.keys)
+    assert v.iterations == iterations
+    np.testing.assert_allclose(v.distances, distances, rtol=1e-12, atol=0.0)
     coupling = ia.coupling_norm(v, sets)
     assert coupling > 0.0
     assert coupling == pytest.approx(parent_coupling_norm(v, sets), rel=1e-12, abs=0.0)
