@@ -15,6 +15,7 @@ composite-trapezoid time mesh tied to the oscillation scale rho.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,10 +29,8 @@ from .errors import GridMismatch, PicardDiverged, PicardMaxIter
 from .grids import (
     Grid,
     ModalField,
-    crop_spectrum,
     l1_norm,
     l1_norm_values,
-    pad_spectrum,
     require_same_grid,
     samples_to_spectrum,
     spectrum_to_samples,
@@ -152,10 +151,12 @@ class SolverConfig:
     record_stride: Optional[int] = None
 
     def __post_init__(self):
-        if min(self.picard_tol, self.picard_max_iter, self.substeps_per_rho) <= 0:
-            raise ValueError("solver parameters must be positive")
-        if not all(isinstance(v, int) for v in (self.picard_max_iter, self.record_stride or 1)):
-            raise TypeError("picard_max_iter and record_stride must be integers")
+        for name, types in (("picard_tol", (int, float)), ("substeps_per_rho", (int, float)),
+                            ("picard_max_iter", int), ("record_stride", int)):
+            v = 1 if name == "record_stride" and self.record_stride is None else getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, types) or not 0 < v < math.inf:
+                raise ValueError(f"{name} must be a positive finite "
+                                 f"{'integer' if types is int else 'number'}, got {v!r}")
         if self.convolution_mode not in ("fft", "direct-oracle"):
             raise ValueError("convolution_mode must be 'fft' or 'direct-oracle'")
 
@@ -235,13 +236,15 @@ class _ConvolutionPlan:
     ``matmul`` and forward-transformed once.
 
     Spectra sit on a transform grid with the grid's dk and P nodes per axis,
-    node j at (j - n/2 + P/2) mod P: the centred index modulo P, so the
-    circular convolution adds centred indices like the linear one.  P is the
+    in ``np.fft`` order: node j at slot (j - n/2) mod P, the centred index
+    modulo P, so the circular convolution adds centred indices like the
+    linear one, and the whole grid is 2^dim blocks of slots.  P is the
     smallest power of two per axis at which no wrapped product lands on a
     gathered output node and no argument wraps onto itself, judged on index
-    boxes; on the whole grid that is the centred zero-pad to (m+1)n/2 nodes
-    or more.  Products whose index box misses their output key's box are
-    dropped before P is sized: they vanish on every output node.
+    boxes; on the whole grid that is (m+1)n/2 nodes or more.  Products whose
+    index box misses their output key's box are dropped before P is sized:
+    they vanish on every output node.  Each argument key keeps a zeroed
+    input buffer across calls; only its slots are rewritten.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -285,10 +288,14 @@ class _ConvolutionPlan:
         size = tuple(1 << int(v - 1).bit_length() for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
-        # transform-grid positions of the nodes of each key not on the whole grid
-        p = np.array(size)[:, None]
-        self.slots = {key: np.ravel_multi_index(tuple((c + p // 2) % p), size)
+        # flat slots of each key not on the whole grid; per axis of the whole
+        # grid, its negative half sits at the top of the transform axis
+        self.slots = {key: np.ravel_multi_index(tuple(c % np.array(size)[:, None]), size)
                       for key, c in centred.items() if nodes[key] is not None}
+        halves = [((slice(0, n // 2), slice(p - n // 2, p)), (slice(n // 2, n), slice(0, n // 2)))
+                  for n, p in zip(grid.n, size)]
+        self.blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
+        self._inputs: dict = {}
 
     def __call__(self, values: dict) -> dict:
         """Convolutions of the spectra ``values`` on every output key.
@@ -305,17 +312,18 @@ class _ConvolutionPlan:
         prods = self._products(values)
         out = {}
         for key, (_, coeffs, rows) in self.outs.items():
-            b, _, x = prods[key].shape
+            b = prods[key].shape[0]
             out_r = np.matmul(coeffs, prods.pop(key)).reshape((b, len(rows)) + tg.shape)
-            spec = samples_to_spectrum(out_r, tg)
+            spec = samples_to_spectrum(out_r, tg, centred=False, out=out_r)
+            full = len(rows) == self.ncomp
+            rows = slice(None) if full else rows
+            shape = (self.slots[key].size,) if key in self.slots else self.grid.shape
+            vals = (np.empty if full else np.zeros)((b, self.ncomp) + shape, dtype=complex)
             if key in self.slots:
-                vals = spec.reshape(b, len(rows), x)[..., self.slots[key]]
+                vals[:, rows] = spec.reshape(spec.shape[:2] + (-1,))[..., self.slots[key]]
             else:
-                vals = crop_spectrum(spec, self.grid)
-            if len(rows) < self.ncomp:
-                full = np.zeros((b, self.ncomp) + vals.shape[2:], dtype=complex)
-                full[:, rows] = vals
-                vals = full
+                for nodes, slots in self.blocks:
+                    vals[(slice(None), rows) + nodes] = spec[(slice(None), slice(None)) + slots]
             out[key] = vals
         return out
 
@@ -333,13 +341,16 @@ class _ConvolutionPlan:
             v = values[key]
             if v.shape[1] != len(comps):
                 v = v[:, comps]
+            buf = self._inputs.get(key)
+            if buf is None or buf.shape[0] < b:
+                buf = self._inputs[key] = np.zeros((b, len(comps)) + tg.shape, dtype=complex)
+            buf = buf[:b]  # zero but at the slots, which every call rewrites
             if key in self.slots:
-                small = np.zeros((b, len(comps), x), dtype=complex)
-                small[..., self.slots[key]] = v
-                small = small.reshape((b, len(comps)) + tg.shape)
+                buf.reshape(b, -1, x)[..., self.slots[key]] = v
             else:
-                small = pad_spectrum(v, self.grid, tg.shape)
-            r = spectrum_to_samples(small, tg).reshape(b, len(comps), x)
+                for nodes, slots in self.blocks:
+                    buf[(..., *slots)] = v[(..., *nodes)]
+            r = spectrum_to_samples(buf, tg, centred=False).reshape(b, -1, x)
             r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
         return {key: _pointwise_products(r_args, factors, b, x)
                 for key, (factors, _, _) in self.outs.items()}
@@ -494,24 +505,32 @@ class PropagatorTables:
         start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
         return self._step_table[1][:b] * start
 
+    def phases(self, taus: np.ndarray, sign: int, nodes: np.ndarray | None = None,
+               comps=None) -> np.ndarray:
+        """The (B, c, nodes) factors e^{sign * i * tau * L / rho} of ``apply``."""
+        omega = self.omega_flat if nodes is None else self.omega_flat[:, nodes]
+        if self.basis_flat is None and comps is not None:
+            omega = omega[comps]
+        return np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
+
     def apply(self, values: np.ndarray, taus: np.ndarray, sign: int,
-              nodes: np.ndarray | None = None, comps=None) -> np.ndarray:
+              nodes: np.ndarray | None = None, comps=None,
+              phases: np.ndarray | None = None) -> np.ndarray:
         """e^{sign * i * tau * L / rho} on batched spectra (B, C, *shape).
 
         With ``nodes`` (flat grid indices) the spectra are given on those
         nodes only, as (B, C, len(nodes)) values.  With ``comps`` only those
         component rows of the result are returned; a scalar symbol then
         evaluates their phases only, a matrix symbol still rotates every row.
+        ``phases``, given as ``self.phases`` of the same arguments, skips the exponential.
         """
         b, c = values.shape[0], values.shape[1]
         flat = values.reshape(b, c, -1)
-        omega = self.omega_flat if nodes is None else self.omega_flat[:, nodes]
+        if phases is None:
+            phases = self.phases(taus, sign, nodes, comps)
         if self.basis_flat is None:
-            if comps is not None:
-                flat, omega = flat[:, comps], omega[comps]
-            out = flat * np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
+            out = (flat if comps is None else flat[:, comps]) * phases
         else:
-            phases = np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
             basis = self.basis_flat if nodes is None else self.basis_flat[nodes]
             coeff = np.einsum("xac,bax->bcx", basis.conj(), flat)
             out = np.einsum("xac,bcx->bax", basis, coeff * phases)
@@ -547,18 +566,13 @@ class Trajectory:
 def fast_slow_transform(f: ModalField, model: dsp.DispersionModel, rho: float, tau: float,
                         direction: str) -> ModalField:
     """Map between slow and fast frames at time tau."""
-    tables = PropagatorTables(model, f.grid, rho)
-    if direction == "to_fast":
-        if f.frame != "slow":
-            raise ValueError("to_fast expects a slow-frame field")
-        vals = tables.apply(f.values[None], np.array([tau]), -1)[0]
-        return ModalField(f.grid, vals, frame="fast")
-    if direction == "to_slow":
-        if f.frame != "fast":
-            raise ValueError("to_slow expects a fast-frame field")
-        vals = tables.apply(f.values[None], np.array([tau]), +1)[0]
-        return ModalField(f.grid, vals, frame="slow")
-    raise ValueError("direction must be 'to_fast' or 'to_slow'")
+    if direction not in ("to_fast", "to_slow"):
+        raise ValueError("direction must be 'to_fast' or 'to_slow'")
+    source, target, sign = ("slow", "fast", -1) if direction == "to_fast" else ("fast", "slow", 1)
+    if f.frame != source:
+        raise ValueError(f"{direction} expects a {source}-frame field")
+    vals = PropagatorTables(model, f.grid, rho).apply(f.values[None], np.array([tau]), sign)[0]
+    return ModalField(f.grid, vals, frame=target)
 
 
 def modal_project(f: ModalField, model: dsp.DispersionModel, n: int, zeta: int) -> ModalField:
@@ -600,9 +614,7 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
         fast = values * phases
     else:
         fast = tables.apply(values, taus, -1)
-    out = np.zeros_like(values)
-    if mode == "fft" and plan.outs:
-        out += plan({"u": fast})["u"]
+    out = plan({"u": fast})["u"] if mode == "fft" and plan.outs else np.zeros_like(values)
     for susc in problem.nonlinearity:
         if mode == "direct-oracle" or susc.callback is not None:
             for b in range(values.shape[0]):
@@ -619,19 +631,18 @@ def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_pr
 
     ``integral`` is the value at the node before the chunk, whose integrand
     is ``g_prev`` (None on the first chunk, where the integral starts at 0).
-    The running sum is seeded with it and adds node by node, in the order of
-    ``np.cumsum`` but about four times faster on complex (B, C, X) chunks.
-    Returns the integral at the chunk's last node.
+    The steps go into ``out``; one loop over its rows adds each to the
+    running sum (in the order of ``np.cumsum``) and writes h0 plus the sum
+    back.  Returns the integral at the chunk's last node.
     """
-    cum = np.empty((g.shape[0] + 1,) + g.shape[1:], dtype=complex)
-    cum[0] = integral
-    cum[1] = 0.0 if g_prev is None else g_prev + g[0]
-    np.add(g[:-1], g[1:], out=cum[2:])
-    cum[1:] *= 0.5 * h
-    for j in range(1, cum.shape[0]):
-        np.add(cum[j - 1], cum[j], out=cum[j])
-    np.add(h0, cum[1:], out=out)
-    return cum[-1].copy()
+    out[0] = 0.0 if g_prev is None else g_prev + g[0]
+    np.add(g[:-1], g[1:], out=out[1:])
+    out *= 0.5 * h
+    acc = np.full(g.shape[1:], integral, dtype=complex)
+    for row in out:
+        np.add(acc, row, out=acc)
+        np.add(h0, acc, out=row)
+    return acc
 
 
 def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:

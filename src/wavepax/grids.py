@@ -114,9 +114,6 @@ class ModalField:
     def copy(self) -> "ModalField":
         return ModalField(self.grid, self.values.copy(), self.frame)
 
-    def zeros_like(self) -> "ModalField":
-        return ModalField(self.grid, np.zeros_like(self.values), self.frame)
-
 
 def require_same_grid(*fields: ModalField) -> Grid:
     g = fields[0].grid
@@ -132,18 +129,26 @@ def require_same_grid(*fields: ModalField) -> Grid:
 # U_hat(k) = integral(U(r) e^{-ikr} dr), discretised with the trapezoid
 # weights dk^d and dr^d so that forward(inverse(x)) == x exactly.
 
-def spectrum_to_samples(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse transform of k-samples to r-samples (per leading component)."""
+def spectrum_to_samples(values: np.ndarray, grid: Grid, centred: bool = True) -> np.ndarray:
+    """Inverse transform of k-samples (``np.fft`` order if not ``centred``) to r-samples."""
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    scale = 1.0 / np.prod(grid.dr)
-    return scale * np.fft.ifftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    out = np.fft.ifftn(np.fft.ifftshift(values, axes=axes) if centred else values, axes=axes)
+    out *= 1.0 / np.prod(grid.dr)
+    return out
 
 
-def samples_to_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Forward transform of r-samples to k-samples (per leading component)."""
+def samples_to_spectrum(values: np.ndarray, grid: Grid, centred: bool = True,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform of r-samples to k-samples (``np.fft`` order if not ``centred``).
+
+    The unshifted transform is written to ``out`` if given (it may be ``values``).
+    """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    scale = np.prod(grid.dr)
-    return scale * np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+    out = np.fft.fftn(values, axes=axes, out=out)
+    if centred:
+        out = np.fft.fftshift(out, axes=axes)
+    out *= np.prod(grid.dr)
+    return out
 
 
 def to_r_space(f: ModalField) -> np.ndarray:

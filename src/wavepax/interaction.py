@@ -364,6 +364,19 @@ class MonomialEvaluator:
         for key, (factors, coeffs, rows) in self.plan.outs.items():
             self.jobs[key] = [(f, int(rows[i]), coeffs[i, g]) for g, f in enumerate(factors)
                               for i in range(len(rows)) if coeffs[i, g] != 0]
+        self._phases: dict = {}
+
+    def _window_phases(self, key, taus: np.ndarray) -> np.ndarray:
+        """e^{-i tau L/rho} on the window and rows ``out_rows[key]``, cached per chunk.
+
+        A scalar window has one present component, so they serve the way in
+        too; their conjugate is bitwise the phase of the way back.
+        """
+        tag = (key, taus.tobytes())
+        if tag not in self._phases:
+            self._phases[tag] = self.tables.phases(taus, -1, self.layout.mask[key],
+                                                   self.out_rows[key])
+        return self._phases[tag]
 
     def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
         """Windowed integrand values g_{l,theta} for a chunk of times."""
@@ -377,7 +390,7 @@ class MonomialEvaluator:
                 # it damps only spillover into the window's skirt
                 vals = vals * self.layout.cut[key]
             args[key] = self.tables.apply(vals, taus, -1, nodes=self.layout.mask[key],
-                                          comps=comps)
+                                          comps=comps, phases=self._window_phases(key, taus))
         conv = self.plan(args)
         out = {}
         for key in self.layout.keys:
@@ -387,7 +400,8 @@ class MonomialEvaluator:
                 acc = np.zeros((b, self.problem.model.ncomp, mask.size), dtype=complex)
             else:
                 rows = self.out_rows[key]
-                acc[:, rows] = self.tables.apply(acc, taus, +1, nodes=mask, comps=rows)
+                acc[:, rows] = self.tables.apply(acc, taus, +1, nodes=mask, comps=rows,
+                                                 phases=np.conj(self._window_phases(key, taus)))
             out[key] = self.layout.project(key, acc)
         return out
 

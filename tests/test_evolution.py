@@ -12,10 +12,12 @@ from wavepax.errors import GridMismatch, PicardDiverged, PicardMaxIter
 from wavepax.grids import (
     Grid,
     ModalField,
+    crop_spectrum,
     from_r_space,
     l1_norm,
     l1_norm_values,
     linf_r_norm,
+    pad_spectrum,
     to_r_space,
 )
 
@@ -129,6 +131,108 @@ def test_permuted_entries_share_one_product(chi, products):
     factors, coeffs = ev._entry_groups([(chi.tensor, [0] * chi.order)])
     assert len(factors) == products and coeffs.shape == (2, products)
     assert np.isclose(coeffs.sum(axis=1), chi.tensor.reshape(2, -1).sum(axis=1)).all()
+
+
+def centred_plan(plan, nodes, values):
+    """A plan's convolutions on the centred layout: the arithmetic it must reproduce bitwise.
+
+    Spectra are zero-padded about the centre (``pad_spectrum``) or scattered
+    at centred index + P/2, shifted by ``ifftshift`` and inverse-transformed;
+    the products are forward-transformed, shifted by ``fftshift`` and
+    cropped (``crop_spectrum``) or gathered at the same positions.
+    """
+    grid, tg = plan.grid, plan.tgrid
+    axes = tuple(range(2, 2 + grid.dim))
+    x = int(np.prod(tg.shape))
+    p = np.array(tg.shape)[:, None]
+    position = {}
+    for key, idx in nodes.items():
+        if idx is not None:
+            c = np.array(np.unravel_index(idx, grid.shape)) - np.array(grid.n)[:, None] // 2
+            position[key] = np.ravel_multi_index(tuple((c + p // 2) % p), tg.shape)
+    b = next(iter(values.values())).shape[0]
+    r_args = {}
+    for key, comps in plan.comps.items():
+        v = values[key][:, comps]
+        if key in position:
+            small = np.zeros((b, len(comps), x), dtype=complex)
+            small[..., position[key]] = v
+            small = small.reshape((b, len(comps)) + tg.shape)
+        else:
+            small = pad_spectrum(v, grid, tg.shape)
+        r = (1.0 / np.prod(tg.dr)) * np.fft.ifftn(np.fft.ifftshift(small, axes=axes), axes=axes)
+        r = r.reshape(b, len(comps), x)
+        r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
+    out = {}
+    for key, (factors, coeffs, rows) in plan.outs.items():
+        out_r = np.matmul(coeffs, ev._pointwise_products(r_args, factors, b, x))
+        out_r = out_r.reshape((b, len(rows)) + tg.shape)
+        spec = np.prod(tg.dr) * np.fft.fftshift(np.fft.fftn(out_r, axes=axes), axes=axes)
+        if key in position:
+            vals = spec.reshape(b, len(rows), x)[..., position[key]]
+        else:
+            vals = crop_spectrum(spec, grid)
+        out[key] = np.zeros((b, plan.ncomp) + vals.shape[2:], dtype=complex)
+        out[key][:, rows] = vals
+    return out
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
+    # whole-grid keys are placed and gathered in 2^dim blocks, window keys at
+    # their slots; the reused input buffers must hold no stale values, so a
+    # long chunk is followed by a short one and a long one with new values
+    rng = np.random.default_rng(seed)
+    grid = Grid(dim, (16,) if dim == 1 else (8, 8), (2.0,) * dim)
+
+    def tensor():
+        shape = (2,) * (order + 1)
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.6)
+
+    if windowed:
+        nodes, terms = {}, {}
+        for key in ("a", "b"):
+            lo = rng.integers(0, grid.n[0] // 2, size=dim)
+            width = rng.integers(1, grid.n[0] // 2 + 1, size=dim)
+            box = np.meshgrid(*(np.arange(l, l + w) for l, w in zip(lo, width)), indexing="ij")
+            nodes[key] = np.ravel_multi_index(tuple(box), grid.shape).ravel()
+        for key in nodes:
+            terms[key] = [(tensor(), list(rng.choice(["a", "b"], size=order)))]
+        shapes = {key: (idx.size,) for key, idx in nodes.items()}
+    else:
+        nodes, terms, shapes = {"u": None}, {"u": [(tensor(), ["u"] * order)]}, {"u": grid.shape}
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    for b in (5, 3, 5):
+        values = {key: rng.normal(size=(b, 2) + sh) + 1j * rng.normal(size=(b, 2) + sh)
+                  for key, sh in shapes.items()}
+        got, want = plan(values), centred_plan(plan, nodes, values)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(1e-3, 1.0),
+    h=st.floats(1e-5, 0.05),
+    i0=st.integers(0, 10_000),
+    b=st.integers(1, 64),
+    matrix=st.booleans(),
+)
+def test_opposite_phases_are_bitwise_conjugate(rho, h, i0, b, matrix):
+    # the windowed evaluator caches the -1 phases and conjugates them for
+    # the way back; that is exact only if exp(+ix) == conj(exp(-ix)) bitwise
+    if matrix:
+        model = dsp.matrix_symbol_model(
+            lambda k: np.array([[k * k + 6.0, 0.3], [0.3, -(k * k) - 6.0]]), j_bands=1)
+    else:
+        model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": 1.3, "a0": 0.7}})
+    tables = ev.PropagatorTables(model, Grid(1, (64,), (4.0,)), rho)
+    taus = h * np.arange(i0, i0 + b)
+    assert np.array_equal(tables.phases(taus, +1), np.conj(tables.phases(taus, -1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -38,7 +38,9 @@ def test_load_config_validation():
     assert rc.spectrum.n_pairs == 2
     assert rc.orders == [3]
     for solver in ({"picard_tolerance": 1e-10}, {"dealias_factor": 2},
-                   {"picard_tol": "tight"}, {"picard_max_iter": 2.5}):
+                   {"picard_tol": "tight"}, {"picard_max_iter": 2.5}, {"record_stride": -1},
+                   {"record_stride": 0}, {"picard_tol": float("nan")},
+                   {"substeps_per_rho": float("inf")}, {"picard_max_iter": True}):
         with pytest.raises(ConfigError, match="solver"):
             harness.load_config(counterprop_cfg(solver=solver))
 
@@ -296,7 +298,10 @@ def test_cli_experiment_exit_codes(tmp_path):
     assert cli_main(["experiment", "soliton", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o4")]) == 3
     # unknown solver key or bad solver value -> 3
-    for i, solver in enumerate(({"picard_tolerance": 1e-10}, {"picard_tol": "tight"})):
+    for i, solver in enumerate(({"picard_tolerance": 1e-10}, {"picard_tol": "tight"},
+                                {"record_stride": -1}, {"record_stride": 0},
+                                {"picard_tol": float("nan")}, {"substeps_per_rho": float("inf")},
+                                {"picard_max_iter": True})):
         p5 = tmp_path / f"solver{i}.json"
         p5.write_text(json.dumps({**fail_cfg, "solver": solver}))
         assert cli_main(["experiment", "soliton", "--config", str(p5),

@@ -405,6 +405,30 @@ def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
         assert np.abs(got[key] - want[key]).max() <= 1e-14 * scale
 
 
+def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
+    # the cached e^{-i tau L/rho} window phases and their conjugates must
+    # give bitwise the integrand of fresh exponentials of either sign, and a
+    # second call on the same chunk evaluates no exponential
+    model, grid, spectrum, initial = counterprop
+    layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
+    sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
+    prob = ev.EvolutionProblem(model, [ev.cubic_full(0.8)], 0.05, 0.2, grid, initial)
+    x = int(np.prod(grid.shape))
+    states = {key: layout.window(key, rng.normal(size=(4, 2, x)) + 1j * rng.normal(size=(4, 2, x)))
+              for key in layout.keys}
+    taus = 0.0125 * np.arange(3, 7)
+    fresh = ia.MonomialEvaluator(prob, layout, sets_flat)
+    apply = fresh.tables.apply
+    monkeypatch.setattr(fresh.tables, "apply", lambda *args, phases=None, **kw: apply(*args, **kw))
+    want = fresh.integrand_chunk(states, taus)
+    cached = ia.MonomialEvaluator(prob, layout, sets_flat)
+    first = cached.integrand_chunk(states, taus)
+    monkeypatch.setattr(cached.tables, "phases", None)  # any further exponential fails
+    second = cached.integrand_chunk(states, taus)
+    for key in layout.keys:
+        assert np.array_equal(first[key], want[key]) and np.array_equal(second[key], want[key])
+
+
 @pytest.mark.parametrize("solver", ["interaction", "averaged"])
 def test_windowed_solvers_refuse_callback_susceptibility(counterprop, solver):
     # the windowed evaluator convolves tensors only; a callback term must not
