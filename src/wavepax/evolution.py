@@ -15,7 +15,6 @@ composite-trapezoid time mesh tied to the oscillation scale rho.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,8 +28,10 @@ from .errors import GridMismatch, PicardDiverged, PicardMaxIter
 from .grids import (
     Grid,
     ModalField,
+    crop_spectrum,
     l1_norm,
     l1_norm_values,
+    pad_spectrum,
     require_same_grid,
     samples_to_spectrum,
     spectrum_to_samples,
@@ -238,7 +239,8 @@ class _ConvolutionPlan:
     Spectra sit on a transform grid with the grid's dk and P nodes per axis,
     in ``np.fft`` order: node j at slot (j - n/2) mod P, the centred index
     modulo P, so the circular convolution adds centred indices like the
-    linear one, and the whole grid is 2^dim blocks of slots.  P is the
+    linear one; the whole grid goes in and out through ``pad_spectrum`` and
+    ``crop_spectrum`` in that order (2^dim block copies).  P is the
     smallest power of two per axis at which no wrapped product lands on a
     gathered output node and no argument wraps onto itself, judged on index
     boxes; on the whole grid that is (m+1)n/2 nodes or more.  Products whose
@@ -288,13 +290,9 @@ class _ConvolutionPlan:
         size = tuple(1 << int(v - 1).bit_length() for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
-        # flat slots of each key not on the whole grid; per axis of the whole
-        # grid, its negative half sits at the top of the transform axis
+        # flat transform-grid slots of each key not on the whole grid
         self.slots = {key: np.ravel_multi_index(tuple(c % np.array(size)[:, None]), size)
                       for key, c in centred.items() if nodes[key] is not None}
-        halves = [((slice(0, n // 2), slice(p - n // 2, p)), (slice(n // 2, n), slice(0, n // 2)))
-                  for n, p in zip(grid.n, size)]
-        self.blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
         self._inputs: dict = {}
 
     def __call__(self, values: dict) -> dict:
@@ -312,18 +310,17 @@ class _ConvolutionPlan:
         prods = self._products(values)
         out = {}
         for key, (_, coeffs, rows) in self.outs.items():
-            b = prods[key].shape[0]
+            b, _, x = prods[key].shape
             out_r = np.matmul(coeffs, prods.pop(key)).reshape((b, len(rows)) + tg.shape)
             spec = samples_to_spectrum(out_r, tg, centred=False, out=out_r)
-            full = len(rows) == self.ncomp
-            rows = slice(None) if full else rows
-            shape = (self.slots[key].size,) if key in self.slots else self.grid.shape
-            vals = (np.empty if full else np.zeros)((b, self.ncomp) + shape, dtype=complex)
             if key in self.slots:
-                vals[:, rows] = spec.reshape(spec.shape[:2] + (-1,))[..., self.slots[key]]
+                vals = spec.reshape(b, len(rows), x)[..., self.slots[key]]
             else:
-                for nodes, slots in self.blocks:
-                    vals[(slice(None), rows) + nodes] = spec[(slice(None), slice(None)) + slots]
+                vals = crop_spectrum(spec, self.grid, centred=False)
+            if len(rows) < self.ncomp:
+                full = np.zeros((b, self.ncomp) + vals.shape[2:], dtype=complex)
+                full[:, rows] = vals
+                vals = full
             out[key] = vals
         return out
 
@@ -348,8 +345,7 @@ class _ConvolutionPlan:
             if key in self.slots:
                 buf.reshape(b, -1, x)[..., self.slots[key]] = v
             else:
-                for nodes, slots in self.blocks:
-                    buf[(..., *slots)] = v[(..., *nodes)]
+                pad_spectrum(v, self.grid, tg.shape, centred=False, out=buf)
             r = spectrum_to_samples(buf, tg, centred=False).reshape(b, -1, x)
             r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
         return {key: _pointwise_products(r_args, factors, b, x)
@@ -566,13 +562,18 @@ class Trajectory:
 def fast_slow_transform(f: ModalField, model: dsp.DispersionModel, rho: float, tau: float,
                         direction: str) -> ModalField:
     """Map between slow and fast frames at time tau."""
-    if direction not in ("to_fast", "to_slow"):
-        raise ValueError("direction must be 'to_fast' or 'to_slow'")
-    source, target, sign = ("slow", "fast", -1) if direction == "to_fast" else ("fast", "slow", 1)
-    if f.frame != source:
-        raise ValueError(f"{direction} expects a {source}-frame field")
-    vals = PropagatorTables(model, f.grid, rho).apply(f.values[None], np.array([tau]), sign)[0]
-    return ModalField(f.grid, vals, frame=target)
+    tables = PropagatorTables(model, f.grid, rho)
+    if direction == "to_fast":
+        if f.frame != "slow":
+            raise ValueError("to_fast expects a slow-frame field")
+        vals = tables.apply(f.values[None], np.array([tau]), -1)[0]
+        return ModalField(f.grid, vals, frame="fast")
+    if direction == "to_slow":
+        if f.frame != "fast":
+            raise ValueError("to_slow expects a fast-frame field")
+        vals = tables.apply(f.values[None], np.array([tau]), +1)[0]
+        return ModalField(f.grid, vals, frame="slow")
+    raise ValueError("direction must be 'to_fast' or 'to_slow'")
 
 
 def modal_project(f: ModalField, model: dsp.DispersionModel, n: int, zeta: int) -> ModalField:

@@ -8,6 +8,7 @@ the frame they live in ('slow' or 'fast').
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,9 @@ class ModalField:
     def copy(self) -> "ModalField":
         return ModalField(self.grid, self.values.copy(), self.frame)
 
+    def zeros_like(self) -> "ModalField":
+        return ModalField(self.grid, np.zeros_like(self.values), self.frame)
+
 
 def require_same_grid(*fields: ModalField) -> Grid:
     g = fields[0].grid
@@ -159,18 +163,41 @@ def from_r_space(samples: np.ndarray, grid: Grid, frame: str = "slow") -> ModalF
     return ModalField(grid, samples_to_spectrum(samples, grid), frame)
 
 
-def pad_spectrum(values: np.ndarray, grid: Grid, shape) -> np.ndarray:
-    """Zero-pad spectra on ``grid`` symmetrically to ``shape`` nodes per axis (same dk)."""
-    pads = [(0, 0)] * (values.ndim - grid.dim)
-    pads += [((p - n) // 2,) * 2 for p, n in zip(shape, grid.n)]
-    return np.pad(values, pads)
+def pad_spectrum(values: np.ndarray, grid: Grid, shape, centred: bool = True,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-pad spectra on ``grid`` to ``shape`` nodes per axis (same dk).
+
+    Centred, or else in ``np.fft`` order (node j at slot (j - n/2) mod P) and
+    into ``out`` if given, which must be zero off those slots.
+    """
+    if centred:
+        pads = [(0, 0)] * (values.ndim - grid.dim)
+        pads += [((p - n) // 2,) * 2 for p, n in zip(shape, grid.n)]
+        return np.pad(values, pads)
+    if out is None:
+        out = np.zeros(values.shape[:values.ndim - grid.dim] + tuple(shape), dtype=values.dtype)
+    for nodes, slots in _fft_blocks(grid.n, shape):
+        out[(..., *slots)] = values[(..., *nodes)]
+    return out
 
 
-def crop_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The central ``grid.shape`` nodes of spectra padded by ``pad_spectrum``."""
+def crop_spectrum(values: np.ndarray, grid: Grid, centred: bool = True) -> np.ndarray:
+    """The ``grid.shape`` nodes of spectra padded by ``pad_spectrum`` (same ``centred``)."""
+    if not centred:
+        out = np.empty(values.shape[:values.ndim - grid.dim] + grid.shape, dtype=values.dtype)
+        for nodes, slots in _fft_blocks(grid.n, values.shape[-grid.dim:]):
+            out[(..., *nodes)] = values[(..., *slots)]
+        return out
     sl = [slice(None)] * (values.ndim - grid.dim)
     sl += [slice((p - n) // 2, (p + n) // 2) for p, n in zip(values.shape[-grid.dim:], grid.n)]
     return values[tuple(sl)]
+
+
+def _fft_blocks(n, shape) -> list:
+    """(grid nodes, padded slots) of the 2^dim blocks: per axis, the negative half on top."""
+    halves = [((slice(0, v // 2), slice(p - v // 2, p)), (slice(v // 2, v), slice(0, v // 2)))
+              for v, p in zip(n, shape)]
+    return [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
 
 
 # -- norms ------------------------------------------------------------------

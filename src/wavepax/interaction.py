@@ -265,7 +265,8 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
                          "the direct oracle runs through apply_nonlinearity")
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     evaluator = (None if sets_flat is None
-                 else MonomialEvaluator(problem, layout, sets_flat, clip_arguments))
+                 else MonomialEvaluator(problem, layout, sets_flat, clip_arguments,
+                                        cache_phases=True))
     h, n = time_mesh(problem, config)
     data, iterations, distances = _picard_trapezoid(
         None if evaluator is None else evaluator.integrand_chunk, _initial_windows(layout, problem),
@@ -316,7 +317,8 @@ class MonomialEvaluator:
     the problem's dk; carrier centres need not lie on nodes.  Phases and
     projections are evaluated on window nodes only, and only the band
     components present in each window are transformed.  Callback
-    susceptibilities are refused.
+    susceptibilities are refused.  With ``cache_phases`` each window's phases
+    are kept per chunk of times, for solvers that revisit their chunks.
     """
 
     def __init__(
@@ -325,6 +327,7 @@ class MonomialEvaluator:
         layout: ComponentLayout,
         sets_flat: dict,          # (l,theta) -> [(m, DecoratedIndex)]
         clip_arguments: bool = True,
+        cache_phases: bool = False,
     ):
         self.problem = problem
         self.layout = layout
@@ -364,23 +367,22 @@ class MonomialEvaluator:
         for key, (factors, coeffs, rows) in self.plan.outs.items():
             self.jobs[key] = [(f, int(rows[i]), coeffs[i, g]) for g, f in enumerate(factors)
                               for i in range(len(rows)) if coeffs[i, g] != 0]
-        self._phases: dict = {}
-
-    def _window_phases(self, key, taus: np.ndarray) -> np.ndarray:
-        """e^{-i tau L/rho} on the window and rows ``out_rows[key]``, cached per chunk.
-
-        A scalar window has one present component, so they serve the way in
-        too; their conjugate is bitwise the phase of the way back.
-        """
-        tag = (key, taus.tobytes())
-        if tag not in self._phases:
-            self._phases[tag] = self.tables.phases(taus, -1, self.layout.mask[key],
-                                                   self.out_rows[key])
-        return self._phases[tag]
+        self._phases = {} if cache_phases else None
 
     def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
         """Windowed integrand values g_{l,theta} for a chunk of times."""
         b = taus.shape[0]
+        cache = {} if self._phases is None else self._phases
+
+        def phases(key):
+            # e^{-i tau L/rho} on the window and rows out_rows[key]; a scalar window has
+            # one present component, so they serve the way in too, and their conjugate
+            # is bitwise the phase of the way back
+            tag = (key, taus.tobytes())
+            if tag not in cache:
+                cache[tag] = self.tables.phases(taus, -1, self.layout.mask[key], self.out_rows[key])
+            return cache[tag]
+
         args = {}
         for key, comps in self.plan.comps.items():
             # states may hold one time slice for the whole chunk
@@ -390,7 +392,7 @@ class MonomialEvaluator:
                 # it damps only spillover into the window's skirt
                 vals = vals * self.layout.cut[key]
             args[key] = self.tables.apply(vals, taus, -1, nodes=self.layout.mask[key],
-                                          comps=comps, phases=self._window_phases(key, taus))
+                                          comps=comps, phases=phases(key))
         conv = self.plan(args)
         out = {}
         for key in self.layout.keys:
@@ -401,7 +403,7 @@ class MonomialEvaluator:
             else:
                 rows = self.out_rows[key]
                 acc[:, rows] = self.tables.apply(acc, taus, +1, nodes=mask, comps=rows,
-                                                 phases=np.conj(self._window_phases(key, taus)))
+                                                 phases=np.conj(phases(key)))
             out[key] = self.layout.project(key, acc)
         return out
 

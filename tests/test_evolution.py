@@ -133,6 +133,20 @@ def test_permuted_entries_share_one_product(chi, products):
     assert np.isclose(coeffs.sum(axis=1), chi.tensor.reshape(2, -1).sum(axis=1)).all()
 
 
+@pytest.mark.parametrize("shape", [(16,), (8, 4)])
+def test_fft_order_pad_and_crop_are_the_shifted_centred_ones(shape, rng):
+    grid = Grid(len(shape), shape, (2.0,) * len(shape))
+    big = tuple(2 * n for n in shape)
+    axes = tuple(range(1, 1 + grid.dim))
+    v = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+    padded = pad_spectrum(v, grid, big, centred=False)
+    assert np.array_equal(padded, np.fft.ifftshift(pad_spectrum(v, grid, big), axes=axes))
+    out = np.zeros_like(padded)
+    assert pad_spectrum(v, grid, big, centred=False, out=out) is out
+    assert np.array_equal(out, padded)
+    assert np.array_equal(crop_spectrum(padded, grid, centred=False), v)
+
+
 def centred_plan(plan, nodes, values):
     """A plan's convolutions on the centred layout: the arithmetic it must reproduce bitwise.
 

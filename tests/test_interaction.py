@@ -408,7 +408,8 @@ def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
 def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     # the cached e^{-i tau L/rho} window phases and their conjugates must
     # give bitwise the integrand of fresh exponentials of either sign, and a
-    # second call on the same chunk evaluates no exponential
+    # second call on the same chunk evaluates no exponential; an evaluator
+    # built without the cache keeps no phases between calls
     model, grid, spectrum, initial = counterprop
     layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
     sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
@@ -421,7 +422,8 @@ def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     apply = fresh.tables.apply
     monkeypatch.setattr(fresh.tables, "apply", lambda *args, phases=None, **kw: apply(*args, **kw))
     want = fresh.integrand_chunk(states, taus)
-    cached = ia.MonomialEvaluator(prob, layout, sets_flat)
+    assert fresh._phases is None
+    cached = ia.MonomialEvaluator(prob, layout, sets_flat, cache_phases=True)
     first = cached.integrand_chunk(states, taus)
     monkeypatch.setattr(cached.tables, "phases", None)  # any further exponential fails
     second = cached.integrand_chunk(states, taus)
