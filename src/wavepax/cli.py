@@ -15,16 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dispersion as dsp
 from . import evolution as ev
 from . import harness
+from . import interaction as ia
 from . import resonance as rs
 from .errors import HypothesisViolated, WavepaxError
 from .grids import l1_norm, l1_norm_values, linf_r_norm
 from .io import write_field, write_metrics_csv
-from .wavepacket import build_cutoff, project_band_values
 
 
 def _load_json(path):
@@ -93,13 +91,7 @@ def cmd_simulate(args) -> int:
     traj = ev.solve_integrated(problem, rc.solver)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    masks = []
-    for l in range(1, rc.spectrum.n_pairs + 1):
-        cuts = []
-        for zeta in (+1, -1):
-            cuts.append((rc.spectrum.band(l), zeta, build_cutoff(
-                rc.grid, zeta * rc.spectrum.kvec(l), 2.0 * rc.beta ** (1 - rc.epsilon))))
-        masks.append(cuts)
+    layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, rc.beta, rc.epsilon)
     rows = []
     for i, tau in enumerate(traj.times):
         f = traj.fields[i]
@@ -109,12 +101,10 @@ def cmd_simulate(args) -> int:
             "l1_norm": l1_norm(f),
             "linf_norm": linf_r_norm(f),
         }
-        for l, cuts in enumerate(masks, start=1):
+        for l in range(1, rc.spectrum.n_pairs + 1):
             mass = 0.0
-            for n, zeta, cut in cuts:
-                mass += l1_norm_values(
-                    cut * project_band_values(f.values, rc.model, rc.grid, n, zeta), rc.grid
-                )
+            for theta in (+1, -1):
+                mass += l1_norm_values(layout.carrier_part(f.values, [(l, theta)]), rc.grid)
             row[f"mass_packet_{l}"] = mass
         rows.append(row)
     if any(s.hamiltonian for s in rc.nonlinearity):

@@ -115,9 +115,6 @@ class ModalField:
     def copy(self) -> "ModalField":
         return ModalField(self.grid, self.values.copy(), self.frame)
 
-    def zeros_like(self) -> "ModalField":
-        return ModalField(self.grid, np.zeros_like(self.values), self.frame)
-
 
 def require_same_grid(*fields: ModalField) -> Grid:
     g = fields[0].grid

@@ -29,6 +29,8 @@ from .grids import (
     ModalField,
     l1_norm,
     l1_norm_values,
+    samples_to_spectrum,
+    spectrum_to_samples,
     to_r_space,
 )
 from .io import config_hash
@@ -95,7 +97,7 @@ def load_config(cfg: dict) -> RunConfig:
     tau_star = float(cfg.get("tau_star", 0.5))
     _require(0 < beta < 1 and 0 < epsilon < 1, "beta and epsilon must lie in (0,1)")
     _require(0 < rho <= 1 and tau_star > 0, "rho in (0,1] and tau_star > 0 required")
-    if beta * beta / rho > 1.0:
+    if not _dispersion_ok(beta, rho):
         warnings.warn(
             f"dispersion ratio beta^2/rho = {beta * beta / rho:.2f} exceeds 1",
             stacklevel=2,
@@ -237,30 +239,15 @@ def loglog_fit(x, y) -> dict:
 
 # -- shared diagnostics -----------------------------------------------------------------
 
-def carrier_masks(rc: RunConfig, beta: float, radius_factor: float = 2.0):
-    """Per (pair, sign) band-projected carrier cutoffs."""
-    masks = []
-    for l in range(1, rc.spectrum.n_pairs + 1):
-        for zeta in (+1, -1):
-            cut = wp.build_cutoff(
-                rc.grid, zeta * rc.spectrum.kvec(l),
-                radius_factor * beta ** (1.0 - rc.epsilon),
-            )
-            masks.append((rc.spectrum.band(l), zeta, cut))
-    return masks
-
-
 def outside_mass(traj: ev.Trajectory, rc: RunConfig, beta: float,
                  radius_factor: float = 2.0) -> float:
-    """Sup over kept times of the spectrum mass escaping all carrier balls."""
-    masks = carrier_masks(rc, beta, radius_factor)
-    worst = 0.0
-    for f in traj.fields:
-        kept = np.zeros_like(f.values)
-        for n, zeta, cut in masks:
-            kept += cut * wp.project_band_values(f.values, rc.model, rc.grid, n, zeta)
-        worst = max(worst, l1_norm_values(f.values - kept, rc.grid))
-    return worst
+    """Sup over kept times of the spectrum mass escaping all carrier windows."""
+    layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, beta, rc.epsilon,
+                                support_factor=radius_factor)
+    return max(
+        l1_norm_values(f.values - layout.carrier_part(f.values, layout.keys), rc.grid)
+        for f in traj.fields
+    )
 
 
 def mass_series(traj: ev.Trajectory) -> np.ndarray:
@@ -269,13 +256,28 @@ def mass_series(traj: ev.Trajectory) -> np.ndarray:
     ])
 
 
+def _dispersion_ok(beta: float, rho: float) -> bool:
+    """Whether the dispersion ratio beta^2/rho is at most 1, up to rounding."""
+    return beta ** 2 / rho <= 1.0 + 1e-12
+
+
+def _require_invariant(hyp: dict, exp: dict, force: bool) -> bool:
+    """Whether the spectrum of ``hyp`` is resonance invariant; unless forced, it must be."""
+    invariant = hyp["classification"] in rs.INVARIANT_CLASSES
+    if not invariant and not (force or exp.get("force", False)):
+        raise HypothesisViolated(
+            f"spectrum classified {hyp['classification']}; pass force to proceed"
+        )
+    return invariant
+
+
 def hypothesis_block(rc: RunConfig) -> dict:
     """Resonance class plus the scale constraint, recorded with every run."""
     report = rs.classify(rc.spectrum, rc.model, rc.orders)
     return {
         "classification": report.classification,
         "dispersion_ratio": rc.beta ** 2 / rc.rho,
-        "dispersion_ok": bool(rc.beta ** 2 / rc.rho <= 1.0 + 1e-12),
+        "dispersion_ok": _dispersion_ok(rc.beta, rc.rho),
     }
 
 
@@ -321,14 +323,8 @@ def preservation_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     exp = rc.experiment
     seed = int(exp.get("seed", 0))
     hyp = hypothesis_block(rc)
-    invariant = hyp["classification"] in (
-        "universally_invariant", "conditionally_invariant", "invariant"
-    )
+    invariant = _require_invariant(hyp, exp, force)
     hyp["invariant"] = invariant
-    if not invariant and not force and not exp.get("force", False):
-        raise HypothesisViolated(
-            f"spectrum classified {hyp['classification']}; pass force to proceed"
-        )
     pairs = exp.get("beta_rho_pairs") or [[rc.beta, rc.rho]]
     radius_factor = float(exp.get("cutoff_factor", 2.0))
     rows = []
@@ -374,14 +370,13 @@ def superposition_experiment(cfg: dict, force: bool = False) -> ExperimentResult
         raise HypothesisViolated("neither distinct group velocities nor far positions hold")
     rho_values = [float(r) for r in exp.get("rho_values", [rc.rho])]
     n_pairs = rc.spectrum.n_pairs
+    initial, _ = build_initial(rc)
+    singles = [build_initial(rc, subset=[l])[0] for l in range(1, n_pairs + 1)]
     rows = []
     for r in rho_values:
-        parts = []
-        initial, _ = build_initial(rc)
         sum_traj = ev.solve_integrated(build_problem(rc, initial, rho=r), rc.solver)
-        for l in range(1, n_pairs + 1):
-            single, _ = build_initial(rc, subset=[l])
-            parts.append(ev.solve_integrated(build_problem(rc, single, rho=r), rc.solver))
+        parts = [ev.solve_integrated(build_problem(rc, single, rho=r), rc.solver)
+                 for single in singles]
         defect = 0.0
         for i in range(len(sum_traj.times)):
             diff = sum_traj.fields[i].values.copy()
@@ -417,23 +412,13 @@ def superposition_experiment(cfg: dict, force: bool = False) -> ExperimentResult
     )
 
 
-def _track_component(rc: RunConfig, field: ModalField, l: int, beta: float) -> ModalField:
-    cut = wp.build_cutoff(rc.grid, rc.spectrum.kvec(l), 2.0 * beta ** (1.0 - rc.epsilon))
-    vals = cut * wp.project_band_values(
-        field.values, rc.model, rc.grid, rc.spectrum.band(l), +1
-    )
-    return ModalField(rc.grid, vals, frame=field.frame)
-
-
 def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Track packet positions through the run and compare with straight lines."""
     rc = load_config(cfg)
     exp = rc.experiment
     seed = int(exp.get("seed", 0))
     hyp = hypothesis_block(rc)
-    invariant = hyp["classification"] in ("universally_invariant", "conditionally_invariant", "invariant")
-    if not invariant and not (force or exp.get("force", False)):
-        raise HypothesisViolated("spectrum not resonance invariant")
+    _require_invariant(hyp, exp, force)
     initial, specs = build_initial(rc)
     traj = ev.solve_integrated(build_problem(rc, initial), rc.solver)
     beta, eps = rc.beta, rc.epsilon
@@ -441,12 +426,16 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     halfwidth = float(exp.get("box_halfwidth", 6.0 * beta ** (-1.0 - eps)))
     n_track = int(exp.get("n_track_times", 9))
     idxs = np.unique(np.linspace(0, len(traj.times) - 1, n_track).astype(int))
+    layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, beta, eps)
+
+    def track(field: ModalField, l: int) -> ModalField:
+        return ModalField(rc.grid, layout.carrier_part(field.values, [(l, +1)]), frame=field.frame)
 
     # baseline detection level of each fresh packet at its own position
     thresholds_a = {}
     for l, spec in enumerate(specs, start=1):
         single = wp.build_wavepacket(spec, rc.model, rc.grid)
-        comp = _track_component(rc, single, l, beta)
+        comp = track(single, l)
         a0 = wp.position_detection(comp, spec.r_star)
         thresholds_a[l] = float(exp.get("threshold_factor", 2.0)) * a0 * beta ** (-eps)
 
@@ -459,10 +448,10 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
         slow = traj.fields[i]
         for l, spec in enumerate(specs, start=1):
             expected = spec.r_star + (tau / rc.rho) * vels[l - 1]
-            comp = _track_component(rc, fast, l, beta)
+            comp = track(fast, l)
             box = [(expected[a] - halfwidth, expected[a] + halfwidth) for a in range(rc.grid.dim)]
             fix = wp.locate_position(comp, thresholds_a[l], box, scan_step)
-            comp_slow = _track_component(rc, slow, l, beta)
+            comp_slow = track(slow, l)
             box0 = [(spec.r_star[a] - halfwidth, spec.r_star[a] + halfwidth) for a in range(rc.grid.dim)]
             fix_slow = wp.locate_position(comp_slow, thresholds_a[l], box0, scan_step)
             rows.append({
@@ -484,7 +473,7 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
         comps = []
         positions = []
         for l, spec in enumerate(specs, start=1):
-            comps.append(_track_component(rc, traj.fields[i], l, beta))
+            comps.append(track(traj.fields[i], l))
             positions.append(spec.r_star)
         norms.append(wp.particle_norm(comps, positions, beta, eps))
     particle_ratio = max(norms) / norms[0] if norms and norms[0] else float("nan")
@@ -557,8 +546,6 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         profile = 0.5 * np.exp(-0.5 * ((x - x0) / width) ** 2)
         c = None
 
-    from .grids import samples_to_spectrum, spectrum_to_samples
-
     prof_hat = samples_to_spectrum(profile.astype(complex), grid)
     if q != 0.0:
         k = grid.k_axis()
@@ -621,8 +608,7 @@ def averaging_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     exp = rc.experiment
     seed = int(exp.get("seed", 0))
     hyp = hypothesis_block(rc)
-    if hyp["classification"] == "not_invariant" and not (force or exp.get("force", False)):
-        raise HypothesisViolated("spectrum not resonance invariant")
+    _require_invariant(hyp, exp, force)
     rho_values = [float(r) for r in exp.get("rho_values", [rc.rho])]
     sets = ia.build_index_sets(rc.spectrum, rc.model, rc.orders)
     initial, specs = build_initial(rc)

@@ -210,6 +210,11 @@ class ComponentLayout:
             out[..., self.mask[key]] += vals
         return out
 
+    def carrier_part(self, values: np.ndarray, keys) -> np.ndarray:
+        """Sum of the components ``keys`` of full (C, *shape) values, on the full grid."""
+        flat = values.reshape(values.shape[0], -1)[None]
+        return self.embed({key: self.window(key, flat) for key in keys})[0].reshape(values.shape)
+
     def component_l1(self, key, win_vals: np.ndarray) -> float:
         """L1 norm of one component's (C, win) window values."""
         return float(_node_l1(win_vals[None], self.grid.cell)[0])

@@ -23,6 +23,7 @@ from .errors import BandCrossingAtOutput, EnumerationCapExceeded, WavepaxError
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 DEFAULT_CLOSURE_MAX_ITER = 16
+INVARIANT_CLASSES = ("universally_invariant", "conditionally_invariant", "invariant")
 _DISTANCE_BLOCK = 256  # rows per block of pairwise distances
 
 
@@ -464,7 +465,7 @@ class ResonanceReport:
 
     @property
     def is_invariant(self) -> bool:
-        return self.classification in ("universally_invariant", "conditionally_invariant", "invariant")
+        return self.classification in INVARIANT_CLASSES
 
     def to_dict(self) -> dict:
         def row(n, k):

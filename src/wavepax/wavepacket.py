@@ -35,7 +35,6 @@ __all__ = [
     "locate_position",
     "PositionFix",
     "particle_norm",
-    "l1_norm",
     "eigensystem_tables",
     "project_band_values",
 ]
@@ -274,13 +273,7 @@ def regularity_defect(f: ModalField, spec: WavepacketSpec, model: dsp.Dispersion
     return total
 
 
-def _component_values(f: ModalField, component) -> np.ndarray:
-    if component is None:
-        return f.values
-    return f.values[component : component + 1]
-
-
-def position_detection(f: ModalField, probe, component=None) -> float:
+def position_detection(f: ModalField, probe) -> float:
     """L1 size of the k-gradient of e^{i probe.k} times the field.
 
     The probe phase is applied pointwise before the central difference, so
@@ -288,11 +281,10 @@ def position_detection(f: ModalField, probe, component=None) -> float:
     packet's own carrier phase e^{-i k.r_star} would otherwise be far too
     fast for the grid at positions of order 1/rho.
     """
-    vals = _component_values(f, component)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     mesh = f.grid.k_mesh()
     phase = np.exp(1j * np.tensordot(probe, mesh, axes=(0, 0)))
-    grad = gradient_k(vals * phase, f.grid)  # (dim, C, *shape)
+    grad = gradient_k(f.values * phase, f.grid)  # (dim, C, *shape)
     mod = np.sqrt((np.abs(grad) ** 2).sum(axis=(0, 1)))
     return float(mod.sum() * f.grid.cell)
 
@@ -329,7 +321,6 @@ def locate_position(
     threshold: float,
     search_box,
     scan_step: float,
-    component=None,
 ) -> PositionFix:
     """Scan the position detection functional and refine its minimum.
 
@@ -343,7 +334,7 @@ def locate_position(
     axes = [np.arange(lo, hi + scan_step / 2, scan_step) for lo, hi in box]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
     pts = mesh.reshape(f.grid.dim, -1).T
-    vals = np.array([position_detection(f, p, component) for p in pts])
+    vals = np.array([position_detection(f, p) for p in pts])
 
     below = vals <= threshold
     if not below.any():
@@ -365,14 +356,14 @@ def locate_position(
         def along(x, axis=axis, base=best):
             p = base.copy()
             p[axis] = x
-            return position_detection(f, p, component)
+            return position_detection(f, p)
 
         best[axis] = _golden_refine(along, best[axis] - scan_step, best[axis] + scan_step)
     return PositionFix(
         position=best,
         diameter=diameter,
         n_components=n_comp,
-        minimum=float(position_detection(f, best, component)),
+        minimum=float(position_detection(f, best)),
         threshold=threshold,
     )
 

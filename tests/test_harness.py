@@ -1,15 +1,19 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from wavepax import harness
+from wavepax import cli, harness
+from wavepax import dispersion as dsp
+from wavepax import evolution as ev
 from wavepax import io as wio
+from wavepax import wavepacket as wp
 from wavepax.cli import main as cli_main
 from wavepax.errors import ConfigError, HypothesisViolated, ParameterSignError
-from wavepax.grids import Grid, ModalField
+from wavepax.grids import Grid, ModalField, l1_norm_values
 
 
 def counterprop_cfg(**overrides):
@@ -43,6 +47,18 @@ def test_load_config_validation():
                    {"substeps_per_rho": float("inf")}, {"picard_max_iter": True}):
         with pytest.raises(ConfigError, match="solver"):
             harness.load_config(counterprop_cfg(solver=solver))
+
+
+@pytest.mark.parametrize("rho, warns", [(0.01, False), (0.004, True)])
+def test_dispersion_ratio_warning(rho, warns):
+    # beta^2/rho evaluates to 1.0000000000000002 at beta = 0.1, rho = 0.01
+    cfg = counterprop_cfg(beta=0.1, rho=rho)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = harness.load_config(cfg)
+    flagged = any("dispersion ratio" in str(w.message) for w in caught)
+    assert flagged is warns
+    assert harness.hypothesis_block(rc)["dispersion_ok"] is not warns
 
 
 def test_config_hash_stability():
@@ -131,6 +147,130 @@ def test_tracking_f0_single_packet_velocity():
     slope = np.polyfit(taus, pos, 1)[0]
     assert slope == pytest.approx(2.0 / 0.02, rel=1e-2)
     assert res.passed is True
+
+
+# -- carrier windows ----------------------------------------------------------------------
+
+def matrix_model():
+    def symbol(k):
+        return np.array([[k * k + 6.0, 1.0 + 0.5j], [1.0 - 0.5j, -(k * k) - 6.0]])
+
+    return dsp.matrix_symbol_model(symbol, j_bands=1)
+
+
+@pytest.fixture(params=["scalar", "matrix"])
+def window_cfg(request, monkeypatch):
+    """Two counter-propagating packets on the nls band or on a matrix symbol."""
+    spectrum = [[1, 1.0], [1, -1.0]]
+    if request.param == "matrix":
+        model = matrix_model()
+        monkeypatch.setattr(dsp, "model_from_config", lambda cfg: model)
+        # the matrix windows of +-k on the two bands would share a centre
+        spectrum = [[1, 1.0], [1, -2.0]]
+    return counterprop_cfg(
+        spectrum=spectrum,
+        packets=[{"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
+                  "r_star": r} for r in (-10.0, 10.0)],
+        beta=0.1, epsilon=0.1, tau_star=0.3,
+    )
+
+
+def full_grid_window(rc, values, beta, l, theta, factor=2.0):
+    """The full-grid carrier window formula the diagnostics used before ComponentLayout."""
+    cut = wp.build_cutoff(rc.grid, theta * rc.spectrum.kvec(l),
+                          factor * beta ** (1.0 - rc.epsilon))
+    return cut * wp.project_band_values(values, rc.model, rc.grid, rc.spectrum.band(l), theta)
+
+
+def recorded_solves(monkeypatch):
+    """Keep every trajectory that evolution.solve_integrated returns."""
+    trajs, inner = [], ev.solve_integrated
+
+    def solve(*args, **kwargs):
+        trajs.append(inner(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(ev, "solve_integrated", solve)
+    return trajs
+
+
+def test_outside_mass_matches_full_grid_windows(window_cfg, monkeypatch):
+    cfg = dict(window_cfg, experiment={"beta_rho_pairs": [[0.1, 0.02], [0.12, 0.02]],
+                                       "cutoff_factor": 2.5})
+    trajs = recorded_solves(monkeypatch)
+    res = harness.preservation_experiment(cfg, force=True)
+    rc = harness.load_config(cfg)
+    for row, traj in zip(res.runs, trajs, strict=True):
+        want = 0.0
+        for f in traj.fields:
+            kept = np.zeros_like(f.values)
+            for l in (1, 2):
+                for theta in (+1, -1):
+                    kept += full_grid_window(rc, f.values, row["beta"], l, theta, 2.5)
+            want = max(want, l1_norm_values(f.values - kept, rc.grid))
+        assert row["outside_mass"] == want
+    assert res.runs[0]["outside_mass"] > 0.0
+
+
+def test_simulate_packet_masses_match_full_grid_windows(window_cfg, monkeypatch, tmp_path):
+    cfg = dict(window_cfg, solver={"record_stride": 40})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    trajs = recorded_solves(monkeypatch)
+    written = []
+
+    def write_metrics(out, rows):
+        written.extend(rows)
+        wio.write_metrics_csv(out, rows)
+
+    monkeypatch.setattr(cli, "write_metrics_csv", write_metrics)
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rc = harness.load_config(cfg)
+    (traj,) = trajs
+    assert len(written) == len(traj.fields) > 2
+    for row, f in zip(written, traj.fields):
+        for l in (1, 2):
+            want = 0.0
+            for theta in (+1, -1):
+                want += l1_norm_values(full_grid_window(rc, f.values, rc.beta, l, theta), rc.grid)
+            assert row[f"mass_packet_{l}"] == want
+
+
+def test_tracked_components_match_full_grid_windows(window_cfg, monkeypatch):
+    cfg = dict(window_cfg, experiment={"n_track_times": 3})
+    trajs = recorded_solves(monkeypatch)
+    # the components the experiment hands to the position diagnostics, not
+    # those the diagnostics pass on to position_detection themselves
+    seen, depth = [], [0]
+
+    def record(name):
+        inner = getattr(wp, name)
+
+        def wrapper(fields, *args, **kwargs):
+            if depth[0] == 0:
+                seen.extend(fields if name == "particle_norm" else [fields])
+            depth[0] += 1
+            try:
+                return inner(fields, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(wp, name, wrapper)
+
+    for name in ("position_detection", "locate_position", "particle_norm"):
+        record(name)
+    harness.position_tracking_experiment(cfg, force=True)
+    rc = harness.load_config(cfg)
+    (traj,) = trajs
+    idxs = np.unique(np.linspace(0, len(traj.times) - 1, 3).astype(int))
+    sources = [(l, wp.build_wavepacket(harness.packet_spec(rc, l), rc.model, rc.grid))
+               for l in (1, 2)]
+    sources += [(l, f) for i in idxs for l in (1, 2) for f in (traj.fast_field(i), traj.fields[i])]
+    sources += [(l, traj.fields[i]) for i in idxs for l in (1, 2)]
+    assert len(seen) == len(sources)
+    for comp, (l, f) in zip(seen, sources):
+        assert comp.frame == f.frame
+        assert np.array_equal(comp.values, full_grid_window(rc, f.values, rc.beta, l, +1))
 
 
 # -- soliton ---------------------------------------------------------------------------------
