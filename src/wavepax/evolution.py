@@ -652,15 +652,21 @@ def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:
     return mod.reshape(values.shape[0], -1).sum(axis=1) * cell
 
 
-def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | None, h: float,
-                    chunk: int, cell: float) -> dict:
-    """One composite-trapezoid pass: out = h0 + integral_0^tau rhs(state) on the mesh h j.
+def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, h: float, chunk: int, cell: float,
+                    update: bool) -> dict:
+    """One composite-trapezoid pass: h0 + integral_0^tau rhs(state) on the mesh h j.
 
-    ``state``, ``out`` and ``ref`` map each key to (n+1, C, nodes) values,
-    ``h0`` to (C, nodes).  ``rhs_chunk(states, taus)`` maps the state on a
-    chunk of at most ``chunk`` mesh nodes to the integrand of every key.
-    Returns per key the largest node L1 norm of out - ref (of out itself
-    when ``ref`` is None); the pass stops at the first non-finite one.
+    ``state`` maps each key to (n+1, C, nodes) values, ``h0`` to (C, nodes).
+    ``rhs_chunk(states, taus)`` maps the state on a chunk of at most
+    ``chunk`` mesh nodes to the integrand of every key, in new arrays.  Each
+    key's new chunk goes into a new chunk-sized array.  With ``update`` the
+    pass measures it against the state's chunk and then writes it over that
+    chunk: a chunk's integrand reads only that chunk of the state, and later
+    chunks need only the running integral and the last integrand.  Without
+    ``update`` it measures the new values themselves and leaves ``state`` as
+    it is.
+    Returns per key the largest node L1 norm measured; the pass stops at the
+    first non-finite one.
     """
     taus = h * np.arange(next(iter(state.values())).shape[0])
     integral = dict.fromkeys(h0, 0.0)
@@ -670,14 +676,16 @@ def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, out: dict, ref: dict | Non
         i1 = min(i0 + chunk, taus.size)
         g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
         for key, gk in g.items():
-            new = out[key][i0:i1]
+            new = np.empty_like(state[key][i0:i1])
             integral[key] = _trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h)
             g_prev[key] = gk[-1].copy()
-            d = float(_node_l1(new if ref is None else new - ref[key][i0:i1], cell).max())
+            d = float(_node_l1(new - state[key][i0:i1] if update else new, cell).max())
             if not d <= sup[key]:  # a NaN replaces the sup too
                 sup[key] = d
             if not math.isfinite(d):
                 return sup
+            if update:
+                state[key][i0:i1] = new
     return sup
 
 
@@ -686,25 +694,28 @@ def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
     The state maps each key of ``h0`` to (n+1, C, nodes) values, h0[key] at
-    every node to start.  Each iteration is one ``_trapezoid_pass``; its
-    distance is the largest node L1 norm of the change over all keys.  With
-    ``rhs_chunk`` None (no nonlinearity) the constant start is returned.
+    every node to start.  It is the only trajectory held: each iteration is
+    one updating ``_trapezoid_pass``, which rewrites it chunk by chunk, and
+    its distance is the largest node L1 norm of the change over all keys.
+    The iterates are bitwise those of an old/new pair of buffers, since a
+    chunk's integrand reads only that chunk of the previous iterate.  They
+    do depend on ``chunk``: the propagator phases are factored per chunk.
+    With ``rhs_chunk`` None (no nonlinearity) the constant start is returned.
     Raises PicardDiverged on a non-finite distance (last in the history) or
     when distances grow three times in a row to above ten times their
     minimum, and PicardMaxIter when ``config.picard_tol`` is never reached.
     A solve that converges after its distances grew warns once with the
     largest observed ratio d_{k+1}/d_k.  Returns (state, iterations, distances).
     """
-    old = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
+    state = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
     distances: list[float] = []
     if rhs_chunk is None:
-        return old, 0, distances
-    new = {key: np.empty_like(v) for key, v in old.items()}
+        return state, 0, distances
     grow_run = 0
     grew = False
     for it in range(1, config.picard_max_iter + 1):
         dist = float(np.max(list(
-            _trapezoid_pass(rhs_chunk, old, h0, new, old, h, chunk, cell).values()
+            _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, update=True).values()
         )))
         if not math.isfinite(dist):
             raise PicardDiverged(f"non-finite Picard iterate (distance {dist})",
@@ -715,7 +726,7 @@ def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
                 ratio = max(b / a for a, b in zip(distances, distances[1:]))
                 warnings.warn(f"Picard distances grew before converging: largest observed "
                               f"ratio d[k+1]/d[k] = {ratio:.3g}", stacklevel=3)
-            return new, it, distances
+            return state, it, distances
         if len(distances) >= 2 and dist > distances[-2]:
             grow_run += 1
             grew = True
@@ -725,7 +736,6 @@ def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
                 )
         else:
             grow_run = 0
-        old, new = new, old
     raise PicardMaxIter(f"no convergence within {config.picard_max_iter} iterations", distances)
 
 

@@ -146,17 +146,17 @@ class ComponentLayout:
         self.beta = beta
         self.epsilon = epsilon
         self.radius = support_factor * beta ** (1.0 - epsilon)
-        # windows may overlap in k only if they project onto the same band
+        # windows may overlap in k only if they project onto the same band:
+        # the band projections of a Hermitian symbol are orthogonal
         min_sep = None
         entries = [
             (dsp.comp_index(spectrum.band(l), theta), theta * spectrum.kvec(l))
             for l in range(1, spectrum.n_pairs + 1)
             for theta in (+1, -1)
         ]
-        scalar = model.kind == "scalar-band"
         for i, (ci, ki) in enumerate(entries):
             for cj, kj in entries[i + 1 :]:
-                if scalar and ci != cj:
+                if ci != cj:
                     continue
                 d = float(np.linalg.norm(ki - kj))
                 min_sep = d if min_sep is None else min(min_sep, d)
@@ -485,12 +485,10 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
         return 0.0
     evaluator = MonomialEvaluator(solution.problem, solution.layout, coup,
                                   clip_arguments=clip_arguments)
-    data = solution.data
-    zero = {key: np.zeros_like(v[0]) for key, v in data.items()}
-    out = {key: np.empty_like(v) for key, v in data.items()}
+    zero = {key: np.zeros_like(v[0]) for key, v in solution.data.items()}
     h = solution.times[1] - solution.times[0]
-    sup = _trapezoid_pass(evaluator.integrand_chunk, data, zero, out, None, h,
-                          AVERAGED_CHUNK, solution.problem.grid.cell)
+    sup = _trapezoid_pass(evaluator.integrand_chunk, solution.data, zero, h, AVERAGED_CHUNK,
+                          solution.problem.grid.cell, update=False)
     return float(sum(sup.values()))
 
 

@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
@@ -345,13 +348,14 @@ def test_picard_trapezoid_growth_raises_diverged():
     assert history[-3] < history[-2] < history[-1]
 
 
-def test_picard_trapezoid_nan_rhs_raises_diverged():
-    def rhs(states, taus):
-        return {"finite": 0.5 * states["finite"], "nan": np.full_like(states["nan"], np.nan)}
+def nan_rhs(states, taus):
+    return {"finite": 0.5 * states["finite"], "nan": np.full_like(states["nan"], np.nan)}
 
+
+def test_picard_trapezoid_nan_rhs_raises_diverged():
     u0 = {key: np.ones((1, 4), complex) for key in ("finite", "nan")}
     with pytest.raises(PicardDiverged) as err:
-        linear_solve(None, u0, 1.0, 40, 16, rhs=rhs)
+        linear_solve(None, u0, 1.0, 40, 16, rhs=nan_rhs)
     history = err.value.args[1]
     assert len(history) == 1 and not np.isfinite(history[-1])
 
@@ -361,6 +365,125 @@ def test_picard_trapezoid_max_iter_raises():
         linear_solve({"u": 0.5}, {"u": np.ones((1, 1), complex)}, 1.0, 40, 16,
                      picard_max_iter=1)
     assert len(err.value.args[1]) == 1
+
+
+def test_picard_trapezoid_holds_one_trajectory():
+    # the state is the only (n+1, C, nodes) array held: an old/new pair of
+    # trajectories would peak at twice its size
+    n, u0 = 400, {"u": np.ones((1, 2000), complex)}
+    state_bytes = (n + 1) * u0["u"].nbytes
+    tracemalloc.start()
+    try:
+        state, _, _ = linear_solve({"u": 0.5}, u0, 1.0, n, 16, picard_tol=1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state["u"].nbytes == state_bytes
+    assert peak < 1.5 * state_bytes
+
+
+# The driver as it was with an old and a new trajectory per key, kept
+# literally (less the growth warning) as an oracle for the in-place one.
+
+def two_buffer_pass(rhs_chunk, state, h0, out, ref, h, chunk, cell):
+    taus = h * np.arange(next(iter(state.values())).shape[0])
+    integral = dict.fromkeys(h0, 0.0)
+    g_prev = dict.fromkeys(h0)
+    sup = dict.fromkeys(h0, 0.0)
+    for i0 in range(0, taus.size, chunk):
+        i1 = min(i0 + chunk, taus.size)
+        g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
+        for key, gk in g.items():
+            new = out[key][i0:i1]
+            integral[key] = ev._trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h)
+            g_prev[key] = gk[-1].copy()
+            d = float(ev._node_l1(new if ref is None else new - ref[key][i0:i1], cell).max())
+            if not d <= sup[key]:
+                sup[key] = d
+            if not math.isfinite(d):
+                return sup
+    return sup
+
+
+def two_buffer_picard(rhs_chunk, h0, n, h, cell, config, chunk):
+    old = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
+    distances = []
+    new = {key: np.empty_like(v) for key, v in old.items()}
+    grow_run = 0
+    for it in range(1, config.picard_max_iter + 1):
+        dist = float(np.max(list(
+            two_buffer_pass(rhs_chunk, old, h0, new, old, h, chunk, cell).values()
+        )))
+        if not math.isfinite(dist):
+            raise PicardDiverged("non-finite Picard iterate", distances + [dist])
+        distances.append(dist)
+        if dist <= config.picard_tol:
+            return new, it, distances
+        if len(distances) >= 2 and dist > distances[-2]:
+            grow_run += 1
+            if grow_run >= 3 and dist > 10.0 * min(distances):
+                raise PicardDiverged("Picard distances grew", distances)
+        else:
+            grow_run = 0
+        old, new = new, old
+    raise PicardMaxIter("no convergence", distances)
+
+
+def driver_outcome(driver, rhs, u0, tau, n, chunk, **config):
+    """(state, iterations, distances) of a solve, or (None, error type, history)."""
+    try:
+        return driver(rhs, u0, n, tau / n, 1.0, ev.SolverConfig(**config), chunk)
+    except (PicardDiverged, PicardMaxIter) as err:
+        return None, type(err), err.args[1]
+
+
+def assert_same_outcome(rhs, u0, tau, n, chunk, **config):
+    state, its, dists = driver_outcome(ev._picard_trapezoid, rhs, u0, tau, n, chunk, **config)
+    want_state, want_its, want_dists = driver_outcome(two_buffer_picard, rhs, u0, tau, n,
+                                                      chunk, **config)
+    assert its == want_its
+    assert [repr(d) for d in dists] == [repr(d) for d in want_dists]  # bitwise, NaN too
+    if want_state is None:
+        assert state is None
+    else:
+        assert all(np.array_equal(state[key], want_state[key]) for key in u0)
+    return its
+
+
+@pytest.mark.filterwarnings("ignore:Picard distances grew")
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.tuples(st.complex_numbers(max_magnitude=1.0), st.complex_numbers(max_magnitude=1.0)),
+    c=st.complex_numbers(max_magnitude=2.0),
+    tau=st.floats(0.1, 1.0),
+    n=st.integers(1, 120),
+    chunk=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, seed):
+    # each key's integrand reads the other key's chunk, nonlinearly; the
+    # last chunk is short
+    assume((n + 1) % chunk != 0)
+
+    def rhs(states, taus):
+        p, q = states["p"], states["q"]
+        return {"p": a[0] * p + c * q * q, "q": a[1] * q + c * p * np.conj(q) * taus[:, None, None]}
+
+    rng = np.random.default_rng(seed)
+    u0 = {key: 0.5 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) for key in "pq"}
+    assert_same_outcome(rhs, u0, tau, n, chunk, picard_tol=1e-12)
+
+
+@pytest.mark.parametrize("rhs, u0, n, chunk, config, error", [
+    (lambda s, t: {"u": 50.0 * s["u"]}, {"u": np.ones((1, 1), complex)}, 200, 64, {},
+     PicardDiverged),
+    (nan_rhs, {key: np.ones((1, 4), complex) for key in ("finite", "nan")}, 40, 16, {},
+     PicardDiverged),
+    (lambda s, t: {"u": 0.5 * s["u"]}, {"u": np.ones((1, 1), complex)}, 40, 16,
+     {"picard_max_iter": 1}, PicardMaxIter),
+], ids=["growth", "nan", "max-iter"])
+def test_in_place_driver_fails_as_the_two_buffer_driver(rhs, u0, n, chunk, config, error):
+    assert assert_same_outcome(rhs, u0, 1.0, n, chunk, **config) is error
 
 
 def test_cubic_matches_r_space_product(nls_model, rng):

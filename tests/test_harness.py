@@ -9,7 +9,9 @@ import pytest
 from wavepax import cli, harness
 from wavepax import dispersion as dsp
 from wavepax import evolution as ev
+from wavepax import interaction as ia
 from wavepax import io as wio
+from wavepax import resonance as rs
 from wavepax import wavepacket as wp
 from wavepax.cli import main as cli_main
 from wavepax.errors import ConfigError, HypothesisViolated, ParameterSignError
@@ -161,18 +163,27 @@ def matrix_model():
 @pytest.fixture(params=["scalar", "matrix"])
 def window_cfg(request, monkeypatch):
     """Two counter-propagating packets on the nls band or on a matrix symbol."""
-    spectrum = [[1, 1.0], [1, -1.0]]
     if request.param == "matrix":
         model = matrix_model()
         monkeypatch.setattr(dsp, "model_from_config", lambda cfg: model)
-        # the matrix windows of +-k on the two bands would share a centre
-        spectrum = [[1, 1.0], [1, -2.0]]
     return counterprop_cfg(
-        spectrum=spectrum,
+        spectrum=[[1, 1.0], [1, -1.0]],
         packets=[{"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
                   "r_star": r} for r in (-10.0, 10.0)],
         beta=0.1, epsilon=0.1, tau_star=0.3,
     )
+
+
+def test_matrix_windows_overlap_only_on_one_band():
+    # (1, +1) and (2, -1) of carriers +-1 share the centre +1, but on the two
+    # bands of the symbol, whose projections are orthogonal
+    model, grid = matrix_model(), Grid(1, (512,), (4.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ia.ComponentLayout(rs.spectrum_from_list([[1, 1.0], [1, -1.0]]), model, grid, 0.1, 0.1)
+    # (1, +1) and (2, +1) lie on one band, closer than 2 * radius = 0.504
+    with pytest.warns(UserWarning, match="radius 0.252 overlap at separation 0.3"):
+        ia.ComponentLayout(rs.spectrum_from_list([[1, 1.0], [1, 1.3]]), model, grid, 0.1, 0.1)
 
 
 def full_grid_window(rc, values, beta, l, theta, factor=2.0):

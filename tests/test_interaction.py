@@ -657,6 +657,19 @@ def test_coupling_norm_identical_velocities_reports_value(nls_model):
     assert np.isfinite(value) and value >= 0.0
 
 
+def test_coupling_norm_leaves_the_solution_unchanged(counterprop):
+    model, grid, spectrum, initial = counterprop
+    sets = ia.build_index_sets(spectrum, model, [3])
+    prob = ev.EvolutionProblem(model, [ev.cubic_full(0.8)], 0.05, 0.2, grid, initial)
+    sol = ia.solve_averaged_system(prob, spectrum, sets, ev.SolverConfig(substeps_per_rho=10),
+                                   beta=BETA, epsilon=EPS)
+    before = {key: v.copy() for key, v in sol.data.items()}
+    value = ia.coupling_norm(sol, sets)
+    assert value > 0.0
+    assert all(np.array_equal(sol.data[key], before[key]) for key in before)
+    assert ia.coupling_norm(sol, sets) == value
+
+
 # -- homogeneity ---------------------------------------------------------------------------
 
 def test_homogeneity_universal(counterprop, rng):
