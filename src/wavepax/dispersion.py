@@ -171,21 +171,14 @@ def group_velocity(model: DispersionModel, n: int, zeta: int, k, h: float | None
 
 
 def eval_projector(model: DispersionModel, n: int, zeta: int, k) -> np.ndarray:
-    """Rank-1 orthogonal projector onto the (n, zeta) eigenline at k."""
+    """Rank-1 orthogonal projector onto the (n, zeta) eigenline at k.
+
+    A scalar-band model holds band (n, zeta) in component comp_index(n, zeta)
+    at every k, so its projector is that unit projector.
+    """
     if model.kind == "scalar-band":
-        # Band ordering can permute the raw components where bands swap.
-        pts = _as_points(model, k)
-        c = model.ncomp
-        proj = np.zeros((c, c), dtype=complex)
-        if zeta > 0:
-            raw = _raw_band_values(model, pts)[:, 0]
-            which = int(np.argsort(raw, kind="stable")[n - 1])
-            idx = comp_index(which + 1, +1)
-        else:
-            raw = _raw_band_values(model, -pts)[:, 0]
-            which = int(np.argsort(raw, kind="stable")[n - 1])
-            idx = comp_index(which + 1, -1)
-        proj[idx, idx] = 1.0
+        proj = np.zeros((model.ncomp, model.ncomp), dtype=complex)
+        proj[comp_index(n, zeta), comp_index(n, zeta)] = 1.0
         return proj
     evals, vecs = _eigh_at(model, k)
     tol = _gap_tolerance(model, float(np.abs(evals).max()))

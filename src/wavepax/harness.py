@@ -292,8 +292,7 @@ def check_velocity_hypothesis(rc: RunConfig) -> dict:
     """(NGVM) distinct group velocities, else the far-position fallback."""
     vels = _velocities(rc)
     n = len(vels)
-    scale = max((float(np.linalg.norm(v)) for v in vels), default=0.0)
-    tol = 1e-9 * (1.0 + scale)
+    tol = rs.default_tol_gv(rc.model, rc.spectrum)
     equal_pairs = [
         (i + 1, j + 1)
         for i in range(n)

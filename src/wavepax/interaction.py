@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .grids import Grid, ModalField
 from .resonance import (
     DecoratedIndex,
     NkSpectrum,
+    default_tol_res,
     partial_gvm_check,
     resonant_index_sets,
 )
@@ -117,8 +118,6 @@ def build_index_sets(
     tol_res: float | None = None,
 ) -> InteractionIndexSets:
     resonant, contributing = resonant_index_sets(spectrum, model, orders, tol_res=tol_res)
-    from .resonance import default_tol_res
-
     return InteractionIndexSets(
         spectrum=spectrum,
         orders=sorted(set(int(m) for m in orders)),
@@ -232,7 +231,6 @@ class InteractionSolution:
     iterations: int
     distances: list
     record_stride: int
-    diagnostics: dict = dfield(default_factory=dict)
 
     @property
     def sample_indices(self) -> list:
@@ -258,11 +256,11 @@ def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict
 
 def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
                     beta: float, epsilon: float, sets_flat: dict | None,
-                    clip_arguments: bool) -> tuple[InteractionSolution, MonomialEvaluator | None]:
+                    clip_arguments: bool) -> InteractionSolution:
     """Picard solution of the windowed system whose nonlinearity keeps ``sets_flat``.
 
     With ``sets_flat`` None the nonlinearity is zero and the initial windows
-    are returned after 0 iterations.  Returns the solution and its evaluator.
+    are returned after 0 iterations.
     """
     config = config or SolverConfig()
     if config.convolution_mode == "direct-oracle":
@@ -286,7 +284,7 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
         iterations=iterations,
         distances=distances,
         record_stride=config.record_stride or max(1, n // 128),
-    ), evaluator
+    )
 
 
 def solve_interaction_system(
@@ -306,9 +304,8 @@ def solve_interaction_system(
              for m in sorted({s.order for s in problem.nonlinearity})
              for entries in itertools.product(slots, repeat=m)]
     sets_flat = {(l, z): every for z, l in slots} if every else None
-    solution, _ = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
-                                  clip_arguments=False)
-    return solution
+    return _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                           clip_arguments=False)
 
 
 # -- windowed monomial machinery ---------------------------------------------------------
@@ -434,7 +431,6 @@ def solve_averaged_system(
     epsilon: float = 0.1,
     mode: str = "full-averaged",
     partition=None,
-    clip_arguments: bool = True,
     force: bool = False,
 ) -> InteractionSolution:
     """Picard solution with the nonlinearity restricted to resonant monomials."""
@@ -447,22 +443,8 @@ def solve_averaged_system(
                 f"partition is not group-velocity decoupled ({len(violations)} violations)"
             )
     sets_flat = _sets_for_mode(index_sets, mode, partition)
-    solution, evaluator = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
-                                          clip_arguments)
-    # size of the argument-clip ambiguity on the converged state: the same
-    # integrand with and without the clip, on a few late-time samples
-    layout = solution.layout
-    probe = {key: solution.data[key][-1:] for key in layout.keys}
-    taus_probe = solution.times[-1:]
-    other = MonomialEvaluator(problem, layout, sets_flat,
-                              clip_arguments=not clip_arguments)
-    g_clip = evaluator.integrand_chunk(probe, taus_probe)
-    g_raw = other.integrand_chunk(probe, taus_probe)
-    clip_diff = sum(
-        layout.component_l1(key, g_clip[key][0] - g_raw[key][0]) for key in layout.keys
-    )
-    solution.diagnostics["clip_difference"] = float(clip_diff)
-    return solution
+    return _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                           clip_arguments=True)
 
 
 def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> float:
@@ -474,7 +456,7 @@ def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> floa
 
 
 def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSets,
-                  partition=None, clip_arguments: bool = True) -> float:
+                  partition=None) -> float:
     """Sup-time L1 size of the coupling part evaluated along a trajectory.
 
     With no partition the coupling part collects every non-diagonal resonant
@@ -483,8 +465,7 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
     coup = index_sets.flat(index_sets.coupling(partition))
     if not any(coup.values()):
         return 0.0
-    evaluator = MonomialEvaluator(solution.problem, solution.layout, coup,
-                                  clip_arguments=clip_arguments)
+    evaluator = MonomialEvaluator(solution.problem, solution.layout, coup)
     zero = {key: np.zeros_like(v[0]) for key, v in solution.data.items()}
     h = solution.times[1] - solution.times[0]
     sup = _trapezoid_pass(evaluator.integrand_chunk, solution.data, zero, h, AVERAGED_CHUNK,

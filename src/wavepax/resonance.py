@@ -4,9 +4,9 @@ A spectrum is a finite list of (band, wavevector) pairs.  Interaction terms
 of order m are labelled by decorated indices: m-tuples of (sign, pair) slots.
 A decorated index is resonant for an output (sign, band) when the signed sum
 of band frequencies matches the band frequency at the signed sum of carrier
-wavevectors.  Enumerating these solutions drives spectrum classification
-(universal / conditional / invariant / not invariant), the resonance
-selection operation and its closure, and group-velocity-matching checks.
+wavevectors.  One table of the resonant tuples drives spectrum classification
+(universal / conditional / not invariant), the resonance selection operation
+and its closure, the index sets and group-velocity-matching checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import BandCrossingAtOutput, EnumerationCapExceeded, WavepaxError
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 DEFAULT_CLOSURE_MAX_ITER = 16
-INVARIANT_CLASSES = ("universally_invariant", "conditionally_invariant", "invariant")
+INVARIANT_CLASSES = ("universally_invariant", "conditionally_invariant")
 _DISTANCE_BLOCK = 256  # rows per block of pairwise distances
 
 
@@ -138,18 +138,6 @@ class DecoratedIndex:
     def negated(self) -> "DecoratedIndex":
         return DecoratedIndex(tuple((-z, l) for z, l in self.entries))
 
-    def delta(self, n_pairs: int) -> np.ndarray:
-        d = np.zeros(n_pairs, dtype=int)
-        for z, l in self.entries:
-            d[l - 1] += z
-        return d
-
-    def cardinality(self, n_pairs: int) -> tuple:
-        c = [0] * n_pairs
-        for _, l in self.entries:
-            c[l - 1] += 1
-        return tuple(c)
-
 
 def all_indices(n_pairs: int, m: int):
     """All decorated indices of order m, in a fixed lexicographic order."""
@@ -197,55 +185,36 @@ def _kvec_table(spectrum: NkSpectrum) -> np.ndarray:
     )
 
 
-class _OrderTable(NamedTuple):
-    """All order-m decorated indices as arrays, in ``all_indices`` order."""
+def _candidates(values: np.ndarray, orders) -> tuple:
+    """Every decorated index of the orders, each order in ``all_indices`` order.
 
-    m: int
-    signs: np.ndarray   # (M, m)
-    slots: np.ndarray   # (M, m), 0-based
-    kappa: np.ndarray   # (M, dim)
-
-
-def _candidates(spectrum: NkSpectrum, model: DispersionModel, orders):
-    """Index tables of the orders and their (index, zeta) output rows.
-
-    Returns ``(tables, out_k, comb, starts)``: one ``_OrderTable`` per
-    order, then per row zeta * kappa and the index's frequency sum (as
-    ``omega_combination``).  Rows run over the orders, index-major with
-    zeta = +1, -1 inner, which is the order the per-index loop visited them
-    in; order i owns rows ``starts[i]:starts[i + 1]``.
+    Returns ``(signs, slots, sums)``: per index its signs, its 0-based slots
+    (sign 0 pads the columns past its order) and its ``_slot_sums`` of the
+    (n_pairs, d) ``values``.
     """
-    kvecs = _kvec_table(spectrum)
-    omegas = np.array(
-        [eval_omega(model, n, +1, k) for n, k in spectrum.pairs], dtype=float
-    ).reshape(-1, 1)
-    tables, outs, combs = [], [np.empty((0, spectrum.dim))], [np.empty(0)]
+    width = max(orders, default=0)
+    cols = [(np.empty((0, width), int),) * 2 + (np.empty((0, values.shape[1])),)]
     for m in orders:
-        signs, slots = _index_table(spectrum.n_pairs, m)
-        kap = _slot_sums(signs, slots, kvecs)
-        tables.append(_OrderTable(m, signs, slots, kap))
-        outs.append(np.stack([kap, -kap], axis=1).reshape(-1, spectrum.dim))
-        combs.append(np.repeat(_slot_sums(signs, slots, omegas)[:, 0], 2))
-    starts = np.cumsum([0] + [len(c) for c in combs[1:]])
-    return tables, np.concatenate(outs), np.concatenate(combs), starts
+        signs, slots = _index_table(len(values), m)
+        pad = ((0, 0), (0, width - m))
+        cols.append((np.pad(signs, pad), np.pad(slots, pad), _slot_sums(signs, slots, values)))
+    return tuple(np.concatenate(c) for c in zip(*cols))
 
 
-def _output_bands(model: DispersionModel, out_k: np.ndarray, rounded: bool):
+def _output_bands(model: DispersionModel, out_k: np.ndarray):
     """omega_{n,+} (R, J) and singular flags (R,) at output wavevectors (R, dim).
 
-    Each distinct row is evaluated once.  With ``rounded`` rows are keyed on
-    their 12-decimal rounding and all take the value at the first row with
-    their key; otherwise every row takes its own value.
+    Rows with the same 12-decimal rounding all take the values at the first.
     """
-    key = np.round(out_k, 12) if rounded else out_k.view(np.int64)
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(np.round(out_k, 12), axis=0, return_index=True, return_inverse=True)
     omega, singular = band_frequencies(model, out_k[first].T)
     inverse = inverse.reshape(-1)
     return omega.T[inverse], singular[inverse]
 
 
-def _index_at(signs: np.ndarray, slots: np.ndarray, i: int) -> "DecoratedIndex":
-    return DecoratedIndex(tuple((int(z), int(l) + 1) for z, l in zip(signs[i], slots[i])))
+def _index_at(signs: np.ndarray, slots: np.ndarray) -> "DecoratedIndex":
+    """The index of one table row: signs and 0-based slots, sign 0 pads."""
+    return DecoratedIndex(tuple((int(z), int(l) + 1) for z, l in zip(signs, slots) if z))
 
 
 # -- resonance solutions ---------------------------------------------------------
@@ -275,29 +244,98 @@ def default_tol_res(spectrum: NkSpectrum, model: DispersionModel) -> float:
     return 1e-9 * (1.0 + top)
 
 
-def _classify_solution(spectrum, n, zeta, index, kap, residual):
-    kv = np.atleast_1d(np.asarray(kap, dtype=float))
-    target = spectrum.contains_pair(n, zeta * kv)
-    delta = tuple(int(d) for d in index.delta(spectrum.n_pairs))
-    if target is None:
-        return ResonanceSolution(
-            index.m, zeta, n, index, delta, kv, residual, "external", None, None, None
-        )
-    nonzero = [l for l, d in enumerate(delta, start=1) if d != 0]
-    universal = (
-        len(nonzero) == 1
-        and abs(delta[nonzero[0] - 1]) == 1
-        and nonzero[0] == target
-        and spectrum.band(target) == n
-        and delta[target - 1] == zeta
-    )
-    b = list(delta)
-    b[target - 1] -= zeta
-    klass = "universal" if universal else "internal"
-    return ResonanceSolution(
-        index.m, zeta, n, index, delta, kv, residual, klass, target,
-        tuple(b), index.cardinality(spectrum.n_pairs),
-    )
+class _HitTable(NamedTuple):
+    """Resonant (m, zeta, n, index) tuples of a spectrum, in solution order.
+
+    Hit i is the index with signs ``signs[i]`` and 0-based slots ``slots[i]``
+    (sign 0 pads the columns past its order), row ``row[i]`` of the candidate
+    table, resonant for the output (n[i], zeta[i]).  ``close[i]`` flags the
+    pairs equal to (n[i], zeta[i] * kappa[i]) under tol_k and ``target[i]``
+    is the first of them (-1: the hit is external).  ``cond[i]`` vanishes
+    exactly for a universal hit.  ``skipped`` lists the (m, zeta, index,
+    output wavevector) candidates on the singular set.
+    """
+
+    zeta: np.ndarray       # (H,)
+    n: np.ndarray          # (H,) 1-based band
+    signs: np.ndarray      # (H, max order)
+    slots: np.ndarray      # (H, max order)
+    row: np.ndarray        # (H,)
+    kappa: np.ndarray      # (H, dim)
+    residual: np.ndarray   # (H,) |frequency mismatch|
+    delta: np.ndarray      # (H, n_pairs)
+    close: np.ndarray      # (H, n_pairs)
+    target: np.ndarray     # (H,) 0-based
+    cond: np.ndarray       # (H, n_pairs) delta - zeta * e_target
+    universal: np.ndarray  # (H,)
+    skipped: list
+
+
+def _hit_table(
+    spectrum: NkSpectrum,
+    model: DispersionModel,
+    orders,
+    tol_res: float | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> _HitTable:
+    """The resonant tuples of a spectrum, found and classified as arrays."""
+    n_pairs = spectrum.n_pairs
+    orders = sorted(set(int(m) for m in orders))
+    total = sum(2 * model.j_bands * (2 * n_pairs) ** m for m in orders)
+    if total > cap:
+        raise EnumerationCapExceeded(f"{total} candidate tuples exceed cap {cap}")
+    if tol_res is None:
+        tol_res = default_tol_res(spectrum, model)
+
+    omegas = np.array([eval_omega(model, n, +1, k) for n, k in spectrum.pairs], dtype=float)
+    signs, slots, sums = _candidates(np.column_stack([_kvec_table(spectrum), omegas]), orders)
+    kap, comb = sums[:, :-1], sums[:, -1]
+    # output rows: index-major, zeta = +1, -1 inner
+    out_k = np.stack([kap, -kap], axis=1).reshape(-1, spectrum.dim)
+    omega, singular = _output_bands(model, out_k)
+    zeta = np.tile([1, -1], len(kap))
+    residual = np.abs((-zeta)[:, None] * omega + np.repeat(comb, 2)[:, None])
+    hit = (residual <= tol_res) & ~singular[:, None]
+    skipped = [(int(np.count_nonzero(signs[r // 2])), int(zeta[r]),
+                _index_at(signs[r // 2], slots[r // 2]), out_k[r].copy())
+               for r in np.nonzero(singular)[0]]
+
+    r, b = np.nonzero(hit)
+    signs, slots = signs[r // 2], slots[r // 2]
+    # solution order: (m, -zeta, n, entries), an entry (z, l) ranking by z, then l
+    rank = (signs + 1) * n_pairs + slots
+    order = np.lexsort(tuple(rank.T[::-1]) + (b, -zeta[r], np.count_nonzero(signs, axis=1)))
+    r, b, signs, slots = r[order], b[order], signs[order], slots[order]
+    row, zeta, n, kap = r // 2, zeta[r], b + 1, kap[r // 2]
+
+    bands = np.array([nl for nl, _ in spectrum.pairs], dtype=int)
+    gap = np.linalg.norm(_kvec_table(spectrum) - (zeta[:, None] * kap)[:, None], axis=-1)
+    close = (bands == n[:, None]) & (gap <= spectrum.tol_k)
+    first = (np.cumsum(close, axis=1) == 0).sum(axis=1)  # pairs before the first close one
+    target = np.where(first < n_pairs, first, -1)
+    delta = (signs[:, :, None] * (slots[:, :, None] == np.arange(n_pairs))).sum(axis=1)
+    cond = delta - zeta[:, None] * (np.arange(n_pairs) == target[:, None])
+    universal = (target >= 0) & ~cond.any(axis=1)
+    return _HitTable(zeta, n, signs, slots, row, kap, residual[r, b], delta, close, target,
+                     cond, universal, skipped)
+
+
+def _solutions(hits: _HitTable) -> list[ResonanceSolution]:
+    """The hits as ``ResonanceSolution`` objects, in table order."""
+    counts = (np.abs(hits.signs)[:, :, None]
+              * (hits.slots[:, :, None] == np.arange(hits.delta.shape[1]))).sum(axis=1)
+    out = []
+    for i, t in enumerate(hits.target.tolist()):
+        klass = "external" if t < 0 else "universal" if hits.universal[i] else "internal"
+        index = _index_at(hits.signs[i], hits.slots[i])
+        out.append(ResonanceSolution(
+            index.m, int(hits.zeta[i]), int(hits.n[i]), index, tuple(hits.delta[i].tolist()),
+            hits.kappa[i], float(hits.residual[i]), klass,
+            None if t < 0 else t + 1,
+            None if t < 0 else tuple(hits.cond[i].tolist()),
+            None if t < 0 else tuple(counts[i].tolist()),
+        ))
+    return out
 
 
 def enumerate_solutions(
@@ -313,34 +351,10 @@ def enumerate_solutions(
     Indices whose output wavevector hits the singular set are skipped and,
     when ``collect_skipped`` is given, recorded there.
     """
-    n_pairs = spectrum.n_pairs
-    orders = sorted(set(int(m) for m in orders))
-    total = sum(2 * model.j_bands * (2 * n_pairs) ** m for m in orders)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} candidate tuples exceed cap {cap}")
-    if tol_res is None:
-        tol_res = default_tol_res(spectrum, model)
-
-    tables, out_k, comb, starts = _candidates(spectrum, model, orders)
-    omega, singular = _output_bands(model, out_k, rounded=True)
-    zeta = np.tile([1, -1], out_k.shape[0] // 2)
-    residual = (-zeta)[:, None] * omega + comb[:, None]
-    hit = (np.abs(residual) <= tol_res) & ~singular[:, None]
-
-    out: list[ResonanceSolution] = []
-    for (m, signs, slots, kap), start, stop in zip(tables, starts, starts[1:]):
-        if collect_skipped is not None:
-            for r in np.nonzero(singular[start:stop])[0]:
-                collect_skipped.append(
-                    (m, int(zeta[r]), _index_at(signs, slots, r // 2), out_k[start + r].copy())
-                )
-        for r, b in np.argwhere(hit[start:stop]):
-            out.append(_classify_solution(
-                spectrum, int(b) + 1, int(zeta[r]), _index_at(signs, slots, r // 2),
-                kap[r // 2].copy(), float(abs(residual[start + r, b])),
-            ))
-    out.sort(key=lambda s: (s.m, -s.zeta, s.n, s.index.entries))
-    return out
+    hits = _hit_table(spectrum, model, orders, tol_res=tol_res, cap=cap)
+    if collect_skipped is not None:
+        collect_skipped.extend(hits.skipped)
+    return _solutions(hits)
 
 
 def _greedy_distinct(rows: np.ndarray, tol: float, labels: np.ndarray | None = None) -> np.ndarray:
@@ -372,11 +386,7 @@ def output_spectrum(spectrum: NkSpectrum, orders, tol_k: float | None = None) ->
     it in ``all_indices`` order.
     """
     tol = tol_k if tol_k is not None else spectrum.tol_k
-    kvecs = _kvec_table(spectrum)
-    kap = np.concatenate(
-        [_slot_sums(*_index_table(spectrum.n_pairs, m), kvecs) for m in sorted(set(int(v) for v in orders))]
-        + [np.empty((0, spectrum.dim))]
-    )
+    kap = _candidates(_kvec_table(spectrum), sorted(set(int(v) for v in orders)))[2]
     return list(kap[_greedy_distinct(kap, tol)])
 
 
@@ -389,27 +399,27 @@ def resonant_output_pairs(solutions, tol_k: float) -> list[tuple[int, np.ndarray
     return [(int(bands[i]), out_k[i]) for i in _greedy_distinct(out_k, tol_k, bands)]
 
 
+def _new_pairs(hits: _HitTable, tol_k: float) -> list[tuple[int, np.ndarray]]:
+    """The resonant output pairs that the spectrum lacks, in solution order.
+
+    Each tol_k cluster of (band, zeta * kappa) outputs is represented by its
+    first hit, as in ``resonant_output_pairs``, and is new when that hit has
+    no target.  R(S) = S exactly when no output is new.
+    """
+    out_k = hits.zeta[:, None] * hits.kappa
+    return [(int(hits.n[i]), out_k[i]) for i in _greedy_distinct(out_k, tol_k, hits.n)
+            if hits.target[i] < 0]
+
+
 def resonance_select(
     spectrum: NkSpectrum,
     model: DispersionModel,
     orders,
     tol_res: float | None = None,
-    solutions=None,
-    collect_skipped: list | None = None,
 ) -> NkSpectrum:
     """Spectrum augmented by its resonant output pairs."""
-    if solutions is None:
-        solutions = enumerate_solutions(
-            spectrum, model, orders, tol_res=tol_res, collect_skipped=collect_skipped
-        )
-    new_pairs = list(spectrum.pairs)
-    for n, k in resonant_output_pairs(solutions, spectrum.tol_k):
-        if spectrum.contains_pair(n, k) is None:
-            if not any(
-                n == pn and np.linalg.norm(k - pk) <= spectrum.tol_k for pn, pk in new_pairs
-            ):
-                new_pairs.append((n, k))
-    return NkSpectrum(tuple(new_pairs), dim=spectrum.dim)
+    new = _new_pairs(_hit_table(spectrum, model, orders, tol_res=tol_res), spectrum.tol_k)
+    return NkSpectrum(spectrum.pairs + tuple(new), dim=spectrum.dim)
 
 
 def closure(
@@ -432,14 +442,15 @@ def closure(
         raise ValueError("max_iter must be >= 1")
     current = spectrum
     for it in range(1, max_iter + 1):
-        skipped: list = []
-        nxt = resonance_select(current, model, orders, tol_res=tol_res, collect_skipped=skipped)
-        if skipped:
+        hits = _hit_table(current, model, orders, tol_res=tol_res)
+        if hits.skipped:
             raise BandCrossingAtOutput(
-                f"{len(skipped)} candidate outputs on the singular set during closure"
+                f"{len(hits.skipped)} candidate outputs on the singular set during closure"
             )
-        if spectra_equal(nxt, current):
+        new = _new_pairs(hits, current.tol_k)
+        if not new:
             return current, True, it
+        nxt = NkSpectrum(current.pairs + tuple(new), dim=current.dim)
         if nxt.n_pairs > max_pairs:
             return nxt, False, it
         current = nxt
@@ -523,6 +534,22 @@ def _exact_condition_check(model: DispersionModel, spectrum: NkSpectrum, rows) -
         return None
 
 
+def _classification(hits: _HitTable, tol_k: float) -> tuple[str, list]:
+    """Class of a spectrum and its sorted condition rows, from its hit table.
+
+    A spectrum with R(S) = S is universally invariant unless an internal
+    hit is not universal; then it is conditionally invariant, each such hit
+    giving the condition row cond = delta - zeta * e_target (never zero).
+    """
+    if _new_pairs(hits, tol_k):
+        return "not_invariant", []
+    conditional = (hits.target >= 0) & ~hits.universal
+    if not conditional.any():
+        return "universally_invariant", []
+    rows = {_normalize_row(tuple(row)) for row in hits.cond[conditional].tolist()}
+    return "conditionally_invariant", sorted(rows)
+
+
 def classify(
     spectrum: NkSpectrum,
     model: DispersionModel,
@@ -530,54 +557,37 @@ def classify(
     tol_res: float | None = None,
     exact: bool = False,
     closure_max_iter: int = DEFAULT_CLOSURE_MAX_ITER,
-    with_closure: bool = True,
 ) -> ResonanceReport:
-    """Full resonance report for a spectrum."""
+    """Full resonance report for a spectrum.
+
+    The solutions are those of ``enumerate_solutions``; R(S), the class and
+    the condition rows are read off the spectrum's hit table.
+    """
     skipped: list = []
     solutions = enumerate_solutions(
         spectrum, model, orders, tol_res=tol_res, collect_skipped=skipped
     )
-    internal = [s for s in solutions if s.klass in ("internal", "universal")]
-    universal = [s for s in solutions if s.klass == "universal"]
-    out_k = output_spectrum(spectrum, orders)
-    out_res = resonant_output_pairs(solutions, spectrum.tol_k)
-    selected = resonance_select(spectrum, model, orders, tol_res=tol_res, solutions=solutions)
-
-    conditions: list = []
-    if spectra_equal(selected, spectrum):
-        nonuniv = [s for s in internal if s.klass == "internal"]
-        if not nonuniv:
-            classification = "universally_invariant"
-        else:
-            seen = set()
-            for s in nonuniv:
-                key = (_normalize_row(s.b_row), s.c_vec)
-                seen.add(key)
-            conditions = sorted({row for row, _ in seen})
-            classification = "conditionally_invariant" if conditions else "invariant"
-    else:
-        classification = "not_invariant"
-
-    closure_iterations = None
-    if with_closure:
-        try:
-            _, converged, iterations = closure(
-                spectrum, model, orders, max_iter=closure_max_iter,
-                tol_res=tol_res, max_pairs=16,
-            )
-            closure_iterations = iterations if converged else None
-        except BandCrossingAtOutput:
-            closure_iterations = None
+    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
+    classification, conditions = _classification(hits, spectrum.tol_k)
+    try:
+        _, converged, iterations = closure(
+            spectrum, model, orders, max_iter=closure_max_iter,
+            tol_res=tol_res, max_pairs=16,
+        )
+        closure_iterations = iterations if converged else None
+    except BandCrossingAtOutput:
+        closure_iterations = None
 
     conditions_exact = _exact_condition_check(model, spectrum, conditions) if exact else None
     return ResonanceReport(
         spectrum=spectrum,
         solutions=solutions,
-        internal=internal,
-        universal=universal,
-        out_k=out_k,
-        out_res=out_res,
-        selected=selected,
+        internal=[s for s in solutions if s.klass != "external"],
+        universal=[s for s in solutions if s.klass == "universal"],
+        out_k=output_spectrum(spectrum, orders),
+        out_res=resonant_output_pairs(solutions, spectrum.tol_k),
+        selected=NkSpectrum(spectrum.pairs + tuple(_new_pairs(hits, spectrum.tol_k)),
+                            dim=spectrum.dim),
         classification=classification,
         conditions=conditions,
         closure_iterations=closure_iterations,
@@ -587,6 +597,22 @@ def classify(
 
 
 # -- index sets for the interaction machinery --------------------------------------
+
+def _index_sets(spectrum: NkSpectrum, hits: _HitTable, orders):
+    """``resonant_index_sets``' two mappings, grouped from a hit table."""
+    resonant: dict = {(l, theta, m): [] for l in range(1, spectrum.n_pairs + 1)
+                      for theta in (+1, -1) for m in sorted(set(int(v) for v in orders))}
+    contributing: dict = {key: [] for key in resonant}
+    for i in np.argsort(hits.row, kind="stable"):  # all_indices order within each key
+        index = _index_at(hits.signs[i], hits.slots[i])
+        for l in range(1, spectrum.n_pairs + 1):
+            if spectrum.band(l) == hits.n[i]:
+                key = (l, int(hits.zeta[i]), index.m)
+                resonant[key].append(index)
+                if hits.close[i, l - 1]:
+                    contributing[key].append(index)
+    return resonant, contributing
+
 
 def resonant_index_sets(
     spectrum: NkSpectrum,
@@ -602,29 +628,7 @@ def resonant_index_sets(
     survive the output cutoff in the interaction equations.  Both list
     indices in ``all_indices`` order.
     """
-    if tol_res is None:
-        tol_res = default_tol_res(spectrum, model)
-    orders = sorted(set(int(m) for m in orders))
-    tables, out_k, comb, starts = _candidates(spectrum, model, orders)
-    omega, singular = _output_bands(model, out_k, rounded=False)
-    resonant: dict = {}
-    contributing: dict = {}
-    for l in range(1, spectrum.n_pairs + 1):
-        n_l = spectrum.band(l)
-        k_l = spectrum.kvec(l)
-        for theta in (+1, -1):
-            for (m, signs, slots, kap), start, stop in zip(tables, starts, starts[1:]):
-                # rows of this order with zeta = theta
-                rows = slice(start + (0 if theta > 0 else 1), stop, 2)
-                residual = -theta * omega[rows, n_l - 1] + comb[rows]
-                hits = np.nonzero((np.abs(residual) <= tol_res) & ~singular[rows])[0]
-                res_list = [_index_at(signs, slots, i) for i in hits]
-                resonant[(l, theta, m)] = res_list
-                contributing[(l, theta, m)] = [
-                    index for i, index in zip(hits, res_list)
-                    if np.linalg.norm(kap[i] - theta * k_l) <= spectrum.tol_k
-                ]
-    return resonant, contributing
+    return _index_sets(spectrum, _hit_table(spectrum, model, orders, tol_res=tol_res), orders)
 
 
 # -- group velocity matching ---------------------------------------------------------
@@ -700,18 +704,17 @@ def partial_gvm_check(
     violations: list = []
     for p in parts:
         sub = spectrum.subset(p)
-        sel = resonance_select(sub, model, orders, tol_res=tol_res)
-        if not spectra_equal(sel, sub):
+        if _new_pairs(_hit_table(sub, model, orders, tol_res=tol_res), sub.tol_k):
             violations.append(("part_not_invariant", p))
 
-    _, contributing = resonant_index_sets(spectrum, model, orders, tol_res=tol_res)
+    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
+    _, contributing = _index_sets(spectrum, hits, orders)
     flags, _ = gvm_check(spectrum, model, contributing, tol_gv=tol_gv)
     if tol_gv is None:
         tol_gv = default_tol_gv(model, spectrum)
     vels = {l: _pair_velocity(model, spectrum, l) for l in range(1, spectrum.n_pairs + 1)}
 
-    solutions = enumerate_solutions(spectrum, model, orders, tol_res=tol_res)
-    for s in solutions:
+    for s in _solutions(hits):
         slots = set(s.index.slots())
         if len({part_of[l] for l in slots}) < 2:
             continue  # not cross-interacting
@@ -740,22 +743,18 @@ def genericity_probe(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    hits = 0
+    universal = 0
     for _ in range(trials):
-        pairs = []
-        for n, k in spectrum.pairs:
-            shift = rng.uniform(-radius, radius, size=spectrum.dim)
-            pairs.append((n, k + shift))
-        trial = NkSpectrum(tuple(pairs), dim=spectrum.dim)
+        shifted = [(n, k + rng.uniform(-radius, radius, size=spectrum.dim)) for n, k in spectrum.pairs]
+        trial = NkSpectrum(tuple(shifted), dim=spectrum.dim)
         try:
-            report = classify(trial, model, orders, with_closure=False)
+            hits = _hit_table(trial, model, orders)
         except EnumerationCapExceeded:
             raise  # the same for every trial: no sample to count
         except WavepaxError:
             continue  # e.g. a perturbed carrier on the singular set
-        if report.classification == "universally_invariant":
-            hits += 1
-    return hits / trials
+        universal += _classification(hits, trial.tol_k)[0] == "universally_invariant"
+    return universal / trials
 
 
 __all__ = [

@@ -68,6 +68,15 @@ def test_projectors_diagonal_model():
     m = quad_model(a0=1.0)
     assert np.allclose(dsp.eval_projector(m, 1, +1, 0.7), np.diag([1.0, 0.0]))
     assert np.allclose(dsp.eval_projector(m, 1, -1, 0.7), np.diag([0.0, 1.0]))
+    # twoband: k^2 and 2|k| swap order at |k| = 2, yet band (n, zeta) stays in
+    # component comp_index(n, zeta), as in symbol_eigensystem
+    two = dsp.model_from_config({"preset": "twoband", "params": {}})
+    for k in (1.0, 3.0):
+        for n in (1, 2):
+            for zeta in (+1, -1):
+                unit = np.zeros(4)
+                unit[dsp.comp_index(n, zeta)] = 1.0
+                assert np.array_equal(dsp.eval_projector(two, n, zeta, k), np.diag(unit))
 
 
 def test_projector_idempotent_and_complete(rng):

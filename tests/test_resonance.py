@@ -296,19 +296,42 @@ def test_genericity_probe_propagates_unexpected_errors(monkeypatch):
     s = rs.spectrum_from_list([[1, 1.0]])
 
     def raising(exc):
-        def classify(*args, **kwargs):
+        def hit_table(*args, **kwargs):
             raise exc
-        return classify
+        return hit_table
 
-    monkeypatch.setattr(rs, "classify", raising(RuntimeError("bug")))
+    # each trial is decided from its hit table
+    monkeypatch.setattr(rs, "_hit_table", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
         rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
-    monkeypatch.setattr(rs, "classify", raising(EnumerationCapExceeded("cap")))
+    monkeypatch.setattr(rs, "_hit_table", raising(EnumerationCapExceeded("cap")))
     with pytest.raises(EnumerationCapExceeded):
         rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
     # a trial carrier on the singular set is a miss, not an error
-    monkeypatch.setattr(rs, "classify", raising(BandCrossing("gap")))
+    monkeypatch.setattr(rs, "_hit_table", raising(BandCrossing("gap")))
     assert rs.genericity_probe(s, m, [3], trials=3, radius=0.05) == 0.0
+
+
+# (model, spectrum, orders, trials, radius, seed) and the fraction that
+# classify-based trials returned for it
+@pytest.mark.parametrize("case, fraction", [
+    (("nls_a0_1", [[1, 1.0], [1, -1.0], [1, 0.37]], [2, 3], 20, 0.05, 0), 1.0),
+    (("power_p1", [[1, 1.0]], [3], 20, 0.05, 3), 0.0),
+    (("twoband", [[1, 1.0], [2, 1.0]], [2, 3], 20, 1.5, 1), 0.25),
+    (("twoband", [[1, 2.0], [2, 1.0]], [2], 20, 1.5, 1), 0.15),
+])
+def test_genericity_probe_builds_no_report(monkeypatch, case, fraction):
+    name, rows, orders, trials, radius, seed = case
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a genericity trial built a report object")
+
+    monkeypatch.setattr(rs, "ResonanceReport", refused)
+    monkeypatch.setattr(rs, "ResonanceSolution", refused)
+    s = rs.spectrum_from_list(rows)
+    got = rs.genericity_probe(s, ORACLE_MODELS[name], orders, trials=trials, radius=radius,
+                              seed=seed)
+    assert got == fraction
 
 
 # -- golden CLI report ------------------------------------------------------------------
@@ -327,8 +350,48 @@ def test_cli_report_matches_golden_bytes(tmp_path):
 
 # -- table enumeration against the per-index loop ---------------------------------------
 #
-# The functions below are the per-index enumeration that the table code
-# replaced, kept literally as a reference oracle.
+# The functions below are the per-index enumeration and classification that
+# the table code replaced, kept literally as a reference oracle; the former
+# DecoratedIndex.delta and .cardinality methods are the two helpers below.
+
+def _index_delta(index, n_pairs):
+    d = np.zeros(n_pairs, dtype=int)
+    for z, l in index.entries:
+        d[l - 1] += z
+    return d
+
+
+def _index_cardinality(index, n_pairs):
+    c = [0] * n_pairs
+    for _, l in index.entries:
+        c[l - 1] += 1
+    return tuple(c)
+
+
+def _classify_solution(spectrum, n, zeta, index, kap, residual):
+    kv = np.atleast_1d(np.asarray(kap, dtype=float))
+    target = spectrum.contains_pair(n, zeta * kv)
+    delta = tuple(int(d) for d in _index_delta(index, spectrum.n_pairs))
+    if target is None:
+        return rs.ResonanceSolution(
+            index.m, zeta, n, index, delta, kv, residual, "external", None, None, None
+        )
+    nonzero = [l for l, d in enumerate(delta, start=1) if d != 0]
+    universal = (
+        len(nonzero) == 1
+        and abs(delta[nonzero[0] - 1]) == 1
+        and nonzero[0] == target
+        and spectrum.band(target) == n
+        and delta[target - 1] == zeta
+    )
+    b = list(delta)
+    b[target - 1] -= zeta
+    klass = "universal" if universal else "internal"
+    return rs.ResonanceSolution(
+        index.m, zeta, n, index, delta, kv, residual, klass, target,
+        tuple(b), _index_cardinality(index, spectrum.n_pairs),
+    )
+
 
 def _oracle_crossing(model, k, tol=None):
     try:
@@ -378,7 +441,7 @@ def _oracle_enumerate(spectrum, model, orders, collect_skipped):
                 for n in range(1, model.j_bands + 1):
                     residual = -zeta * omega_at(n, out_k) + comb
                     if abs(residual) <= tol_res:
-                        out.append(rs._classify_solution(spectrum, n, zeta, index, kap, abs(residual)))
+                        out.append(_classify_solution(spectrum, n, zeta, index, kap, abs(residual)))
     out.sort(key=lambda s: (s.m, -s.zeta, s.n, s.index.entries))
     return out
 
@@ -521,6 +584,64 @@ def test_enumeration_matches_per_index_oracle(case):
         assert list(got_sets) == list(want_sets)
         for key in want_sets:
             assert [ix.entries for ix in got_sets[key]] == [ix.entries for ix in want_sets[key]]
+
+
+def _oracle_classification(spectrum, model, orders):
+    """R(S), class and condition rows by the report-based rule, on the oracle's solutions."""
+    solutions = _oracle_enumerate(spectrum, model, orders, [])
+    new_pairs = list(spectrum.pairs)
+    for n, k in _oracle_output_pairs(solutions, spectrum.tol_k):
+        if spectrum.contains_pair(n, k) is None:
+            if not any(
+                n == pn and np.linalg.norm(k - pk) <= spectrum.tol_k for pn, pk in new_pairs
+            ):
+                new_pairs.append((n, k))
+    selected = rs.NkSpectrum(tuple(new_pairs), dim=spectrum.dim)
+    if not rs.spectra_equal(selected, spectrum):
+        return selected, "not_invariant", []
+    nonuniv = [x for x in solutions if x.klass == "internal"]
+    if not nonuniv:
+        return selected, "universally_invariant", []
+    conditions = sorted({rs._normalize_row(x.b_row) for x in nonuniv})
+    return selected, ("conditionally_invariant" if conditions else "invariant"), conditions
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+@example(("nls_a0_2", [[1, 1.0], [1, 2.0]], [2]))
+@example(("nls_a0_2", [[1, 1.0]], [2]))
+@example(("nls_a0_1", [[1, 1.0], [1, -1.0]], [3]))
+@example(("power_p1", [[1, 1.0], [1, 2.0], [1, 0.5]], [3]))
+@example(("twoband", [[1, 1.0], [2, 1.0]], [2, 3]))
+@example(("power_p1", [[1, 1.0], [1, 0.5]], [2, 3]))
+def test_trial_decision_matches_classify(case):
+    name, rows, orders = case
+    m = ORACLE_MODELS[name]
+    s = _spectrum_or_reject(rows, m.dim)
+    report = rs.classify(s, m, orders)
+    selected, classification, conditions = _oracle_classification(s, m, orders)
+    assert (report.classification, report.conditions) == (classification, conditions)
+    assert [n for n, _ in report.selected.pairs] == [n for n, _ in selected.pairs]
+    for (_, a), (_, b) in zip(report.selected.pairs, selected.pairs):
+        assert np.array_equal(a, b)
+    # what genericity_probe counts for a trial spectrum
+    trial = rs._classification(rs._hit_table(s, m, orders), s.tol_k)[0]
+    assert (trial == "universally_invariant") == (report.classification == "universally_invariant")
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+@example(("nls_a0_2", [[1, 1.0], [1, 2.0]], [2]))
+@example(("power_p1", [[1, 1.0], [1, 2.0], [1, 0.5]], [3]))
+def test_non_universal_internal_solutions_have_a_condition(case):
+    # b = delta - zeta * e_target vanishes exactly for universal solutions,
+    # so no invariant spectrum is left without condition rows
+    name, rows, orders = case
+    m = ORACLE_MODELS[name]
+    s = _spectrum_or_reject(rows, m.dim)
+    for x in _oracle_enumerate(s, m, orders, []):
+        if x.klass != "external":
+            assert any(x.b_row) == (x.klass == "internal")
 
 
 @settings(max_examples=30, deadline=None)
