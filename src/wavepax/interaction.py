@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
@@ -231,6 +231,7 @@ class InteractionSolution:
     iterations: int
     distances: list
     record_stride: int
+    diagnostics: dict = dfield(default_factory=dict)
 
     @property
     def sample_indices(self) -> list:
@@ -256,11 +257,11 @@ def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict
 
 def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
                     beta: float, epsilon: float, sets_flat: dict | None,
-                    clip_arguments: bool) -> InteractionSolution:
+                    clip_arguments: bool) -> tuple[InteractionSolution, MonomialEvaluator | None]:
     """Picard solution of the windowed system whose nonlinearity keeps ``sets_flat``.
 
     With ``sets_flat`` None the nonlinearity is zero and the initial windows
-    are returned after 0 iterations.
+    are returned after 0 iterations.  Returns the solution and its evaluator.
     """
     config = config or SolverConfig()
     if config.convolution_mode == "direct-oracle":
@@ -284,7 +285,7 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
         iterations=iterations,
         distances=distances,
         record_stride=config.record_stride or max(1, n // 128),
-    )
+    ), evaluator
 
 
 def solve_interaction_system(
@@ -304,8 +305,9 @@ def solve_interaction_system(
              for m in sorted({s.order for s in problem.nonlinearity})
              for entries in itertools.product(slots, repeat=m)]
     sets_flat = {(l, z): every for z, l in slots} if every else None
-    return _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
-                           clip_arguments=False)
+    solution, _ = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                                  clip_arguments=False)
+    return solution
 
 
 # -- windowed monomial machinery ---------------------------------------------------------
@@ -443,8 +445,21 @@ def solve_averaged_system(
                 f"partition is not group-velocity decoupled ({len(violations)} violations)"
             )
     sets_flat = _sets_for_mode(index_sets, mode, partition)
-    return _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
-                           clip_arguments=True)
+    solution, evaluator = _solve_windowed(problem, spectrum, config, beta, epsilon, sets_flat,
+                                          clip_arguments=True)
+    # size of the argument-clip ambiguity on the converged state: the same
+    # integrand with and without the clip, on a few late-time samples
+    layout = solution.layout
+    probe = {key: solution.data[key][-1:] for key in layout.keys}
+    taus_probe = solution.times[-1:]
+    other = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=False)
+    g_clip = evaluator.integrand_chunk(probe, taus_probe)
+    g_raw = other.integrand_chunk(probe, taus_probe)
+    clip_diff = sum(
+        layout.component_l1(key, g_clip[key][0] - g_raw[key][0]) for key in layout.keys
+    )
+    solution.diagnostics["clip_difference"] = float(clip_diff)
+    return solution
 
 
 def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> float:

@@ -193,7 +193,8 @@ def _candidates(values: np.ndarray, orders) -> tuple:
     (n_pairs, d) ``values``.
     """
     width = max(orders, default=0)
-    cols = [(np.empty((0, width), int),) * 2 + (np.empty((0, values.shape[1])),)]
+    empty = np.empty((0, width), dtype=int)
+    cols = [(empty, empty, np.empty((0, values.shape[1])))]
     for m in orders:
         signs, slots = _index_table(len(values), m)
         pad = ((0, 0), (0, width - m))
@@ -206,7 +207,8 @@ def _output_bands(model: DispersionModel, out_k: np.ndarray):
 
     Rows with the same 12-decimal rounding all take the values at the first.
     """
-    _, first, inverse = np.unique(np.round(out_k, 12), axis=0, return_index=True, return_inverse=True)
+    key = np.round(out_k, 12)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     omega, singular = band_frequencies(model, out_k[first].T)
     inverse = inverse.reshape(-1)
     return omega.T[inverse], singular[inverse]
@@ -251,9 +253,10 @@ class _HitTable(NamedTuple):
     (sign 0 pads the columns past its order), row ``row[i]`` of the candidate
     table, resonant for the output (n[i], zeta[i]).  ``close[i]`` flags the
     pairs equal to (n[i], zeta[i] * kappa[i]) under tol_k and ``target[i]``
-    is the first of them (-1: the hit is external).  ``cond[i]`` vanishes
-    exactly for a universal hit.  ``skipped`` lists the (m, zeta, index,
-    output wavevector) candidates on the singular set.
+    is the first of them (-1: the hit is external).  ``cond[i]`` =
+    delta - zeta * e_target vanishes exactly when an internal hit is
+    universal.  ``skipped`` lists the (m, zeta, index, output wavevector)
+    candidates on the singular set.
     """
 
     zeta: np.ndarray       # (H,)
@@ -266,8 +269,7 @@ class _HitTable(NamedTuple):
     delta: np.ndarray      # (H, n_pairs)
     close: np.ndarray      # (H, n_pairs)
     target: np.ndarray     # (H,) 0-based
-    cond: np.ndarray       # (H, n_pairs) delta - zeta * e_target
-    universal: np.ndarray  # (H,)
+    cond: np.ndarray       # (H, n_pairs)
     skipped: list
 
 
@@ -315,9 +317,8 @@ def _hit_table(
     target = np.where(first < n_pairs, first, -1)
     delta = (signs[:, :, None] * (slots[:, :, None] == np.arange(n_pairs))).sum(axis=1)
     cond = delta - zeta[:, None] * (np.arange(n_pairs) == target[:, None])
-    universal = (target >= 0) & ~cond.any(axis=1)
     return _HitTable(zeta, n, signs, slots, row, kap, residual[r, b], delta, close, target,
-                     cond, universal, skipped)
+                     cond, skipped)
 
 
 def _solutions(hits: _HitTable) -> list[ResonanceSolution]:
@@ -326,7 +327,7 @@ def _solutions(hits: _HitTable) -> list[ResonanceSolution]:
               * (hits.slots[:, :, None] == np.arange(hits.delta.shape[1]))).sum(axis=1)
     out = []
     for i, t in enumerate(hits.target.tolist()):
-        klass = "external" if t < 0 else "universal" if hits.universal[i] else "internal"
+        klass = "external" if t < 0 else "internal" if hits.cond[i].any() else "universal"
         index = _index_at(hits.signs[i], hits.slots[i])
         out.append(ResonanceSolution(
             index.m, int(hits.zeta[i]), int(hits.n[i]), index, tuple(hits.delta[i].tolist()),
@@ -390,25 +391,53 @@ def output_spectrum(spectrum: NkSpectrum, orders, tol_k: float | None = None) ->
     return list(kap[_greedy_distinct(kap, tol)])
 
 
-def resonant_output_pairs(solutions, tol_k: float) -> list[tuple[int, np.ndarray]]:
-    """Distinct (band, zeta * kappa) outputs of the solutions, in solution order."""
-    if not solutions:
-        return []
-    bands = np.array([s.n for s in solutions])
-    out_k = np.stack([s.zeta * s.kappa for s in solutions])
-    return [(int(bands[i]), out_k[i]) for i in _greedy_distinct(out_k, tol_k, bands)]
+class _Verdict(NamedTuple):
+    out_res: list       # representative (band, zeta * kappa) outputs, in hit order
+    new: list           # those of them that the spectrum lacks: R(S) minus S
+    classification: str
+    conditions: list    # sorted condition rows of the internal, non-universal hits
 
 
-def _new_pairs(hits: _HitTable, tol_k: float) -> list[tuple[int, np.ndarray]]:
-    """The resonant output pairs that the spectrum lacks, in solution order.
+def _normalize_row(row: tuple) -> tuple:
+    for v in row:
+        if v != 0:
+            return row if v > 0 else tuple(-x for x in row)
+    return row
 
-    Each tol_k cluster of (band, zeta * kappa) outputs is represented by its
-    first hit, as in ``resonant_output_pairs``, and is new when that hit has
-    no target.  R(S) = S exactly when no output is new.
+
+def _verdict(out_k: np.ndarray, bands: np.ndarray, internal: np.ndarray, cond: np.ndarray,
+             tol_k: float) -> _Verdict:
+    """Resonant outputs, class and condition rows of a spectrum, from its hits.
+
+    Hit i outputs (``bands[i]``, ``out_k[i]``), is internal when that output
+    is a pair of the spectrum (``internal[i]``) and has the condition row
+    ``cond[i]``, zero exactly when an internal hit is universal.  Each tol_k
+    cluster of outputs is represented by its first hit; R(S) = S exactly when
+    every representative has a target.  Such a spectrum is universally
+    invariant unless an internal hit is not universal, which makes it
+    conditionally invariant under that hit's condition row.
     """
-    out_k = hits.zeta[:, None] * hits.kappa
-    return [(int(hits.n[i]), out_k[i]) for i in _greedy_distinct(out_k, tol_k, hits.n)
-            if hits.target[i] < 0]
+    reps = _greedy_distinct(out_k, tol_k, bands)
+    out_res = [(int(bands[i]), out_k[i]) for i in reps]
+    new = [pair for pair, known in zip(out_res, internal[reps]) if not known]
+    if new:
+        return _Verdict(out_res, new, "not_invariant", [])
+    conditional = internal & cond.any(axis=1)
+    if not conditional.any():
+        return _Verdict(out_res, new, "universally_invariant", [])
+    rows = {_normalize_row(tuple(row)) for row in cond[conditional].tolist()}
+    return _Verdict(out_res, new, "conditionally_invariant", sorted(rows))
+
+
+def _table_verdict(hits: _HitTable, tol_k: float) -> _Verdict:
+    return _verdict(hits.zeta[:, None] * hits.kappa, hits.n, hits.target >= 0, hits.cond, tol_k)
+
+
+def _selection_step(spectrum: NkSpectrum, model: DispersionModel, orders,
+                    tol_res: float | None) -> tuple[list, list]:
+    """The pairs that resonance selection adds to a spectrum, and its skipped candidates."""
+    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
+    return _table_verdict(hits, spectrum.tol_k).new, hits.skipped
 
 
 def resonance_select(
@@ -418,8 +447,29 @@ def resonance_select(
     tol_res: float | None = None,
 ) -> NkSpectrum:
     """Spectrum augmented by its resonant output pairs."""
-    new = _new_pairs(_hit_table(spectrum, model, orders, tol_res=tol_res), spectrum.tol_k)
+    new, _ = _selection_step(spectrum, model, orders, tol_res)
     return NkSpectrum(spectrum.pairs + tuple(new), dim=spectrum.dim)
+
+
+def _closure(spectrum: NkSpectrum, first: tuple[list, list], model: DispersionModel, orders,
+             max_iter: int, tol_res: float | None, max_pairs: int) -> tuple[NkSpectrum, bool, int]:
+    """``closure`` of a spectrum whose own selection step gave ``first``."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    current = spectrum
+    for it in range(1, max_iter + 1):
+        new, skipped = first if it == 1 else _selection_step(current, model, orders, tol_res)
+        if skipped:
+            raise BandCrossingAtOutput(
+                f"{len(skipped)} candidate outputs on the singular set during closure"
+            )
+        if not new:
+            return current, True, it
+        nxt = NkSpectrum(current.pairs + tuple(new), dim=current.dim)
+        if nxt.n_pairs > max_pairs:
+            return nxt, False, it
+        current = nxt
+    return current, False, max_iter
 
 
 def closure(
@@ -438,23 +488,8 @@ def closure(
     make the iterates grow without bound; the size cap stops that with
     converged = False.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    current = spectrum
-    for it in range(1, max_iter + 1):
-        hits = _hit_table(current, model, orders, tol_res=tol_res)
-        if hits.skipped:
-            raise BandCrossingAtOutput(
-                f"{len(hits.skipped)} candidate outputs on the singular set during closure"
-            )
-        new = _new_pairs(hits, current.tol_k)
-        if not new:
-            return current, True, it
-        nxt = NkSpectrum(current.pairs + tuple(new), dim=current.dim)
-        if nxt.n_pairs > max_pairs:
-            return nxt, False, it
-        current = nxt
-    return current, False, max_iter
+    first = _selection_step(spectrum, model, orders, tol_res)
+    return _closure(spectrum, first, model, orders, max_iter, tol_res, max_pairs)
 
 
 # -- classification ---------------------------------------------------------------
@@ -509,13 +544,6 @@ class ResonanceReport:
         }
 
 
-def _normalize_row(row: tuple) -> tuple:
-    for v in row:
-        if v != 0:
-            return row if v > 0 else tuple(-x for x in row)
-    return row
-
-
 def _exact_condition_check(model: DispersionModel, spectrum: NkSpectrum, rows) -> bool | None:
     """Verify condition rows in rational arithmetic when the model allows it."""
     exact = getattr(model, "exact_bands", None)
@@ -534,22 +562,6 @@ def _exact_condition_check(model: DispersionModel, spectrum: NkSpectrum, rows) -
         return None
 
 
-def _classification(hits: _HitTable, tol_k: float) -> tuple[str, list]:
-    """Class of a spectrum and its sorted condition rows, from its hit table.
-
-    A spectrum with R(S) = S is universally invariant unless an internal
-    hit is not universal; then it is conditionally invariant, each such hit
-    giving the condition row cond = delta - zeta * e_target (never zero).
-    """
-    if _new_pairs(hits, tol_k):
-        return "not_invariant", []
-    conditional = (hits.target >= 0) & ~hits.universal
-    if not conditional.any():
-        return "universally_invariant", []
-    rows = {_normalize_row(tuple(row)) for row in hits.cond[conditional].tolist()}
-    return "conditionally_invariant", sorted(rows)
-
-
 def classify(
     spectrum: NkSpectrum,
     model: DispersionModel,
@@ -561,35 +573,42 @@ def classify(
     """Full resonance report for a spectrum.
 
     The solutions are those of ``enumerate_solutions``; R(S), the class and
-    the condition rows are read off the spectrum's hit table.
+    the condition rows follow from them by the rule of ``_verdict``.
     """
     skipped: list = []
     solutions = enumerate_solutions(
         spectrum, model, orders, tol_res=tol_res, collect_skipped=skipped
     )
-    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
-    classification, conditions = _classification(hits, spectrum.tol_k)
+    n_hits, n_pairs = len(solutions), spectrum.n_pairs
+    verdict = _verdict(
+        np.array([s.zeta * s.kappa for s in solutions]).reshape(n_hits, spectrum.dim),
+        np.array([s.n for s in solutions], dtype=int),
+        np.array([s.target is not None for s in solutions], dtype=bool),
+        np.array([s.b_row or (0,) * n_pairs for s in solutions],
+                 dtype=int).reshape(n_hits, n_pairs),
+        spectrum.tol_k,
+    )
     try:
-        _, converged, iterations = closure(
-            spectrum, model, orders, max_iter=closure_max_iter,
-            tol_res=tol_res, max_pairs=16,
+        _, converged, iterations = _closure(
+            spectrum, (verdict.new, skipped), model, orders, closure_max_iter, tol_res,
+            max_pairs=16,
         )
         closure_iterations = iterations if converged else None
     except BandCrossingAtOutput:
         closure_iterations = None
 
-    conditions_exact = _exact_condition_check(model, spectrum, conditions) if exact else None
+    conditions_exact = (_exact_condition_check(model, spectrum, verdict.conditions)
+                        if exact else None)
     return ResonanceReport(
         spectrum=spectrum,
         solutions=solutions,
         internal=[s for s in solutions if s.klass != "external"],
         universal=[s for s in solutions if s.klass == "universal"],
         out_k=output_spectrum(spectrum, orders),
-        out_res=resonant_output_pairs(solutions, spectrum.tol_k),
-        selected=NkSpectrum(spectrum.pairs + tuple(_new_pairs(hits, spectrum.tol_k)),
-                            dim=spectrum.dim),
-        classification=classification,
-        conditions=conditions,
+        out_res=verdict.out_res,
+        selected=NkSpectrum(spectrum.pairs + tuple(verdict.new), dim=spectrum.dim),
+        classification=verdict.classification,
+        conditions=verdict.conditions,
         closure_iterations=closure_iterations,
         skipped=skipped,
         conditions_exact=conditions_exact,
@@ -703,8 +722,7 @@ def partial_gvm_check(
 
     violations: list = []
     for p in parts:
-        sub = spectrum.subset(p)
-        if _new_pairs(_hit_table(sub, model, orders, tol_res=tol_res), sub.tol_k):
+        if _selection_step(spectrum.subset(p), model, orders, tol_res)[0]:
             violations.append(("part_not_invariant", p))
 
     hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
@@ -745,15 +763,19 @@ def genericity_probe(
     rng = np.random.default_rng(seed)
     universal = 0
     for _ in range(trials):
-        shifted = [(n, k + rng.uniform(-radius, radius, size=spectrum.dim)) for n, k in spectrum.pairs]
-        trial = NkSpectrum(tuple(shifted), dim=spectrum.dim)
+        pairs = []
+        for n, k in spectrum.pairs:
+            shift = rng.uniform(-radius, radius, size=spectrum.dim)
+            pairs.append((n, k + shift))
+        trial = NkSpectrum(tuple(pairs), dim=spectrum.dim)
         try:
             hits = _hit_table(trial, model, orders)
         except EnumerationCapExceeded:
             raise  # the same for every trial: no sample to count
         except WavepaxError:
             continue  # e.g. a perturbed carrier on the singular set
-        universal += _classification(hits, trial.tol_k)[0] == "universally_invariant"
+        if _table_verdict(hits, trial.tol_k).classification == "universally_invariant":
+            universal += 1
     return universal / trials
 
 

@@ -234,6 +234,12 @@ def test_gvm_empty_spectrum():
     assert flags == {} and subset == []
 
 
+def test_classify_empty_spectrum():
+    rep = rs.classify(rs.NkSpectrum((), dim=1), model(1.0), [2, 3])
+    assert rep.classification == "universally_invariant" and rep.closure_iterations == 1
+    assert rep.solutions == [] and rep.out_res == [] and rep.selected.n_pairs == 0
+
+
 def test_partial_gvm_universal_singletons():
     m = model(1.0)
     s = rs.spectrum_from_list([[1, 0.9], [1, -1.3]])
@@ -319,6 +325,8 @@ def test_genericity_probe_propagates_unexpected_errors(monkeypatch):
     (("power_p1", [[1, 1.0]], [3], 20, 0.05, 3), 0.0),
     (("twoband", [[1, 1.0], [2, 1.0]], [2, 3], 20, 1.5, 1), 0.25),
     (("twoband", [[1, 2.0], [2, 1.0]], [2], 20, 1.5, 1), 0.15),
+    # a conditionally invariant template, unperturbed: no trial is universal
+    (("nls_a0_2", [[1, 1.0], [1, 2.0]], [2], 5, 0.0, 0), 0.0),
 ])
 def test_genericity_probe_builds_no_report(monkeypatch, case, fraction):
     name, rows, orders, trials, radius, seed = case
@@ -572,7 +580,7 @@ def test_enumeration_matches_per_index_oracle(case):
     assert len(out) == len(want_out)
     for a, b in zip(out, want_out):
         assert np.linalg.norm(a - b) <= s.tol_k
-    pairs = rs.resonant_output_pairs(got, s.tol_k)
+    pairs = rs.classify(s, m, orders).out_res
     want_pairs = _oracle_output_pairs(want, s.tol_k)
     assert [n for n, _ in pairs] == [n for n, _ in want_pairs]
     for (_, a), (_, b) in zip(pairs, want_pairs):
@@ -624,9 +632,17 @@ def test_trial_decision_matches_classify(case):
     assert [n for n, _ in report.selected.pairs] == [n for n, _ in selected.pairs]
     for (_, a), (_, b) in zip(report.selected.pairs, selected.pairs):
         assert np.array_equal(a, b)
-    # what genericity_probe counts for a trial spectrum
-    trial = rs._classification(rs._hit_table(s, m, orders), s.tol_k)[0]
-    assert (trial == "universally_invariant") == (report.classification == "universally_invariant")
+    # what genericity_probe decides a trial spectrum from
+    trial = rs._table_verdict(rs._hit_table(s, m, orders), s.tol_k)
+    assert (trial.classification, trial.conditions) == (report.classification, report.conditions)
+    assert rs.spectra_equal(rs.NkSpectrum(s.pairs + tuple(trial.new), dim=s.dim), report.selected)
+    # classify continues the closure from its own first selection step
+    try:
+        _, converged, iterations = rs.closure(s, m, orders, max_pairs=16)
+        want_iterations = iterations if converged else None
+    except BandCrossingAtOutput:
+        want_iterations = None
+    assert report.closure_iterations == want_iterations
 
 
 @settings(max_examples=60, deadline=None)
