@@ -224,21 +224,6 @@ def linf_r_norm(f: ModalField) -> float:
     return float(pointwise_modulus(to_r_space(f)).max())
 
 
-def gradient_k(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central-difference k-gradient with periodic wrap.
-
-    Input (..., *shape); output (dim, ..., *shape).
-    """
-    out = []
-    for a in range(grid.dim):
-        ax = values.ndim - grid.dim + a
-        out.append(
-            (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax))
-            / (2.0 * grid.dk[a])
-        )
-    return np.stack(out)
-
-
 __all__ = [
     "Grid",
     "ModalField",
@@ -253,5 +238,4 @@ __all__ = [
     "l1_norm",
     "l1_norm_values",
     "linf_r_norm",
-    "gradient_k",
 ]

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import dispersion as dsp
 from .errors import EmptySublevelSet, EnvelopeUnderresolved, RadiusUnresolvable
-from .grids import (
-    Grid,
-    ModalField,
-    gradient_k,
-    l1_norm,
-    l1_norm_values,
-)
+from .grids import Grid, ModalField, l1_norm, l1_norm_values
 
 __all__ = [
     "Envelope",
@@ -273,6 +267,84 @@ def regularity_defect(f: ModalField, spec: WavepacketSpec, model: dsp.Dispersion
     return total
 
 
+# Probes the detection window evaluates at once; bounds its (P, C, *window)
+# arrays, whatever the number of scan probes.
+_PROBE_BLOCK = 32
+
+
+class _DetectionWindow:
+    """The nodes of one field that the position detection functional sees.
+
+    A node more than one node away from the field's nonzero support has a
+    central difference of exactly zero.  So per axis the functional needs
+    only the shortest periodic arc holding the support, plus two nodes on
+    each side (wrapped indices); an axis whose arc does not fit keeps every
+    node and the periodic difference.  Phase, product, difference and
+    modulus are elementwise, and the window's moduli are summed in place on
+    a zeroed full grid, so every value is bitwise the full-grid formula's.
+    """
+
+    def __init__(self, f: ModalField):
+        grid = f.grid
+        occupied = (f.values != 0).any(axis=0)
+        if not occupied.any():
+            # one node keeps a zero field's nan for a non-finite probe
+            occupied.flat[0] = True
+        take, inner = [], []
+        for a, n in enumerate(grid.n):
+            nodes = np.flatnonzero(occupied.any(axis=tuple(b for b in range(grid.dim) if b != a)))
+            gaps = np.diff(nodes, append=nodes[0] + n)
+            widest = int(np.argmax(gaps))
+            length = n - int(gaps[widest]) + 1
+            if length + 4 <= n:
+                take.append((nodes[(widest + 1) % nodes.size] - 2 + np.arange(length + 4)) % n)
+                inner.append(slice(1, -1))
+            else:
+                take.append(np.arange(n))
+                inner.append(slice(None))
+        self.grid = grid
+        self.inner = tuple(inner)
+        self.take = np.ix_(*take)
+        self.out = np.ix_(*[t[s] for t, s in zip(take, inner)])
+        # C order, so the sum over gradient axes and components below runs
+        # in the full-grid formula's order
+        self.values = np.ascontiguousarray(f.values[(slice(None),) + self.take])
+        # 1-d probe arguments are single products; in more dimensions they
+        # come from the full-grid tensordot, so they carry its rounding
+        self.k = grid.k_axis()[take[0]] if grid.dim == 1 else grid.k_mesh()
+
+    def __call__(self, probes) -> np.ndarray:
+        """Detection functional at each row of the (P, dim) ``probes``."""
+        probes = np.asarray(probes, dtype=float).reshape(-1, self.grid.dim)
+        out = np.empty(len(probes))
+        for i in range(0, len(probes), _PROBE_BLOCK):
+            out[i:i + _PROBE_BLOCK] = self._block(probes[i:i + _PROBE_BLOCK])
+        return out
+
+    def _block(self, probes: np.ndarray) -> np.ndarray:
+        grid = self.grid
+        if grid.dim == 1:
+            arg = probes * self.k
+        else:
+            arg = np.stack([np.tensordot(p, self.k, axes=(0, 0))[self.take] for p in probes])
+        v = self.values * np.exp(1j * arg)[:, None]  # (P, C, *window)
+        grads = []
+        for a in range(grid.dim):
+            ax = v.ndim - grid.dim + a
+            if self.inner[a].stop is None:  # whole axis
+                part = v[(Ellipsis,) + self.inner]
+                diff = np.roll(part, -1, axis=ax) - np.roll(part, 1, axis=ax)
+            else:
+                hi, lo = list(self.inner), list(self.inner)
+                hi[a], lo[a] = slice(2, None), slice(None, -2)
+                diff = v[(Ellipsis,) + tuple(hi)] - v[(Ellipsis,) + tuple(lo)]
+            grads.append(diff / (2.0 * grid.dk[a]))
+        mod = np.sqrt((np.abs(np.stack(grads, axis=1)) ** 2).sum(axis=(1, 2)))
+        full = np.zeros((len(probes),) + grid.shape)
+        full[(slice(None),) + self.out] = mod
+        return full.reshape(len(probes), -1).sum(axis=1) * grid.cell
+
+
 def position_detection(f: ModalField, probe) -> float:
     """L1 size of the k-gradient of e^{i probe.k} times the field.
 
@@ -281,12 +353,7 @@ def position_detection(f: ModalField, probe) -> float:
     packet's own carrier phase e^{-i k.r_star} would otherwise be far too
     fast for the grid at positions of order 1/rho.
     """
-    probe = np.atleast_1d(np.asarray(probe, dtype=float))
-    mesh = f.grid.k_mesh()
-    phase = np.exp(1j * np.tensordot(probe, mesh, axes=(0, 0)))
-    grad = gradient_k(f.values * phase, f.grid)  # (dim, C, *shape)
-    mod = np.sqrt((np.abs(grad) ** 2).sum(axis=(0, 1)))
-    return float(mod.sum() * f.grid.cell)
+    return float(_DetectionWindow(f)(probe)[0])
 
 
 @dataclass
@@ -334,7 +401,8 @@ def locate_position(
     axes = [np.arange(lo, hi + scan_step / 2, scan_step) for lo, hi in box]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
     pts = mesh.reshape(f.grid.dim, -1).T
-    vals = np.array([position_detection(f, p) for p in pts])
+    detect = _DetectionWindow(f)
+    vals = detect(pts)
 
     below = vals <= threshold
     if not below.any():
@@ -356,14 +424,14 @@ def locate_position(
         def along(x, axis=axis, base=best):
             p = base.copy()
             p[axis] = x
-            return position_detection(f, p)
+            return detect(p)[0]
 
         best[axis] = _golden_refine(along, best[axis] - scan_step, best[axis] + scan_step)
     return PositionFix(
         position=best,
         diameter=diameter,
         n_components=n_comp,
-        minimum=float(position_detection(f, best)),
+        minimum=float(detect(best)[0]),
         threshold=threshold,
     )
 

@@ -1,5 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavepax import wavepacket as wp
 from wavepax.errors import EmptySublevelSet, RadiusUnresolvable
@@ -208,6 +213,84 @@ def test_spatial_decay_bound(nls_model):
     assert lhs.max() <= (a_star / (2 * np.pi)) * (1 + 1e-9)
 
 
+def full_grid_detection(f, probe):
+    """The detection functional on the whole grid: the arithmetic the support window must reproduce bitwise."""
+    probe = np.atleast_1d(np.asarray(probe, dtype=float))
+    mesh = f.grid.k_mesh()
+    phase = np.exp(1j * np.tensordot(probe, mesh, axes=(0, 0)))
+    values = f.values * phase
+    grad = []
+    for a in range(f.grid.dim):
+        ax = values.ndim - f.grid.dim + a
+        grad.append((np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * f.grid.dk[a]))
+    mod = np.sqrt((np.abs(np.stack(grad)) ** 2).sum(axis=(0, 1)))
+    return float(mod.sum() * f.grid.cell)
+
+
+def box_field(shape, ncomp, starts, widths, sparse, seed):
+    """Random complex values on a box of ``widths`` nodes from ``starts``, wrapped; zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    g = Grid(len(shape), shape, (3.0,) * len(shape))
+    nodes = [(s + np.arange(w % (n + 1))) % n for s, w, n in zip(starts, widths, shape)]
+    box = (ncomp,) + tuple(len(t) for t in nodes)
+    sub = (rng.normal(size=box) + 1j * rng.normal(size=box)) * 10.0 ** rng.integers(-3, 4, box)
+    if sparse:
+        sub *= rng.random(box) < 0.5
+    values = np.zeros((ncomp,) + g.shape, dtype=complex)
+    values[(slice(None),) + np.ix_(*nodes)] = sub
+    return ModalField(g, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(8,), (16,), (64,), (256,), (8, 8), (16, 8), (32, 32)]),
+    ncomp=st.sampled_from([2, 4]),
+    starts=st.lists(st.integers(0, 255), min_size=2, max_size=2),
+    # a width of 0 gives the zero field, one at least n - 3 the whole-axis fallback
+    widths=st.lists(st.integers(0, 256), min_size=2, max_size=2),
+    sparse=st.booleans(),
+    # more probes than one block of the batched scan
+    probes=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+                    min_size=1, max_size=wp._PROBE_BLOCK + 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(64,), ncomp=2, starts=[60, 0], widths=[10, 0], sparse=False,
+         probes=[(0.0, 0.0), (17.5, 0.0)], seed=0)  # support across the periodic edge
+@example(shape=(16,), ncomp=4, starts=[3, 0], widths=[13, 0], sparse=False,
+         probes=[(-40.0, 0.0)], seed=1)  # too wide for a window
+@example(shape=(16, 8), ncomp=2, starts=[14, 2], widths=[4, 5], sparse=False,
+         probes=[(3.0, -8.0), (0.0, 0.0)], seed=2)  # wrapped axis and whole axis
+@example(shape=(32, 32), ncomp=4, starts=[31, 0], widths=[1, 1], sparse=False,
+         probes=[(5.0, 7.0)], seed=3)  # single node
+@example(shape=(8, 8), ncomp=2, starts=[0, 0], widths=[0, 4], sparse=False,
+         probes=[(1.0, 2.0)], seed=4)  # zero field
+def test_support_window_is_bitwise_the_full_grid_detection(shape, ncomp, starts, widths,
+                                                           sparse, probes, seed):
+    f = box_field(shape, ncomp, starts, widths, sparse, seed)
+    probes = np.array(probes)[:, :f.grid.dim]
+    want = [full_grid_detection(f, p) for p in probes]
+    one_at_a_time = [wp.position_detection(f, p) for p in probes]
+    batched = wp._DetectionWindow(f)(probes)
+    assert one_at_a_time == want
+    assert batched.tolist() == want
+    if not f.values.any():
+        assert want == [0.0] * len(probes)
+
+
+@pytest.mark.parametrize("n, support, window", [
+    (64, [30], 5),                 # one node plus two on each side
+    (64, [62, 63, 0, 1], 8),       # the arc across the edge, not the span 1..62
+    (64, [3, 20, 40], 42),         # the shortest arc skips the widest gap
+    (16, list(range(3, 15)), 16),  # 12 + 4 nodes still fit
+    (16, list(range(3, 16)), 16),  # 13 + 4 do not: the whole axis
+])
+def test_support_window_is_the_shortest_arc_plus_two(n, support, window):
+    values = np.zeros((2, n), dtype=complex)
+    values[1, support] = 1.0 + 2.0j
+    detect = wp._DetectionWindow(ModalField(Grid(1, (n,), (2.0,)), values))
+    assert detect.values.shape == (2, window)
+
+
 # -- position recovery ---------------------------------------------------------------------
 
 def test_locate_position_single_packet(nls_model):
@@ -261,6 +344,101 @@ def test_locate_position_empty_sublevel(nls_model, grid512):
     f = wp.build_wavepacket(gaussian_spec(components="+"), nls_model, grid512)
     with pytest.raises(EmptySublevelSet):
         wp.locate_position(f, 1e-12, [(-10.0, 10.0)], 2.0)
+
+
+def full_grid_locate(f, threshold, search_box, scan_step):
+    """locate_position as a scan and golden-section loop of one full-grid detection per probe."""
+    def golden_refine(fun, lo, hi, iters=40):
+        phi = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c = b - phi * (b - a)
+        d = a + phi * (b - a)
+        fc, fd = fun(c), fun(d)
+        for _ in range(iters):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = fun(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = fun(d)
+        return (a + b) / 2.0
+
+    box = np.atleast_2d(np.asarray(search_box, dtype=float))
+    axes = [np.arange(lo, hi + scan_step / 2, scan_step) for lo, hi in box]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
+    pts = mesh.reshape(f.grid.dim, -1).T
+    vals = np.array([full_grid_detection(f, p) for p in pts])
+    below = vals <= threshold
+    if not below.any():
+        raise EmptySublevelSet(f"no probe below threshold {threshold:.3g}")
+    sub = pts[below]
+    diameter = float(
+        np.max(np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1))
+    ) if len(sub) > 1 else 0.0
+    if f.grid.dim == 1:
+        order = np.argsort(sub[:, 0])
+        gaps = np.diff(sub[order, 0])
+        n_comp = 1 + int((gaps > 2.0 * scan_step).sum())
+    else:
+        n_comp = 1
+    best = pts[int(np.argmin(vals))].astype(float)
+    for axis in range(f.grid.dim):
+        def along(x, axis=axis, base=best):
+            p = base.copy()
+            p[axis] = x
+            return full_grid_detection(f, p)
+
+        best[axis] = golden_refine(along, best[axis] - scan_step, best[axis] + scan_step)
+    return wp.PositionFix(position=best, diameter=diameter, n_components=n_comp,
+                          minimum=float(full_grid_detection(f, best)), threshold=threshold)
+
+
+def packet_at(model, r_star, roll=0):
+    g = Grid(1, (1024,), (4.0,))
+    f = wp.build_wavepacket(gaussian_spec(beta=0.1, r_star=r_star, components="+"), model, g)
+    return ModalField(g, np.roll(f.values, roll, axis=-1))
+
+
+def single_packet(model):
+    f = packet_at(model, 300.0)
+    return f, [(2.0 * full_grid_detection(f, 300.0) * 0.1 ** -0.1, [(240.0, 360.0)], 2.5)]
+
+
+def two_packet_split(model):
+    f1, f2 = packet_at(model, 200.0), packet_at(model, 500.0)
+    f = ModalField(f1.grid, f1.values + f2.values)
+    floor = min(full_grid_detection(f, 200.0), full_grid_detection(f, 500.0))
+    thr = 2.0 * full_grid_detection(f1, 200.0) * 0.1 ** -0.1
+    return f, [(thr, [(100.0, 600.0)], 2.5), (1.15 * floor, [(100.0, 600.0)], 2.5)]
+
+
+def symmetric_at_origin(model):
+    f = packet_at(model, 0.0)
+    return f, [(2.0 * full_grid_detection(f, 0.0), [(-40.0, 40.0)], 2.5)]
+
+
+def wrapped_window(model):
+    # the carrier at k = 1 sits at node 640: moved to node 0, its support
+    # crosses the periodic edge of the grid
+    f = packet_at(model, 300.0, roll=-640)
+    return f, [(2.0 * full_grid_detection(f, 300.0) * 0.1 ** -0.1, [(240.0, 360.0)], 2.5)]
+
+
+@pytest.mark.parametrize("case", [single_packet, two_packet_split, symmetric_at_origin, wrapped_window])
+def test_locate_position_is_bitwise_the_full_grid_scan(nls_model, case):
+    f, searches = case(nls_model)
+    for threshold, box, step in searches:
+        try:
+            want = full_grid_locate(f, threshold, box, step)
+        except EmptySublevelSet as err:
+            with pytest.raises(EmptySublevelSet, match=re.escape(str(err))):
+                wp.locate_position(f, threshold, box, step)
+            continue
+        got = wp.locate_position(f, threshold, box, step)
+        for field in dataclasses.fields(wp.PositionFix):
+            assert np.all(getattr(got, field.name) == getattr(want, field.name)), field.name
 
 
 # -- particle norm ---------------------------------------------------------------------------
