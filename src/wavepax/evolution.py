@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,10 +72,6 @@ class Susceptibility:
         if self.tensor is not None:
             return float(np.abs(self.tensor).sum())
         return float("inf")
-
-    def bound(self, dim: int) -> float:
-        """Susceptibility bound with the convolution measure folded in."""
-        return self.sup_norm() / (2.0 * np.pi) ** ((self.order - 1) * dim)
 
 
 def cubic_conjugate(q: float = 1.0, j_bands: int = 1, hamiltonian: bool = True) -> Susceptibility:
@@ -470,23 +465,23 @@ def interaction_phase(model: dsp.DispersionModel, n: int, zeta: int, bands, sign
 # -- propagator tables ----------------------------------------------------------------
 
 class PropagatorTables:
-    """Cached eigen data of the symbol on a grid plus phase application."""
+    """Eigen data of the symbol on a grid, and the frame map e^{-i tau L/rho}.
+
+    The map turns each eigencomponent by a unit phase.  ``phases`` and
+    ``chunk_phases`` give those factors, ``apply`` rotates by them, and
+    every map back passes their conjugate, which is bitwise e^{+i tau L/rho}.
+    """
 
     def __init__(self, model: dsp.DispersionModel, grid: Grid, rho: float):
-        self.model = model
-        self.grid = grid
         self.rho = rho
-        omega, basis, mask = eigensystem_tables(model, grid)
-        self.omega = omega  # (C, *shape) in component layout
-        self.basis = basis  # None or (*shape, C, C)
-        self.crossing_mask = mask
-        x = int(np.prod(grid.shape))
-        self.omega_flat = omega.reshape(omega.shape[0], x)
-        self.basis_flat = None if basis is None else basis.reshape(x, omega.shape[0], omega.shape[0])
+        omega, basis, _ = eigensystem_tables(model, grid)
+        c, x = omega.shape[0], int(np.prod(grid.shape))
+        self.omega_flat = omega.reshape(c, x)  # (C, X) in component layout
+        self.basis_flat = None if basis is None else basis.reshape(x, c, c)
         self._step_table = None  # (h, e^{-i j h L/rho} for j < chunk length)
 
     def chunk_phases(self, t0: float, h: float, b: int) -> np.ndarray:
-        """e^{-i (t0 + j h) L/rho} for j < b on a scalar symbol, shape (b, C, X).
+        """e^{-i (t0 + j h) L/rho} for j < b on the whole grid, shape (b, C, X).
 
         Factored as e^{-i t0 L/rho} times a table of e^{-i j h L/rho} that is
         cached for the mesh step ``h``, so a solve evaluates one (B, C, X)
@@ -501,29 +496,27 @@ class PropagatorTables:
         start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
         return self._step_table[1][:b] * start
 
-    def phases(self, taus: np.ndarray, sign: int, nodes: np.ndarray | None = None,
+    def phases(self, taus: np.ndarray, nodes: np.ndarray | None = None,
                comps=None) -> np.ndarray:
-        """The (B, c, nodes) factors e^{sign * i * tau * L / rho} of ``apply``."""
+        """The (B, c, nodes) factors e^{-i tau L/rho} of ``apply``, by direct exponentials."""
         omega = self.omega_flat if nodes is None else self.omega_flat[:, nodes]
         if self.basis_flat is None and comps is not None:
             omega = omega[comps]
-        return np.exp((sign * 1j / self.rho) * taus[:, None, None] * omega[None])
+        return np.exp((-1j / self.rho) * taus[:, None, None] * omega[None])
 
-    def apply(self, values: np.ndarray, taus: np.ndarray, sign: int,
-              nodes: np.ndarray | None = None, comps=None,
-              phases: np.ndarray | None = None) -> np.ndarray:
-        """e^{sign * i * tau * L / rho} on batched spectra (B, C, *shape).
+    def apply(self, values: np.ndarray, phases: np.ndarray,
+              nodes: np.ndarray | None = None, comps=None) -> np.ndarray:
+        """Batched spectra (B, C, *shape) with each eigencomponent turned by ``phases``.
 
+        ``phases`` come from ``phases`` or ``chunk_phases`` with the same
+        ``nodes`` and ``comps``, or are their conjugate for the map back.
         With ``nodes`` (flat grid indices) the spectra are given on those
         nodes only, as (B, C, len(nodes)) values.  With ``comps`` only those
         component rows of the result are returned; a scalar symbol then
-        evaluates their phases only, a matrix symbol still rotates every row.
-        ``phases``, given as ``self.phases`` of the same arguments, skips the exponential.
+        takes their phases only, a matrix symbol still rotates every row.
         """
         b, c = values.shape[0], values.shape[1]
         flat = values.reshape(b, c, -1)
-        if phases is None:
-            phases = self.phases(taus, sign, nodes, comps)
         if self.basis_flat is None:
             out = (flat if comps is None else flat[:, comps]) * phases
         else:
@@ -547,13 +540,9 @@ class Trajectory:
     iterations: int
     distances: list
 
-    @cached_property
-    def _tables(self) -> PropagatorTables:
-        return PropagatorTables(self.problem.model, self.problem.grid, self.problem.rho)
-
     def fast_field(self, i: int) -> ModalField:
-        vals = self._tables.apply(self.fields[i].values[None], np.array([self.times[i]]), -1)[0]
-        return ModalField(self.problem.grid, vals, frame="fast")
+        return fast_slow_transform(self.fields[i], self.problem.model, self.problem.rho,
+                                   self.times[i], "to_fast")
 
     def sup_l1(self, a: float = 0.0) -> float:
         return max(l1_norm(f, a) for f in self.fields)
@@ -562,18 +551,16 @@ class Trajectory:
 def fast_slow_transform(f: ModalField, model: dsp.DispersionModel, rho: float, tau: float,
                         direction: str) -> ModalField:
     """Map between slow and fast frames at time tau."""
+    if direction not in ("to_fast", "to_slow"):
+        raise ValueError("direction must be 'to_fast' or 'to_slow'")
+    frame, target = ("slow", "fast") if direction == "to_fast" else ("fast", "slow")
+    if f.frame != frame:
+        raise ValueError(f"{direction} expects a {frame}-frame field")
     tables = PropagatorTables(model, f.grid, rho)
-    if direction == "to_fast":
-        if f.frame != "slow":
-            raise ValueError("to_fast expects a slow-frame field")
-        vals = tables.apply(f.values[None], np.array([tau]), -1)[0]
-        return ModalField(f.grid, vals, frame="fast")
+    phases = tables.phases(np.array([tau]))
     if direction == "to_slow":
-        if f.frame != "fast":
-            raise ValueError("to_slow expects a fast-frame field")
-        vals = tables.apply(f.values[None], np.array([tau]), +1)[0]
-        return ModalField(f.grid, vals, frame="slow")
-    raise ValueError("direction must be 'to_fast' or 'to_slow'")
+        phases = np.conj(phases)
+    return ModalField(f.grid, tables.apply(f.values[None], phases)[0], frame=target)
 
 
 def modal_project(f: ModalField, model: dsp.DispersionModel, n: int, zeta: int) -> ModalField:
@@ -609,21 +596,14 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
     ``taus`` must be ``taus[0] + h * arange(B)``; ``plan`` comes from
     ``_problem_plan``.
     """
-    scalar = tables.basis_flat is None
-    if scalar:
-        phases = tables.chunk_phases(taus[0], h, values.shape[0]).reshape(values.shape)
-        fast = values * phases
-    else:
-        fast = tables.apply(values, taus, -1)
+    phases = tables.chunk_phases(taus[0], h, values.shape[0])
+    fast = tables.apply(values, phases)
     out = plan({"u": fast})["u"] if mode == "fft" and plan.outs else np.zeros_like(values)
     for susc in problem.nonlinearity:
         if mode == "direct-oracle" or susc.callback is not None:
             for b in range(values.shape[0]):
                 out[b] += _chi_direct([fast[b]] * susc.order, susc, problem.grid)
-    if scalar:
-        out *= np.conj(phases, out=phases)
-        return out
-    return tables.apply(out, taus, +1)
+    return tables.apply(out, np.conj(phases, out=phases))
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,

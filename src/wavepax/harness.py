@@ -441,16 +441,19 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     vels = _velocities(rc)
     rows = []
     final_fixes = {}
+    slow_comps = []  # per kept time, the slow carrier components
     for i in idxs:
         tau = traj.times[i]
         fast = traj.fast_field(i)
         slow = traj.fields[i]
+        slow_comps.append([])
         for l, spec in enumerate(specs, start=1):
             expected = spec.r_star + (tau / rc.rho) * vels[l - 1]
             comp = track(fast, l)
             box = [(expected[a] - halfwidth, expected[a] + halfwidth) for a in range(rc.grid.dim)]
             fix = wp.locate_position(comp, thresholds_a[l], box, scan_step)
             comp_slow = track(slow, l)
+            slow_comps[-1].append(comp_slow)
             box0 = [(spec.r_star[a] - halfwidth, spec.r_star[a] + halfwidth) for a in range(rc.grid.dim)]
             fix_slow = wp.locate_position(comp_slow, thresholds_a[l], box0, scan_step)
             rows.append({
@@ -467,14 +470,8 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
                 final_fixes[l] = fix
 
     # particle norm of the slow carrier components over kept times
-    norms = []
-    for i in idxs:
-        comps = []
-        positions = []
-        for l, spec in enumerate(specs, start=1):
-            comps.append(track(traj.fields[i], l))
-            positions.append(spec.r_star)
-        norms.append(wp.particle_norm(comps, positions, beta, eps))
+    positions = [spec.r_star for spec in specs]
+    norms = [wp.particle_norm(comps, positions, beta, eps) for comps in slow_comps]
     particle_ratio = max(norms) / norms[0] if norms and norms[0] else float("nan")
 
     dev_limit = float(exp.get("max_y_deviation", 5.0 * beta ** (1.0 - eps)))

@@ -278,10 +278,11 @@ class _DetectionWindow:
     A node more than one node away from the field's nonzero support has a
     central difference of exactly zero.  So per axis the functional needs
     only the shortest periodic arc holding the support, plus two nodes on
-    each side (wrapped indices); an axis whose arc does not fit keeps every
-    node and the periodic difference.  Phase, product, difference and
-    modulus are elementwise, and the window's moduli are summed in place on
-    a zeroed full grid, so every value is bitwise the full-grid formula's.
+    each side (wrapped indices), even where that is longer than the axis:
+    a node taken twice gets the same central difference both times.  Phase,
+    product, difference and modulus are elementwise, and the window's moduli
+    are scattered into a zeroed full grid and summed there, so every value
+    is bitwise the full-grid formula's.
     """
 
     def __init__(self, f: ModalField):
@@ -290,22 +291,16 @@ class _DetectionWindow:
         if not occupied.any():
             # one node keeps a zero field's nan for a non-finite probe
             occupied.flat[0] = True
-        take, inner = [], []
+        take = []
         for a, n in enumerate(grid.n):
             nodes = np.flatnonzero(occupied.any(axis=tuple(b for b in range(grid.dim) if b != a)))
             gaps = np.diff(nodes, append=nodes[0] + n)
             widest = int(np.argmax(gaps))
             length = n - int(gaps[widest]) + 1
-            if length + 4 <= n:
-                take.append((nodes[(widest + 1) % nodes.size] - 2 + np.arange(length + 4)) % n)
-                inner.append(slice(1, -1))
-            else:
-                take.append(np.arange(n))
-                inner.append(slice(None))
+            take.append((nodes[(widest + 1) % nodes.size] - 2 + np.arange(length + 4)) % n)
         self.grid = grid
-        self.inner = tuple(inner)
         self.take = np.ix_(*take)
-        self.out = np.ix_(*[t[s] for t, s in zip(take, inner)])
+        self.out = np.ix_(*[t[1:-1] for t in take])
         # C order, so the sum over gradient axes and components below runs
         # in the full-grid formula's order
         self.values = np.ascontiguousarray(f.values[(slice(None),) + self.take])
@@ -330,14 +325,9 @@ class _DetectionWindow:
         v = self.values * np.exp(1j * arg)[:, None]  # (P, C, *window)
         grads = []
         for a in range(grid.dim):
-            ax = v.ndim - grid.dim + a
-            if self.inner[a].stop is None:  # whole axis
-                part = v[(Ellipsis,) + self.inner]
-                diff = np.roll(part, -1, axis=ax) - np.roll(part, 1, axis=ax)
-            else:
-                hi, lo = list(self.inner), list(self.inner)
-                hi[a], lo[a] = slice(2, None), slice(None, -2)
-                diff = v[(Ellipsis,) + tuple(hi)] - v[(Ellipsis,) + tuple(lo)]
+            hi, lo = [slice(1, -1)] * grid.dim, [slice(1, -1)] * grid.dim
+            hi[a], lo[a] = slice(2, None), slice(None, -2)
+            diff = v[(Ellipsis,) + tuple(hi)] - v[(Ellipsis,) + tuple(lo)]
             grads.append(diff / (2.0 * grid.dk[a]))
         mod = np.sqrt((np.abs(np.stack(grads, axis=1)) ** 2).sum(axis=(1, 2)))
         full = np.zeros((len(probes),) + grid.shape)

@@ -231,6 +231,11 @@ def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
         assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
+def two_band_matrix_model():
+    return dsp.matrix_symbol_model(
+        lambda k: np.array([[k * k + 6.0, 0.3], [0.3, -(k * k) - 6.0]]), j_bands=1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rho=st.floats(1e-3, 1.0),
@@ -238,18 +243,26 @@ def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
     i0=st.integers(0, 10_000),
     b=st.integers(1, 64),
     matrix=st.booleans(),
+    nodes=st.one_of(st.none(), st.lists(st.integers(0, 63), min_size=1, max_size=64, unique=True)),
+    comps=st.sampled_from([None, [0], [1], [0, 1]]),
 )
-def test_opposite_phases_are_bitwise_conjugate(rho, h, i0, b, matrix):
-    # the windowed evaluator caches the -1 phases and conjugates them for
-    # the way back; that is exact only if exp(+ix) == conj(exp(-ix)) bitwise
+def test_opposite_phases_are_bitwise_conjugate(rho, h, i0, b, matrix, nodes, comps):
+    # every map back rotates by the conjugate of the e^{-i tau L/rho} factors;
+    # that is the e^{+i tau L/rho} map only if conj(exp(-ix)) == exp(+ix) bitwise
     if matrix:
-        model = dsp.matrix_symbol_model(
-            lambda k: np.array([[k * k + 6.0, 0.3], [0.3, -(k * k) - 6.0]]), j_bands=1)
+        model = two_band_matrix_model()
     else:
         model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": 1.3, "a0": 0.7}})
     tables = ev.PropagatorTables(model, Grid(1, (64,), (4.0,)), rho)
     taus = h * np.arange(i0, i0 + b)
-    assert np.array_equal(tables.phases(taus, +1), np.conj(tables.phases(taus, -1)))
+    nodes = None if nodes is None else np.array(nodes)
+    # the e^{+...} factors as ``PropagatorTables.phases`` formed them with sign +1
+    sign = +1
+    omega = tables.omega_flat if nodes is None else tables.omega_flat[:, nodes]
+    if tables.basis_flat is None and comps is not None:
+        omega = omega[comps]
+    plus = np.exp((sign * 1j / rho) * taus[:, None, None] * omega[None])
+    assert np.array_equal(np.conj(tables.phases(taus, nodes, comps)), plus)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,6 +286,71 @@ def test_factored_phase_table_matches_direct_exp(rho, tau_star, n_steps, chunk):
             table = tables._step_table
         assert tables._step_table is table  # one table per mesh step
     assert np.abs(got - direct).max() <= 1e-12
+
+
+# The frame map of ``_slow_rhs_chunk`` before it had one path: a scalar symbol
+# multiplied by the factored chunk phases and their conjugate in place, a
+# matrix symbol went through ``apply`` with a direct exponential of either sign.
+
+def parent_apply(tables, values, taus, sign):
+    b, c = values.shape[0], values.shape[1]
+    flat = values.reshape(b, c, -1)
+    phases = np.exp((sign * 1j / tables.rho) * taus[:, None, None] * tables.omega_flat[None])
+    coeff = np.einsum("xac,bax->bcx", tables.basis_flat.conj(), flat)
+    out = np.einsum("xac,bcx->bax", tables.basis_flat, coeff * phases)
+    return out.reshape((b, out.shape[1]) + values.shape[2:])
+
+
+def parent_slow_rhs_chunk(values, taus, h, problem, tables, plan, mode):
+    scalar = tables.basis_flat is None
+    if scalar:
+        phases = tables.chunk_phases(taus[0], h, values.shape[0]).reshape(values.shape)
+        fast = values * phases
+    else:
+        fast = parent_apply(tables, values, taus, -1)
+    out = plan({"u": fast})["u"] if mode == "fft" and plan.outs else np.zeros_like(values)
+    for susc in problem.nonlinearity:
+        if mode == "direct-oracle" or susc.callback is not None:
+            for b in range(values.shape[0]):
+                out[b] += ev._chi_direct([fast[b]] * susc.order, susc, problem.grid)
+    if scalar:
+        out *= np.conj(phases, out=phases)
+        return out
+    return parent_apply(tables, out, taus, +1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.floats(0.05, 1.0),
+    h=st.floats(1e-4, 0.005),
+    i0=st.integers(0, 100),
+    b=st.integers(1, 8),
+    matrix=st.booleans(),
+    susc=st.sampled_from(["cubic_full", "quadratic", "callback"]),
+    mode=st.sampled_from(["fft", "direct-oracle"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slow_rhs_chunk_has_one_frame_map(rho, h, i0, b, matrix, susc, mode, seed):
+    # one path for both symbol kinds: bitwise the parent's on a scalar symbol,
+    # and within rounding of its direct exponentials on a matrix symbol
+    rng = np.random.default_rng(seed)
+    model = two_band_matrix_model() if matrix else dsp.model_from_config(
+        {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}})
+    grid = Grid(1, (16,), (2.0,))
+    chi = {"cubic_full": ev.cubic_full(0.8), "quadratic": ev.quadratic_conjugate(1.1),
+           "callback": ev.Susceptibility(order=2, callback=lambda k, kvecs: np.full((2,) * 3, 0.4j))}
+    values = rng.normal(size=(b, 2, 16)) + 1j * rng.normal(size=(b, 2, 16))
+    problem = ev.EvolutionProblem(model, [chi[susc]], rho, 1.0, grid, ModalField(grid, values[0]))
+    taus = i0 * h + h * np.arange(b)
+    got, want = (
+        rhs(values, taus, h, problem, ev.PropagatorTables(model, grid, rho),
+            ev._problem_plan(problem), mode)
+        for rhs in (ev._slow_rhs_chunk, parent_slow_rhs_chunk)
+    )
+    if matrix:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_trapezoid_chunk_matches_cumsum(rng):
@@ -535,6 +613,20 @@ def test_fast_slow_round_trip(nls_model, grid256, rng):
     back = ev.fast_slow_transform(fwd, nls_model, rho=0.05, tau=0.37, direction="to_slow")
     assert back.frame == "slow"
     assert np.abs(back.values - vals).max() <= 1e-12 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_fast_field_is_the_to_fast_transform(nls_model, matrix):
+    model = two_band_matrix_model() if matrix else nls_model
+    g = Grid(1, (128,), (2.0,))
+    prob = ev.EvolutionProblem(model, [ev.cubic_full(0.5)], 0.05, 0.3, g, packet(model, g))
+    traj = ev.solve_integrated(prob)
+    for i in (0, len(traj.times) // 2, len(traj.times) - 1):
+        slow = traj.fields[i]
+        fast = ev.fast_slow_transform(slow, model, prob.rho, traj.times[i], "to_fast")
+        assert np.array_equal(traj.fast_field(i).values, fast.values)
+        back = ev.fast_slow_transform(fast, model, prob.rho, traj.times[i], "to_slow")
+        assert np.abs(back.values - slow.values).max() <= 1e-14 * np.abs(slow.values).max()
 
 
 def test_linear_evolution_matches_propagator(nls_model):

@@ -406,10 +406,9 @@ def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
 
 
 def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
-    # the cached e^{-i tau L/rho} window phases and their conjugates must
-    # give bitwise the integrand of fresh exponentials of either sign, and a
-    # second call on the same chunk evaluates no exponential; an evaluator
-    # built without the cache keeps no phases between calls
+    # each window's e^{-i tau L/rho} phases are kept per chunk of times: a
+    # second call on a chunk evaluates no exponential and gives bitwise the
+    # integrand of the first, also after another chunk was evaluated
     model, grid, spectrum, initial = counterprop
     layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
     sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
@@ -418,17 +417,16 @@ def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     states = {key: layout.window(key, rng.normal(size=(4, 2, x)) + 1j * rng.normal(size=(4, 2, x)))
               for key in layout.keys}
     taus = 0.0125 * np.arange(3, 7)
-    fresh = ia.MonomialEvaluator(prob, layout, sets_flat)
-    apply = fresh.tables.apply
-    monkeypatch.setattr(fresh.tables, "apply", lambda *args, phases=None, **kw: apply(*args, **kw))
-    want = fresh.integrand_chunk(states, taus)
-    assert fresh._phases is None
-    cached = ia.MonomialEvaluator(prob, layout, sets_flat, cache_phases=True)
-    first = cached.integrand_chunk(states, taus)
-    monkeypatch.setattr(cached.tables, "phases", None)  # any further exponential fails
-    second = cached.integrand_chunk(states, taus)
+    evaluator = ia.MonomialEvaluator(prob, layout, sets_flat)
+    first = evaluator.integrand_chunk(states, taus)
+    other = evaluator.integrand_chunk(states, taus + 0.05)
+    monkeypatch.setattr(evaluator.tables, "phases", None)  # any further exponential fails
+    second = evaluator.integrand_chunk(states, taus)
     for key in layout.keys:
-        assert np.array_equal(first[key], want[key]) and np.array_equal(second[key], want[key])
+        assert np.array_equal(second[key], first[key])
+        assert not np.array_equal(other[key], first[key])
+    with pytest.raises(TypeError):  # a new chunk does need its exponentials
+        evaluator.integrand_chunk(states, taus + 0.1)
 
 
 @pytest.mark.parametrize("solver", ["interaction", "averaged"])

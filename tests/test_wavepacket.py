@@ -282,7 +282,7 @@ def test_support_window_is_bitwise_the_full_grid_detection(shape, ncomp, starts,
     (64, [62, 63, 0, 1], 8),       # the arc across the edge, not the span 1..62
     (64, [3, 20, 40], 42),         # the shortest arc skips the widest gap
     (16, list(range(3, 15)), 16),  # 12 + 4 nodes still fit
-    (16, list(range(3, 16)), 16),  # 13 + 4 do not: the whole axis
+    (16, list(range(3, 16)), 17),  # 13 + 4 wrap past the axis: nodes repeat
 ])
 def test_support_window_is_the_shortest_arc_plus_two(n, support, window):
     values = np.zeros((2, n), dtype=complex)
