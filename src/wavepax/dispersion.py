@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,9 +108,10 @@ def _band_arg(model: DispersionModel, pts: np.ndarray):
 def _raw_band_values(model: DispersionModel, pts: np.ndarray) -> np.ndarray:
     """Stack of the raw (unsorted) band functions, shape (J, M)."""
     arg = _band_arg(model, pts)
-    return np.stack(
-        [np.broadcast_to(np.asarray(f(arg), dtype=float), pts.shape[1:]) for f in model.bands]
-    )
+    out = np.empty((model.j_bands,) + pts.shape[1:])
+    for i, f in enumerate(model.bands):
+        out[i] = f(arg)
+    return out
 
 
 def _eigh_at(model: DispersionModel, k):
@@ -121,35 +123,55 @@ def _eigh_at(model: DispersionModel, k):
     return np.linalg.eigh(mat)
 
 
-def _gap_tolerance(model: DispersionModel, scale: float) -> float:
+def _gap_tolerance(scale):
     return 1e-8 * (1.0 + abs(scale))
 
 
-def _check_gap(evals_asc: np.ndarray, pos: int, tol: float):
-    gaps = []
-    if pos > 0:
-        gaps.append(evals_asc[pos] - evals_asc[pos - 1])
-    if pos < evals_asc.size - 1:
-        gaps.append(evals_asc[pos + 1] - evals_asc[pos])
-    if gaps and min(gaps) < tol:
-        raise BandCrossing(f"eigenvalue gap {min(gaps):.3e} below tolerance {tol:.3e}")
+def _band_position(model: DispersionModel, n: int, zeta: int) -> int:
+    """Row of band (n, zeta) in the ascending spectrum of L(k)."""
+    return model.j_bands + n - 1 if zeta > 0 else model.j_bands - n
+
+
+def _spectrum(model: DispersionModel, pts: np.ndarray):
+    """Ascending eigenvalues (2J, M) of L at the (dim, M) points, and eigenvectors.
+
+    The eigenvectors are (M, 2J, 2J) with columns in eigenvalue order, or
+    None for a scalar-band model, whose symbol is diagonal in the layout.
+    """
+    c, m = model.ncomp, pts.shape[1]
+    if model.kind == "scalar-band":
+        # omega_{n,-}(k) = -omega_n(-k): one sort of the bands at -k and k
+        srt = np.sort(_raw_band_values(model, np.concatenate([-pts, pts], axis=1)), axis=0)
+        return np.concatenate([-srt[::-1, :m], srt[:, m:]]), None
+    evals, vecs = np.empty((c, m)), np.empty((m, c, c), dtype=complex)
+    for i in range(m):
+        evals[:, i], vecs[i] = _eigh_at(model, pts[:, i])
+    return evals, vecs
+
+
+def _band_at(model: DispersionModel, n: int, zeta: int, k):
+    """Eigenvalue and eigenvector (None if scalar-band) of band (n, zeta) at one k.
+
+    A matrix symbol raises BandCrossing where the band's gap closes.
+    """
+    if not (1 <= n <= model.j_bands) or zeta not in (1, -1):
+        raise ValueError("invalid band index")
+    evals, vecs = _spectrum(model, _as_points(model, k))
+    evals, pos = evals[:, 0], _band_position(model, n, zeta)
+    if vecs is None:
+        return float(evals[pos]), None
+    gap = np.diff(evals)[max(pos - 1, 0):pos + 1].min()  # to the bands on either side
+    tol = _gap_tolerance(float(np.abs(evals).max()))
+    if gap < tol:
+        raise BandCrossing(f"eigenvalue gap {gap:.3e} below tolerance {tol:.3e}")
+    return float(evals[pos]), vecs[0, :, pos]
 
 
 # -- point operations ---------------------------------------------------------
 
 def eval_omega(model: DispersionModel, n: int, zeta: int, k) -> float:
     """Band frequency omega_{n,zeta}(k)."""
-    if not (1 <= n <= model.j_bands) or zeta not in (1, -1):
-        raise ValueError("invalid band index")
-    if model.kind == "scalar-band":
-        pts = _as_points(model, k)
-        vals = np.sort(_raw_band_values(model, zeta * pts), axis=0)
-        return float(zeta * vals[n - 1, 0])
-    evals, _ = _eigh_at(model, k)
-    tol = _gap_tolerance(model, float(np.abs(evals).max()))
-    pos = model.j_bands + (n - 1) if zeta > 0 else model.j_bands - n
-    _check_gap(evals, pos, tol)
-    return float(evals[pos])
+    return _band_at(model, n, zeta, k)[0]
 
 
 def group_velocity(model: DispersionModel, n: int, zeta: int, k, h: float | None = None):
@@ -180,11 +202,7 @@ def eval_projector(model: DispersionModel, n: int, zeta: int, k) -> np.ndarray:
         proj = np.zeros((model.ncomp, model.ncomp), dtype=complex)
         proj[comp_index(n, zeta), comp_index(n, zeta)] = 1.0
         return proj
-    evals, vecs = _eigh_at(model, k)
-    tol = _gap_tolerance(model, float(np.abs(evals).max()))
-    pos = model.j_bands + (n - 1) if zeta > 0 else model.j_bands - n
-    _check_gap(evals, pos, tol)
-    v = vecs[:, pos]
+    _, v = _band_at(model, n, zeta, k)
     return np.outer(v, v.conj())
 
 
@@ -194,34 +212,22 @@ def band_frequencies(model: DispersionModel, k, tol: float | None = None):
     ``k`` holds M wavevectors, shape (dim, M) (or (M,) in 1-d).  Returns
     ``(omega, singular)``: omega_{n,+} as a (J, M) array and a (M,) mask of
     points on the singular set (a gap collapse or omega_1 = 0).  A point whose
-    evaluation raises counts as singular and gets NaN frequencies.
-    Scalar-band models evaluate all points in one call; matrix-symbol models
-    eigendecompose each point.
+    evaluation raises counts as singular and gets NaN frequencies; after a
+    failure the points are evaluated one by one.
     """
     pts = _as_points(model, k)
     j, npts = model.j_bands, pts.shape[1]
-    failed = np.zeros(npts, dtype=bool)
-    if model.kind == "scalar-band":
-        try:
-            vals = np.sort(_raw_band_values(model, pts), axis=0)
-            neg = -np.sort(_raw_band_values(model, -pts), axis=0)[::-1]
-        except Exception:
-            if npts == 1:
-                return np.full((j, 1), np.nan), np.ones(1, dtype=bool)
-            parts = [band_frequencies(model, pts[:, i:i + 1], tol) for i in range(npts)]
-            return (np.concatenate([p[0] for p in parts], axis=1),
-                    np.concatenate([p[1] for p in parts]))
-        evals = np.concatenate([neg, vals])
-    else:
-        evals = np.full((2 * j, npts), np.nan)
-        for i in range(npts):
-            try:
-                evals[:, i] = _eigh_at(model, pts[:, i])[0]
-            except Exception:
-                failed[i] = True
+    try:
+        evals, _ = _spectrum(model, pts)
+    except Exception:
+        if npts == 1:
+            return np.full((j, 1), np.nan), np.ones(1, dtype=bool)
+        parts = [band_frequencies(model, pts[:, i:i + 1], tol) for i in range(npts)]
+        return (np.concatenate([p[0] for p in parts], axis=1),
+                np.concatenate([p[1] for p in parts]))
     if tol is None:
-        tol = _gap_tolerance(model, np.abs(evals).max(axis=0))
-    singular = failed | (np.diff(evals, axis=0).min(axis=0) < tol)
+        tol = _gap_tolerance(np.abs(evals).max(axis=0))
+    singular = np.diff(evals, axis=0).min(axis=0) < tol
     # omega_{1,+/-} vanishing also counts as singular
     singular |= np.minimum(np.abs(evals[j]), np.abs(evals[j - 1])) < tol
     return evals[j:], singular
@@ -242,35 +248,55 @@ def symbol_eigensystem(model: DispersionModel, grid: Grid):
     diagonal (scalar-band) models or ``(*grid.shape, 2J, 2J)`` unitaries whose
     columns follow the layout, and ``crossing_mask`` flags singular nodes.
     """
-    pts = grid.k_mesh().reshape(grid.dim, -1)
-    m = pts.shape[1]
     c = model.ncomp
-    omega = np.empty((c, m))
-    if model.kind == "scalar-band":
-        pos = np.sort(_raw_band_values(model, pts), axis=0)
-        negflip = np.sort(_raw_band_values(model, -pts), axis=0)
-        basis = None
-        for n in range(1, model.j_bands + 1):
-            omega[comp_index(n, +1)] = pos[n - 1]
-            omega[comp_index(n, -1)] = -negflip[n - 1]
-    else:
-        basis = np.empty((m, c, c), dtype=complex)
-        for i in range(m):
-            evals, vecs = _eigh_at(model, pts[:, i] if model.dim > 1 else pts[0, i])
-            for n in range(1, model.j_bands + 1):
-                omega[comp_index(n, +1), i] = evals[model.j_bands + n - 1]
-                omega[comp_index(n, -1), i] = evals[model.j_bands - n]
-                basis[i, :, comp_index(n, +1)] = vecs[:, model.j_bands + n - 1]
-                basis[i, :, comp_index(n, -1)] = vecs[:, model.j_bands - n]
-    tol = _gap_tolerance(model, float(np.abs(omega).max()))
+    evals, vecs = _spectrum(model, grid.k_mesh().reshape(grid.dim, -1))
+    # spectrum row of each component, in the layout's order
+    rows = [_band_position(model, n, zeta)
+            for n in range(1, model.j_bands + 1) for zeta in (+1, -1)]
+    omega = evals[rows]
+    tol = _gap_tolerance(float(np.abs(omega).max()))
     stacked = np.sort(omega, axis=0)
     gap_bad = np.min(np.diff(stacked, axis=0), axis=0) < tol
     zero_bad = np.min(np.abs(omega), axis=0) < tol
     mask = (gap_bad | zero_bad).reshape(grid.shape)
     omega = omega.reshape((c,) + grid.shape)
-    if basis is not None:
-        basis = basis.reshape(grid.shape + (c, c))
+    basis = None if vecs is None else vecs[:, :, rows].reshape(grid.shape + (c, c))
     return omega, basis, mask
+
+
+@lru_cache(maxsize=16)
+def eigensystem_tables(model: DispersionModel, grid: Grid):
+    """``symbol_eigensystem`` of a model on a grid, computed once."""
+    return symbol_eigensystem(model, grid)
+
+
+def band_columns(model: DispersionModel, grid: Grid, n: int, zeta: int, nodes=None):
+    """The (n, zeta) eigenvectors on the grid, as ``project_band`` takes them.
+
+    A scalar-band model holds the band in one component at every node, whose
+    index is returned.  A matrix symbol gives the (C, X) eigenvector columns
+    at the flat node indices ``nodes`` (every node by default).
+    """
+    c = comp_index(n, zeta)
+    if model.kind == "scalar-band":
+        return c
+    _, basis, _ = eigensystem_tables(model, grid)
+    cols = basis.reshape(-1, model.ncomp, model.ncomp)[:, :, c]
+    return np.ascontiguousarray((cols if nodes is None else cols[nodes]).T)
+
+
+def project_band(g, values: np.ndarray) -> np.ndarray:
+    """Band projection of (..., C, X) values, node by node, onto ``band_columns`` g.
+
+    On eigenvector columns g it is g <g, u>; on a component index it keeps
+    that component and zeroes the others.
+    """
+    if isinstance(g, int):
+        out = np.zeros_like(values)
+        out[..., g, :] = values[..., g, :]
+        return out
+    coeff = (g.conj() * values).sum(axis=-2)
+    return g * coeff[..., None, :]
 
 
 def detect_band_crossings(model: DispersionModel, grid: Grid) -> list[tuple[int, ...]]:
@@ -460,4 +486,7 @@ __all__ = [
     "neighborhood_bounds",
     "safe_radius",
     "symbol_eigensystem",
+    "eigensystem_tables",
+    "band_columns",
+    "project_band",
 ]

@@ -35,7 +35,7 @@ from .grids import (
     samples_to_spectrum,
     spectrum_to_samples,
 )
-from .wavepacket import eigensystem_tables, project_band_values
+from .wavepacket import project_band_values
 
 DEFAULT_CHUNK = 64
 
@@ -474,7 +474,7 @@ class PropagatorTables:
 
     def __init__(self, model: dsp.DispersionModel, grid: Grid, rho: float):
         self.rho = rho
-        omega, basis, _ = eigensystem_tables(model, grid)
+        omega, basis, _ = dsp.eigensystem_tables(model, grid)
         c, x = omega.shape[0], int(np.prod(grid.shape))
         self.omega_flat = omega.reshape(c, x)  # (C, X) in component layout
         self.basis_flat = None if basis is None else basis.reshape(x, c, c)
@@ -566,7 +566,7 @@ def fast_slow_transform(f: ModalField, model: dsp.DispersionModel, rho: float, t
 def modal_project(f: ModalField, model: dsp.DispersionModel, n: int, zeta: int) -> ModalField:
     """Band projection; singular nodes are zeroed and counted."""
     vals = project_band_values(f.values, model, f.grid, n, zeta)
-    _, _, mask = eigensystem_tables(model, f.grid)
+    _, _, mask = dsp.eigensystem_tables(model, f.grid)
     if mask.any():
         vals = vals * (~mask)
     out = ModalField(f.grid, vals, frame=f.frame)
@@ -719,6 +719,12 @@ def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
     raise PicardMaxIter(f"no convergence within {config.picard_max_iter} iterations", distances)
 
 
+def _kept_samples(n: int, record_stride: int | None) -> list:
+    """Mesh nodes 0..n a solve keeps: every stride-th (by default n // 128, at least 1) and n."""
+    stride = record_stride or max(1, n // 128)
+    return sorted(set(range(0, n + 1, stride)) | {n})
+
+
 def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = None) -> Trajectory:
     """Picard solution of the integrated slow-frame equation."""
     config = config or SolverConfig()
@@ -739,8 +745,7 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
         n, h, problem.grid.cell, config, DEFAULT_CHUNK,
     )
     u = states["u"].reshape((n + 1,) + shape)
-    stride = config.record_stride or max(1, n // 128)
-    keep = sorted(set(range(0, n + 1, stride)) | {n})
+    keep = _kept_samples(n, config.record_stride)
     fields = [ModalField(problem.grid, u[i].copy(), frame="slow") for i in keep]
     return Trajectory(
         problem=problem,
@@ -769,8 +774,7 @@ def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
         return _slow_rhs_chunk(vals[None], np.array([tau]), h, problem, tables, plan, "fft")[0]
 
     u = problem.initial.values.copy()
-    stride = record_stride or max(1, n_steps // 128)
-    times = [0.0]
+    keep = _kept_samples(n_steps, record_stride)
     fields = [ModalField(problem.grid, u.copy(), frame="slow")]
     for i in range(n_steps):
         t = i * h
@@ -778,12 +782,11 @@ def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
         u_mid = u + 0.5 * h * k1
         k2 = rhs(u_mid, t + 0.5 * h)
         u = u + h * k2
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            times.append((i + 1) * h)
+        if i + 1 in keep:
             fields.append(ModalField(problem.grid, u.copy(), frame="slow"))
     return Trajectory(
         problem=problem,
-        times=np.array(times),
+        times=h * np.array(keep),
         fields=fields,
         h_tau=h,
         n_steps=n_steps,

@@ -79,6 +79,11 @@ def _solver_config(block: dict, **defaults) -> ev.SolverConfig:
         raise ConfigError(f"invalid solver block: {exc}") from exc
 
 
+def _r_star(packet: dict) -> np.ndarray:
+    """Position of a packet block, 0 when it gives none."""
+    return np.atleast_1d(np.asarray(packet.get("r_star", 0.0), dtype=float))
+
+
 def load_config(cfg: dict) -> RunConfig:
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a mapping")
@@ -109,8 +114,7 @@ def load_config(cfg: dict) -> RunConfig:
     solver = _solver_config(cfg.get("solver", {}))
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
-        r_star = np.atleast_1d(np.asarray(p.get("r_star", 0.0), dtype=float))
-        if np.any(np.abs(r_star) > r_extent):
+        if np.any(np.abs(_r_star(p)) > r_extent):
             warnings.warn("packet position exceeds the r-grid extent", stacklevel=2)
     # carriers must be regular and the packet scale must fit their safe radius
     pi0 = dsp.safe_radius(model, spectrum, grid)
@@ -148,7 +152,7 @@ def packet_spec(rc: RunConfig, l: int, beta: float | None = None) -> wp.Wavepack
     return wp.WavepacketSpec(
         n=rc.spectrum.band(l),
         k_star=rc.spectrum.kvec(l),
-        r_star=np.atleast_1d(np.asarray(p.get("r_star", 0.0), dtype=float)),
+        r_star=_r_star(p),
         beta=beta if beta is not None else rc.beta,
         epsilon=rc.epsilon,
         envelope=env,
@@ -304,9 +308,7 @@ def check_velocity_hypothesis(rc: RunConfig) -> dict:
     if equal_pairs:
         bounds = dsp.neighborhood_bounds(rc.model, rc.spectrum, rc.grid)
         for (i, j) in equal_pairs:
-            ri = np.atleast_1d(np.asarray(rc.packets[i - 1].get("r_star", 0.0), dtype=float))
-            rj = np.atleast_1d(np.asarray(rc.packets[j - 1].get("r_star", 0.0), dtype=float))
-            sep = float(np.linalg.norm(ri - rj))
+            sep = float(np.linalg.norm(_r_star(rc.packets[i - 1]) - _r_star(rc.packets[j - 1])))
             rhs = rc.rho / (2.0 * bounds.c_omega2 * rc.beta ** (1.0 - rc.epsilon))
             if sep == 0.0 or rc.tau_star / sep > rhs:
                 out["far_positions_ok"] = False

@@ -25,6 +25,7 @@ from .evolution import (
     PropagatorTables,
     SolverConfig,
     _ConvolutionPlan,
+    _kept_samples,
     _node_l1,
     _picard_trapezoid,
     _trapezoid_pass,
@@ -38,7 +39,7 @@ from .resonance import (
     partial_gvm_check,
     resonant_index_sets,
 )
-from .wavepacket import build_cutoff, eigensystem_tables
+from .wavepacket import build_cutoff
 
 AVERAGED_CHUNK = 32
 
@@ -169,22 +170,19 @@ class ComponentLayout:
         ]
         self.cut: dict = {}
         self.mask: dict = {}
-        self.basis_win: dict = {}
-        _, basis, _ = eigensystem_tables(model, grid)
-        x = int(np.prod(grid.shape))
+        self.columns: dict = {}  # band_columns of each window
+        self.comps: dict = {}    # the components a window holds
         for l, theta in self.keys:
             center = theta * spectrum.kvec(l)
             cut = build_cutoff(grid, center, self.radius).reshape(-1)
             idx = np.nonzero(cut > 0)[0]
-            self.mask[(l, theta)] = idx
-            self.cut[(l, theta)] = cut[idx]
-            n_l = spectrum.band(l)
-            c = dsp.comp_index(n_l, theta)
-            if basis is None:
-                self.basis_win[(l, theta)] = c
-            else:
-                flat = basis.reshape(x, model.ncomp, model.ncomp)
-                self.basis_win[(l, theta)] = flat[idx, :, c].T.copy()  # (C, win)
+            key = (l, theta)
+            self.mask[key] = idx
+            self.cut[key] = cut[idx]
+            cols = dsp.band_columns(model, grid, spectrum.band(l), theta, idx)
+            self.columns[key] = cols
+            self.comps[key] = ([] if idx.size == 0 else [cols] if isinstance(cols, int)
+                               else list(range(model.ncomp)))
 
     def window(self, key, full_flat: np.ndarray) -> np.ndarray:
         """Project full (B, C, X) values onto the cutoff window of one component."""
@@ -192,14 +190,7 @@ class ComponentLayout:
 
     def project(self, key, vals: np.ndarray) -> np.ndarray:
         """Band projection and cutoff of (B, C, win) values on one component's window."""
-        g = self.basis_win[key]
-        if isinstance(g, (int, np.integer)):
-            out = np.zeros_like(vals)
-            out[:, g] = vals[:, g]
-        else:
-            coeff = (g.conj()[None] * vals).sum(axis=1)
-            out = g[None] * coeff[:, None, :]
-        return out * self.cut[key][None, None, :]
+        return dsp.project_band(self.columns[key], vals) * self.cut[key][None, None, :]
 
     def embed(self, states: dict) -> np.ndarray:
         """Sum of the (B, C, win) values of the components in ``states`` as full (B, C, X) values."""
@@ -230,13 +221,12 @@ class InteractionSolution:
     data: dict                            # (l,theta) -> (n+1, C, win)
     iterations: int
     distances: list
-    record_stride: int
+    record_stride: int | None             # None: the default stride of _kept_samples
     diagnostics: dict = dfield(default_factory=dict)
 
     @property
     def sample_indices(self) -> list:
-        n = len(self.times) - 1
-        return sorted(set(range(0, n + 1, self.record_stride)) | {n})
+        return _kept_samples(len(self.times) - 1, self.record_stride)
 
     def sum_values(self, i: int) -> np.ndarray:
         return self._embedded(self.layout.keys, i)
@@ -283,7 +273,7 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
         data=data,
         iterations=iterations,
         distances=distances,
-        record_stride=config.record_stride or max(1, n // 128),
+        record_stride=config.record_stride,
     ), evaluator
 
 
@@ -338,17 +328,6 @@ class MonomialEvaluator:
         by_order: dict = {}
         for susc in problem.nonlinearity:
             by_order.setdefault(susc.order, []).append(susc)
-        present = {}
-        for key in layout.keys:
-            g = layout.basis_win[key]
-            if layout.mask[key].size == 0:
-                present[key] = []
-            elif isinstance(g, (int, np.integer)):
-                present[key] = [int(g)]
-            else:
-                present[key] = list(range(problem.model.ncomp))
-        # rows of the back-transformed integrand that the window projection reads
-        self.out_rows = present
         # a scalar window holds its band component only, so each term is
         # restricted to the components present in its windows
         terms: dict = {}
@@ -360,7 +339,7 @@ class MonomialEvaluator:
                         raise ValueError(f"windowed evaluation needs a tensor susceptibility; "
                                          f"{susc.name or 'a callback'} has none")
                     keep = np.zeros(susc.tensor.shape, dtype=bool)
-                    keep[np.ix_(present[key], *(present[a] for a in arg_keys))] = True
+                    keep[np.ix_(layout.comps[key], *(layout.comps[a] for a in arg_keys))] = True
                     terms.setdefault(key, []).append((np.where(keep, susc.tensor, 0), arg_keys))
         self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms)
         # jobs[key]: [(factors, out_comp, coeff)], one per product and output
@@ -376,12 +355,12 @@ class MonomialEvaluator:
         b = taus.shape[0]
 
         def phases(key):
-            # e^{-i tau L/rho} on the window and rows out_rows[key]; a scalar window has
-            # one present component, so they serve the way in too
+            # e^{-i tau L/rho} on the window and rows comps[key]; a scalar window has
+            # one component, so they serve the way in too
             tag = (key, taus.tobytes())
             if tag not in self._phases:
                 self._phases[tag] = self.tables.phases(taus, self.layout.mask[key],
-                                                       self.out_rows[key])
+                                                       self.layout.comps[key])
             return self._phases[tag]
 
         args = {}
@@ -402,7 +381,7 @@ class MonomialEvaluator:
             if acc is None:
                 acc = np.zeros((b, self.problem.model.ncomp, mask.size), dtype=complex)
             else:
-                rows = self.out_rows[key]
+                rows = self.layout.comps[key]
                 acc[:, rows] = self.tables.apply(acc, np.conj(phases(key)), nodes=mask,
                                                  comps=rows)
             out[key] = self.layout.project(key, acc)

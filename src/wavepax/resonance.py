@@ -568,7 +568,6 @@ def classify(
     orders,
     tol_res: float | None = None,
     exact: bool = False,
-    closure_max_iter: int = DEFAULT_CLOSURE_MAX_ITER,
 ) -> ResonanceReport:
     """Full resonance report for a spectrum.
 
@@ -590,7 +589,7 @@ def classify(
     )
     try:
         _, converged, iterations = _closure(
-            spectrum, (verdict.new, skipped), model, orders, closure_max_iter, tol_res,
+            spectrum, (verdict.new, skipped), model, orders, DEFAULT_CLOSURE_MAX_ITER, tol_res,
             max_pairs=16,
         )
         closure_iterations = iterations if converged else None

@@ -9,7 +9,6 @@ e^{-i k.r_star}; the position detection functional recovers it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "locate_position",
     "PositionFix",
     "particle_norm",
-    "eigensystem_tables",
     "project_band_values",
 ]
 
@@ -176,26 +174,13 @@ class WavepacketSpec:
         return {"both": (+1, -1), "+": (+1,), "-": (-1,)}[self.zeta_components]
 
 
-# -- band projection tables --------------------------------------------------------
-
-@lru_cache(maxsize=16)
-def eigensystem_tables(model: dsp.DispersionModel, grid: Grid):
-    return dsp.symbol_eigensystem(model, grid)
-
+# -- band projection ---------------------------------------------------------------
 
 def project_band_values(values: np.ndarray, model: dsp.DispersionModel, grid: Grid,
                         n: int, zeta: int) -> np.ndarray:
-    """Apply the (n, zeta) eigenprojector node by node."""
-    c = dsp.comp_index(n, zeta)
-    if model.kind == "scalar-band":
-        out = np.zeros_like(values)
-        out[c] = values[c]
-        return out
-    _, basis, _ = eigensystem_tables(model, grid)
-    # coeff(k) = <g_c(k), u(k)>; out = coeff * g_c
-    g = np.moveaxis(basis[..., :, c], -1, 0)  # (2J, *shape)
-    coeff = (g.conj() * values).sum(axis=0)
-    return g * coeff
+    """Apply the (n, zeta) eigenprojector node by node to (C, *shape) values."""
+    flat = values.reshape(values.shape[0], -1)
+    return dsp.project_band(dsp.band_columns(model, grid, n, zeta), flat).reshape(values.shape)
 
 
 def _anchor_vector(model: dsp.DispersionModel, n: int, zeta: int, k_center: np.ndarray) -> np.ndarray:
@@ -226,29 +211,25 @@ def build_wavepacket(spec: WavepacketSpec, model: dsp.DispersionModel, grid: Gri
             "envelope transform narrower than 4 grid cells at this beta"
         )
     mesh = grid.k_mesh()
-    values = np.zeros((model.ncomp,) + grid.shape, dtype=complex)
+    _, _, crossing = dsp.eigensystem_tables(model, grid)
+    values = np.zeros((model.ncomp, crossing.size), dtype=complex)
     phase = np.exp(-1j * np.tensordot(spec.r_star, mesh, axes=(0, 0)))
     for zeta in spec.zetas():
         center = zeta * spec.k_star
         cut = build_cutoff(grid, center, radius)
+        if crossing[cut > 0].any():
+            raise dsp.BandCrossing(f"the cutoff support around {center} meets the singular set")
         eta = (mesh - center.reshape(grid.dim, *([1] * grid.dim))) / spec.beta
         if zeta > 0 or not spec.doublet_reality:
             env = spec.envelope.khat(eta if grid.dim > 1 else eta[0], grid.dim)
         else:
             env = np.conj(spec.envelope.khat(-eta if grid.dim > 1 else -eta[0], grid.dim))
         scalar = cut * spec.beta ** (-grid.dim) * env * phase
+        # anchor vector times envelope, projected onto the band at every node
         g = _anchor_vector(model, spec.n, zeta, center)
-        if model.kind == "scalar-band":
-            comp = dsp.comp_index(spec.n, zeta)
-            values[comp] += scalar
-        else:
-            support = cut > 0
-            idx = np.argwhere(support)
-            for node in idx:
-                kpt = np.array([mesh[(a,) + tuple(node)] for a in range(grid.dim)])
-                proj = dsp.eval_projector(model, spec.n, zeta, kpt if grid.dim > 1 else float(kpt[0]))
-                values[(slice(None),) + tuple(node)] += scalar[tuple(node)] * (proj @ g)
-    return ModalField(grid, values, frame="slow")
+        values += dsp.project_band(dsp.band_columns(model, grid, spec.n, zeta),
+                                   np.multiply.outer(g, scalar.reshape(-1)))
+    return ModalField(grid, values.reshape((model.ncomp,) + grid.shape), frame="slow")
 
 
 # -- diagnostics --------------------------------------------------------------------

@@ -331,6 +331,14 @@ def test_sweep_shapes_and_determinism(tmp_path):
     assert len(one.runs) == 1
 
 
+def test_sweep_same_with_two_workers():
+    cfg = sweep_cfg()
+    cfg["experiment"]["sweep"] = {"rho": [0.04, 0.02]}
+    serial = harness.sweep(cfg, workers=1)
+    assert [r["status"] for r in serial.runs] == ["ok", "ok"]
+    assert harness.sweep(cfg, workers=2).to_dict() == serial.to_dict()
+
+
 def test_sweep_records_typed_failures(monkeypatch):
     cfg = sweep_cfg()
     cfg["experiment"]["sweep"] = {"rho": [0.04, 2.0]}

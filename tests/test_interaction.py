@@ -373,7 +373,7 @@ def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, sets
         # all decorated indices, products of two windows at its centre and one
         # opposite reach it: 6 distinct products
         for key, jobs in evaluator.jobs.items():
-            assert {i for _, i, _ in jobs} == {layout.basis_win[key]}
+            assert {i for _, i, _ in jobs} == set(layout.comps[key])
             assert len(evaluator.plan.outs[key][0]) == (6 if sets == "every" else 2)
         plan = evaluator.plan
     else:

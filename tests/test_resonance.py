@@ -412,7 +412,7 @@ def _oracle_crossing(model, k, tol=None):
             evals, _ = dsp._eigh_at(model, k)
     except Exception:
         return True
-    tol = tol if tol is not None else dsp._gap_tolerance(model, float(np.abs(evals).max()))
+    tol = tol if tol is not None else dsp._gap_tolerance(float(np.abs(evals).max()))
     if np.min(np.diff(evals)) < tol:
         return True
     return bool(min(abs(evals[model.j_bands]), abs(evals[model.j_bands - 1])) < tol)
