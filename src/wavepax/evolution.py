@@ -208,12 +208,11 @@ def _entry_groups(terms):
     return [f for f, _ in kept], coeffs
 
 
-def _pointwise_products(r_args: dict, factors, b: int, x: int) -> np.ndarray:
-    """(B, G, X) products, one per factor tuple.
+def _pointwise_products(r_args: dict, factors, out: np.ndarray) -> np.ndarray:
+    """(B, G, X) products, one per factor tuple, written to ``out``.
 
     Factor (a, c) of a tuple is the (B, X) r-space array ``r_args[a, c]``.
     """
-    out = np.empty((b, len(factors), x), dtype=complex)
     for g, fac in enumerate(factors):
         np.multiply(r_args[fac[0]], r_args[fac[1]], out=out[:, g])
         for f in fac[2:]:
@@ -240,8 +239,14 @@ class _ConvolutionPlan:
     gathered output node and no argument wraps onto itself, judged on index
     boxes; on the whole grid that is (m+1)n/2 nodes or more.  Products whose
     index box misses their output key's box are dropped before P is sized:
-    they vanish on every output node.  Each argument key keeps a zeroed
-    input buffer across calls; only its slots are rewritten.
+    they vanish on every output node.
+
+    The plan keeps two work arrays per key across calls, each sized to the
+    largest batch seen: a zeroed input buffer per argument key, of which
+    only the slots are rewritten, and a (B, G, X) products array per output
+    key, which every call overwrites.  Fresh arrays of that size would be
+    mapped and page-faulted anew on every call.  Nothing a call returns
+    views either of them.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -289,6 +294,7 @@ class _ConvolutionPlan:
         self.slots = {key: np.ravel_multi_index(tuple(c % np.array(size)[:, None]), size)
                       for key, c in centred.items() if nodes[key] is not None}
         self._inputs: dict = {}
+        self._products_out: dict = {}
 
     def __call__(self, values: dict) -> dict:
         """Convolutions of the spectra ``values`` on every output key.
@@ -306,7 +312,7 @@ class _ConvolutionPlan:
         out = {}
         for key, (_, coeffs, rows) in self.outs.items():
             b, _, x = prods[key].shape
-            out_r = np.matmul(coeffs, prods.pop(key)).reshape((b, len(rows)) + tg.shape)
+            out_r = np.matmul(coeffs, prods[key]).reshape((b, len(rows)) + tg.shape)
             spec = samples_to_spectrum(out_r, tg, centred=False, out=out_r)
             if key in self.slots:
                 vals = spec.reshape(b, len(rows), x)[..., self.slots[key]]
@@ -322,8 +328,9 @@ class _ConvolutionPlan:
     def _products(self, values: dict) -> dict:
         """Per output key its (B, G, X) r-space products on the transform grid.
 
-        Kept apart from ``__call__`` so the r-space arguments are freed
-        before the forward transforms, which lowers the solver's peak memory.
+        The products are views of the key's kept products array.  Kept apart
+        from ``__call__`` so the r-space arguments are freed before the
+        forward transforms, which lowers the solver's peak memory.
         """
         tg = self.tgrid
         x = int(np.prod(tg.shape))
@@ -343,8 +350,13 @@ class _ConvolutionPlan:
                 pad_spectrum(v, self.grid, tg.shape, centred=False, out=buf)
             r = spectrum_to_samples(buf, tg, centred=False).reshape(b, -1, x)
             r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
-        return {key: _pointwise_products(r_args, factors, b, x)
-                for key, (factors, _, _) in self.outs.items()}
+        prods = {}
+        for key, (factors, _, _) in self.outs.items():
+            buf = self._products_out.get(key)
+            if buf is None or buf.shape[0] < b:
+                buf = self._products_out[key] = np.empty((b, len(factors), x), dtype=complex)
+            prods[key] = _pointwise_products(r_args, factors, buf[:b])
+        return prods
 
 
 def _chi_direct(args, susceptibility: Susceptibility, grid: Grid) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -161,10 +162,23 @@ def omega_combination(index: DecoratedIndex, spectrum: NkSpectrum, model: Disper
     )
 
 
-def _index_table(n_pairs: int, m: int):
-    """Signs and 0-based slots of every order-m index, each (M, m), in ``all_indices`` order."""
-    e = np.indices((2 * n_pairs,) * m).reshape(m, (2 * n_pairs) ** m).T
-    return 1 - 2 * (e % 2), e // 2
+@lru_cache(maxsize=16)
+def _index_tables(n_pairs: int, orders: tuple) -> tuple:
+    """Signs and 0-based slots of every index of the orders, built once and read-only.
+
+    Each order's (2 n_pairs)^m rows follow those of the orders before it, in
+    ``all_indices`` order; sign 0 (slot 0) pads the columns past its order.
+    """
+    e = [np.indices((2 * n_pairs,) * m).reshape(m, -1).T for m in orders]
+    signs = np.zeros((sum(len(t) for t in e), max(orders, default=0)), dtype=int)
+    slots = np.zeros_like(signs)
+    r0 = 0
+    for t in e:
+        signs[r0:r0 + len(t), :t.shape[1]] = 1 - 2 * (t % 2)
+        slots[r0:r0 + len(t), :t.shape[1]] = t // 2
+        r0 += len(t)
+    signs.flags.writeable = slots.flags.writeable = False
+    return signs, slots
 
 
 def _slot_sums(signs: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -188,18 +202,16 @@ def _kvec_table(spectrum: NkSpectrum) -> np.ndarray:
 def _candidates(values: np.ndarray, orders) -> tuple:
     """Every decorated index of the orders, each order in ``all_indices`` order.
 
-    Returns ``(signs, slots, sums)``: per index its signs, its 0-based slots
-    (sign 0 pads the columns past its order) and its ``_slot_sums`` of the
-    (n_pairs, d) ``values``.
+    Returns ``(signs, slots, sums)``: the read-only ``_index_tables`` and
+    per index its ``_slot_sums`` of the (n_pairs, d) ``values``.
     """
-    width = max(orders, default=0)
-    empty = np.empty((0, width), dtype=int)
-    cols = [(empty, empty, np.empty((0, values.shape[1])))]
+    signs, slots = _index_tables(len(values), tuple(orders))
+    sums, r0 = [np.empty((0, values.shape[1]))], 0
     for m in orders:
-        signs, slots = _index_table(len(values), m)
-        pad = ((0, 0), (0, width - m))
-        cols.append((np.pad(signs, pad), np.pad(slots, pad), _slot_sums(signs, slots, values)))
-    return tuple(np.concatenate(c) for c in zip(*cols))
+        r1 = r0 + (2 * len(values)) ** m
+        sums.append(_slot_sums(signs[r0:r1, :m], slots[r0:r1, :m], values))
+        r0 = r1
+    return signs, slots, np.concatenate(sums)
 
 
 def _output_bands(model: DispersionModel, out_k: np.ndarray):

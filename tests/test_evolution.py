@@ -182,7 +182,8 @@ def centred_plan(plan, nodes, values):
         r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
     out = {}
     for key, (factors, coeffs, rows) in plan.outs.items():
-        out_r = np.matmul(coeffs, ev._pointwise_products(r_args, factors, b, x))
+        prods = np.empty((b, len(factors), x), dtype=complex)
+        out_r = np.matmul(coeffs, ev._pointwise_products(r_args, factors, prods))
         out_r = out_r.reshape((b, len(rows)) + tg.shape)
         spec = np.prod(tg.dr) * np.fft.fftshift(np.fft.fftn(out_r, axes=axes), axes=axes)
         if key in position:
@@ -229,6 +230,76 @@ def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
         got, want = plan(values), centred_plan(plan, nodes, values)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+def averaging_like_layout(rng):
+    """Windows of the interaction systems on two carriers +-k: (l, theta) at theta k_l.
+
+    Each 9-node window holds two components, and each output window takes the
+    cubic terms that land on it, two arguments from its centre and one from
+    the other, with dense random tensors.
+    """
+    grid = Grid(1, (64,), (4.0,))
+    centre = {(1, +1): 40, (2, -1): 40, (1, -1): 24, (2, +1): 24}
+    nodes = {key: np.arange(i - 4, i + 5) for key, i in centre.items()}
+    terms = {}
+    for key in nodes:
+        same = [a for a in nodes if centre[a] == centre[key]]
+        other = [a for a in nodes if centre[a] != centre[key]]
+        terms[key] = [(rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4), [a, b, c])
+                      for a in same for b in same for c in other]
+    return grid, nodes, terms
+
+
+def plan_values(rng, nodes, grid, b):
+    shapes = {key: grid.shape if idx is None else (idx.size,) for key, idx in nodes.items()}
+    return {key: rng.normal(size=(b, 2) + sh) + 1j * rng.normal(size=(b, 2) + sh)
+            for key, sh in shapes.items()}
+
+
+def test_second_plan_call_allocates_no_products_array():
+    # every call of a plan overwrites its kept (B, G, X) products arrays, so a
+    # second call on the same shapes allocates no block as large as one
+    rng = np.random.default_rng(3)
+    grid, nodes, terms = averaging_like_layout(rng)
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    b, x = 8, int(np.prod(plan.tgrid.shape))
+    products_bytes = min(b * len(factors) * x * 16 for factors, _, _ in plan.outs.values())
+    values = plan_values(rng, nodes, grid, b)
+    first = plan(values)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        second = plan(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(first[key], second[key]) for key in first)
+    assert peak - before < products_bytes
+
+
+@pytest.mark.parametrize("layout", ["whole", "windows"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b1=st.integers(2, 6), data=st.data())
+def test_plan_results_do_not_depend_on_earlier_calls(layout, seed, b1, data):
+    # batches B1, B2 < B1 and B3 > B1 through one plan: each result is a fresh
+    # plan's, and a result held from the first call is never overwritten
+    rng = np.random.default_rng(seed)
+    if layout == "windows":
+        grid, nodes, terms = averaging_like_layout(rng)
+    else:
+        grid, nodes = Grid(1, (32,), (2.0,)), {"u": None}
+        terms = {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    held = None
+    for b in (b1, data.draw(st.integers(1, b1 - 1)), data.draw(st.integers(b1 + 1, 2 * b1))):
+        values = plan_values(rng, nodes, grid, b)
+        got, want = plan(values), ev._ConvolutionPlan(grid, nodes, terms)(values)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+        if held is None:
+            held, kept = got, {key: v.copy() for key, v in got.items()}
+    assert all(np.array_equal(held[key], kept[key]) for key in kept)
 
 
 def two_band_matrix_model():

@@ -356,6 +356,30 @@ def test_cli_report_matches_golden_bytes(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n_pairs=st.integers(1, 4),
+    orders=st.lists(st.integers(1, 3), unique=True, max_size=3).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_candidate_tables_are_built_once(n_pairs, orders, seed):
+    # one read-only sign/slot table per (n_pairs, orders), in all_indices
+    # order; the sums are recomputed per call, bitwise the per-index loop's
+    values = np.random.default_rng(seed).normal(size=(n_pairs, 2))
+    signs, slots, sums = rs._candidates(values, orders)
+    again = rs._candidates(2.0 * values, orders)
+    assert again[0] is signs and again[1] is slots
+    assert not signs.flags.writeable and not slots.flags.writeable
+    indices = [index for m in orders for index in rs.all_indices(n_pairs, m)]
+    assert [rs._index_at(z, l) for z, l in zip(signs, slots)] == indices
+    assert sums.shape == (len(indices), 2)
+    for row, index in zip(sums, indices):
+        want = np.zeros(2)
+        for z, l in index.entries:
+            want = want + z * values[l - 1]
+        assert np.array_equal(row, want)
+
+
 # -- table enumeration against the per-index loop ---------------------------------------
 #
 # The functions below are the per-index enumeration and classification that
