@@ -644,91 +644,232 @@ def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:
     return mod.reshape(values.shape[0], -1).sum(axis=1) * cell
 
 
+class _Level:
+    """Running sums of one composite-trapezoid pass, carried from chunk to chunk.
+
+    Per key: the integral at the next chunk's first node, the integrand at
+    the node before it (None before the first chunk) and the largest node L1
+    norm measured so far.  A chunk's pass reads only that chunk of the
+    iterate it integrates, plus these sums.
+    """
+
+    def __init__(self, h0: dict):
+        self.integral = dict.fromkeys(h0, 0.0)
+        self.g_prev = dict.fromkeys(h0)
+        self.sup = dict.fromkeys(h0, 0.0)
+
+    @property
+    def distance(self) -> float:
+        """The largest node L1 norm over all keys (NaN if one is NaN)."""
+        return float(np.max(list(self.sup.values())))
+
+    def step(self, rhs_chunk, chunk: dict, taus: np.ndarray, h0: dict, h: float, cell: float,
+             measure_change: bool = True) -> tuple[dict | None, float]:
+        """The pass h0 + integral_0^tau rhs(chunk) on one chunk of mesh nodes.
+
+        ``rhs_chunk(chunk, taus)`` maps each key's (B, C, nodes) values to the
+        integrand of every key, in new arrays.  Each key's result goes into a
+        new array and is measured against ``chunk`` (with
+        ``measure_change``) or by itself.  Returns the new values and the
+        chunk's largest norm over its keys, or None and that norm at the
+        first non-finite one.
+        """
+        g = rhs_chunk(chunk, taus)
+        new, worst = {}, 0.0
+        for key, gk in g.items():
+            new[key] = np.empty(gk.shape, dtype=complex)
+            self.integral[key] = _trapezoid_chunk(new[key], h0[key], self.integral[key],
+                                                  self.g_prev[key], gk, h)
+            self.g_prev[key] = gk[-1].copy()
+            d = float(_node_l1(new[key] - chunk[key] if measure_change else new[key],
+                               cell).max())
+            if not d <= self.sup[key]:  # a NaN replaces the sup too
+                self.sup[key] = d
+            if not d <= worst:
+                worst = d
+            if not math.isfinite(d):
+                return None, worst
+        return new, worst
+
+
 def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, h: float, chunk: int, cell: float,
-                    update: bool) -> dict:
+                    update: bool, level: _Level | None = None) -> dict:
     """One composite-trapezoid pass: h0 + integral_0^tau rhs(state) on the mesh h j.
 
-    ``state`` maps each key to (n+1, C, nodes) values, ``h0`` to (C, nodes).
-    ``rhs_chunk(states, taus)`` maps the state on a chunk of at most
-    ``chunk`` mesh nodes to the integrand of every key, in new arrays.  Each
-    key's new chunk goes into a new chunk-sized array.  With ``update`` the
-    pass measures it against the state's chunk and then writes it over that
-    chunk: a chunk's integrand reads only that chunk of the state, and later
-    chunks need only the running integral and the last integrand.  Without
-    ``update`` it measures the new values themselves and leaves ``state`` as
-    it is.
+    ``state`` maps each key to (m, C, nodes) values on the mesh nodes j < m,
+    ``h0`` to (C, nodes).  The pass runs ``level.step`` (a new ``_Level`` by
+    default) on chunks of at most ``chunk`` mesh nodes.  With ``update`` it
+    measures each chunk's new values against the state's chunk and then
+    writes them over it, which is exact because a chunk's integrand reads
+    only that chunk of the state.  Without ``update`` it measures the new
+    values themselves and leaves ``state`` as it is; this is how
+    ``coupling_norm`` sizes an integral along a solved trajectory.
     Returns per key the largest node L1 norm measured; the pass stops at the
     first non-finite one.
     """
-    taus = h * np.arange(next(iter(state.values())).shape[0])
-    integral = dict.fromkeys(h0, 0.0)
-    g_prev = dict.fromkeys(h0)
-    sup = dict.fromkeys(h0, 0.0)
-    for i0 in range(0, taus.size, chunk):
-        i1 = min(i0 + chunk, taus.size)
-        g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
-        for key, gk in g.items():
-            new = np.empty_like(state[key][i0:i1])
-            integral[key] = _trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h)
-            g_prev[key] = gk[-1].copy()
-            d = float(_node_l1(new - state[key][i0:i1] if update else new, cell).max())
-            if not d <= sup[key]:  # a NaN replaces the sup too
-                sup[key] = d
-            if not math.isfinite(d):
-                return sup
-            if update:
-                state[key][i0:i1] = new
-    return sup
+    m = next(iter(state.values())).shape[0]
+    taus = h * np.arange(m)
+    level = level or _Level(h0)
+    for i0 in range(0, m, chunk):
+        i1 = min(i0 + chunk, m)
+        new, _ = level.step(rhs_chunk, {key: v[i0:i1] for key, v in state.items()},
+                            taus[i0:i1], h0, h, cell, measure_change=update)
+        if new is None:
+            break
+        if update:
+            for key, v in new.items():
+                state[key][i0:i1] = v
+    return level.sup
+
+
+def _picard_verdict(distances: list, config: SolverConfig) -> bool:
+    """The Picard guard on the newest distance of ``distances``: True once converged.
+
+    Raises PicardDiverged on a non-finite distance (last in the history) or
+    when distances grew three times in a row to above ten times their
+    minimum, and PicardMaxIter when the last allowed iteration missed
+    ``config.picard_tol``.  A solve that converges after its distances grew
+    warns once with the largest observed ratio d_{k+1}/d_k.
+    """
+    dist = distances[-1]
+    if not math.isfinite(dist):
+        raise PicardDiverged(f"non-finite Picard iterate (distance {dist})", distances)
+    grew = [b > a for a, b in zip(distances, distances[1:])]
+    if dist <= config.picard_tol:
+        if any(grew):
+            ratio = max(b / a for a, b in zip(distances, distances[1:]))
+            warnings.warn(f"Picard distances grew before converging: largest observed "
+                          f"ratio d[k+1]/d[k] = {ratio:.3g}", stacklevel=4)
+        return True
+    grow_run = len(grew) - max((i + 1 for i, g in enumerate(grew) if not g), default=0)
+    if grow_run >= 3 and dist > 10.0 * min(distances):
+        raise PicardDiverged(f"Picard distances grew for {grow_run} consecutive iterations",
+                             distances)
+    if len(distances) >= config.picard_max_iter:
+        raise PicardMaxIter(f"no convergence within {config.picard_max_iter} iterations",
+                            distances)
+    return False
+
+
+def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
+                      config: SolverConfig, chunk: int, rows: np.ndarray):
+    """Picard levels 1..L computed chunk by chunk in one sweep over the mesh.
+
+    Level k on a chunk reads only level k-1 on that chunk and level k's
+    ``_Level`` sums, so the sweep holds those sums, one chunk of iterates
+    and the ``rows`` of the final level L; the arithmetic, and so every bit,
+    is the one-buffer loop's.  A chunk needs level k when its own distance
+    first reaches ``config.picard_tol`` there.  Chunk 0 sets L to its need;
+    when a later chunk needs more:
+      * with every row kept, an updating ``_trapezoid_pass`` over the
+        earlier chunks, whose level L is at hand, adds level L+1;
+      * with sparse rows, the chunks compute a spare level L+1 and hold its
+        rows until one needs it (L grows by one) or the sweep ends.  A chunk
+        that needs a level the earlier chunks lack restarts the sweep with
+        L fixed at that level and no spare, which on solves whose needs
+        keep rising costs less than a spare on every chunk.
+    Returns (rows per key, L, distances), distances[k] being level k+1's
+    largest distance over all chunks, or None for the loop to decide: a
+    non-finite distance, growing partial maxima, a need above
+    ``config.picard_max_iter``, or distances that reach the tolerance
+    before level L.
+    """
+    tol, cap = config.picard_tol, config.picard_max_iter
+    taus = h * np.arange(n + 1)
+    every = rows.size == n + 1
+    out = {key: np.empty((rows.size,) + v.shape, dtype=complex) for key, v in h0.items()}
+    least = 1
+    while True:  # one sweep; a restart begins another with a higher ``least``
+        levels: list[_Level] = []
+        final, spare, restart = None, not every and least == 1, False
+        held = []  # (start, stop, {key: spare-level rows}) of the chunks so far
+        for j, i0 in enumerate(range(0, n + 1, chunk)):
+            i1 = min(i0 + chunk, n + 1)
+            a, b = np.searchsorted(rows, [i0, i1])
+            local = rows[a:b] - i0
+            it = {key: np.broadcast_to(v, (i1 - i0,) + v.shape) for key, v in h0.items()}
+            dists = []
+            while True:
+                k = len(dists) + 1
+                if k > cap:
+                    return None
+                if k > len(levels):
+                    if j > 0 and not every:  # the earlier chunks lack level k's sums
+                        least, restart = k, True
+                        break
+                    levels.append(_Level(h0))
+                    if j > 0:  # bring the earlier chunks from level k-1 to k
+                        _trapezoid_pass(rhs_chunk, {key: v[:i0] for key, v in out.items()},
+                                        h0, h, chunk, cell, True, levels[-1])
+                        final = k
+                it, d = levels[k - 1].step(rhs_chunk, it, taus[i0:i1], h0, h, cell)
+                if it is None or k > 1 and not levels[k - 1].distance <= levels[k - 2].distance:
+                    return None
+                dists.append(d)
+                if final is None and k >= least and d <= tol:
+                    final, spare = k, spare and k < cap
+                if final is None:
+                    continue
+                if k == final:
+                    for key, v in it.items():
+                        np.take(v, local, axis=0, out=out[key][a:b])
+                elif spare and k == final + 1:
+                    held.append((a, b, {key: v[local] for key, v in it.items()}))
+                if k < final + spare:
+                    continue
+                if dists[final - 1] <= tol:
+                    break
+                if spare and dists[final] <= tol:  # take the spare
+                    final, spare = final + 1, False
+                    for a0, b0, spare_rows in held:
+                        for key, v in spare_rows.items():
+                            out[key][a0:b0] = v
+                    held = []
+                    break
+            if restart:
+                break
+        else:
+            distances = [lev.distance for lev in levels[:final]]
+            converged = next((k for k in range(1, final + 1)
+                              if _picard_verdict(distances[:k], config)), None)
+            return (out, final, distances) if converged == final else None
 
 
 def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int) -> tuple[dict, int, list]:
+                      config: SolverConfig, chunk: int, keep=None) -> tuple[dict, int, list]:
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
-    The state maps each key of ``h0`` to (n+1, C, nodes) values, h0[key] at
-    every node to start.  It is the only trajectory held: each iteration is
-    one updating ``_trapezoid_pass``, which rewrites it chunk by chunk, and
-    its distance is the largest node L1 norm of the change over all keys.
-    The iterates are bitwise those of an old/new pair of buffers, since a
-    chunk's integrand reads only that chunk of the previous iterate.  They
-    do depend on ``chunk``: the propagator phases are factored per chunk.
+    Each key of ``h0`` starts at h0[key] on every node.  Iteration k is one
+    composite-trapezoid pass over the n+1 nodes in chunks of ``chunk``; its
+    distance is the largest node L1 norm of the change over all chunks and
+    keys, and iteration stops at the first distance at or below
+    ``config.picard_tol``, under the guard of ``_picard_verdict``.
+    ``_picard_wavefront`` computes the iterations and holds only the rows
+    ``keep`` of the last (every row when None).  Where it cannot decide,
+    the one-buffer loop runs from scratch, one (n+1, C, nodes) state per key
+    rewritten by an updating ``_trapezoid_pass`` per iteration.  Both give
+    bitwise the iterates and distances of an old/new pair of buffers, which
+    depend on ``chunk``: the propagator phases are factored per chunk.
     With ``rhs_chunk`` None (no nonlinearity) the constant start is returned.
-    Raises PicardDiverged on a non-finite distance (last in the history) or
-    when distances grow three times in a row to above ten times their
-    minimum, and PicardMaxIter when ``config.picard_tol`` is never reached.
-    A solve that converges after its distances grew warns once with the
-    largest observed ratio d_{k+1}/d_k.  Returns (state, iterations, distances).
+    Returns (rows per key, iterations, distances).
     """
+    rows = np.arange(n + 1) if keep is None else np.asarray(keep)
+    if rhs_chunk is None:
+        return {key: np.broadcast_to(v, (rows.size,) + v.shape).copy()
+                for key, v in h0.items()}, 0, []
+    solved = _picard_wavefront(rhs_chunk, h0, n, h, cell, config, chunk, rows)
+    if solved is not None:
+        return solved
     state = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
     distances: list[float] = []
-    if rhs_chunk is None:
-        return state, 0, distances
-    grow_run = 0
-    grew = False
-    for it in range(1, config.picard_max_iter + 1):
-        dist = float(np.max(list(
-            _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, update=True).values()
-        )))
-        if not math.isfinite(dist):
-            raise PicardDiverged(f"non-finite Picard iterate (distance {dist})",
-                                 distances + [dist])
-        distances.append(dist)
-        if dist <= config.picard_tol:
-            if grew:
-                ratio = max(b / a for a, b in zip(distances, distances[1:]))
-                warnings.warn(f"Picard distances grew before converging: largest observed "
-                              f"ratio d[k+1]/d[k] = {ratio:.3g}", stacklevel=3)
-            return state, it, distances
-        if len(distances) >= 2 and dist > distances[-2]:
-            grow_run += 1
-            grew = True
-            if grow_run >= 3 and dist > 10.0 * min(distances):
-                raise PicardDiverged(
-                    f"Picard distances grew for {grow_run} consecutive iterations", distances
-                )
-        else:
-            grow_run = 0
-    raise PicardMaxIter(f"no convergence within {config.picard_max_iter} iterations", distances)
+    while True:
+        sup = _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, update=True)
+        distances.append(float(np.max(list(sup.values()))))
+        if _picard_verdict(distances, config):
+            break
+    if keep is not None:
+        state = {key: v[rows] for key, v in state.items()}
+    return state, len(distances), distances
 
 
 def _kept_samples(n: int, record_stride: int | None) -> list:
@@ -751,14 +892,14 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
                             plan, config.convolution_mode)
         return {"u": g.reshape(u.shape)}
 
-    states, iterations, distances = _picard_trapezoid(
+    keep = _kept_samples(n, config.record_stride)
+    rows, iterations, distances = _picard_trapezoid(
         rhs_chunk if problem.nonlinearity else None,
         {"u": problem.initial.values.reshape(shape[0], -1)},
-        n, h, problem.grid.cell, config, DEFAULT_CHUNK,
+        n, h, problem.grid.cell, config, DEFAULT_CHUNK, keep,
     )
-    u = states["u"].reshape((n + 1,) + shape)
-    keep = _kept_samples(n, config.record_stride)
-    fields = [ModalField(problem.grid, u[i].copy(), frame="slow") for i in keep]
+    u = rows["u"].reshape((len(keep),) + shape)
+    fields = [ModalField(problem.grid, values, frame="slow") for values in u]
     return Trajectory(
         problem=problem,
         times=h * np.array(keep),

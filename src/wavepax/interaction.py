@@ -212,7 +212,12 @@ class ComponentLayout:
 
 @dataclass
 class InteractionSolution:
-    """Full-mesh trajectory of the 2N windowed components."""
+    """Full-mesh trajectory of the 2N windowed components.
+
+    Unlike ``solve_integrated``, which keeps only its recorded samples, the
+    windowed solves keep every mesh node of ``data``: ``interaction_distance``
+    and ``coupling_norm`` read them all.
+    """
 
     spectrum: NkSpectrum
     layout: ComponentLayout
@@ -263,7 +268,7 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
     h, n = time_mesh(problem, config)
     data, iterations, distances = _picard_trapezoid(
         None if evaluator is None else evaluator.integrand_chunk, _initial_windows(layout, problem),
-        n, h, problem.grid.cell, config, AVERAGED_CHUNK,
+        n, h, problem.grid.cell, config, AVERAGED_CHUNK, keep=None,
     )
     return InteractionSolution(
         spectrum=spectrum,
@@ -310,8 +315,10 @@ class MonomialEvaluator:
     the problem's dk; carrier centres need not lie on nodes.  Phases and
     projections are evaluated on window nodes only, and only the band
     components present in each window are transformed.  Callback
-    susceptibilities are refused.  Each window's phases are kept per chunk
-    of times, since the Picard solvers revisit their chunks every iteration.
+    susceptibilities are refused.  Each window's phases are kept for the
+    chunk of times of the last call and dropped when the chunk changes: the
+    Picard driver evaluates every level of a chunk before it moves on, and
+    ``coupling_norm`` visits each chunk once.
     """
 
     def __init__(
@@ -348,20 +355,23 @@ class MonomialEvaluator:
         for key, (factors, coeffs, rows) in self.plan.outs.items():
             self.jobs[key] = [(f, int(rows[i]), coeffs[i, g]) for g, f in enumerate(factors)
                               for i in range(len(rows)) if coeffs[i, g] != 0]
-        self._phases: dict = {}
+        self._phase_taus, self._phases = None, {}
 
     def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
         """Windowed integrand values g_{l,theta} for a chunk of times."""
         b = taus.shape[0]
 
+        tag = taus.tobytes()
+        if tag != self._phase_taus:
+            self._phase_taus, self._phases = tag, {}
+
         def phases(key):
             # e^{-i tau L/rho} on the window and rows comps[key]; a scalar window has
             # one component, so they serve the way in too
-            tag = (key, taus.tobytes())
-            if tag not in self._phases:
-                self._phases[tag] = self.tables.phases(taus, self.layout.mask[key],
+            if key not in self._phases:
+                self._phases[key] = self.tables.phases(taus, self.layout.mask[key],
                                                        self.layout.comps[key])
-            return self._phases[tag]
+            return self._phases[key]
 
         args = {}
         for key, comps in self.plan.comps.items():

@@ -531,6 +531,22 @@ def test_picard_trapezoid_holds_one_trajectory():
     assert peak < 1.5 * state_bytes
 
 
+def test_solve_integrated_holds_no_trajectory(nls_model):
+    # 4000 steps: the driver holds one chunk of iterates, per-level sums and
+    # the ~130 recorded samples, not the (n+1, C, nodes) trajectory
+    g = Grid(1, (128,), (2.0,))
+    h = packet(nls_model, g, beta=0.1, amp=0.1, width=0.5)
+    prob = ev.EvolutionProblem(nls_model, [ev.cubic_conjugate(1.0)], 0.01, 4.0, g, h)
+    tracemalloc.start()
+    try:
+        traj = ev.solve_integrated(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps >= 1000 and len(traj.fields) < traj.n_steps // 16
+    assert peak < 0.5 * (traj.n_steps + 1) * h.values.nbytes
+
+
 # The driver as it was with an old and a new trajectory per key, kept
 # literally (less the growth warning) as an oracle for the in-place one.
 
@@ -578,16 +594,23 @@ def two_buffer_picard(rhs_chunk, h0, n, h, cell, config, chunk):
     raise PicardMaxIter("no convergence", distances)
 
 
-def driver_outcome(driver, rhs, u0, tau, n, chunk, **config):
+def driver_outcome(driver, rhs, u0, tau, n, chunk, *keep, **config):
     """(state, iterations, distances) of a solve, or (None, error type, history)."""
     try:
-        return driver(rhs, u0, n, tau / n, 1.0, ev.SolverConfig(**config), chunk)
+        return driver(rhs, u0, n, tau / n, 1.0, ev.SolverConfig(**config), chunk, *keep)
     except (PicardDiverged, PicardMaxIter) as err:
         return None, type(err), err.args[1]
 
 
-def assert_same_outcome(rhs, u0, tau, n, chunk, **config):
-    state, its, dists = driver_outcome(ev._picard_trapezoid, rhs, u0, tau, n, chunk, **config)
+def kept_rows(mode, n):
+    """The ``keep`` argument of the driver: every row, a sparse set, or the endpoints."""
+    return {"every": None, "sparse": ev._kept_samples(n, 3), "ends": [0, n]}[mode]
+
+
+def assert_same_outcome(rhs, u0, tau, n, chunk, keep=None, **config):
+    """The driver's rows ``keep`` equal the oracle's bitwise, as do iterations and distances."""
+    state, its, dists = driver_outcome(ev._picard_trapezoid, rhs, u0, tau, n, chunk, keep,
+                                       **config)
     want_state, want_its, want_dists = driver_outcome(two_buffer_picard, rhs, u0, tau, n,
                                                       chunk, **config)
     assert its == want_its
@@ -595,7 +618,8 @@ def assert_same_outcome(rhs, u0, tau, n, chunk, **config):
     if want_state is None:
         assert state is None
     else:
-        assert all(np.array_equal(state[key], want_state[key]) for key in u0)
+        rows = slice(None) if keep is None else keep
+        assert all(np.array_equal(state[key], want_state[key][rows]) for key in u0)
     return its
 
 
@@ -608,8 +632,9 @@ def assert_same_outcome(rhs, u0, tau, n, chunk, **config):
     n=st.integers(1, 120),
     chunk=st.integers(1, 48),
     seed=st.integers(0, 2**32 - 1),
+    keep=st.sampled_from(["every", "sparse", "ends"]),
 )
-def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, seed):
+def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, seed, keep):
     # each key's integrand reads the other key's chunk, nonlinearly; the
     # last chunk is short
     assume((n + 1) % chunk != 0)
@@ -620,7 +645,7 @@ def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, s
 
     rng = np.random.default_rng(seed)
     u0 = {key: 0.5 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) for key in "pq"}
-    assert_same_outcome(rhs, u0, tau, n, chunk, picard_tol=1e-12)
+    assert_same_outcome(rhs, u0, tau, n, chunk, kept_rows(keep, n), picard_tol=1e-12)
 
 
 @pytest.mark.parametrize("rhs, u0, n, chunk, config, error", [
@@ -632,7 +657,64 @@ def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, s
      {"picard_max_iter": 1}, PicardMaxIter),
 ], ids=["growth", "nan", "max-iter"])
 def test_in_place_driver_fails_as_the_two_buffer_driver(rhs, u0, n, chunk, config, error):
-    assert assert_same_outcome(rhs, u0, 1.0, n, chunk, **config) is error
+    for keep in ("every", "ends"):
+        assert assert_same_outcome(rhs, u0, 1.0, n, chunk, kept_rows(keep, n), **config) is error
+
+
+def wavefront_visits(a, chunks_on, keep, n=80, chunk=8):
+    """Chunks visited by a driver solve of u' = a u on the first ``chunks_on`` chunks, u' = 0 after.
+
+    A chunk needs more Picard levels the larger the integral of a up to its
+    end, so needs rise over the first ``chunks_on`` chunks and are flat
+    after them.  Checks the solve against the oracle and returns the chunk
+    index of every integrand evaluation of the driver, its iterations and
+    the number of chunks.
+    """
+    h = 1.0 / n
+    visits = []
+
+    def rhs(states, taus):
+        visits.append(round(taus[0] / h) // chunk)
+        return {"u": a * (taus < chunks_on * chunk * h)[:, None, None] * states["u"]}
+
+    its = assert_same_outcome(rhs, {"u": np.ones((1, 2), complex)}, 1.0, n, chunk,
+                              kept_rows(keep, n), picard_tol=1e-12)
+    n_chunks = -(-(n + 1) // chunk)
+    # the oracle evaluates every chunk once per iteration, after the driver
+    return visits[:len(visits) - n_chunks * its], its, n_chunks
+
+
+@pytest.mark.parametrize("a, chunks_on, keep, path", [
+    (0.5, 1, "ends", "spare unused"),
+    (0.5, 2, "ends", "spare taken"),
+    (1.0, 2, "ends", "restart"),
+    (0.5, 2, "every", "catch-up"),
+], ids=["spare-unused", "spare-taken", "restart", "catch-up"])
+def test_wavefront_takes_each_path(a, chunks_on, keep, path):
+    # counted integrand evaluations tell the paths apart: a sweep visits the
+    # chunks in order, a restart or a catch-up pass goes back to chunk 0
+    visits, its, n_chunks = wavefront_visits(a, chunks_on, keep)
+    in_order = visits == sorted(visits)
+    if path == "spare unused":  # every chunk needs chunk 0's level; each computes one more
+        assert in_order and len(visits) == n_chunks * (its + 1)
+    elif path == "spare taken":  # the work of the one-buffer loop
+        assert in_order and len(visits) == n_chunks * its
+    elif path == "restart":
+        assert not in_order and len(visits) > n_chunks * its
+        assert visits.count(0) > its  # chunk 0 in two sweeps
+    else:  # the earlier chunks get each level they lack, and no more
+        assert not in_order and len(visits) == n_chunks * its
+        assert all(visits.count(j) == its for j in range(n_chunks))
+
+
+@pytest.mark.filterwarnings("ignore:Picard distances grew")
+@pytest.mark.parametrize("keep", ["every", "ends"])
+def test_wavefront_falls_back_on_growth(keep):
+    # strong coupling on three chunks: the distances grow before they
+    # converge, so the one-buffer loop decides, as the oracle does
+    visits, its, n_chunks = wavefront_visits(8.0, 3, keep)
+    loop = [j for _ in range(its) for j in range(n_chunks)]  # one pass per iteration
+    assert len(visits) > len(loop) and visits[-len(loop):] == loop
 
 
 def test_cubic_matches_r_space_product(nls_model, rng):

@@ -406,9 +406,10 @@ def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
 
 
 def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
-    # each window's e^{-i tau L/rho} phases are kept per chunk of times: a
-    # second call on a chunk evaluates no exponential and gives bitwise the
-    # integrand of the first, also after another chunk was evaluated
+    # each window's e^{-i tau L/rho} phases are kept for the chunk of times
+    # of the last call: a repeated call on that chunk evaluates no
+    # exponential and gives bitwise the integrand of the first, and a new
+    # chunk drops the previous chunk's phases
     model, grid, spectrum, initial = counterprop
     layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
     sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
@@ -419,14 +420,20 @@ def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     taus = 0.0125 * np.arange(3, 7)
     evaluator = ia.MonomialEvaluator(prob, layout, sets_flat)
     first = evaluator.integrand_chunk(states, taus)
-    other = evaluator.integrand_chunk(states, taus + 0.05)
-    monkeypatch.setattr(evaluator.tables, "phases", None)  # any further exponential fails
+    exact = evaluator.tables.phases
+    evaluated = []
+    monkeypatch.setattr(evaluator.tables, "phases",
+                        lambda *args: evaluated.append(args[1]) or exact(*args))
     second = evaluator.integrand_chunk(states, taus)
+    assert evaluated == []
+    other = evaluator.integrand_chunk(states, taus + 0.05)  # a new chunk needs its exponentials
+    windows = len(evaluated)
+    assert windows > 0
+    again = evaluator.integrand_chunk(states, taus)  # and the first chunk's are gone
+    assert len(evaluated) == 2 * windows
     for key in layout.keys:
-        assert np.array_equal(second[key], first[key])
+        assert np.array_equal(second[key], first[key]) and np.array_equal(again[key], first[key])
         assert not np.array_equal(other[key], first[key])
-    with pytest.raises(TypeError):  # a new chunk does need its exponentials
-        evaluator.integrand_chunk(states, taus + 0.1)
 
 
 @pytest.mark.parametrize("solver", ["interaction", "averaged"])
