@@ -208,16 +208,59 @@ def _entry_groups(terms):
     return [f for f, _ in kept], coeffs
 
 
-def _pointwise_products(r_args: dict, factors, out: np.ndarray) -> np.ndarray:
-    """(B, G, X) products, one per factor tuple, written to ``out``.
+def _product_schedule(lists) -> list:
+    """The steps that form the products of each factor list j in its (B, G_j, X) array.
 
-    Factor (a, c) of a tuple is the (B, X) r-space array ``r_args[a, c]``.
+    A factor is an int, the row of its (B, X) r-space array.  Returns steps
+    (left, right, (j, g)): product g of list j gets left times right, where
+    ``right`` is a factor and ``left`` a factor for the first step of a
+    product or else a product slot (j', g').  With ``right`` None the step
+    copies slot ``left``.  A product (f0, f1, ..., fm) is the left fold
+    ((f0 f1) f2) ... fm, and every product and every shared prefix is
+    multiplied once, whichever lists hold it: a prefix goes into the slot of
+    the first product that holds it, the other products derive from it, and
+    that slot is finished last.  No step reads a slot another step has left
+    stale.
     """
-    for g, fac in enumerate(factors):
-        np.multiply(r_args[fac[0]], r_args[fac[1]], out=out[:, g])
-        for f in fac[2:]:
-            out[:, g] *= r_args[f]
-    return out
+    slots: dict = {}  # product -> the slots that hold it
+    for j, factors in enumerate(lists):
+        for g, fac in enumerate(factors):
+            slots.setdefault(fac, []).append((j, g))
+    children: dict = {}  # prefix -> its one-factor extensions, in order of first use
+    for fac in slots:
+        for i in range(2, len(fac) + 1):
+            kids = children.setdefault(fac[:i - 1], [])
+            if fac[:i] not in kids:
+                kids.append(fac[:i])
+
+    def slot(prefix):
+        # a product keeps its own slot; a shared prefix lives in the slot of
+        # the first product below it
+        while prefix not in slots:
+            prefix = children[prefix][0]
+        return slots[prefix][0]
+
+    steps = []
+
+    def grow(prefix, left):
+        here = None if len(prefix) == 1 else slot(prefix)
+        # the child that finishes this slot goes last: the others read it first
+        for kid in sorted(children.get(prefix, []), key=lambda k: slot(k) == here):
+            steps.append((left, kid[-1], slot(kid)))
+            steps.extend((slot(kid), None, copy) for copy in slots.get(kid, [])[1:])
+            grow(kid, slot(kid))
+
+    for root in dict.fromkeys(fac[:1] for fac in slots):
+        grow(root, root[0])
+    return steps
+
+
+def _stack_rows(sizes: dict) -> tuple[dict, int]:
+    """Consecutive row ranges of a stack, one slice per key of ``sizes``, and its height."""
+    rows, height = {}, 0
+    for key, size in sizes.items():
+        rows[key], height = slice(height, height + size), height + size
+    return rows, height
 
 
 class _ConvolutionPlan:
@@ -228,7 +271,7 @@ class _ConvolutionPlan:
     (also a key of ``nodes``) to its (tensor, argument keys) terms, evaluated
     on that key's nodes.  The entries of all terms of an output key are
     grouped by ``_entry_groups``, summed in r-space through one coefficient
-    ``matmul`` and forward-transformed once.
+    ``matmul`` and forward-transformed.
 
     Spectra sit on a transform grid with the grid's dk and P nodes per axis,
     in ``np.fft`` order: node j at slot (j - n/2) mod P, the centred index
@@ -241,12 +284,18 @@ class _ConvolutionPlan:
     index box misses their output key's box are dropped before P is sized:
     they vanish on every output node.
 
-    The plan keeps two work arrays per key across calls, each sized to the
-    largest batch seen: a zeroed input buffer per argument key, of which
-    only the slots are rewritten, and a (B, G, X) products array per output
-    key, which every call overwrites.  Fresh arrays of that size would be
-    mapped and page-faulted anew on every call.  Nothing a call returns
-    views either of them.
+    Every key shares that transform grid, so a call makes one inverse and
+    one forward transform, both in place in one stacked buffer: it takes
+    the zero-padded argument rows of all keys, their r-space samples until
+    the products are formed, then the ``matmul`` results of all output keys
+    and their spectra.  Output keys with the same factor list share one
+    (B, G, X) products array, filled by the steps of ``_product_schedule``.
+    The buffer and the products arrays are kept across calls, each sized to
+    the largest batch seen: fresh arrays of that size would be mapped and
+    page-faulted anew on every call.  One buffer rather than an input buffer
+    kept zero plus a work array costs a zero fill per call, but a second
+    kept array stays resident while the caller's own arrays peak and raised
+    the solver's peak memory.  Nothing a call returns views any of them.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -293,8 +342,21 @@ class _ConvolutionPlan:
         # flat transform-grid slots of each key not on the whole grid
         self.slots = {key: np.ravel_multi_index(tuple(c % np.array(size)[:, None]), size)
                       for key, c in centred.items() if nodes[key] is not None}
-        self._inputs: dict = {}
-        self._products_out: dict = {}
+        # the rows of each argument key in the input stack and of each output
+        # key in the output stack
+        self._arg_rows, self._n_in = _stack_rows({key: len(cs) for key, cs in self.comps.items()})
+        self._out_rows, self._n_out = _stack_rows({key: len(r)
+                                                   for key, (_, _, r) in self.outs.items()})
+        row = {(key, c): self._arg_rows[key].start + i
+               for key, cs in self.comps.items() for i, c in enumerate(cs)}
+        # one products array per distinct factor list, filled by one schedule
+        # on the input rows of the factors
+        self._lists = list(dict.fromkeys(tuple(f) for f, _, _ in self.outs.values()))
+        self._list_of = {key: self._lists.index(tuple(f)) for key, (f, _, _) in self.outs.items()}
+        self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
+                                         for factors in self._lists])
+        self._buffer = None
+        self._products: list = []
 
     def __call__(self, values: dict) -> dict:
         """Convolutions of the spectra ``values`` on every output key.
@@ -308,55 +370,55 @@ class _ConvolutionPlan:
         if not self.outs:
             return {}
         tg = self.tgrid
-        prods = self._products(values)
-        out = {}
-        for key, (_, coeffs, rows) in self.outs.items():
-            b, _, x = prods[key].shape
-            out_r = np.matmul(coeffs, prods[key]).reshape((b, len(rows)) + tg.shape)
-            spec = samples_to_spectrum(out_r, tg, centred=False, out=out_r)
+        x = math.prod(tg.shape)
+        b = next(iter(values.values())).shape[0]
+        n_in, n_out = self._n_in, self._n_out
+        if self._buffer is None or self._buffer.shape[0] < b:
+            self._buffer = np.empty((b, max(n_in, n_out), x), dtype=complex)
+            self._products = [np.empty((b, len(factors), x), dtype=complex)
+                              for factors in self._lists]
+        buf = self._buffer[:b]
+        inputs = buf[:, :n_in]
+        inputs.fill(0.0)
+        for key, comps in self.comps.items():
+            v = values[key]
+            if v.shape[1] != len(comps):
+                v = v[:, comps]
+            block = inputs[:, self._arg_rows[key]]
             if key in self.slots:
-                vals = spec.reshape(b, len(rows), x)[..., self.slots[key]]
+                block[..., self.slots[key]] = v
             else:
-                vals = crop_spectrum(spec, self.grid, centred=False)
+                pad_spectrum(v, self.grid, tg.shape, centred=False,
+                             out=block.reshape(block.shape[:2] + tg.shape))
+        r = inputs.reshape((b, n_in) + tg.shape)
+        r = spectrum_to_samples(r, tg, centred=False, out=r).reshape(b, n_in, x)
+        prods = [p[:b] for p in self._products]
+        for left, right, (j, g) in self._steps:
+            # operands: an input row (an int) or a product slot (j, g)
+            src = r[:, left] if isinstance(left, int) else prods[left[0]][:, left[1]]
+            if right is None:
+                np.copyto(prods[j][:, g], src)
+            else:
+                np.multiply(src, r[:, right], out=prods[j][:, g])
+        # the r-space arguments are spent: the buffer takes the sums
+        for key, (_, coeffs, _) in self.outs.items():
+            np.matmul(coeffs, prods[self._list_of[key]], out=buf[:, self._out_rows[key]])
+        spec = buf[:, :n_out].reshape((b, n_out) + tg.shape)
+        spec = samples_to_spectrum(spec, tg, centred=False, out=spec).reshape(b, n_out, x)
+        out = {}
+        for key, (_, _, rows) in self.outs.items():
+            block = spec[:, self._out_rows[key]]
+            if key in self.slots:
+                vals = block[..., self.slots[key]]
+            else:
+                vals = crop_spectrum(block.reshape(block.shape[:2] + tg.shape), self.grid,
+                                     centred=False)
             if len(rows) < self.ncomp:
                 full = np.zeros((b, self.ncomp) + vals.shape[2:], dtype=complex)
                 full[:, rows] = vals
                 vals = full
             out[key] = vals
         return out
-
-    def _products(self, values: dict) -> dict:
-        """Per output key its (B, G, X) r-space products on the transform grid.
-
-        The products are views of the key's kept products array.  Kept apart
-        from ``__call__`` so the r-space arguments are freed before the
-        forward transforms, which lowers the solver's peak memory.
-        """
-        tg = self.tgrid
-        x = int(np.prod(tg.shape))
-        b = next(iter(values.values())).shape[0]
-        r_args = {}
-        for key, comps in self.comps.items():
-            v = values[key]
-            if v.shape[1] != len(comps):
-                v = v[:, comps]
-            buf = self._inputs.get(key)
-            if buf is None or buf.shape[0] < b:
-                buf = self._inputs[key] = np.zeros((b, len(comps)) + tg.shape, dtype=complex)
-            buf = buf[:b]  # zero but at the slots, which every call rewrites
-            if key in self.slots:
-                buf.reshape(b, -1, x)[..., self.slots[key]] = v
-            else:
-                pad_spectrum(v, self.grid, tg.shape, centred=False, out=buf)
-            r = spectrum_to_samples(buf, tg, centred=False).reshape(b, -1, x)
-            r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
-        prods = {}
-        for key, (factors, _, _) in self.outs.items():
-            buf = self._products_out.get(key)
-            if buf is None or buf.shape[0] < b:
-                buf = self._products_out[key] = np.empty((b, len(factors), x), dtype=complex)
-            prods[key] = _pointwise_products(r_args, factors, buf[:b])
-        return prods
 
 
 def _chi_direct(args, susceptibility: Susceptibility, grid: Grid) -> np.ndarray:

@@ -130,10 +130,15 @@ def require_same_grid(*fields: ModalField) -> Grid:
 # U_hat(k) = integral(U(r) e^{-ikr} dr), discretised with the trapezoid
 # weights dk^d and dr^d so that forward(inverse(x)) == x exactly.
 
-def spectrum_to_samples(values: np.ndarray, grid: Grid, centred: bool = True) -> np.ndarray:
-    """Inverse transform of k-samples (``np.fft`` order if not ``centred``) to r-samples."""
+def spectrum_to_samples(values: np.ndarray, grid: Grid, centred: bool = True,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform of k-samples (``np.fft`` order if not ``centred``) to r-samples.
+
+    The samples are written to ``out`` if given.
+    """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    out = np.fft.ifftn(np.fft.ifftshift(values, axes=axes) if centred else values, axes=axes)
+    out = np.fft.ifftn(np.fft.ifftshift(values, axes=axes) if centred else values, axes=axes,
+                       out=out)
     out *= 1.0 / np.prod(grid.dr)
     return out
 

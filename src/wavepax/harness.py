@@ -443,19 +443,18 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     vels = _velocities(rc)
     rows = []
     final_fixes = {}
-    slow_comps = []  # per kept time, the slow carrier components
+    slow_comps = {l: [] for l in range(1, len(specs) + 1)}  # per packet, over kept times
     for i in idxs:
         tau = traj.times[i]
         fast = traj.fast_field(i)
         slow = traj.fields[i]
-        slow_comps.append([])
         for l, spec in enumerate(specs, start=1):
             expected = spec.r_star + (tau / rc.rho) * vels[l - 1]
             comp = track(fast, l)
             box = [(expected[a] - halfwidth, expected[a] + halfwidth) for a in range(rc.grid.dim)]
             fix = wp.locate_position(comp, thresholds_a[l], box, scan_step)
             comp_slow = track(slow, l)
-            slow_comps[-1].append(comp_slow)
+            slow_comps[l].append(comp_slow)
             box0 = [(spec.r_star[a] - halfwidth, spec.r_star[a] + halfwidth) for a in range(rc.grid.dim)]
             fix_slow = wp.locate_position(comp_slow, thresholds_a[l], box0, scan_step)
             rows.append({
@@ -472,9 +471,9 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
                 final_fixes[l] = fix
 
     # particle norm of the slow carrier components over kept times
-    positions = [spec.r_star for spec in specs]
-    norms = [wp.particle_norm(comps, positions, beta, eps) for comps in slow_comps]
-    particle_ratio = max(norms) / norms[0] if norms and norms[0] else float("nan")
+    samples = [wp.FieldSamples.of_fields(slow_comps[l], layout.mask[(l, +1)]) for l in slow_comps]
+    norms = wp.particle_norm(samples, [spec.r_star for spec in specs], beta, eps)
+    particle_ratio = float(max(norms) / norms[0]) if norms[0] else float("nan")
 
     dev_limit = float(exp.get("max_y_deviation", 5.0 * beta ** (1.0 - eps)))
     diam_limit = float(exp.get("max_diameter", 10.0 * beta ** (-1.0 - eps)))
@@ -618,15 +617,12 @@ def averaging_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         v = ia.solve_averaged_system(problem, rc.spectrum, sets, rc.solver,
                                      beta=rc.beta, epsilon=rc.epsilon)
         coupling = ia.coupling_norm(v, sets)
-        # particle norm along the averaged trajectory, kept samples
-        norms = []
-        for i in v.sample_indices:
-            comps, positions = [], []
-            for l, spec in enumerate(specs, start=1):
-                for theta in (+1, -1):
-                    comps.append(v.component_field(l, theta, i))
-                    positions.append(spec.r_star)
-            norms.append(wp.particle_norm(comps, positions, rc.beta, rc.epsilon))
+        # particle norm along the averaged trajectory, kept samples; one
+        # component's samples are held at a time
+        comps = (v.component_samples(l, theta, v.sample_indices)
+                 for l in range(1, len(specs) + 1) for theta in (+1, -1))
+        positions = [spec.r_star for spec in specs for _ in (+1, -1)]
+        norms = wp.particle_norm(comps, positions, rc.beta, rc.epsilon)
         rows.append({
             "beta": rc.beta,
             "rho": r,

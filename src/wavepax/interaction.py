@@ -39,7 +39,7 @@ from .resonance import (
     partial_gvm_check,
     resonant_index_sets,
 )
-from .wavepacket import build_cutoff
+from .wavepacket import FieldSamples, build_cutoff
 
 AVERAGED_CHUNK = 32
 
@@ -238,6 +238,11 @@ class InteractionSolution:
 
     def component_field(self, l: int, theta: int, i: int) -> ModalField:
         return ModalField(self.problem.grid, self._embedded([(l, theta)], i), frame="slow")
+
+    def component_samples(self, l: int, theta: int, rows) -> FieldSamples:
+        """Component (l, theta) at the mesh nodes ``rows``, on its window."""
+        return FieldSamples(self.problem.grid, self.layout.mask[(l, theta)],
+                            self.data[(l, theta)][rows])
 
     def _embedded(self, keys, i: int) -> np.ndarray:
         """Sum of the components ``keys`` at mesh node i on the full grid, (C, *shape)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dispersion as dsp
 from .errors import EmptySublevelSet, EnvelopeUnderresolved, RadiusUnresolvable
-from .grids import Grid, ModalField, l1_norm, l1_norm_values
+from .grids import Grid, ModalField, l1_norm_values, pointwise_modulus
 
 __all__ = [
     "Envelope",
@@ -27,6 +27,7 @@ __all__ = [
     "position_detection",
     "locate_position",
     "PositionFix",
+    "FieldSamples",
     "particle_norm",
     "project_band_values",
 ]
@@ -248,72 +249,152 @@ def regularity_defect(f: ModalField, spec: WavepacketSpec, model: dsp.Dispersion
     return total
 
 
-# Probes the detection window evaluates at once; bounds its (P, C, *window)
-# arrays, whatever the number of scan probes.
+# Evaluations (sample times probe) the detection window makes at once; bounds
+# its (P, C, *window) arrays, whatever the number of scan probes or samples.
 _PROBE_BLOCK = 32
 
 
-class _DetectionWindow:
-    """The nodes of one field that the position detection functional sees.
+@dataclass
+class FieldSamples:
+    """T samples of a field that vanishes off a set of grid nodes.
 
-    A node more than one node away from the field's nonzero support has a
-    central difference of exactly zero.  So per axis the functional needs
-    only the shortest periodic arc holding the support, plus two nodes on
-    each side (wrapped indices), even where that is longer than the axis:
-    a node taken twice gets the same central difference both times.  Phase,
-    product, difference and modulus are elementwise, and the window's moduli
-    are scattered into a zeroed full grid and summed there, so every value
-    is bitwise the full-grid formula's.
+    ``values`` holds the (T, C, W) samples on the W distinct flat grid
+    indices ``nodes``; every other node is zero.  The nodes may include
+    zeros of the samples: the diagnostics below give the same bits on any
+    node set that holds the support.
     """
 
-    def __init__(self, f: ModalField):
-        grid = f.grid
-        occupied = (f.values != 0).any(axis=0)
-        if not occupied.any():
-            # one node keeps a zero field's nan for a non-finite probe
-            occupied.flat[0] = True
+    grid: Grid
+    nodes: np.ndarray
+    values: np.ndarray
+    frame: str = "slow"
+
+    @classmethod
+    def of_fields(cls, fields, nodes: np.ndarray) -> "FieldSamples":
+        """The full-grid ``fields`` (one grid, one frame, zero off ``nodes``) as samples."""
+        return cls(fields[0].grid, nodes,
+                   np.stack([f.values.reshape(f.ncomp, -1)[:, nodes] for f in fields]),
+                   fields[0].frame)
+
+    def field(self, t: int) -> ModalField:
+        """Sample t on the full grid."""
+        full = np.zeros((self.values.shape[1], int(np.prod(self.grid.shape))), dtype=complex)
+        full[:, self.nodes] = self.values[t]
+        return ModalField(self.grid, full.reshape((-1,) + self.grid.shape), self.frame)
+
+    def l1(self) -> np.ndarray:
+        """(T,) L1 norms, each bitwise ``l1_norm`` of its sample's full-grid field.
+
+        The moduli are scattered into zeroed full-grid rows and summed there,
+        in the full-grid sum's order.
+        """
+        out = np.empty(len(self.values))
+        # zero but at the nodes, which every block rewrites
+        full = np.zeros((min(len(self.values), _PROBE_BLOCK), int(np.prod(self.grid.shape))))
+        for i in range(0, len(self.values), _PROBE_BLOCK):
+            block = self.values[i:i + _PROBE_BLOCK]
+            rows = full[:len(block)]
+            rows[:, self.nodes] = pointwise_modulus(block.swapaxes(0, 1))
+            out[i:i + _PROBE_BLOCK] = rows.sum(axis=1) * self.grid.cell
+        return out
+
+
+def _support_samples(f: ModalField) -> FieldSamples:
+    """One sample of ``f`` on its nonzero nodes."""
+    occupied = (f.values != 0).any(axis=0).reshape(-1)
+    # one node keeps a zero field's nan for a non-finite probe
+    nodes = np.flatnonzero(occupied) if occupied.any() else np.zeros(1, dtype=int)
+    return FieldSamples.of_fields([f], nodes)
+
+
+class _DetectionWindow:
+    """The nodes of a field that the position detection functional sees.
+
+    The field is a ModalField, or FieldSamples for a batch of its samples.
+    A node more than one node away from the field's nonzero nodes (those of
+    a ModalField, the node set of FieldSamples) has a central difference of
+    exactly zero.  So per axis the functional needs only the shortest
+    periodic arc holding those nodes, plus two nodes on each side (wrapped
+    indices), even where that is longer than the axis: a node taken twice
+    gets the same central difference both times.  Phase, product,
+    difference and modulus are elementwise, and the window's moduli are
+    scattered into a zeroed full grid and summed there, so every value is
+    bitwise the full-grid formula's, on any node set that holds the support.
+    """
+
+    def __init__(self, f):
+        self.samples = _support_samples(f) if isinstance(f, ModalField) else f
+        self.batch = () if isinstance(f, ModalField) else self.samples.values.shape[:1]
+        grid, nodes, values = self.grid, self.samples.nodes, self.samples.values
+        if not nodes.size:
+            # a window with no nodes holds a zero field: node 0 stands for it
+            nodes, values = np.zeros(1, dtype=int), np.zeros(values.shape[:2] + (1,), complex)
         take = []
-        for a, n in enumerate(grid.n):
-            nodes = np.flatnonzero(occupied.any(axis=tuple(b for b in range(grid.dim) if b != a)))
-            gaps = np.diff(nodes, append=nodes[0] + n)
+        for a, n in enumerate(np.unravel_index(nodes, grid.shape)):
+            on = np.unique(n)
+            size = grid.n[a]
+            gaps = np.diff(on, append=on[0] + size)
             widest = int(np.argmax(gaps))
-            length = n - int(gaps[widest]) + 1
-            take.append((nodes[(widest + 1) % nodes.size] - 2 + np.arange(length + 4)) % n)
-        self.grid = grid
+            length = size - int(gaps[widest]) + 1
+            take.append((on[(widest + 1) % on.size] - 2 + np.arange(length + 4)) % size)
         self.take = np.ix_(*take)
         self.out = np.ix_(*[t[1:-1] for t in take])
-        # C order, so the sum over gradient axes and components below runs
-        # in the full-grid formula's order
-        self.values = np.ascontiguousarray(f.values[(slice(None),) + self.take])
+        # the samples gathered onto the window, a node taken twice in both
+        # places; C order, so the sum over gradient axes and components below
+        # runs in the full-grid formula's order
+        where = np.full(int(np.prod(grid.shape)), -1)
+        where[nodes] = np.arange(nodes.size)
+        where = where[np.ravel_multi_index(self.take, grid.shape)]
+        hit = where >= 0
+        self._stack = np.zeros(values.shape[:2] + where.shape, dtype=complex)  # (S, C, *window)
+        self._stack[:, :, hit] = values[:, :, where[hit]]
+        self.values = self._stack.reshape(self.batch + self._stack.shape[1:])
         # 1-d probe arguments are single products; in more dimensions they
         # come from the full-grid tensordot, so they carry its rounding
         self.k = grid.k_axis()[take[0]] if grid.dim == 1 else grid.k_mesh()
+        # per axis the (upper, lower) neighbours of the inner nodes and the step
+        self._diffs = []
+        for a, dk in enumerate(grid.dk):
+            hi, lo = [slice(1, -1)] * grid.dim, [slice(1, -1)] * grid.dim
+            hi[a], lo[a] = slice(2, None), slice(None, -2)
+            self._diffs.append(((Ellipsis, *hi), (Ellipsis, *lo), 2.0 * dk))
+        self._cell = grid.cell
+
+    @property
+    def grid(self) -> Grid:
+        return self.samples.grid
 
     def __call__(self, probes) -> np.ndarray:
-        """Detection functional at each row of the (P, dim) ``probes``."""
-        probes = np.asarray(probes, dtype=float).reshape(-1, self.grid.dim)
-        out = np.empty(len(probes))
-        for i in range(0, len(probes), _PROBE_BLOCK):
-            out[i:i + _PROBE_BLOCK] = self._block(probes[i:i + _PROBE_BLOCK])
-        return out
+        """Detection functional of each sample at each row of the (P, dim) ``probes``.
 
-    def _block(self, probes: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        if grid.dim == 1:
+        Shape (P,) for a ModalField, (T, P) for T samples.
+        """
+        probes = np.asarray(probes, dtype=float).reshape(-1, self.grid.dim)
+        n, p = len(self._stack), len(probes)
+        out = np.empty((n, p))
+        per = min(p, _PROBE_BLOCK)
+        rows = min(n, max(1, _PROBE_BLOCK // per))
+        # zero but at the window's inner nodes, which every block rewrites
+        full = np.zeros((rows * per,) + self.grid.shape)
+        for i in range(0, n, rows):
+            for j in range(0, p, per):
+                out[i:i + rows, j:j + per] = self._block(self._stack[i:i + rows],
+                                                         probes[j:j + per], full)
+        return out.reshape(self.batch + (p,))
+
+    def _block(self, values: np.ndarray, probes: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """(S, P) functional of (S, C, *window) samples at (P, dim) probes, summed in ``full``."""
+        if self.grid.dim == 1:
             arg = probes * self.k
         else:
             arg = np.stack([np.tensordot(p, self.k, axes=(0, 0))[self.take] for p in probes])
-        v = self.values * np.exp(1j * arg)[:, None]  # (P, C, *window)
-        grads = []
-        for a in range(grid.dim):
-            hi, lo = [slice(1, -1)] * grid.dim, [slice(1, -1)] * grid.dim
-            hi[a], lo[a] = slice(2, None), slice(None, -2)
-            diff = v[(Ellipsis,) + tuple(hi)] - v[(Ellipsis,) + tuple(lo)]
-            grads.append(diff / (2.0 * grid.dk[a]))
+        v = values[:, None] * np.exp(1j * arg)[:, None]  # (S, P, C, *window)
+        v = v.reshape((-1,) + v.shape[2:])
+        grads = [(v[hi] - v[lo]) / step for hi, lo, step in self._diffs]
         mod = np.sqrt((np.abs(np.stack(grads, axis=1)) ** 2).sum(axis=(1, 2)))
-        full = np.zeros((len(probes),) + grid.shape)
+        full = full[:len(v)]
         full[(slice(None),) + self.out] = mod
-        return full.reshape(len(probes), -1).sum(axis=1) * grid.cell
+        return (full.reshape(len(v), -1).sum(axis=1) * self._cell).reshape(len(values), -1)
 
 
 def position_detection(f: ModalField, probe) -> float:
@@ -407,14 +488,18 @@ def locate_position(
     )
 
 
-def particle_norm(fields, positions, beta: float, epsilon: float) -> float:
+def particle_norm(fields, positions, beta: float, epsilon: float):
     """Scale-weighted gradient norm plus L1 mass, summed over components.
 
     ``fields`` and ``positions`` run over the packet components; the
     gradient term is ``position_detection`` at the packet's position, whose
-    phase e^{+i r.k} cancels the packet's own carrier phase.
+    phase e^{+i r.k} cancels the packet's own carrier phase.  A ModalField
+    is one sample and gives a float; FieldSamples of T samples give the (T,)
+    norms, each bitwise the float of its sample's full-grid fields.
     """
+    weight = beta ** (1.0 + epsilon)
     total = 0.0
     for f, r in zip(fields, positions):
-        total += beta ** (1.0 + epsilon) * position_detection(f, r) + l1_norm(f)
-    return total
+        detect = _DetectionWindow(f)
+        total = total + (weight * detect(r)[..., 0] + detect.samples.l1().reshape(detect.batch))
+    return float(total) if np.ndim(total) == 0 else total

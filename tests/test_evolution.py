@@ -183,7 +183,12 @@ def centred_plan(plan, nodes, values):
     out = {}
     for key, (factors, coeffs, rows) in plan.outs.items():
         prods = np.empty((b, len(factors), x), dtype=complex)
-        out_r = np.matmul(coeffs, ev._pointwise_products(r_args, factors, prods))
+        for g, fac in enumerate(factors):
+            # the literal left fold ((f0 f1) f2) ... of each product
+            prods[:, g] = r_args[fac[0]] * r_args[fac[1]]
+            for f in fac[2:]:
+                prods[:, g] = prods[:, g] * r_args[f]
+        out_r = np.matmul(coeffs, prods)
         out_r = out_r.reshape((b, len(rows)) + tg.shape)
         spec = np.prod(tg.dr) * np.fft.fftshift(np.fft.fftn(out_r, axes=axes), axes=axes)
         if key in position:
@@ -258,24 +263,115 @@ def plan_values(rng, nodes, grid, b):
 
 
 def test_second_plan_call_allocates_no_products_array():
-    # every call of a plan overwrites its kept (B, G, X) products arrays, so a
-    # second call on the same shapes allocates no block as large as one
+    # every call of a plan overwrites its kept input, work and products
+    # arrays, so a second call on the same shapes allocates no block as
+    # large as one products array on the windows; on the whole grid, where
+    # shared prefixes are formed in place, none as large as one (B, X)
+    # r-space array besides its result.  (B, X) exceeds the three operand
+    # buffers of at most 8192 elements that numpy's ufunc iterator takes for
+    # strided operands.
     rng = np.random.default_rng(3)
+    windows = averaging_like_layout(rng)
+    whole = Grid(1, (1024,), (4.0,)), {"u": None}, {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}
+    for grid, nodes, terms in (windows, whole):
+        plan = ev._ConvolutionPlan(grid, nodes, terms)
+        b, x = (8 if nodes is windows[1] else 32), int(np.prod(plan.tgrid.shape))
+        if nodes is windows[1]:
+            bound = min(b * len(factors) * x * 16 for factors in plan._lists)
+        else:
+            bound = b * x * 16
+            assert bound > 3 * 8192 * 16
+        values = plan_values(rng, nodes, grid, b)
+        first = plan(values)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            second = plan(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(first[key], second[key]) for key in first)
+        assert peak - before - sum(v.nbytes for v in second.values()) < bound
+
+
+def test_plan_call_makes_one_transform_pair(monkeypatch):
+    # every key's rows go through one inverse and one forward transform
+    rng = np.random.default_rng(4)
     grid, nodes, terms = averaging_like_layout(rng)
     plan = ev._ConvolutionPlan(grid, nodes, terms)
-    b, x = 8, int(np.prod(plan.tgrid.shape))
-    products_bytes = min(b * len(factors) * x * 16 for factors, _, _ in plan.outs.values())
-    values = plan_values(rng, nodes, grid, b)
-    first = plan(values)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        second = plan(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(np.array_equal(first[key], second[key]) for key in first)
-    assert peak - before < products_bytes
+    calls = []
+    for name in ("spectrum_to_samples", "samples_to_spectrum"):
+        def counted(*args, name=name, inner=getattr(ev, name), **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(ev, name, counted)
+    for b in (6, 3):
+        calls.clear()
+        plan(plan_values(rng, nodes, grid, b))
+        assert sorted(calls) == ["samples_to_spectrum", "spectrum_to_samples"]
+
+
+@pytest.mark.parametrize("factors, multiplies", [
+    ([("a", "b", "c"), ("a", "b", "d"), ("a", "e")], 4),        # (a b) once
+    ([("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")], 3),   # each product a prefix of the next
+    ([("a", "b", "c"), ("d", "e")], 3),                         # nothing shared
+])
+def test_product_schedule_is_the_left_fold(factors, multiplies):
+    # symbols for factors: every product must come out as its left fold,
+    # and every distinct prefix is multiplied once over both lists
+    lists = [factors, factors[::-1]]
+    rows = sorted({f for fac in factors for f in fac})
+    slots = [[None] * len(fl) for fl in lists]
+    steps = ev._product_schedule([[tuple(rows.index(f) for f in fac) for fac in fl]
+                                  for fl in lists])
+    for left, right, (j, g) in steps:
+        value = rows[left] if isinstance(left, int) else slots[left[0]][left[1]]
+        slots[j][g] = value if right is None else f"({value} {rows[right]})"
+    for fl, got in zip(lists, slots):
+        for fac, value in zip(fl, got):
+            fold = fac[0]
+            for f in fac[1:]:
+                fold = f"({fold} {f})"
+            assert value == fold
+    assert sum(right is not None for _, right, _ in steps) == multiplies
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), half=st.tuples(st.integers(0, 3), st.integers(1, 3)),
+       b1=st.integers(2, 6), data=st.data())
+def test_scheduled_stacked_plan_is_bitwise_the_oracle(seed, half, b1, data):
+    # quadratic and cubic terms, so quadratic products are prefixes of cubic
+    # ones; windows "a" and "b" of unequal sizes around the centre, so no
+    # product misses them and their identical factor patterns give one
+    # shared list; a whole-grid key "u" whose own list repeats the (a, b)
+    # products; batches B1, B2 < B1 and B3 > B1
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, (32,), (2.0,))
+    wa, wb = half[0], half[0] + half[1]
+    nodes = {"a": np.arange(16 - wa, 17 + wa), "b": np.arange(16 - wb, 17 + wb), "u": None}
+
+    def tensor(order):
+        shape = (2,) * (order + 1)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    window_terms = lambda: [(tensor(2), ["a", "b"]), (tensor(3), ["a", "b", "u"])]
+    terms = {"a": window_terms(), "b": window_terms(),
+             "u": [(tensor(2), ["a", "b"]), (tensor(2), ["u", "a"]), (tensor(3), ["u", "u", "u"])]}
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    assert plan.outs["a"][0] == plan.outs["b"][0] and len(plan._lists) == 2
+    assert any(right is None for _, right, _ in plan._steps)  # a product copied across lists
+    products = [fac for fl in plan._lists for fac in fl]
+    assert any(p == q[:2] for p in products for q in products if len(p) == 2 < len(q))
+    held = None
+    for b in (b1, data.draw(st.integers(1, b1 - 1)), data.draw(st.integers(b1 + 1, 2 * b1))):
+        values = plan_values(rng, nodes, grid, b)
+        got, want = plan(values), centred_plan(plan, nodes, values)
+        assert got.keys() == want.keys() == {"a", "b", "u"}
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+        if held is None:
+            held, kept = got, {key: v.copy() for key, v in got.items()}
+    assert all(np.array_equal(held[key], kept[key]) for key in kept)
 
 
 @pytest.mark.parametrize("layout", ["whole", "windows"])

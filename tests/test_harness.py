@@ -258,8 +258,11 @@ def test_tracked_components_match_full_grid_windows(window_cfg, monkeypatch):
         inner = getattr(wp, name)
 
         def wrapper(fields, *args, **kwargs):
-            if depth[0] == 0:
-                seen.extend(fields if name == "particle_norm" else [fields])
+            if depth[0] == 0 and name == "particle_norm":
+                # one batch per packet: its samples, time by time
+                seen.extend(s.field(t) for t in range(len(fields[0].values)) for s in fields)
+            elif depth[0] == 0:
+                seen.append(fields)
             depth[0] += 1
             try:
                 return inner(fields, *args, **kwargs)

@@ -733,6 +733,23 @@ def test_particle_norm_bounded_along_averaged_run(counterprop):
     assert max(norms) <= 2.0 * norms[0]
 
 
+def test_batched_particle_norms_are_the_per_sample_norms(counterprop):
+    # the kept samples of each component on its window, in one batch, give
+    # bitwise the norms of the full-grid component fields sample by sample
+    model, grid, spectrum, initial = counterprop
+    sets = ia.build_index_sets(spectrum, model, [3])
+    prob = ev.EvolutionProblem(model, [ev.cubic_conjugate(1.0)], 0.05, 0.2, grid, initial)
+    sol = ia.solve_averaged_system(prob, spectrum, sets, beta=BETA, epsilon=EPS)
+    keys = [(l, theta) for l in (1, 2) for theta in (+1, -1)]
+    positions = [np.array([3.0 * l - 2.0 * theta]) for l, theta in keys]
+    batched = wp.particle_norm([sol.component_samples(l, theta, sol.sample_indices)
+                                for l, theta in keys], positions, BETA, EPS)
+    loop = [wp.particle_norm([sol.component_field(l, theta, i) for l, theta in keys],
+                             positions, BETA, EPS)
+            for i in sol.sample_indices]
+    assert len(loop) > 2 and batched.tolist() == loop
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("solver", ["full", "interaction", "averaged"])
 def test_overflowing_iterate_raises_picard_diverged(nls_model, solver):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,6 +469,74 @@ def test_particle_norm_translation_invariance(nls_model, grid512):
     shifted = ModalField(grid512, f.values * np.exp(-1j * shift * mesh[0]))
     moved = wp.particle_norm([shifted], [shift], beta, eps)
     assert moved == pytest.approx(base, rel=1e-9)
+
+
+def sample_stack(shape, nodes, t, seed, zero_fraction=0.3):
+    """T random 2-component samples on the wrapped box ``nodes`` (per axis), some nodes zero."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(len(shape), shape, (3.0,) * len(shape))
+    flat = np.ravel_multi_index(np.ix_(*[np.asarray(a) % n for a, n in zip(nodes, shape)]),
+                                shape).ravel()
+    size = (t, 2, flat.size)
+    values = (rng.normal(size=size) + 1j * rng.normal(size=size)) * (rng.random(size) > zero_fraction)
+    return wp.FieldSamples(grid, flat, values)
+
+
+def particle_norm_loop(fields, positions, beta, eps):
+    """The per-sample formula on full-grid fields: detection and L1 mass, component by component."""
+    total = 0.0
+    for f, r in zip(fields, positions):
+        total += beta ** (1.0 + eps) * full_grid_detection(f, r) + l1_norm(f)
+    return total
+
+
+@pytest.mark.parametrize("shape, nodes, positions", [
+    ((64,), [range(58, 70)], [3.0, -40.0]),                    # a support across the edge
+    ((256,), [range(100, 140)], [17.5, 0.0]),
+    ((16, 8), [range(13, 20), range(6, 11)], [(1.0, -2.0), (30.0, 4.0)]),  # wrapped on both axes
+    ((32, 32), [range(0, 5), range(31, 33)], [(0.0, 0.0), (-5.0, 9.0)]),
+])
+def test_batched_particle_norms_are_the_per_sample_loop(shape, nodes, positions):
+    # FieldSamples of T samples give, bitwise, the norms of the full-grid
+    # fields sample by sample; the second component is all zero, and its
+    # node set holds zeros of the first
+    beta, eps = 0.1, 0.2
+    first = sample_stack(shape, nodes, 40, seed=len(shape))
+    zero = wp.FieldSamples(first.grid, first.nodes[::3], np.zeros((40, 2, first.nodes[::3].size),
+                                                                  dtype=complex))
+    positions = [np.atleast_1d(p) for p in positions]
+    batched = wp.particle_norm([first, zero], positions, beta, eps)
+    loop = [wp.particle_norm([first.field(t), zero.field(t)], positions, beta, eps)
+            for t in range(40)]
+    want = [particle_norm_loop([first.field(t), zero.field(t)], positions, beta, eps)
+            for t in range(40)]
+    assert batched.shape == (40,)
+    assert batched.tolist() == loop == want
+    assert wp.particle_norm([zero], positions[:1], beta, eps).tolist() == [0.0] * 40
+
+
+def test_particle_norm_of_an_empty_window_is_zero():
+    grid = Grid(1, (64,), (3.0,))
+    empty = wp.FieldSamples(grid, np.zeros(0, dtype=int), np.zeros((5, 2, 0), dtype=complex))
+    assert wp.particle_norm([empty], [np.zeros(1)], 0.1, 0.1).tolist() == [0.0] * 5
+
+
+def test_batched_particle_norm_holds_no_full_grid_stack():
+    # T samples of a 65-node window on 4096 nodes: the batch lives on the
+    # window, never as a (T, C, X) complex stack, nor even as one
+    # component's (T, X) samples
+    t, x = 64, 4096
+    samples = sample_stack((x,), [range(2000, 2065)], t, seed=5)
+    want = wp.particle_norm([samples], [np.zeros(1)], 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = wp.particle_norm([samples], [np.zeros(1)], 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist()
+    assert peak - before < t * x * 16
 
 
 # -- norms ------------------------------------------------------------------------------------
