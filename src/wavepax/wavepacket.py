@@ -267,20 +267,12 @@ class FieldSamples:
     grid: Grid
     nodes: np.ndarray
     values: np.ndarray
-    frame: str = "slow"
 
     @classmethod
     def of_fields(cls, fields, nodes: np.ndarray) -> "FieldSamples":
-        """The full-grid ``fields`` (one grid, one frame, zero off ``nodes``) as samples."""
+        """The full-grid ``fields`` (one grid, zero off ``nodes``) as samples."""
         return cls(fields[0].grid, nodes,
-                   np.stack([f.values.reshape(f.ncomp, -1)[:, nodes] for f in fields]),
-                   fields[0].frame)
-
-    def field(self, t: int) -> ModalField:
-        """Sample t on the full grid."""
-        full = np.zeros((self.values.shape[1], int(np.prod(self.grid.shape))), dtype=complex)
-        full[:, self.nodes] = self.values[t]
-        return ModalField(self.grid, full.reshape((-1,) + self.grid.shape), self.frame)
+                   np.stack([f.values.reshape(f.ncomp, -1)[:, nodes] for f in fields]))
 
     def l1(self) -> np.ndarray:
         """(T,) L1 norms, each bitwise ``l1_norm`` of its sample's full-grid field.
@@ -302,9 +294,7 @@ class FieldSamples:
 def _support_samples(f: ModalField) -> FieldSamples:
     """One sample of ``f`` on its nonzero nodes."""
     occupied = (f.values != 0).any(axis=0).reshape(-1)
-    # one node keeps a zero field's nan for a non-finite probe
-    nodes = np.flatnonzero(occupied) if occupied.any() else np.zeros(1, dtype=int)
-    return FieldSamples.of_fields([f], nodes)
+    return FieldSamples.of_fields([f], np.flatnonzero(occupied))
 
 
 class _DetectionWindow:
@@ -327,7 +317,8 @@ class _DetectionWindow:
         self.batch = () if isinstance(f, ModalField) else self.samples.values.shape[:1]
         grid, nodes, values = self.grid, self.samples.nodes, self.samples.values
         if not nodes.size:
-            # a window with no nodes holds a zero field: node 0 stands for it
+            # a window with no nodes holds a zero field: node 0 stands for it,
+            # and keeps its nan for a non-finite probe
             nodes, values = np.zeros(1, dtype=int), np.zeros(values.shape[:2] + (1,), complex)
         take = []
         for a, n in enumerate(np.unravel_index(nodes, grid.shape)):

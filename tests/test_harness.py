@@ -247,6 +247,13 @@ def test_simulate_packet_masses_match_full_grid_windows(window_cfg, monkeypatch,
             assert row[f"mass_packet_{l}"] == want
 
 
+def sample_field(samples, t):
+    """Sample t of FieldSamples on the full grid, as a slow-frame ModalField."""
+    full = np.zeros((samples.values.shape[1], int(np.prod(samples.grid.shape))), dtype=complex)
+    full[:, samples.nodes] = samples.values[t]
+    return ModalField(samples.grid, full.reshape((-1,) + samples.grid.shape))
+
+
 def test_tracked_components_match_full_grid_windows(window_cfg, monkeypatch):
     cfg = dict(window_cfg, experiment={"n_track_times": 3})
     trajs = recorded_solves(monkeypatch)
@@ -260,7 +267,7 @@ def test_tracked_components_match_full_grid_windows(window_cfg, monkeypatch):
         def wrapper(fields, *args, **kwargs):
             if depth[0] == 0 and name == "particle_norm":
                 # one batch per packet: its samples, time by time
-                seen.extend(s.field(t) for t in range(len(fields[0].values)) for s in fields)
+                seen.extend(sample_field(s, t) for t in range(len(fields[0].values)) for s in fields)
             elif depth[0] == 0:
                 seen.append(fields)
             depth[0] += 1

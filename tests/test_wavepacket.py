@@ -482,6 +482,13 @@ def sample_stack(shape, nodes, t, seed, zero_fraction=0.3):
     return wp.FieldSamples(grid, flat, values)
 
 
+def sample_field(samples, t):
+    """Sample t of FieldSamples on the full grid, as a slow-frame ModalField."""
+    full = np.zeros((samples.values.shape[1], int(np.prod(samples.grid.shape))), dtype=complex)
+    full[:, samples.nodes] = samples.values[t]
+    return ModalField(samples.grid, full.reshape((-1,) + samples.grid.shape))
+
+
 def particle_norm_loop(fields, positions, beta, eps):
     """The per-sample formula on full-grid fields: detection and L1 mass, component by component."""
     total = 0.0
@@ -506,9 +513,9 @@ def test_batched_particle_norms_are_the_per_sample_loop(shape, nodes, positions)
                                                                   dtype=complex))
     positions = [np.atleast_1d(p) for p in positions]
     batched = wp.particle_norm([first, zero], positions, beta, eps)
-    loop = [wp.particle_norm([first.field(t), zero.field(t)], positions, beta, eps)
+    loop = [wp.particle_norm([sample_field(first, t), sample_field(zero, t)], positions, beta, eps)
             for t in range(40)]
-    want = [particle_norm_loop([first.field(t), zero.field(t)], positions, beta, eps)
+    want = [particle_norm_loop([sample_field(first, t), sample_field(zero, t)], positions, beta, eps)
             for t in range(40)]
     assert batched.shape == (40,)
     assert batched.tolist() == loop == want
