@@ -38,6 +38,8 @@ from .grids import (
 from .wavepacket import project_band_values
 
 DEFAULT_CHUNK = 64
+# bytes of the rows a convolution plan multiplies and sums at a time (one slab)
+_SLAB_BYTES = 1 << 20
 
 
 # -- susceptibilities -----------------------------------------------------------
@@ -285,17 +287,24 @@ class _ConvolutionPlan:
     they vanish on every output node.
 
     Every key shares that transform grid, so a call makes one inverse and
-    one forward transform, both in place in one stacked buffer: it takes
-    the zero-padded argument rows of all keys, their r-space samples until
-    the products are formed, then the ``matmul`` results of all output keys
-    and their spectra.  Output keys with the same factor list share one
-    (B, G, X) products array, filled by the steps of ``_product_schedule``.
-    The buffer and the products arrays are kept across calls, each sized to
-    the largest batch seen: fresh arrays of that size would be mapped and
-    page-faulted anew on every call.  One buffer rather than an input buffer
-    kept zero plus a work array costs a zero fill per call, but a second
-    kept array stays resident while the caller's own arrays peak and raised
-    the solver's peak memory.  Nothing a call returns views any of them.
+    one forward transform, both in place in one stacked (rows, B, X) buffer,
+    component-major so that each row is one contiguous (B, X) block: it
+    takes the zero-padded argument rows of all keys, their r-space samples
+    until the products are formed, then the ``matmul`` results of all output
+    keys and their spectra.  Between the transforms the batch goes in slabs
+    of ``_slab`` rows, sized so that a slab's argument, sum and product rows
+    fit in ``_SLAB_BYTES`` and stay in cache: per slab the steps of
+    ``_product_schedule`` fill one (G, slab, X) products array per distinct
+    factor list (output keys with the same list share it), and each output
+    key's sums are one flat (rows, G) x (G, slab X) ``matmul`` over the
+    slab's spent argument rows.  Each key's gather or crop then writes
+    straight into its result.  The buffer is kept across calls, sized to the
+    largest batch seen, and the products arrays, sized to one slab: fresh
+    arrays would be mapped and page-faulted anew on every call.  One buffer
+    rather than an input buffer kept zero plus a work array costs a zero
+    fill per call, but a second kept array stays resident while the
+    caller's own arrays peak and raised the solver's peak memory.  Nothing a
+    call returns views any of them.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -355,6 +364,15 @@ class _ConvolutionPlan:
         self._list_of = {key: self._lists.index(tuple(f)) for key, (f, _, _) in self.outs.items()}
         self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
                                          for factors in self._lists])
+        # per output key, the runs of consecutive components: (block rows, components)
+        self._runs = {}
+        for key, (_, _, rows) in self.outs.items():
+            cuts = np.nonzero(np.diff(rows) != 1)[0] + 1
+            self._runs[key] = [(slice(i[0], i[-1] + 1), slice(rows[i[0]], rows[i[-1]] + 1))
+                               for i in np.split(np.arange(len(rows)), cuts)]
+        # batch rows per slab: its argument, sum and product rows fit in _SLAB_BYTES
+        per_row = (self._n_in + self._n_out + sum(map(len, self._lists))) * math.prod(size) * 16
+        self._slab = max(1, _SLAB_BYTES // max(per_row, 1))
         self._buffer = None
         self._products: list = []
 
@@ -373,51 +391,56 @@ class _ConvolutionPlan:
         x = math.prod(tg.shape)
         b = next(iter(values.values())).shape[0]
         n_in, n_out = self._n_in, self._n_out
-        if self._buffer is None or self._buffer.shape[0] < b:
-            self._buffer = np.empty((b, max(n_in, n_out), x), dtype=complex)
-            self._products = [np.empty((b, len(factors), x), dtype=complex)
+        size = max(n_in, n_out) * b * x
+        if self._buffer is None or self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=complex)
+            self._products = [np.empty((len(factors), min(self._slab, b), x), dtype=complex)
                               for factors in self._lists]
-        buf = self._buffer[:b]
-        inputs = buf[:, :n_in]
+        buf = self._buffer[:size].reshape(-1, b, x)
+        inputs = buf[:n_in]
         inputs.fill(0.0)
         for key, comps in self.comps.items():
             v = values[key]
             if v.shape[1] != len(comps):
                 v = v[:, comps]
-            block = inputs[:, self._arg_rows[key]]
+            block = inputs[self._arg_rows[key]]
             if key in self.slots:
-                block[..., self.slots[key]] = v
+                block[..., self.slots[key]] = v.swapaxes(0, 1)
             else:
-                pad_spectrum(v, self.grid, tg.shape, centred=False,
+                pad_spectrum(v.swapaxes(0, 1), self.grid, tg.shape, centred=False,
                              out=block.reshape(block.shape[:2] + tg.shape))
-        r = inputs.reshape((b, n_in) + tg.shape)
-        r = spectrum_to_samples(r, tg, centred=False, out=r).reshape(b, n_in, x)
-        prods = [p[:b] for p in self._products]
-        for left, right, (j, g) in self._steps:
-            # operands: an input row (an int) or a product slot (j, g)
-            src = r[:, left] if isinstance(left, int) else prods[left[0]][:, left[1]]
-            if right is None:
-                np.copyto(prods[j][:, g], src)
-            else:
-                np.multiply(src, r[:, right], out=prods[j][:, g])
-        # the r-space arguments are spent: the buffer takes the sums
-        for key, (_, coeffs, _) in self.outs.items():
-            np.matmul(coeffs, prods[self._list_of[key]], out=buf[:, self._out_rows[key]])
-        spec = buf[:, :n_out].reshape((b, n_out) + tg.shape)
-        spec = samples_to_spectrum(spec, tg, centred=False, out=spec).reshape(b, n_out, x)
+        r = inputs.reshape((n_in, b) + tg.shape)
+        spectrum_to_samples(r, tg, centred=False, out=r)
+        for s in range(0, b, self._slab):
+            e = min(s + self._slab, b)
+            prods = [p[:, :e - s] for p in self._products]
+            for left, right, (j, g) in self._steps:
+                # operands: an input row (an int) or a product slot (j, g)
+                src = buf[left, s:e] if isinstance(left, int) else prods[left[0]][left[1]]
+                if right is None:
+                    np.copyto(prods[j][g], src)
+                else:
+                    np.multiply(src, buf[right, s:e], out=prods[j][g])
+            # the slab's r-space arguments are spent: its rows take the sums
+            for key, (_, coeffs, _) in self.outs.items():
+                sums = buf[self._out_rows[key], s:e].reshape(len(coeffs), -1)
+                assert np.may_share_memory(sums, buf)  # a reshape copy would drop the sums
+                p = prods[self._list_of[key]]
+                np.matmul(coeffs, p.reshape(len(p), -1), out=sums)
+        spec = buf[:n_out].reshape((n_out, b) + tg.shape)
+        samples_to_spectrum(spec, tg, centred=False, out=spec)
         out = {}
         for key, (_, _, rows) in self.outs.items():
-            block = spec[:, self._out_rows[key]]
-            if key in self.slots:
-                vals = block[..., self.slots[key]]
-            else:
-                vals = crop_spectrum(block.reshape(block.shape[:2] + tg.shape), self.grid,
-                                     centred=False)
-            if len(rows) < self.ncomp:
-                full = np.zeros((b, self.ncomp) + vals.shape[2:], dtype=complex)
-                full[:, rows] = vals
-                vals = full
-            out[key] = vals
+            nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
+            full = len(rows) == self.ncomp
+            out[key] = (np.empty if full else np.zeros)((b, self.ncomp) + nodes, dtype=complex)
+            # each run of consecutive output components is one (rows, B, *nodes) view
+            dst, block = out[key].swapaxes(0, 1), spec[self._out_rows[key]]
+            for src, comps in self._runs[key]:
+                if key in self.slots:
+                    dst[comps] = block[src].reshape(-1, b, x)[..., self.slots[key]]
+                else:
+                    crop_spectrum(block[src], self.grid, centred=False, out=dst[comps])
         return out
 
 
@@ -579,7 +602,8 @@ class PropagatorTables:
         return np.exp((-1j / self.rho) * taus[:, None, None] * omega[None])
 
     def apply(self, values: np.ndarray, phases: np.ndarray,
-              nodes: np.ndarray | None = None, comps=None) -> np.ndarray:
+              nodes: np.ndarray | None = None, comps=None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """Batched spectra (B, C, *shape) with each eigencomponent turned by ``phases``.
 
         ``phases`` come from ``phases`` or ``chunk_phases`` with the same
@@ -588,18 +612,23 @@ class PropagatorTables:
         nodes only, as (B, C, len(nodes)) values.  With ``comps`` only those
         component rows of the result are returned; a scalar symbol then
         takes their phases only, a matrix symbol still rotates every row.
+        The result is written to ``out`` if given, a C-contiguous array of
+        its shape that may be ``values``.
         """
         b, c = values.shape[0], values.shape[1]
         flat = values.reshape(b, c, -1)
         if self.basis_flat is None:
-            out = (flat if comps is None else flat[:, comps]) * phases
+            rows = flat if comps is None else flat[:, comps]
+            res = np.multiply(rows, phases, out=None if out is None else out.reshape(rows.shape))
         else:
             basis = self.basis_flat if nodes is None else self.basis_flat[nodes]
             coeff = np.einsum("xac,bax->bcx", basis.conj(), flat)
-            out = np.einsum("xac,bcx->bax", basis, coeff * phases)
+            res = np.einsum("xac,bcx->bax", basis, coeff * phases)
             if comps is not None:
-                out = out[:, comps]
-        return out.reshape((b, out.shape[1]) + values.shape[2:])
+                res = res[:, comps]
+            if out is not None:
+                np.copyto(out.reshape(res.shape), res)
+        return res.reshape((b, res.shape[1]) + values.shape[2:]) if out is None else out
 
 
 # -- trajectories -----------------------------------------------------------------------
@@ -677,7 +706,8 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
         if mode == "direct-oracle" or susc.callback is not None:
             for b in range(values.shape[0]):
                 out[b] += _chi_direct([fast[b]] * susc.order, susc, problem.grid)
-    return tables.apply(out, np.conj(phases, out=phases))
+    # nothing else holds the plan's fresh result, so it is mapped back in place
+    return tables.apply(out, np.conj(phases, out=phases), out=out)
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,

@@ -183,10 +183,15 @@ def pad_spectrum(values: np.ndarray, grid: Grid, shape, centred: bool = True,
     return out
 
 
-def crop_spectrum(values: np.ndarray, grid: Grid, centred: bool = True) -> np.ndarray:
-    """The ``grid.shape`` nodes of spectra padded by ``pad_spectrum`` (same ``centred``)."""
+def crop_spectrum(values: np.ndarray, grid: Grid, centred: bool = True,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The ``grid.shape`` nodes of spectra padded by ``pad_spectrum`` (same ``centred``).
+
+    Centred, a view, or else in ``np.fft`` order and copied into ``out`` if given.
+    """
     if not centred:
-        out = np.empty(values.shape[:values.ndim - grid.dim] + grid.shape, dtype=values.dtype)
+        if out is None:
+            out = np.empty(values.shape[:values.ndim - grid.dim] + grid.shape, dtype=values.dtype)
         for nodes, slots in _fft_blocks(grid.n, values.shape[-grid.dim:]):
             out[(..., *nodes)] = values[(..., *slots)]
         return out

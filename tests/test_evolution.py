@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ def test_fft_order_pad_and_crop_are_the_shifted_centred_ones(shape, rng):
     assert np.array_equal(crop_spectrum(padded, grid, centred=False), v)
 
 
+@pytest.mark.parametrize("shape", [(16,), (8, 4)])
+def test_crop_into_a_strided_destination_is_the_fresh_crop(shape, rng):
+    # the plan crops each key's (C, B, P) rows into the swapped view of its
+    # (B, C, n) result
+    grid = Grid(len(shape), shape, (2.0,) * len(shape))
+    big = tuple(2 * n for n in shape)
+    v = rng.normal(size=(3, 5) + shape) + 1j * rng.normal(size=(3, 5) + shape)
+    padded = pad_spectrum(v, grid, big, centred=False)
+    result = np.full((5, 3) + shape, np.nan, dtype=complex)
+    dst = result.swapaxes(0, 1)
+    assert not dst.flags.c_contiguous
+    assert crop_spectrum(padded, grid, centred=False, out=dst) is dst
+    assert np.array_equal(dst, crop_spectrum(padded, grid, centred=False))
+    assert np.array_equal(result, v.swapaxes(0, 1))
+    assert np.array_equal(crop_spectrum(pad_spectrum(v, grid, big), grid), v)
+
+
 def centred_plan(plan, nodes, values):
     """A plan's convolutions on the centred layout: the arithmetic it must reproduce bitwise.
 
@@ -200,12 +218,30 @@ def centred_plan(plan, nodes, values):
     return out
 
 
-@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
-@pytest.mark.parametrize("order", [2, 3, 4])
-@pytest.mark.parametrize("dim", [1, 2])
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
+def slab_bytes(plan) -> int:
+    """Bytes of one batch row of a plan's slab: its argument, sum and product rows."""
+    rows = plan._n_in + plan._n_out + sum(len(factors) for factors in plan._lists)
+    return rows * math.prod(plan.tgrid.shape) * 16
+
+
+def slabbed_plan(grid, nodes, terms, slab_rows=None):
+    """A plan with the module's slab size, or with ``_SLAB_BYTES`` set to ``slab_rows`` rows."""
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    if slab_rows is None or not plan.outs:
+        return plan
+    with mock.patch.object(ev, "_SLAB_BYTES", slab_rows * slab_bytes(plan)):
+        plan = ev._ConvolutionPlan(grid, nodes, terms)
+    assert plan._slab == slab_rows
+    return plan
+
+
+# Each plan test below runs twice: with the module's slab size, and as
+# ``..._in_slabs`` with slabs of 1-4 rows, so batches span several slabs,
+# end in a short one or are smaller than one.
+SLAB_ROWS = st.integers(1, 4)
+
+
+def fft_order_plan_case(dim, order, windowed, seed, slab_rows):
     # whole-grid keys are placed and gathered in 2^dim blocks, window keys at
     # their slots; the reused input buffers must hold no stale values, so a
     # long chunk is followed by a short one and a long one with new values
@@ -228,13 +264,32 @@ def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
         shapes = {key: (idx.size,) for key, idx in nodes.items()}
     else:
         nodes, terms, shapes = {"u": None}, {"u": [(tensor(), ["u"] * order)]}, {"u": grid.shape}
-    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    plan = slabbed_plan(grid, nodes, terms, slab_rows)
     for b in (5, 3, 5):
         values = {key: rng.normal(size=(b, 2) + sh) + 1j * rng.normal(size=(b, 2) + sh)
                   for key, sh in shapes.items()}
         got, want = plan(values), centred_plan(plan, nodes, values)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
+    fft_order_plan_case(dim, order, windowed, seed, None)
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slab_rows=SLAB_ROWS)
+def test_fft_order_plan_is_bitwise_the_centred_plan_in_slabs(dim, order, windowed, seed,
+                                                              slab_rows):
+    fft_order_plan_case(dim, order, windowed, seed, slab_rows)
 
 
 def averaging_like_layout(rng):
@@ -295,6 +350,44 @@ def test_second_plan_call_allocates_no_products_array():
             assert peak - before - sum(v.nbytes for v in second.values()) < b * x * 16
 
 
+@pytest.mark.parametrize("layout", ["whole", "windows"])
+def test_plan_keeps_one_slab_of_products(layout):
+    # a batch of four slabs is multiplied and summed slab by slab: the kept
+    # products arrays (what the first call keeps beyond its stacked buffer
+    # and its result, once numpy's transform caches are warm) hold at most
+    # one slab's rows, and the second call allocates none of them again
+    rng = np.random.default_rng(5)
+    if layout == "windows":
+        grid, nodes, terms = averaging_like_layout(rng)
+    else:
+        grid, nodes = Grid(1, (1024,), (4.0,)), {"u": None}
+        terms = {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}
+    ev._ConvolutionPlan(grid, nodes, terms)(plan_values(rng, nodes, grid, 1))
+    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    x = math.prod(plan.tgrid.shape)
+    products_row = sum(len(factors) for factors in plan._lists) * x * 16
+    assert 1 < plan._slab == ev._SLAB_BYTES // slab_bytes(plan)
+    b = 4 * plan._slab
+    values = plan_values(rng, nodes, grid, b)
+    buffer_bytes = max(plan._n_in, plan._n_out) * b * x * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = plan(values)
+        kept = tracemalloc.get_traced_memory()[0] - before - sum(v.nbytes for v in first.values())
+        before = tracemalloc.get_traced_memory()[0]
+        second = plan(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(first[key], second[key]) for key in first)
+    # one more products row leaves room for the arrays' Python objects;
+    # (B, G, X) arrays would hold four slabs' rows
+    assert plan._slab * products_row <= ev._SLAB_BYTES
+    assert kept - buffer_bytes < (plan._slab + 1) * products_row
+    assert peak - before - sum(v.nbytes for v in second.values()) < plan._slab * products_row
+
+
 def test_plan_call_makes_one_transform_pair(monkeypatch):
     # every key's rows go through one inverse and one forward transform
     rng = np.random.default_rng(4)
@@ -338,10 +431,7 @@ def test_product_schedule_is_the_left_fold(factors, multiplies):
     assert sum(right is not None for _, right, _ in steps) == multiplies
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), half=st.tuples(st.integers(0, 3), st.integers(1, 3)),
-       b1=st.integers(2, 6), data=st.data())
-def test_scheduled_stacked_plan_is_bitwise_the_oracle(seed, half, b1, data):
+def scheduled_plan_case(seed, half, b1, data, slab_rows):
     # quadratic and cubic terms, so quadratic products are prefixes of cubic
     # ones; windows "a" and "b" of unequal sizes around the centre, so no
     # product misses them and their identical factor patterns give one
@@ -359,7 +449,7 @@ def test_scheduled_stacked_plan_is_bitwise_the_oracle(seed, half, b1, data):
     window_terms = lambda: [(tensor(2), ["a", "b"]), (tensor(3), ["a", "b", "u"])]
     terms = {"a": window_terms(), "b": window_terms(),
              "u": [(tensor(2), ["a", "b"]), (tensor(2), ["u", "a"]), (tensor(3), ["u", "u", "u"])]}
-    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    plan = slabbed_plan(grid, nodes, terms, slab_rows)
     assert plan.outs["a"][0] == plan.outs["b"][0] and len(plan._lists) == 2
     assert any(right is None for _, right, _ in plan._steps)  # a product copied across lists
     products = [fac for fl in plan._lists for fac in fl]
@@ -375,28 +465,62 @@ def test_scheduled_stacked_plan_is_bitwise_the_oracle(seed, half, b1, data):
     assert all(np.array_equal(held[key], kept[key]) for key in kept)
 
 
-@pytest.mark.parametrize("layout", ["whole", "windows"])
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), b1=st.integers(2, 6), data=st.data())
-def test_plan_results_do_not_depend_on_earlier_calls(layout, seed, b1, data):
+SCHEDULED = dict(seed=st.integers(0, 2**32 - 1),
+                 half=st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                 b1=st.integers(2, 6), data=st.data())
+
+
+@settings(max_examples=15, deadline=None)
+@given(**SCHEDULED)
+def test_scheduled_stacked_plan_is_bitwise_the_oracle(seed, half, b1, data):
+    scheduled_plan_case(seed, half, b1, data, None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**SCHEDULED, slab_rows=SLAB_ROWS)
+def test_scheduled_stacked_plan_is_bitwise_the_oracle_in_slabs(seed, half, b1, data, slab_rows):
+    scheduled_plan_case(seed, half, b1, data, slab_rows)
+
+
+def repeated_plan_case(layout, seed, b1, data, slab_rows):
     # batches B1, B2 < B1 and B3 > B1 through one plan: each result is a fresh
-    # plan's, and a result held from the first call is never overwritten
+    # plan's (of the module's slab size) and the oracle's, and a result held
+    # from the first call is never overwritten
     rng = np.random.default_rng(seed)
     if layout == "windows":
         grid, nodes, terms = averaging_like_layout(rng)
     else:
         grid, nodes = Grid(1, (32,), (2.0,)), {"u": None}
         terms = {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}
-    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    plan = slabbed_plan(grid, nodes, terms, slab_rows)
     held = None
     for b in (b1, data.draw(st.integers(1, b1 - 1)), data.draw(st.integers(b1 + 1, 2 * b1))):
         values = plan_values(rng, nodes, grid, b)
-        got, want = plan(values), ev._ConvolutionPlan(grid, nodes, terms)(values)
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[key], want[key]) for key in want)
+        got = plan(values)
+        for want in (ev._ConvolutionPlan(grid, nodes, terms)(values),
+                     centred_plan(plan, nodes, values)):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in want)
         if held is None:
             held, kept = got, {key: v.copy() for key, v in got.items()}
     assert all(np.array_equal(held[key], kept[key]) for key in kept)
+
+
+REPEATED = dict(seed=st.integers(0, 2**32 - 1), b1=st.integers(2, 6), data=st.data())
+
+
+@pytest.mark.parametrize("layout", ["whole", "windows"])
+@settings(max_examples=10, deadline=None)
+@given(**REPEATED)
+def test_plan_results_do_not_depend_on_earlier_calls(layout, seed, b1, data):
+    repeated_plan_case(layout, seed, b1, data, None)
+
+
+@pytest.mark.parametrize("layout", ["whole", "windows"])
+@settings(max_examples=10, deadline=None)
+@given(**REPEATED, slab_rows=SLAB_ROWS)
+def test_plan_results_do_not_depend_on_earlier_calls_in_slabs(layout, seed, b1, data, slab_rows):
+    repeated_plan_case(layout, seed, b1, data, slab_rows)
 
 
 def two_band_matrix_model():
@@ -863,6 +987,27 @@ def test_fast_slow_round_trip(nls_model, grid256, rng):
     back = ev.fast_slow_transform(fwd, nls_model, rho=0.05, tau=0.37, direction="to_slow")
     assert back.frame == "slow"
     assert np.abs(back.values - vals).max() <= 1e-12 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["nls1d", "two_band"])
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(1e-3, 1.0), tau=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_fast_slow_round_trip_property(matrix, rho, tau, seed):
+    # to_fast then to_slow is the identity up to rounding, at any time and
+    # scale; each direction refuses a field in the other frame
+    model = two_band_matrix_model() if matrix else dsp.model_from_config(
+        {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}})
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, (64,), (4.0,))
+    f = ModalField(grid, rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)), frame="slow")
+    fast = ev.fast_slow_transform(f, model, rho, tau, "to_fast")
+    back = ev.fast_slow_transform(fast, model, rho, tau, "to_slow")
+    assert (fast.frame, back.frame) == ("fast", "slow")
+    assert np.abs(back.values - f.values).max() <= 1e-13 * np.abs(f.values).max()
+    with pytest.raises(ValueError, match="slow-frame"):
+        ev.fast_slow_transform(fast, model, rho, tau, "to_fast")
+    with pytest.raises(ValueError, match="fast-frame"):
+        ev.fast_slow_transform(f, model, rho, tau, "to_slow")
 
 
 @pytest.mark.parametrize("matrix", [False, True])

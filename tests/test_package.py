@@ -28,3 +28,17 @@ def test_imports_only_stdlib_and_numpy(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     assert roots <= set(sys.stdlib_module_names) | {"numpy"}, roots
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_reads_no_environment_variable(name):
+    # sizes such as evolution.DEFAULT_CHUNK and _SLAB_BYTES are set in code
+    # only: no module reads os.environ or os.getenv, under any alias
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"):
+            reads.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [a.name for a in node.names if a.name in ("environ", "environb", "getenv")]
+    assert not reads, reads
