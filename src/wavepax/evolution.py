@@ -34,6 +34,7 @@ from .grids import (
     require_same_grid,
     samples_to_spectrum,
     spectrum_to_samples,
+    transform_size,
 )
 from .wavepacket import project_band_values
 
@@ -280,11 +281,13 @@ class _ConvolutionPlan:
     modulo P, so the circular convolution adds centred indices like the
     linear one; the whole grid goes in and out through ``pad_spectrum`` and
     ``crop_spectrum`` in that order (2^dim block copies).  P is the
-    smallest power of two per axis at which no wrapped product lands on a
-    gathered output node and no argument wraps onto itself, judged on index
-    boxes; on the whole grid that is (m+1)n/2 nodes or more.  Products whose
-    index box misses their output key's box are dropped before P is sized:
-    they vanish on every output node.
+    smallest ``transform_size`` per axis at which no wrapped product lands
+    on a gathered output node and no argument wraps onto itself, judged on
+    index boxes; on the whole grid that is (m+1)n/2 nodes or more (n = 2048:
+    3072 at order 2, 4096 at order 3, 5184 at order 4), on 129-node windows
+    of cubic products 288.  Products whose index box misses their output
+    key's box are dropped before P is sized: they vanish on every output
+    node.
 
     Every key shares that transform grid, so a call makes one inverse and
     one forward transform, both in place in one stacked (rows, B, X) buffer,
@@ -345,7 +348,7 @@ class _ConvolutionPlan:
             rows = np.nonzero(coeffs.any(axis=1))[0]
             self.outs[key] = (factors, coeffs[rows], rows)
         self.comps = {key: sorted(cs) for key, cs in comps.items()}
-        size = tuple(1 << int(v - 1).bit_length() for v in need)
+        size = tuple(transform_size(v) for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
         # flat transform-grid slots of each key not on the whole grid

@@ -16,9 +16,34 @@ import numpy as np
 from .errors import GridMismatch
 
 
+def transform_size(need: int) -> int:
+    """Smallest FFT length >= ``need``: 2^a 3^b, and a power of two or a multiple of 8.
+
+    pocketfft's mixed radix takes these lengths at about the cost per node
+    of a power of two.  Other 3-smooth widths (6, 18, 36, 108, 324, ...)
+    are left out because OpenBLAS splits a flat complex ``matmul`` over
+    them unlike a batched one at 1 or 2 threads, so the convolution plan
+    would not be bitwise its centred reference.
+    """
+    size = 1 << max(int(need) - 1, 0).bit_length()
+    three = 3
+    while 8 * three < size:
+        p = 8 * three
+        while p < need:
+            p *= 2
+        size = min(size, p)
+        three *= 3
+    return size
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Truncated uniform k-grid and its dual r-grid."""
+    """Truncated uniform k-grid and its dual r-grid.
+
+    ``n`` nodes per axis are a ``transform_size``: a power of two >= 4, or
+    on a convolution plan's transform grid also a 3-smooth multiple of 8.
+    Configured grids take powers of two only (``harness.load_config``).
+    """
 
     dim: int
     n: tuple[int, ...]
@@ -34,8 +59,8 @@ class Grid:
         if len(n) != self.dim or k_max.size != self.dim:
             raise ValueError("grid arity does not match dim")
         for v in n:
-            if v < 4 or (v & (v - 1)) != 0:
-                raise ValueError("node counts must be powers of two >= 4")
+            if v < 4 or transform_size(v) != v:
+                raise ValueError("node counts must be powers of two >= 4 or 2^a 3^b multiples of 8")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k_max", tuple(float(v) for v in k_max))
 
@@ -236,6 +261,7 @@ def linf_r_norm(f: ModalField) -> float:
 
 __all__ = [
     "Grid",
+    "transform_size",
     "ModalField",
     "require_same_grid",
     "spectrum_to_samples",

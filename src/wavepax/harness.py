@@ -84,13 +84,23 @@ def _r_star(packet: dict) -> np.ndarray:
     return np.atleast_1d(np.asarray(packet.get("r_star", 0.0), dtype=float))
 
 
+def _config_grid(gspec: dict) -> Grid:
+    """The grid of a config's "grid" block: ``n`` per axis, a power of two >= 4.
+
+    ``Grid`` also takes the 3-smooth sizes of convolution transform grids;
+    a configured grid does not.
+    """
+    dim, n = int(gspec["dim"]), int(gspec["n"])
+    if n < 4 or n & (n - 1):
+        raise ValueError("grid.n must be a power of two >= 4")
+    return Grid(dim, (n,) * dim, (float(gspec["k_max"]),) * dim)
+
+
 def load_config(cfg: dict) -> RunConfig:
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a mapping")
     model = dsp.model_from_config(cfg.get("model", {"preset": "nls1d"}))
-    gspec = {**DEFAULT_GRID, **cfg.get("grid", {})}
-    grid = Grid(int(gspec["dim"]), (int(gspec["n"]),) * int(gspec["dim"]),
-                (float(gspec["k_max"]),) * int(gspec["dim"]))
+    grid = _config_grid({**DEFAULT_GRID, **cfg.get("grid", {})})
     _require("spectrum" in cfg and cfg["spectrum"], "config needs a spectrum")
     spectrum = rs.spectrum_from_list(cfg["spectrum"], dim=grid.dim)
     nonlinearity = ev.nonlinearity_from_config(
@@ -522,8 +532,7 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     b = float(exp.get("b", 0.5))
     rho = float(cfg.get("rho", 0.05))
     tau_star = float(cfg.get("tau_star", 0.5))
-    gspec = {**{"dim": 1, "n": 4096, "k_max": 3.0}, **cfg.get("grid", {})}
-    grid = Grid(1, (int(gspec["n"]),), (float(gspec["k_max"]),))
+    grid = _config_grid({"n": 4096, "k_max": 3.0, **cfg.get("grid", {}), "dim": 1})
     model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": a2, "a0": a0}})
 
     x = grid.r_axis()

@@ -460,7 +460,7 @@ def resonance_select(
 ) -> NkSpectrum:
     """Spectrum augmented by its resonant output pairs."""
     new, _ = _selection_step(spectrum, model, orders, tol_res)
-    return NkSpectrum(spectrum.pairs + tuple(new), dim=spectrum.dim)
+    return NkSpectrum(spectrum.pairs + tuple(new), dim=spectrum.dim, tol_k=spectrum.tol_k)
 
 
 def _closure(spectrum: NkSpectrum, first: tuple[list, list], model: DispersionModel, orders,
@@ -477,7 +477,7 @@ def _closure(spectrum: NkSpectrum, first: tuple[list, list], model: DispersionMo
             )
         if not new:
             return current, True, it
-        nxt = NkSpectrum(current.pairs + tuple(new), dim=current.dim)
+        nxt = NkSpectrum(current.pairs + tuple(new), dim=current.dim, tol_k=current.tol_k)
         if nxt.n_pairs > max_pairs:
             return nxt, False, it
         current = nxt
@@ -617,7 +617,8 @@ def classify(
         universal=[s for s in solutions if s.klass == "universal"],
         out_k=output_spectrum(spectrum, orders),
         out_res=verdict.out_res,
-        selected=NkSpectrum(spectrum.pairs + tuple(verdict.new), dim=spectrum.dim),
+        selected=NkSpectrum(spectrum.pairs + tuple(verdict.new), dim=spectrum.dim,
+                            tol_k=spectrum.tol_k),
         classification=verdict.classification,
         conditions=verdict.conditions,
         closure_iterations=closure_iterations,

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -292,22 +296,34 @@ def test_fft_order_plan_is_bitwise_the_centred_plan_in_slabs(dim, order, windowe
     fft_order_plan_case(dim, order, windowed, seed, slab_rows)
 
 
-def averaging_like_layout(rng):
+def averaging_like_layout(rng, below=4, above=4, scalar=False):
     """Windows of the interaction systems on two carriers +-k: (l, theta) at theta k_l.
 
-    Each 9-node window holds two components, and each output window takes the
-    cubic terms that land on it, two arguments from its centre and one from
-    the other, with dense random tensors.
+    Each window holds two components on the ``below`` nodes under its centre,
+    the centre and the ``above`` nodes over it (9 nodes by default), and each
+    output window takes the cubic terms that land on it, two arguments from
+    its centre and one from the other, with dense random tensors.  Products
+    span 3 ``below`` and 3 ``above`` nodes around the output centre, so the
+    plan needs max(3 above + below, 3 below + above) + 1 transform nodes.
+    With ``scalar``, as on a scalar model, a window forms only its own band's
+    component (0 at theta = +1): one output row per key.
     """
-    grid = Grid(1, (64,), (4.0,))
-    centre = {(1, +1): 40, (2, -1): 40, (1, -1): 24, (2, +1): 24}
-    nodes = {key: np.arange(i - 4, i + 5) for key, i in centre.items()}
+    reach = 3 * max(below, above) + 1
+    n = max(64, 1 << (2 * reach - 1).bit_length())
+    offset = 2 * max(below, above)  # from the grid's centre: 8 nodes by default
+    grid = Grid(1, (n,), (4.0,))
+    centre = {(1, +1): n // 2 + offset, (2, -1): n // 2 + offset,
+              (1, -1): n // 2 - offset, (2, +1): n // 2 - offset}
+    nodes = {key: np.arange(i - below, i + above + 1) for key, i in centre.items()}
     terms = {}
     for key in nodes:
         same = [a for a in nodes if centre[a] == centre[key]]
         other = [a for a in nodes if centre[a] != centre[key]]
         terms[key] = [(rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4), [a, b, c])
                       for a in same for b in same for c in other]
+        if scalar:
+            for tensor, _ in terms[key]:
+                tensor[int(key[1] > 0)] = 0.0
     return grid, nodes, terms
 
 
@@ -482,17 +498,30 @@ def test_scheduled_stacked_plan_is_bitwise_the_oracle_in_slabs(seed, half, b1, d
     scheduled_plan_case(seed, half, b1, data, slab_rows)
 
 
+# (transform size, window half-width h) of each layout of the repeated-call
+# tests: the whole grid of 32 nodes at order 3 and of 2048 nodes at order 2
+# (3n/2 = 3 * 2^10); windows of 2h + 1 nodes need 4h + 1 nodes, and the
+# 129-node windows form one component each, as in the averaging config
+LAYOUTS = {"whole": (64, None), "windows": (24, 4), "whole-3072": (3072, None),
+           "windows-72": (72, 17), "windows-96": (96, 20), "windows-288": (288, 64)}
+
+
 def repeated_plan_case(layout, seed, b1, data, slab_rows):
     # batches B1, B2 < B1 and B3 > B1 through one plan: each result is a fresh
     # plan's (of the module's slab size) and the oracle's, and a result held
     # from the first call is never overwritten
     rng = np.random.default_rng(seed)
-    if layout == "windows":
-        grid, nodes, terms = averaging_like_layout(rng)
-    else:
+    size, half = LAYOUTS[layout]
+    if half:
+        grid, nodes, terms = averaging_like_layout(rng, half, half, scalar=half == 64)
+    elif size == 64:
         grid, nodes = Grid(1, (32,), (2.0,)), {"u": None}
         terms = {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}
+    else:
+        grid, nodes = Grid(1, (2048,), (2.0,)), {"u": None}
+        terms = {"u": [(ev.quadratic_conjugate(0.7).tensor, ["u"] * 2)]}
     plan = slabbed_plan(grid, nodes, terms, slab_rows)
+    assert plan.tgrid.shape == (size,)
     held = None
     for b in (b1, data.draw(st.integers(1, b1 - 1)), data.draw(st.integers(b1 + 1, 2 * b1))):
         values = plan_values(rng, nodes, grid, b)
@@ -509,18 +538,50 @@ def repeated_plan_case(layout, seed, b1, data, slab_rows):
 REPEATED = dict(seed=st.integers(0, 2**32 - 1), b1=st.integers(2, 6), data=st.data())
 
 
-@pytest.mark.parametrize("layout", ["whole", "windows"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @settings(max_examples=10, deadline=None)
 @given(**REPEATED)
 def test_plan_results_do_not_depend_on_earlier_calls(layout, seed, b1, data):
     repeated_plan_case(layout, seed, b1, data, None)
 
 
-@pytest.mark.parametrize("layout", ["whole", "windows"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @settings(max_examples=10, deadline=None)
 @given(**REPEATED, slab_rows=SLAB_ROWS)
 def test_plan_results_do_not_depend_on_earlier_calls_in_slabs(layout, seed, b1, data, slab_rows):
     repeated_plan_case(layout, seed, b1, data, slab_rows)
+
+
+def scalar_window_plans_match_the_centred_plan():
+    """Scalar windows needing 35 and 300 nodes: plans of 48 and 384 nodes are bitwise the oracle.
+
+    A rule taking every 3-smooth multiple of 4 would give 36 and 324 nodes,
+    where OpenBLAS at 2 threads sums a one-row flat ``matmul`` unlike the
+    oracle's batched one.
+    """
+    rng = np.random.default_rng(7)
+    for (below, above), size in (((1, 11), 48), ((2, 99), 384)):
+        grid, nodes, terms = averaging_like_layout(rng, below, above, scalar=True)
+        for slab_rows in (None, 3):
+            plan = slabbed_plan(grid, nodes, terms, slab_rows)
+            assert all(len(rows) == 1 for _, _, rows in plan.outs.values())
+            for b in range(1, 9):
+                values = plan_values(rng, nodes, grid, b)
+                got, want = plan(values), centred_plan(plan, nodes, values)
+                assert all(np.array_equal(got[key], want[key]) for key in want), (plan.tgrid, b)
+            assert plan.tgrid.shape == (size,)
+
+
+def test_window_plans_are_bitwise_the_centred_plan_at_two_blas_threads():
+    # OpenBLAS reads its thread count once, at load: a fresh interpreter.
+    # (It runs one thread on a one-core machine, where this cannot fail.)
+    paths = [str(Path(__file__).parent), str(Path(ev.__file__).parents[1])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
+    code = "import test_evolution as t; t.scalar_window_plans_match_the_centred_plan()"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def two_band_matrix_model():

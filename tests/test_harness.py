@@ -51,6 +51,18 @@ def test_load_config_validation():
             harness.load_config(counterprop_cfg(solver=solver))
 
 
+@pytest.mark.parametrize("n", [96, 100])
+def test_configured_grid_is_a_power_of_two(n):
+    # a convolution plan's transform grid may take 96 or 288 nodes; the
+    # config schema keeps powers of two
+    grid = {"n": n, "k_max": 4.0}
+    with pytest.raises(ValueError, match="power of two"):
+        harness.load_config(counterprop_cfg(grid=grid))
+    with pytest.raises(ValueError, match="power of two"):
+        harness.soliton_experiment({"grid": grid})
+    assert Grid(1, (288,), (4.0,)).shape == (288,)
+
+
 @pytest.mark.parametrize("rho, warns", [(0.01, False), (0.004, True)])
 def test_dispersion_ratio_warning(rho, warns):
     # beta^2/rho evaluates to 1.0000000000000002 at beta = 0.1, rho = 0.01

@@ -11,7 +11,7 @@ from wavepax import interaction as ia
 from wavepax import resonance as rs
 from wavepax import wavepacket as wp
 from wavepax.errors import PicardDiverged
-from wavepax.grids import Grid, ModalField, l1_norm_values
+from wavepax.grids import Grid, ModalField, l1_norm_values, transform_size
 
 
 BETA, EPS = 0.12, 0.1
@@ -345,16 +345,17 @@ def every_index(spectrum, order):
     return [(order, rs.DecoratedIndex(e)) for e in itertools.product(slots, repeat=order)]
 
 
-@pytest.mark.parametrize("order, sets, size", [(3, "contributing", 512), (3, "every", 512),
-                                               (2, None, 4096), (3, None, 4096),
-                                               (4, None, 8192)],
+@pytest.mark.parametrize("order, sets, size", [(3, "contributing", 288), (3, "every", 288),
+                                               (2, None, 3072), (3, None, 4096),
+                                               (4, None, 5184)],
                          ids=["averaging", "interaction", "whole-2", "whole-3", "whole-4"])
-def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, sets, size):
+def test_baseband_grid_is_smallest_unwrapped_smooth_size(nls_model, order, sets, size):
     # acceptance geometry: a cubic product of 129-node windows spans 3 * 128 + 1
-    # nodes centred on its 129-node output window, so P > 256; products of all
-    # decorated indices whose boxes miss the window are dropped first, so the
-    # full interaction system keeps that P; on the whole grid of n nodes,
-    # products need P >= (m + 1) n / 2
+    # nodes centred on its 129-node output window, so P > 256 and P = 2^5 * 9;
+    # products of all decorated indices whose boxes miss the window are
+    # dropped first, so the full interaction system keeps that P; on the
+    # whole grid of n nodes, products need P >= (m + 1) n / 2: 3072 = 3 * 2^10,
+    # 4096 and 5120 -> 5184 = 2^6 * 3^4
     grid = Grid(1, (2048,), (4.0,))
     chi = {2: ev.quadratic_conjugate(1.0), 3: ev.cubic_full(1.0), 4: quartic()}[order]
     initial = ModalField(grid, np.zeros((2, 2048)))
@@ -380,6 +381,18 @@ def test_baseband_grid_is_smallest_unwrapped_power_of_two(nls_model, order, sets
         plan = ev._problem_plan(prob)
     assert plan.tgrid.shape == (size,)
     assert plan.tgrid.dk == grid.dk
+
+
+# every FFT length a plan may take up to 2^17: 2^a 3^b, a power of two or a multiple of 8
+ALLOWED_SIZES = sorted(p for p in (2 ** a * 3 ** b for a in range(2, 18) for b in range(11))
+                       if p <= 2 ** 17 and (p & (p - 1) == 0 or p % 8 == 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(need=st.integers(4, 10 ** 5))
+def test_transform_size_is_the_smallest_allowed_length(need):
+    assert transform_size(need) == min(p for p in ALLOWED_SIZES if p >= need)
+    Grid(1, (transform_size(need),), (1.0,))
 
 
 def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):

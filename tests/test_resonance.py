@@ -196,6 +196,18 @@ def test_universality_is_k_independent(rng):
             assert abs(resid) <= rs.default_tol_res(snew, m)
 
 
+def test_classify_keeps_close_outputs_apart_at_the_spectrum_tolerance():
+    # the outputs 0.5 -+ 2e-9 of this spectrum are distinct pairs at its own
+    # tol_k (1.5e-9); the selected spectrum keeps that tolerance instead of
+    # one grown with the new pairs' larger |k|, under which they would collide
+    m = dsp.model_from_config({"preset": "power", "params": {"p": 1.0, "a0": 0.0}})
+    s = rs.spectrum_from_list([[1, 0.5], [1, 1e-9]])
+    report = rs.classify(s, m, [3])
+    assert report.classification == "not_invariant"
+    assert report.selected.n_pairs == 7 and report.selected.tol_k == s.tol_k
+    assert rs.spectra_equal(rs.resonance_select(s, m, [3]), report.selected)
+
+
 def test_classify_invariant_under_pair_permutation():
     m = model(1.0)
     a = rs.classify(rs.spectrum_from_list([[1, 1.0], [1, -1.0]]), m, [3])
