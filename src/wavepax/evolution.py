@@ -31,6 +31,7 @@ from .grids import (
     l1_norm,
     l1_norm_values,
     pad_spectrum,
+    pointwise_modulus,
     require_same_grid,
     samples_to_spectrum,
     spectrum_to_samples,
@@ -733,88 +734,83 @@ def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_pr
     return acc
 
 
-def _node_l1(values: np.ndarray, cell: float) -> np.ndarray:
-    """L1 norm (as ``l1_norm_values``) of each slice b of (B, C, ...) values, shape (B,)."""
-    mod = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
-    return mod.reshape(values.shape[0], -1).sum(axis=1) * cell
+def _node_l1(values: np.ndarray, cell: float, segments=(slice(None),)) -> np.ndarray:
+    """L1 norms (as ``l1_norm_values``) of (B, C, nodes) values on each segment of the node axis.
+
+    Returns (B, K) for the K slices ``segments`` (by default the whole
+    axis); a segment's sum takes the pairwise order of its own nodes.
+    """
+    mod = pointwise_modulus(values.swapaxes(0, 1))
+    return np.stack([mod[:, seg].sum(axis=1) for seg in segments], axis=1) * cell
 
 
 class _Level:
     """Running sums of one composite-trapezoid pass, carried from chunk to chunk.
 
-    Per key: the integral at the next chunk's first node, the integrand at
-    the node before it (None before the first chunk) and the largest node L1
-    norm measured so far.  A chunk's pass reads only that chunk of the
-    iterate it integrates, plus these sums.
+    The integral at the next chunk's first node, the integrand at the node
+    before it (None before the first chunk) and, per segment of the node
+    axis, the largest node L1 norm measured so far.  A chunk's pass reads
+    only that chunk of the iterate it integrates, plus these sums.
     """
 
-    def __init__(self, h0: dict):
-        self.integral = dict.fromkeys(h0, 0.0)
-        self.g_prev = dict.fromkeys(h0)
-        self.sup = dict.fromkeys(h0, 0.0)
+    def __init__(self, segments):
+        self.segments = segments
+        self.integral = 0.0
+        self.g_prev = None
+        self.sup = np.zeros(len(segments))
 
     @property
     def distance(self) -> float:
-        """The largest node L1 norm over all keys (NaN if one is NaN)."""
-        return float(np.max(list(self.sup.values())))
+        """The largest node L1 norm over all segments (NaN if one is NaN)."""
+        return float(np.max(self.sup))
 
-    def step(self, rhs_chunk, chunk: dict, taus: np.ndarray, h0: dict, h: float, cell: float,
-             measure_change: bool = True) -> tuple[dict | None, float]:
+    def step(self, rhs_chunk, chunk: np.ndarray, taus: np.ndarray, h0: np.ndarray, h: float,
+             cell: float, measure_change: bool = True) -> tuple[np.ndarray | None, float]:
         """The pass h0 + integral_0^tau rhs(chunk) on one chunk of mesh nodes.
 
-        ``rhs_chunk(chunk, taus)`` maps each key's (B, C, nodes) values to the
-        integrand of every key, in new arrays.  Each key's result goes into a
-        new array and is measured against ``chunk`` (with
-        ``measure_change``) or by itself.  Returns the new values and the
-        chunk's largest norm over its keys, or None and that norm at the
-        first non-finite one.
+        ``rhs_chunk(chunk, taus)`` maps (B, C, nodes) values to their
+        integrand in a new array.  The result goes into a new array and is
+        measured against ``chunk`` (with ``measure_change``) or by itself.
+        Returns the new values and the chunk's largest norm, or None and
+        that norm when a segment's norm is not finite; the sups then stop
+        at that segment, as a loop over the segments would.
         """
         g = rhs_chunk(chunk, taus)
-        new, worst = {}, 0.0
-        for key, gk in g.items():
-            new[key] = np.empty(gk.shape, dtype=complex)
-            self.integral[key] = _trapezoid_chunk(new[key], h0[key], self.integral[key],
-                                                  self.g_prev[key], gk, h)
-            self.g_prev[key] = gk[-1].copy()
-            d = float(_node_l1(new[key] - chunk[key] if measure_change else new[key],
-                               cell).max())
-            if not d <= self.sup[key]:  # a NaN replaces the sup too
-                self.sup[key] = d
-            if not d <= worst:
-                worst = d
-            if not math.isfinite(d):
-                return None, worst
-        return new, worst
+        new = np.empty(g.shape, dtype=complex)
+        self.integral = _trapezoid_chunk(new, h0, self.integral, self.g_prev, g, h)
+        self.g_prev = g[-1].copy()
+        d = _node_l1(new - chunk if measure_change else new, cell, self.segments).max(axis=0)
+        bad = np.flatnonzero(~np.isfinite(d))
+        d = d[:bad[0] + 1] if bad.size else d
+        sup = self.sup[:d.size]
+        np.copyto(sup, d, where=~(d <= sup))  # a NaN replaces the sup too
+        return (None if bad.size else new), float(np.max(d))
 
 
-def _trapezoid_pass(rhs_chunk, state: dict, h0: dict, h: float, chunk: int, cell: float,
-                    update: bool, level: _Level | None = None) -> dict:
+def _trapezoid_pass(rhs_chunk, state: np.ndarray, h0: np.ndarray, h: float, chunk: int,
+                    cell: float, update: bool, level: _Level) -> None:
     """One composite-trapezoid pass: h0 + integral_0^tau rhs(state) on the mesh h j.
 
-    ``state`` maps each key to (m, C, nodes) values on the mesh nodes j < m,
-    ``h0`` to (C, nodes).  The pass runs ``level.step`` (a new ``_Level`` by
-    default) on chunks of at most ``chunk`` mesh nodes.  With ``update`` it
-    measures each chunk's new values against the state's chunk and then
-    writes them over it, which is exact because a chunk's integrand reads
-    only that chunk of the state.  Without ``update`` it measures the new
-    values themselves and leaves ``state`` as it is; this is how
-    ``coupling_norm`` sizes an integral along a solved trajectory.
-    Returns per key the largest node L1 norm measured; the pass stops at the
-    first non-finite one.
+    ``state`` holds (m, C, nodes) values on the mesh nodes j < m, ``h0``
+    (C, nodes).  The pass runs ``level.step`` on chunks of at most
+    ``chunk`` mesh nodes.  With ``update`` it measures each chunk's new
+    values against the state's chunk and then writes them over it, which is
+    exact because a chunk's integrand reads only that chunk of the state.
+    Without ``update`` it measures the new values themselves and leaves
+    ``state`` as it is; this is how ``coupling_norm`` sizes an integral
+    along a solved trajectory.  ``level.sup`` holds the largest node L1
+    norm of each segment; the pass stops at the first non-finite one.
     """
-    m = next(iter(state.values())).shape[0]
+    m = state.shape[0]
     taus = h * np.arange(m)
-    level = level or _Level(h0)
     for i0 in range(0, m, chunk):
         i1 = min(i0 + chunk, m)
-        new, _ = level.step(rhs_chunk, {key: v[i0:i1] for key, v in state.items()},
-                            taus[i0:i1], h0, h, cell, measure_change=update)
+        new, _ = level.step(rhs_chunk, state[i0:i1], taus[i0:i1], h0, h, cell,
+                            measure_change=update)
         if new is None:
             break
         if update:
-            for key, v in new.items():
-                state[key][i0:i1] = v
-    return level.sup
+            state[i0:i1] = new
 
 
 def _picard_verdict(distances: list, config: SolverConfig) -> bool:
@@ -846,8 +842,8 @@ def _picard_verdict(distances: list, config: SolverConfig) -> bool:
     return False
 
 
-def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int, rows: np.ndarray):
+def _picard_wavefront(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
+                      config: SolverConfig, chunk: int, rows: np.ndarray, segments):
     """Picard levels 1..L computed chunk by chunk in one sweep over the mesh.
 
     Level k on a chunk reads only level k-1 on that chunk and level k's
@@ -863,8 +859,8 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
         that needs a level the earlier chunks lack restarts the sweep with
         L fixed at that level and no spare, which on solves whose needs
         keep rising costs less than a spare on every chunk.
-    Returns (rows per key, L, distances), distances[k] being level k+1's
-    largest distance over all chunks, or None for the loop to decide: a
+    Returns (rows, L, distances), distances[k] being level k+1's largest
+    distance over all chunks and segments, or None for the loop to decide: a
     non-finite distance, growing partial maxima, a need above
     ``config.picard_max_iter``, or distances that reach the tolerance
     before level L.
@@ -872,17 +868,17 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
     tol, cap = config.picard_tol, config.picard_max_iter
     taus = h * np.arange(n + 1)
     every = rows.size == n + 1
-    out = {key: np.empty((rows.size,) + v.shape, dtype=complex) for key, v in h0.items()}
+    out = np.empty((rows.size,) + h0.shape, dtype=complex)
     least = 1
     while True:  # one sweep; a restart begins another with a higher ``least``
         levels: list[_Level] = []
         final, spare, restart = None, not every and least == 1, False
-        held = []  # (start, stop, {key: spare-level rows}) of the chunks so far
+        held = []  # (start, stop, spare-level rows) of the chunks so far
         for j, i0 in enumerate(range(0, n + 1, chunk)):
             i1 = min(i0 + chunk, n + 1)
             a, b = np.searchsorted(rows, [i0, i1])
             local = rows[a:b] - i0
-            it = {key: np.broadcast_to(v, (i1 - i0,) + v.shape) for key, v in h0.items()}
+            it = np.broadcast_to(h0, (i1 - i0,) + h0.shape)
             dists = []
             while True:
                 k = len(dists) + 1
@@ -892,10 +888,9 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
                     if j > 0 and not every:  # the earlier chunks lack level k's sums
                         least, restart = k, True
                         break
-                    levels.append(_Level(h0))
+                    levels.append(_Level(segments))
                     if j > 0:  # bring the earlier chunks from level k-1 to k
-                        _trapezoid_pass(rhs_chunk, {key: v[:i0] for key, v in out.items()},
-                                        h0, h, chunk, cell, True, levels[-1])
+                        _trapezoid_pass(rhs_chunk, out[:i0], h0, h, chunk, cell, True, levels[-1])
                         final = k
                 it, d = levels[k - 1].step(rhs_chunk, it, taus[i0:i1], h0, h, cell)
                 if it is None or k > 1 and not levels[k - 1].distance <= levels[k - 2].distance:
@@ -906,10 +901,9 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
                 if final is None:
                     continue
                 if k == final:
-                    for key, v in it.items():
-                        np.take(v, local, axis=0, out=out[key][a:b])
+                    np.take(it, local, axis=0, out=out[a:b])
                 elif spare and k == final + 1:
-                    held.append((a, b, {key: v[local] for key, v in it.items()}))
+                    held.append((a, b, it[local]))
                 if k < final + spare:
                     continue
                 if dists[final - 1] <= tol:
@@ -917,8 +911,7 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
                 if spare and dists[final] <= tol:  # take the spare
                     final, spare = final + 1, False
                     for a0, b0, spare_rows in held:
-                        for key, v in spare_rows.items():
-                            out[key][a0:b0] = v
+                        out[a0:b0] = spare_rows
                     held = []
                     break
             if restart:
@@ -930,41 +923,43 @@ def _picard_wavefront(rhs_chunk, h0: dict, n: int, h: float, cell: float,
             return (out, final, distances) if converged == final else None
 
 
-def _picard_trapezoid(rhs_chunk, h0: dict, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int, keep=None) -> tuple[dict, int, list]:
+def _picard_trapezoid(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
+                      config: SolverConfig, chunk: int, keep=None,
+                      segments=(slice(None),)) -> tuple[np.ndarray, int, list]:
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
-    Each key of ``h0`` starts at h0[key] on every node.  Iteration k is one
+    The iterate is one (n+1, C, nodes) array that starts at the (C, nodes)
+    ``h0`` on every node; ``rhs_chunk(values, taus)`` maps a (B, C, nodes)
+    chunk of it to its integrand in a new array.  Iteration k is one
     composite-trapezoid pass over the n+1 nodes in chunks of ``chunk``; its
-    distance is the largest node L1 norm of the change over all chunks and
-    keys, and iteration stops at the first distance at or below
+    distance is the largest node L1 norm of the change over all chunks,
+    each taken on the slices ``segments`` of the node axis (the whole axis
+    by default), and iteration stops at the first distance at or below
     ``config.picard_tol``, under the guard of ``_picard_verdict``.
     ``_picard_wavefront`` computes the iterations and holds only the rows
     ``keep`` of the last (every row when None).  Where it cannot decide,
-    the one-buffer loop runs from scratch, one (n+1, C, nodes) state per key
+    the one-buffer loop runs from scratch, one (n+1, C, nodes) state
     rewritten by an updating ``_trapezoid_pass`` per iteration.  Both give
     bitwise the iterates and distances of an old/new pair of buffers, which
     depend on ``chunk``: the propagator phases are factored per chunk.
     With ``rhs_chunk`` None (no nonlinearity) the constant start is returned.
-    Returns (rows per key, iterations, distances).
+    Returns (rows, iterations, distances).
     """
     rows = np.arange(n + 1) if keep is None else np.asarray(keep)
     if rhs_chunk is None:
-        return {key: np.broadcast_to(v, (rows.size,) + v.shape).copy()
-                for key, v in h0.items()}, 0, []
-    solved = _picard_wavefront(rhs_chunk, h0, n, h, cell, config, chunk, rows)
+        return np.broadcast_to(h0, (rows.size,) + h0.shape).copy(), 0, []
+    solved = _picard_wavefront(rhs_chunk, h0, n, h, cell, config, chunk, rows, segments)
     if solved is not None:
         return solved
-    state = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
+    state = np.broadcast_to(h0, (n + 1,) + h0.shape).copy()
     distances: list[float] = []
     while True:
-        sup = _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, update=True)
-        distances.append(float(np.max(list(sup.values()))))
+        level = _Level(segments)
+        _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, True, level)
+        distances.append(level.distance)
         if _picard_verdict(distances, config):
             break
-    if keep is not None:
-        state = {key: v[rows] for key, v in state.items()}
-    return state, len(distances), distances
+    return state if keep is None else state[rows], len(distances), distances
 
 
 def _kept_samples(n: int, record_stride: int | None) -> list:
@@ -981,19 +976,18 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
     plan = _problem_plan(problem)
     shape = problem.initial.values.shape
 
-    def rhs_chunk(states: dict, taus: np.ndarray) -> dict:
-        u = states["u"]
-        g = _slow_rhs_chunk(u.reshape(u.shape[:1] + shape), taus, h, problem, tables,
+    def rhs_chunk(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        g = _slow_rhs_chunk(values.reshape(values.shape[:1] + shape), taus, h, problem, tables,
                             plan, config.convolution_mode)
-        return {"u": g.reshape(u.shape)}
+        return g.reshape(values.shape)
 
     keep = _kept_samples(n, config.record_stride)
     rows, iterations, distances = _picard_trapezoid(
         rhs_chunk if problem.nonlinearity else None,
-        {"u": problem.initial.values.reshape(shape[0], -1)},
+        problem.initial.values.reshape(shape[0], -1),
         n, h, problem.grid.cell, config, DEFAULT_CHUNK, keep,
     )
-    u = rows["u"].reshape((len(keep),) + shape)
+    u = rows.reshape((len(keep),) + shape)
     fields = [ModalField(problem.grid, values, frame="slow") for values in u]
     return Trajectory(
         problem=problem,

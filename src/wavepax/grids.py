@@ -241,10 +241,7 @@ def pointwise_modulus(values: np.ndarray) -> np.ndarray:
 
 def l1_norm(f: ModalField, a: float = 0.0) -> float:
     """L1 norm of the modulus, optionally with weight (1+|k|)^a."""
-    mod = pointwise_modulus(f.values)
-    if a != 0.0:
-        mod = mod * (1.0 + f.grid.abs_k()) ** a
-    return float(mod.sum() * f.grid.cell)
+    return l1_norm_values(f.values, f.grid, a)
 
 
 def l1_norm_values(values: np.ndarray, grid: Grid, a: float = 0.0) -> float:

@@ -26,8 +26,10 @@ from .evolution import (
     SolverConfig,
     _ConvolutionPlan,
     _kept_samples,
+    _Level,
     _node_l1,
     _picard_trapezoid,
+    _stack_rows,
     _trapezoid_pass,
     time_mesh,
 )
@@ -135,7 +137,9 @@ class ComponentLayout:
 
     The window cutoff radius is ``support_factor * beta^(1-eps)``; with the
     default factor 2 its plateau covers the construction cutoff's support,
-    so cutoff-built packets pass through the windows unchanged.
+    so cutoff-built packets pass through the windows unchanged.  The
+    windows, in ``keys`` order, are consecutive ``segments`` of one joint
+    node axis: the windowed state is one (..., C, W) array.
     """
 
     def __init__(self, spectrum: NkSpectrum, model, grid: Grid, beta: float, epsilon: float,
@@ -183,14 +187,15 @@ class ComponentLayout:
             self.columns[key] = cols
             self.comps[key] = ([] if idx.size == 0 else [cols] if isinstance(cols, int)
                                else list(range(model.ncomp)))
+        self.segments, _ = _stack_rows({key: self.mask[key].size for key in self.keys})
 
     def window(self, key, full_flat: np.ndarray) -> np.ndarray:
         """Project full (B, C, X) values onto the cutoff window of one component."""
         return self.project(key, full_flat[..., self.mask[key]])
 
-    def project(self, key, vals: np.ndarray) -> np.ndarray:
+    def project(self, key, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Band projection and cutoff of (B, C, win) values on one component's window."""
-        return dsp.project_band(self.columns[key], vals) * self.cut[key][None, None, :]
+        return np.multiply(dsp.project_band(self.columns[key], vals), self.cut[key], out=out)
 
     def embed(self, states: dict) -> np.ndarray:
         """Sum of the (B, C, win) values of the components in ``states`` as full (B, C, X) values."""
@@ -207,23 +212,24 @@ class ComponentLayout:
 
     def component_l1(self, key, win_vals: np.ndarray) -> float:
         """L1 norm of one component's (C, win) window values."""
-        return float(_node_l1(win_vals[None], self.grid.cell)[0])
+        return float(_node_l1(win_vals[None], self.grid.cell)[0, 0])
 
 
 @dataclass
 class InteractionSolution:
     """Full-mesh trajectory of the 2N windowed components.
 
-    Unlike ``solve_integrated``, which keeps only its recorded samples, the
-    windowed solves keep every mesh node of ``data``: ``interaction_distance``
-    and ``coupling_norm`` read them all.
+    ``data`` is one (n+1, C, W) array; component ``key`` sits on the slice
+    ``layout.segments[key]`` of its node axis.  Unlike ``solve_integrated``,
+    which keeps only its recorded samples, the windowed solves keep every
+    mesh node: ``interaction_distance`` and ``coupling_norm`` read them all.
     """
 
     spectrum: NkSpectrum
     layout: ComponentLayout
     problem: EvolutionProblem
     times: np.ndarray                     # full mesh
-    data: dict                            # (l,theta) -> (n+1, C, win)
+    data: np.ndarray                      # (n+1, C, W)
     iterations: int
     distances: list
     record_stride: int | None             # None: the default stride of _kept_samples
@@ -242,17 +248,19 @@ class InteractionSolution:
     def component_samples(self, l: int, theta: int, rows) -> FieldSamples:
         """Component (l, theta) at the mesh nodes ``rows``, on its window."""
         return FieldSamples(self.problem.grid, self.layout.mask[(l, theta)],
-                            self.data[(l, theta)][rows])
+                            self.data[rows, :, self.layout.segments[(l, theta)]])
 
     def _embedded(self, keys, i: int) -> np.ndarray:
         """Sum of the components ``keys`` at mesh node i on the full grid, (C, *shape)."""
-        full = self.layout.embed({key: self.data[key][i][None] for key in keys})[0]
+        full = self.layout.embed({key: self.data[i:i + 1, :, self.layout.segments[key]]
+                                  for key in keys})[0]
         return full.reshape((self.problem.model.ncomp,) + self.problem.grid.shape)
 
 
-def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> dict:
+def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> np.ndarray:
+    """The (C, W) windows of the initial data, on the layout's joint node axis."""
     h_flat = problem.initial.values.reshape(problem.model.ncomp, -1)[None]
-    return {key: layout.window(key, h_flat)[0] for key in layout.keys}
+    return np.concatenate([layout.window(key, h_flat)[0] for key in layout.keys], axis=-1)
 
 
 def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
@@ -274,6 +282,7 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
     data, iterations, distances = _picard_trapezoid(
         None if evaluator is None else evaluator.integrand_chunk, _initial_windows(layout, problem),
         n, h, problem.grid.cell, config, AVERAGED_CHUNK, keep=None,
+        segments=layout.segments.values(),
     )
     return InteractionSolution(
         spectrum=spectrum,
@@ -362,9 +371,13 @@ class MonomialEvaluator:
                               for i in range(len(rows)) if coeffs[i, g] != 0]
         self._phase_taus, self._phases = None, {}
 
-    def integrand_chunk(self, states: dict, taus: np.ndarray) -> dict:
-        """Windowed integrand values g_{l,theta} for a chunk of times."""
+    def integrand_chunk(self, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Windowed integrand of (B, C, W) states at a chunk of times, as a new (B, C, W) array.
+
+        ``values`` may hold one time slice for the whole chunk.
+        """
         b = taus.shape[0]
+        values = np.broadcast_to(values, (b,) + values.shape[1:])
 
         tag = taus.tobytes()
         if tag != self._phase_taus:
@@ -380,26 +393,19 @@ class MonomialEvaluator:
 
         args = {}
         for key, comps in self.plan.comps.items():
-            # states may hold one time slice for the whole chunk
-            vals = np.broadcast_to(states[key], (b,) + states[key].shape[1:])
+            vals = values[..., self.layout.segments[key]]
             if self.clip_arguments:
                 # the window profile again: neutral on cutoff-built data,
                 # it damps only spillover into the window's skirt
                 vals = vals * self.layout.cut[key]
             args[key] = self.tables.apply(vals, phases(key), nodes=self.layout.mask[key],
                                           comps=comps)
-        conv = self.plan(args)
-        out = {}
-        for key in self.layout.keys:
-            mask = self.layout.mask[key]
-            acc = conv.get(key)
-            if acc is None:
-                acc = np.zeros((b, self.problem.model.ncomp, mask.size), dtype=complex)
-            else:
-                rows = self.layout.comps[key]
-                acc[:, rows] = self.tables.apply(acc, np.conj(phases(key)), nodes=mask,
-                                                 comps=rows)
-            out[key] = self.layout.project(key, acc)
+        out = np.zeros(values.shape, dtype=complex)
+        for key, acc in self.plan(args).items():
+            rows = self.layout.comps[key]
+            acc[:, rows] = self.tables.apply(acc, np.conj(phases(key)),
+                                             nodes=self.layout.mask[key], comps=rows)
+            self.layout.project(key, acc, out=out[..., self.layout.segments[key]])
         return out
 
 
@@ -441,14 +447,11 @@ def solve_averaged_system(
     # size of the argument-clip ambiguity on the converged state: the same
     # integrand with and without the clip, on a few late-time samples
     layout = solution.layout
-    probe = {key: solution.data[key][-1:] for key in layout.keys}
-    taus_probe = solution.times[-1:]
+    probe, taus_probe = solution.data[-1:], solution.times[-1:]
     other = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=False)
-    g_clip = evaluator.integrand_chunk(probe, taus_probe)
-    g_raw = other.integrand_chunk(probe, taus_probe)
-    clip_diff = sum(
-        layout.component_l1(key, g_clip[key][0] - g_raw[key][0]) for key in layout.keys
-    )
+    g_clip, g_raw = (e.integrand_chunk(probe, taus_probe)[0] for e in (evaluator, other))
+    clip_diff = sum(layout.component_l1(key, g_clip[:, seg] - g_raw[:, seg])
+                    for key, seg in layout.segments.items())
     solution.diagnostics["clip_difference"] = float(clip_diff)
     return solution
 
@@ -458,7 +461,9 @@ def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> floa
     if len(a.times) != len(b.times):
         raise ValueError("solutions discretise time differently")
     cell = a.problem.grid.cell
-    return sum(float(_node_l1(a.data[key] - b.data[key], cell).max()) for key in a.layout.keys)
+    # one window at a time: the difference of whole trajectories is not held
+    return sum(float(_node_l1(a.data[..., seg] - b.data[..., seg], cell).max())
+               for seg in a.layout.segments.values())
 
 
 def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSets,
@@ -472,11 +477,11 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
     if not any(coup.values()):
         return 0.0
     evaluator = MonomialEvaluator(solution.problem, solution.layout, coup)
-    zero = {key: np.zeros_like(v[0]) for key, v in solution.data.items()}
     h = solution.times[1] - solution.times[0]
-    sup = _trapezoid_pass(evaluator.integrand_chunk, solution.data, zero, h, AVERAGED_CHUNK,
-                          solution.problem.grid.cell, update=False)
-    return float(sum(sup.values()))
+    level = _Level(solution.layout.segments.values())
+    _trapezoid_pass(evaluator.integrand_chunk, solution.data, np.zeros_like(solution.data[0]), h,
+                    AVERAGED_CHUNK, solution.problem.grid.cell, False, level)
+    return float(sum(level.sup.tolist()))  # in key order, as the windows' own sum
 
 
 def homogeneity_check(
@@ -501,30 +506,27 @@ def homogeneity_check(
     evaluator = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=True)
     rng = np.random.default_rng(seed)
     x = int(np.prod(problem.grid.shape))
-    base = {}
-    for key in layout.keys:
-        raw = amplitude * (
-            rng.standard_normal((1, problem.model.ncomp, x))
-            + 1j * rng.standard_normal((1, problem.model.ncomp, x))
-        )
-        base[key] = layout.window(key, raw)
+    base = np.concatenate([
+        layout.window(key, amplitude * (rng.standard_normal((1, problem.model.ncomp, x))
+                                        + 1j * rng.standard_normal((1, problem.model.ncomp, x))))
+        for key in layout.keys
+    ], axis=-1)
     taus = np.linspace(0.13 * problem.tau_star, problem.tau_star, n_times)
 
     ref = evaluator.integrand_chunk(base, taus)
     cell = problem.grid.cell
-    scale = max(float(_node_l1(ref[key], cell).max()) for key in layout.keys)
+    segments = layout.segments.values()
+    scale = float(_node_l1(ref, cell, segments).max())
     worst = 0.0
     for phases in phase_tuples:
         phases = np.atleast_1d(np.asarray(phases, dtype=float))
-        rotated = {
-            (l, theta): np.exp(1j * theta * phases[l - 1]) * base[(l, theta)]
-            for (l, theta) in layout.keys
-        }
-        lhs = evaluator.integrand_chunk(rotated, taus)
-        for key in layout.keys:
-            l, theta = key
-            rhs = np.exp(1j * theta * phases[l - 1]) * ref[key]
-            worst = max(worst, float(_node_l1(lhs[key] - rhs, cell).max()) / (scale + 1e-300))
+        # e^{i theta phi_l} on the nodes of each window
+        turn = np.concatenate([np.full(layout.mask[(l, theta)].size,
+                                       np.exp(1j * theta * phases[l - 1]))
+                               for l, theta in layout.keys])
+        lhs = evaluator.integrand_chunk(turn * base, taus)
+        worst = max(worst,
+                    float(_node_l1(lhs - turn * ref, cell, segments).max()) / (scale + 1e-300))
     return worst
 
 

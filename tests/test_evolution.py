@@ -722,13 +722,19 @@ def test_trapezoid_chunk_matches_cumsum(rng):
 
 # -- the Picard-trapezoid driver ---------------------------------------------------------
 
-def linear_solve(a, u0, tau, n, chunk, rhs=None, **config):
-    """Driver solve of u' = a[key] u with the keys and (C, nodes) starts of ``u0``."""
-    def linear(states, taus):
-        return {key: a[key] * v for key, v in states.items()}
+def segments_of(widths):
+    """Consecutive slices of a node axis, one per width."""
+    edges = np.cumsum([0, *widths])
+    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def linear_solve(a, u0, tau, n, chunk, rhs=None, segments=(slice(None),), **config):
+    """Driver solve of u' = a u on the (C, nodes) start ``u0``; ``a`` is a scalar or per node."""
+    def linear(values, taus):
+        return a * values
 
     return ev._picard_trapezoid(rhs or linear, u0, n, tau / n, 1.0,
-                                ev.SolverConfig(**config), chunk)
+                                ev.SolverConfig(**config), chunk, None, segments)
 
 
 def trapezoid_oracle(a, u0, tau, n):
@@ -749,67 +755,74 @@ def trapezoid_oracle(a, u0, tau, n):
 )
 def test_picard_trapezoid_matches_linear_oracle(a, tau, n, chunk, seed):
     # |a| tau <= 1: contracting, so the solve converges with no warning; the
-    # last chunk is short whenever chunk does not divide n + 1
+    # last chunk is short whenever chunk does not divide n + 1; two segments
+    # of three nodes, each with its own coefficient
     rng = np.random.default_rng(seed)
-    coeffs = {"p": a[0], "q": a[1]}
-    u0 = {key: rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for key in coeffs}
-    state, iterations, distances = linear_solve(coeffs, u0, tau, n, chunk, picard_tol=1e-13)
+    segments = segments_of([3, 3])
+    u0 = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    state, iterations, distances = linear_solve(np.repeat(a, 3), u0, tau, n, chunk,
+                                                segments=segments, picard_tol=1e-13)
     assert iterations == len(distances) and distances[-1] <= 1e-13
-    for key in coeffs:
-        want = trapezoid_oracle(coeffs[key], u0[key], tau, n)
-        assert np.abs(state[key] - want).max() <= 1e-12 * np.abs(want).max()
+    for coeff, seg in zip(a, segments):
+        want = trapezoid_oracle(coeff, u0[:, seg], tau, n)
+        assert np.abs(state[..., seg] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_picard_trapezoid_warns_after_growth():
     # a tau = 3: the first distances grow, then the iteration converges
-    u0 = {"u": np.ones((1, 1), complex)}
+    u0 = np.ones((1, 1), complex)
     with pytest.warns(UserWarning, match="grew before converging") as record:
-        state, _, distances = linear_solve({"u": 3.0}, u0, 1.0, 200, 64, picard_tol=1e-13)
+        state, _, distances = linear_solve(3.0, u0, 1.0, 200, 64, picard_tol=1e-13)
     assert len(record) == 1 and distances[1] > distances[0]
-    want = trapezoid_oracle(3.0, u0["u"], 1.0, 200)
-    assert np.abs(state["u"] - want).max() <= 1e-12 * np.abs(want).max()
+    want = trapezoid_oracle(3.0, u0, 1.0, 200)
+    assert np.abs(state - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_picard_trapezoid_growth_raises_diverged():
     # a tau = 50: the Picard distances grow like (a tau)^k / k! for k < 50
     with pytest.raises(PicardDiverged, match="grew") as err:
-        linear_solve({"u": 50.0}, {"u": np.ones((1, 1), complex)}, 1.0, 200, 64)
+        linear_solve(50.0, np.ones((1, 1), complex), 1.0, 200, 64)
     history = err.value.args[1]
     assert np.isfinite(history).all() and len(history) < 64
     assert history[-3] < history[-2] < history[-1]
 
 
-def nan_rhs(states, taus):
-    return {"finite": 0.5 * states["finite"], "nan": np.full_like(states["nan"], np.nan)}
+# a finite segment of four nodes, then a segment of four whose integrand is NaN
+NAN_SEGMENTS = segments_of([4, 4])
+
+
+def nan_rhs(values, taus):
+    g = 0.5 * values
+    g[..., NAN_SEGMENTS[1]] = np.nan
+    return g
 
 
 def test_picard_trapezoid_nan_rhs_raises_diverged():
-    u0 = {key: np.ones((1, 4), complex) for key in ("finite", "nan")}
     with pytest.raises(PicardDiverged) as err:
-        linear_solve(None, u0, 1.0, 40, 16, rhs=nan_rhs)
+        linear_solve(None, np.ones((1, 8), complex), 1.0, 40, 16, rhs=nan_rhs,
+                     segments=NAN_SEGMENTS)
     history = err.value.args[1]
     assert len(history) == 1 and not np.isfinite(history[-1])
 
 
 def test_picard_trapezoid_max_iter_raises():
     with pytest.raises(PicardMaxIter) as err:
-        linear_solve({"u": 0.5}, {"u": np.ones((1, 1), complex)}, 1.0, 40, 16,
-                     picard_max_iter=1)
+        linear_solve(0.5, np.ones((1, 1), complex), 1.0, 40, 16, picard_max_iter=1)
     assert len(err.value.args[1]) == 1
 
 
 def test_picard_trapezoid_holds_one_trajectory():
     # the state is the only (n+1, C, nodes) array held: an old/new pair of
     # trajectories would peak at twice its size
-    n, u0 = 400, {"u": np.ones((1, 2000), complex)}
-    state_bytes = (n + 1) * u0["u"].nbytes
+    n, u0 = 400, np.ones((1, 2000), complex)
+    state_bytes = (n + 1) * u0.nbytes
     tracemalloc.start()
     try:
-        state, _, _ = linear_solve({"u": 0.5}, u0, 1.0, n, 16, picard_tol=1e-13)
+        state, _, _ = linear_solve(0.5, u0, 1.0, n, 16, picard_tol=1e-13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert state["u"].nbytes == state_bytes
+    assert state.nbytes == state_bytes
     assert peak < 1.5 * state_bytes
 
 
@@ -829,38 +842,61 @@ def test_solve_integrated_holds_no_trajectory(nls_model):
     assert peak < 0.5 * (traj.n_steps + 1) * h.values.nbytes
 
 
-# The driver as it was with an old and a new trajectory per key, kept
-# literally (less the growth warning) as an oracle for the in-place one.
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 5),
+    c=st.sampled_from([1, 2, 3, 4, 6]),
+    widths=st.lists(st.integers(0, 300), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_node_l1_on_segments_is_the_per_window_norm(b, c, widths, seed):
+    # each segment's norm is bitwise the norm of its window values held
+    # alone, by the parent's per-key formula
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(b, c, sum(widths))) + 1j * rng.normal(size=(b, c, sum(widths)))
+    segments = segments_of(widths)
+    got = ev._node_l1(values, 0.37, segments)
+    assert got.shape == (b, len(widths))
+    for s, seg in enumerate(segments):
+        window = values[..., seg].copy()
+        mod = np.sqrt((window.real ** 2 + window.imag ** 2).sum(axis=1))
+        assert np.array_equal(got[:, s], mod.reshape(b, -1).sum(axis=1) * 0.37)
+        assert np.array_equal(got[:, s], ev._node_l1(window, 0.37)[:, 0])
 
-def two_buffer_pass(rhs_chunk, state, h0, out, ref, h, chunk, cell):
-    taus = h * np.arange(next(iter(state.values())).shape[0])
-    integral = dict.fromkeys(h0, 0.0)
-    g_prev = dict.fromkeys(h0)
-    sup = dict.fromkeys(h0, 0.0)
+
+# The driver as it was with an old and a new trajectory per key, kept
+# literally (less the growth warning) as an oracle for the in-place one;
+# each key is a segment of the node axis.
+
+def two_buffer_pass(rhs_chunk, state, h0, out, ref, h, chunk, cell, segments):
+    taus = h * np.arange(state.shape[0])
+    integral = [0.0] * len(segments)
+    g_prev = [None] * len(segments)
+    sup = [0.0] * len(segments)
     for i0 in range(0, taus.size, chunk):
         i1 = min(i0 + chunk, taus.size)
-        g = rhs_chunk({key: v[i0:i1] for key, v in state.items()}, taus[i0:i1])
-        for key, gk in g.items():
-            new = out[key][i0:i1]
-            integral[key] = ev._trapezoid_chunk(new, h0[key], integral[key], g_prev[key], gk, h)
-            g_prev[key] = gk[-1].copy()
-            d = float(ev._node_l1(new if ref is None else new - ref[key][i0:i1], cell).max())
-            if not d <= sup[key]:
-                sup[key] = d
+        g = rhs_chunk(state[i0:i1], taus[i0:i1])
+        for s, seg in enumerate(segments):
+            gs = g[..., seg]
+            new = out[i0:i1, :, seg]
+            integral[s] = ev._trapezoid_chunk(new, h0[:, seg], integral[s], g_prev[s], gs, h)
+            g_prev[s] = gs[-1].copy()
+            d = float(ev._node_l1(new if ref is None else new - ref[i0:i1, :, seg], cell).max())
+            if not d <= sup[s]:
+                sup[s] = d
             if not math.isfinite(d):
                 return sup
     return sup
 
 
-def two_buffer_picard(rhs_chunk, h0, n, h, cell, config, chunk):
-    old = {key: np.broadcast_to(v, (n + 1,) + v.shape).copy() for key, v in h0.items()}
+def two_buffer_picard(rhs_chunk, h0, n, h, cell, config, chunk, segments):
+    old = np.broadcast_to(h0, (n + 1,) + h0.shape).copy()
     distances = []
-    new = {key: np.empty_like(v) for key, v in old.items()}
+    new = np.empty_like(old)
     grow_run = 0
     for it in range(1, config.picard_max_iter + 1):
-        dist = float(np.max(list(
-            two_buffer_pass(rhs_chunk, old, h0, new, old, h, chunk, cell).values()
-        )))
+        dist = float(np.max(two_buffer_pass(rhs_chunk, old, h0, new, old, h, chunk, cell,
+                                            segments)))
         if not math.isfinite(dist):
             raise PicardDiverged("non-finite Picard iterate", distances + [dist])
         distances.append(dist)
@@ -876,10 +912,10 @@ def two_buffer_picard(rhs_chunk, h0, n, h, cell, config, chunk):
     raise PicardMaxIter("no convergence", distances)
 
 
-def driver_outcome(driver, rhs, u0, tau, n, chunk, *keep, **config):
+def driver_outcome(driver, rhs, u0, tau, n, chunk, *args, **config):
     """(state, iterations, distances) of a solve, or (None, error type, history)."""
     try:
-        return driver(rhs, u0, n, tau / n, 1.0, ev.SolverConfig(**config), chunk, *keep)
+        return driver(rhs, u0, n, tau / n, 1.0, ev.SolverConfig(**config), chunk, *args)
     except (PicardDiverged, PicardMaxIter) as err:
         return None, type(err), err.args[1]
 
@@ -889,19 +925,19 @@ def kept_rows(mode, n):
     return {"every": None, "sparse": ev._kept_samples(n, 3), "ends": [0, n]}[mode]
 
 
-def assert_same_outcome(rhs, u0, tau, n, chunk, keep=None, **config):
+def assert_same_outcome(rhs, u0, tau, n, chunk, keep=None, segments=(slice(None),), **config):
     """The driver's rows ``keep`` equal the oracle's bitwise, as do iterations and distances."""
     state, its, dists = driver_outcome(ev._picard_trapezoid, rhs, u0, tau, n, chunk, keep,
-                                       **config)
+                                       segments, **config)
     want_state, want_its, want_dists = driver_outcome(two_buffer_picard, rhs, u0, tau, n,
-                                                      chunk, **config)
+                                                      chunk, segments, **config)
     assert its == want_its
     assert [repr(d) for d in dists] == [repr(d) for d in want_dists]  # bitwise, NaN too
     if want_state is None:
         assert state is None
     else:
         rows = slice(None) if keep is None else keep
-        assert all(np.array_equal(state[key], want_state[key][rows]) for key in u0)
+        assert np.array_equal(state, want_state[rows])
     return its
 
 
@@ -915,32 +951,38 @@ def assert_same_outcome(rhs, u0, tau, n, chunk, keep=None, **config):
     chunk=st.integers(1, 48),
     seed=st.integers(0, 2**32 - 1),
     keep=st.sampled_from(["every", "sparse", "ends"]),
+    widths=st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(sum),
 )
-def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, seed, keep):
-    # each key's integrand reads the other key's chunk, nonlinearly; the
-    # last chunk is short
+def test_in_place_driver_is_bitwise_the_two_buffer_driver(a, c, tau, n, chunk, seed, keep,
+                                                          widths):
+    # 1-4 segments of drawn widths, possibly empty; each node's integrand
+    # reads its neighbour, across segment edges, nonlinearly; the last chunk
+    # is short
     assume((n + 1) % chunk != 0)
+    segments = segments_of(widths)
+    coeff = np.concatenate([np.full(w, a[s % 2]) for s, w in enumerate(widths)])
 
-    def rhs(states, taus):
-        p, q = states["p"], states["q"]
-        return {"p": a[0] * p + c * q * q, "q": a[1] * q + c * p * np.conj(q) * taus[:, None, None]}
+    def rhs(values, taus):
+        return (coeff * values
+                + c * np.roll(values, 1, axis=-1) * np.conj(values) * taus[:, None, None])
 
     rng = np.random.default_rng(seed)
-    u0 = {key: 0.5 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) for key in "pq"}
-    assert_same_outcome(rhs, u0, tau, n, chunk, kept_rows(keep, n), picard_tol=1e-12)
+    u0 = 0.5 * (rng.normal(size=(2, sum(widths))) + 1j * rng.normal(size=(2, sum(widths))))
+    assert_same_outcome(rhs, u0, tau, n, chunk, kept_rows(keep, n), segments, picard_tol=1e-12)
 
 
-@pytest.mark.parametrize("rhs, u0, n, chunk, config, error", [
-    (lambda s, t: {"u": 50.0 * s["u"]}, {"u": np.ones((1, 1), complex)}, 200, 64, {},
+@pytest.mark.parametrize("rhs, u0, n, chunk, segments, config, error", [
+    (lambda v, t: 50.0 * v, np.ones((1, 1), complex), 200, 64, [slice(None)], {},
      PicardDiverged),
-    (nan_rhs, {key: np.ones((1, 4), complex) for key in ("finite", "nan")}, 40, 16, {},
-     PicardDiverged),
-    (lambda s, t: {"u": 0.5 * s["u"]}, {"u": np.ones((1, 1), complex)}, 40, 16,
+    (nan_rhs, np.ones((1, 8), complex), 40, 16, NAN_SEGMENTS, {}, PicardDiverged),
+    (lambda v, t: 0.5 * v, np.ones((1, 1), complex), 40, 16, [slice(None)],
      {"picard_max_iter": 1}, PicardMaxIter),
 ], ids=["growth", "nan", "max-iter"])
-def test_in_place_driver_fails_as_the_two_buffer_driver(rhs, u0, n, chunk, config, error):
+def test_in_place_driver_fails_as_the_two_buffer_driver(rhs, u0, n, chunk, segments, config,
+                                                        error):
     for keep in ("every", "ends"):
-        assert assert_same_outcome(rhs, u0, 1.0, n, chunk, kept_rows(keep, n), **config) is error
+        assert assert_same_outcome(rhs, u0, 1.0, n, chunk, kept_rows(keep, n), segments,
+                                   **config) is error
 
 
 def wavefront_visits(a, chunks_on, keep, n=80, chunk=8):
@@ -955,11 +997,11 @@ def wavefront_visits(a, chunks_on, keep, n=80, chunk=8):
     h = 1.0 / n
     visits = []
 
-    def rhs(states, taus):
+    def rhs(values, taus):
         visits.append(round(taus[0] / h) // chunk)
-        return {"u": a * (taus < chunks_on * chunk * h)[:, None, None] * states["u"]}
+        return a * (taus < chunks_on * chunk * h)[:, None, None] * values
 
-    its = assert_same_outcome(rhs, {"u": np.ones((1, 2), complex)}, 1.0, n, chunk,
+    its = assert_same_outcome(rhs, np.ones((1, 2), complex), 1.0, n, chunk,
                               kept_rows(keep, n), picard_tol=1e-12)
     n_chunks = -(-(n + 1) // chunk)
     # the oracle evaluates every chunk once per iteration, after the driver

@@ -28,6 +28,16 @@ def doublet_sum(model, grid, kstars, beta=BETA, amp=0.12, width=1.0):
     return ModalField(grid, total)
 
 
+def by_window(layout, values):
+    """Per-key views of (..., C, W) values on the layout's joint node axis."""
+    return {key: values[..., seg] for key, seg in layout.segments.items()}
+
+
+def joined(layout, states):
+    """Per-key (..., C, win) window values as one (..., C, W) array."""
+    return np.concatenate([states[key] for key in layout.keys], axis=-1)
+
+
 @pytest.fixture
 def counterprop(nls_model):
     grid = Grid(1, (512,), (4.0,))
@@ -112,8 +122,8 @@ def test_interaction_f0_constant(counterprop):
     model, grid, spectrum, initial = counterprop
     prob = ev.EvolutionProblem(model, [], 0.05, 0.2, grid, initial)
     sol = ia.solve_interaction_system(prob, spectrum, beta=BETA, epsilon=EPS)
-    for key in sol.layout.keys:
-        assert np.abs(sol.data[key] - sol.data[key][0]).max() == 0.0
+    for window in by_window(sol.layout, sol.data).values():
+        assert np.abs(window - window[0]).max() == 0.0
     # the windows reproduce cutoff-built data exactly
     recon = sol.sum_values(0)
     assert np.abs(recon - initial.values).max() <= 1e-14
@@ -160,8 +170,8 @@ def test_averaged_nonresonant_state_constant(nls_model):
     prob = ev.EvolutionProblem(nls_model, [ev.quadratic_conjugate(1.0)], 0.05, 0.2,
                                grid, initial)
     sol = ia.solve_averaged_system(prob, spectrum, sets, beta=BETA, epsilon=EPS)
-    for key in sol.layout.keys:
-        assert np.abs(sol.data[key] - sol.data[key][0]).max() == 0.0
+    for window in by_window(sol.layout, sol.data).values():
+        assert np.abs(window - window[0]).max() == 0.0
 
 
 def test_averaged_tracks_interaction_in_rho(counterprop):
@@ -190,8 +200,8 @@ def test_diagonal_mode_separates(counterprop):
         single = ia.solve_averaged_system(prob, sub, sub_sets, cfg, beta=BETA,
                                           epsilon=EPS, mode="diagonal")
         for theta in (+1, -1):
-            a = joint.data[(l, theta)]
-            b = single.data[(1, theta)]
+            a = by_window(joint.layout, joint.data)[(l, theta)]
+            b = by_window(single.layout, single.data)[(1, theta)]
             assert np.abs(a - b).max() <= 1e-12
 
 
@@ -319,7 +329,8 @@ def test_baseband_evaluator_matches_direct_oracle(geometry, chi, data):
     problem = ev.EvolutionProblem(model, [chi], 0.05, 0.3, grid,
                                   ModalField(grid, np.zeros((model.ncomp,) + grid.shape)))
 
-    got = ia.MonomialEvaluator(problem, layout, sets_flat, clip).integrand_chunk(states, taus)
+    got = by_window(layout, ia.MonomialEvaluator(problem, layout, sets_flat, clip)
+                    .integrand_chunk(joined(layout, states), taus))
     want = oracle_integrand(problem, layout, sets_flat, states, taus, clip)
     scale = max(np.abs(v).max(initial=0.0) for v in want.values())
     # bound on any convolution value, also of products landing off the grid;
@@ -408,8 +419,9 @@ def test_evaluator_sums_susceptibilities_of_one_order(counterprop, rng):
               for key in layout.keys}
     taus = np.array([0.0, 0.07, 0.19])
     got, want = (
-        ia.MonomialEvaluator(ev.EvolutionProblem(model, chis, 0.05, 0.2, grid, initial), layout,
-                             sets_flat, clip_arguments=False).integrand_chunk(states, taus)
+        by_window(layout, ia.MonomialEvaluator(
+            ev.EvolutionProblem(model, chis, 0.05, 0.2, grid, initial), layout, sets_flat,
+            clip_arguments=False).integrand_chunk(joined(layout, states), taus))
         for chis in (pair, [summed])
     )
     scale = max(np.abs(v).max() for v in want.values())
@@ -428,8 +440,9 @@ def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     sets_flat = dict.fromkeys(layout.keys, every_index(spectrum, 3))
     prob = ev.EvolutionProblem(model, [ev.cubic_full(0.8)], 0.05, 0.2, grid, initial)
     x = int(np.prod(grid.shape))
-    states = {key: layout.window(key, rng.normal(size=(4, 2, x)) + 1j * rng.normal(size=(4, 2, x)))
-              for key in layout.keys}
+    states = joined(layout, {
+        key: layout.window(key, rng.normal(size=(4, 2, x)) + 1j * rng.normal(size=(4, 2, x)))
+        for key in layout.keys})
     taus = 0.0125 * np.arange(3, 7)
     evaluator = ia.MonomialEvaluator(prob, layout, sets_flat)
     first = evaluator.integrand_chunk(states, taus)
@@ -444,6 +457,7 @@ def test_evaluator_caches_window_phases_bitwise(counterprop, rng, monkeypatch):
     assert windows > 0
     again = evaluator.integrand_chunk(states, taus)  # and the first chunk's are gone
     assert len(evaluated) == 2 * windows
+    first, second, other, again = (by_window(layout, g) for g in (first, second, other, again))
     for key in layout.keys:
         assert np.array_equal(second[key], first[key]) and np.array_equal(again[key], first[key])
         assert not np.array_equal(other[key], first[key])
@@ -511,7 +525,7 @@ def parent_interaction_loop(problem, spectrum, config, beta, epsilon):
     h, n = ev.time_mesh(problem, config)
     taus = h * np.arange(n + 1)
     plan = ev._problem_plan(problem)
-    h_win = ia._initial_windows(layout, problem)
+    h_win = by_window(layout, ia._initial_windows(layout, problem))
     ncomp = problem.model.ncomp
     x = int(np.prod(problem.grid.shape))
     w_old = {
@@ -560,7 +574,7 @@ def parent_averaged_loop(problem, spectrum, sets, config, beta, epsilon):
     evaluator = ia.MonomialEvaluator(problem, layout, sets.flat(sets.contributing))
     h, n = ev.time_mesh(problem, config)
     taus = h * np.arange(n + 1)
-    h_win = ia._initial_windows(layout, problem)
+    h_win = by_window(layout, ia._initial_windows(layout, problem))
     w_old = {
         key: np.broadcast_to(h_win[key], (n + 1,) + h_win[key].shape).copy()
         for key in layout.keys
@@ -575,7 +589,8 @@ def parent_averaged_loop(problem, spectrum, sets, config, beta, epsilon):
         dist = 0.0
         for i0 in range(0, n + 1, chunk):
             i1 = min(i0 + chunk, n + 1)
-            g = evaluator.integrand_chunk({k: w_old[k][i0:i1] for k in layout.keys}, taus[i0:i1])
+            g = by_window(layout, evaluator.integrand_chunk(
+                joined(layout, {k: w_old[k][i0:i1] for k in layout.keys}), taus[i0:i1]))
             for j in range(i1 - i0):
                 for key in layout.keys:
                     if i0 + j > 0:
@@ -602,15 +617,14 @@ def parent_coupling_norm(solution, index_sets):
     evaluator = ia.MonomialEvaluator(solution.problem, layout, coup)
     n = len(solution.times) - 1
     h = solution.times[1] - solution.times[0]
-    integral = {key: np.zeros_like(solution.data[key][0]) for key in layout.keys}
+    integral = {key: np.zeros_like(w[0]) for key, w in by_window(layout, solution.data).items()}
     sup = {key: 0.0 for key in layout.keys}
     g_prev = None
     chunk = ia.AVERAGED_CHUNK
     for i0 in range(0, n + 1, chunk):
         i1 = min(i0 + chunk, n + 1)
-        g = evaluator.integrand_chunk(
-            {k: solution.data[k][i0:i1] for k in layout.keys}, solution.times[i0:i1]
-        )
+        g = by_window(layout, evaluator.integrand_chunk(solution.data[i0:i1],
+                                                        solution.times[i0:i1]))
         for j in range(i1 - i0):
             for key in layout.keys:
                 if i0 + j > 0:
@@ -621,10 +635,18 @@ def parent_coupling_norm(solution, index_sets):
     return float(sum(sup.values()))
 
 
-@pytest.mark.parametrize("chi", [ev.cubic_conjugate(1.0), ev.cubic_full(0.8)])
-def test_solvers_match_parent_loops(counterprop, chi):
-    # 41 mesh nodes: one full chunk of 32 and a short one of 9
-    model, grid, spectrum, initial = counterprop
+@pytest.mark.parametrize("chi, carriers", [
+    (ev.cubic_conjugate(1.0), [1.0, -1.0]),
+    (ev.cubic_full(0.8), [1.0, -1.0]),
+    (ev.cubic_conjugate(1.0), [1.0, 0.37]),
+    (ev.cubic_full(0.8), [1.0, 0.37]),
+], ids=["chi0", "chi1", "chi0-unequal", "chi1-unequal"])
+def test_solvers_match_parent_loops(nls_model, chi, carriers):
+    # 41 mesh nodes: one full chunk of 32 and a short one of 9; carriers
+    # 1 and 0.37 give windows of 37, 37, 38 and 38 nodes
+    model, grid = nls_model, Grid(1, (512,), (4.0,))
+    spectrum = rs.spectrum_from_list([[1, k] for k in carriers])
+    initial = doublet_sum(model, grid, carriers)
     cfg = ev.SolverConfig(substeps_per_rho=10)
     sets = ia.build_index_sets(spectrum, model, [3])
     prob = ev.EvolutionProblem(model, [chi], 0.05, 0.2, grid, initial)
@@ -636,12 +658,14 @@ def test_solvers_match_parent_loops(counterprop, chi):
     # projected the integral, so it matches to rounding
     data, iterations, distances = parent_interaction_loop(prob, spectrum, cfg, BETA, EPS)
     scale = max(np.abs(data[key]).max() for key in w.layout.keys)
-    assert all(np.abs(w.data[key] - data[key]).max() <= 1e-12 * scale for key in w.layout.keys)
+    w_data = by_window(w.layout, w.data)
+    assert all(np.abs(w_data[key] - data[key]).max() <= 1e-12 * scale for key in w.layout.keys)
     assert w.iterations == iterations
     np.testing.assert_allclose(w.distances, distances, rtol=1e-12, atol=1e-14)
     # the averaged system keeps the parent's arithmetic exactly
     data, iterations, distances = parent_averaged_loop(prob, spectrum, sets, cfg, BETA, EPS)
-    assert all(np.array_equal(v.data[key], data[key]) for key in v.layout.keys)
+    v_data = by_window(v.layout, v.data)
+    assert all(np.array_equal(v_data[key], data[key]) for key in v.layout.keys)
     assert v.iterations == iterations
     np.testing.assert_allclose(v.distances, distances, rtol=1e-12, atol=0.0)
     coupling = ia.coupling_norm(v, sets)
@@ -681,10 +705,10 @@ def test_coupling_norm_leaves_the_solution_unchanged(counterprop):
     prob = ev.EvolutionProblem(model, [ev.cubic_full(0.8)], 0.05, 0.2, grid, initial)
     sol = ia.solve_averaged_system(prob, spectrum, sets, ev.SolverConfig(substeps_per_rho=10),
                                    beta=BETA, epsilon=EPS)
-    before = {key: v.copy() for key, v in sol.data.items()}
+    before = sol.data.copy()
     value = ia.coupling_norm(sol, sets)
     assert value > 0.0
-    assert all(np.array_equal(sol.data[key], before[key]) for key in before)
+    assert np.array_equal(sol.data, before)
     assert ia.coupling_norm(sol, sets) == value
 
 
