@@ -28,6 +28,7 @@ from .grids import (
     Grid,
     ModalField,
     crop_spectrum,
+    fft_blocks,
     l1_norm,
     l1_norm_values,
     pad_spectrum,
@@ -267,48 +268,196 @@ def _stack_rows(sizes: dict) -> tuple[dict, int]:
     return rows, height
 
 
+def _echelon(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon basis of the row space of ``m``: (pivots, w).
+
+    Rows are taken in order and eliminated against the basis so far; a row
+    left exactly zero is dependent, any other becomes a basis row scaled to
+    1 at its pivot (its first nonzero entry) and is eliminated from the
+    earlier ones.  ``w`` is the (F, C) basis sorted by pivot, exactly 1 at
+    its own pivot and 0 at the others.
+    """
+    basis = []
+    for row in m:
+        r = np.array(row, dtype=complex)
+        for p, b in basis:
+            if r[p] != 0:
+                r -= r[p] * b
+                r[p] = 0
+        nonzero = np.flatnonzero(r)
+        if not nonzero.size:
+            continue
+        p = nonzero[0]
+        r = _unit_at(r[None], [p])[0]
+        for _, b in basis:
+            if b[p] != 0:
+                b -= b[p] * r
+                b[p] = 0
+        basis.append((p, r))
+    basis.sort(key=lambda pb: pb[0])
+    return (np.array([p for p, _ in basis], dtype=int),
+            np.array([b for _, b in basis], dtype=complex).reshape(len(basis), m.shape[1]))
+
+
+def _unit_at(rows: np.ndarray, cols) -> np.ndarray:
+    """Each row divided by its entry in its column of ``cols``, in real arithmetic.
+
+    x / y is (x conj(y)) / |y|^2 formed from real parts, so y / y is exactly
+    1 and -y / y exactly -1, whichever kernel numpy would pick to multiply
+    complex numbers (a fused multiply-add can make y conj(y) inexact).
+    """
+    y = rows[np.arange(len(rows)), cols][:, None]
+    den = y.real * y.real + y.imag * y.imag
+    out = np.empty(rows.shape, dtype=complex)
+    out.real = (rows.real * y.real + rows.imag * y.imag) / den
+    out.imag = (rows.imag * y.real - rows.real * y.imag) / den
+    return out
+
+
+def _forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed forms through which ``rows`` read their columns: (pivots, w).
+
+    ``w`` is the reduced row-echelon basis of the row space (``_echelon``),
+    kept if its entries are signs and every row is bitwise the sum, form by
+    form, of its entry at the form's pivot times the form.  Otherwise the
+    forms are the unit vectors of the nonzero columns.  Rows on one column
+    give its unit form; else each row is scaled to 1 at its first nonzero
+    entry (``_unit_at``) and equal rows are eliminated once.
+    """
+    r = rows[rows.any(axis=1)]
+    cols = np.nonzero(r.any(axis=0))[0]
+    pivots, w = _echelon(r[:1] if len(cols) == 1 else
+                         np.unique(_unit_at(r, (r != 0).argmax(axis=1)), axis=0))
+    total = np.zeros_like(rows)
+    for p, form in zip(pivots, w):
+        total = total + rows[:, p, None] * form
+    if np.isin(w[w != 0], (1, -1)).all() and np.array_equal(total, rows):
+        return pivots, w
+    return cols, np.eye(rows.shape[1], dtype=complex)[cols]
+
+
+def _argument_forms(terms: dict) -> dict:
+    """Per argument key, the (pivots, w) linear forms through which the terms read it.
+
+    The forms (``_forms``) of the stacked unfoldings of every term tensor
+    along each axis that reads the key.  A form is a signed sum of
+    components, and each unfolding row is bitwise its pivot entries times
+    the forms, so along each such axis a tensor is the tensor cut to the
+    pivots (``_cut``) contracted with the forms.  Full-rank tensors read
+    plain components; ``cubic_full`` and ``quadratic_conjugate`` read their
+    field through one form, U_+ + U_-.
+    """
+    stacks: dict = {}  # order -> ([tensors], [argument keys])
+    for key_terms in terms.values():
+        for tensor, arg_ids in key_terms:
+            tensors, ids = stacks.setdefault(len(arg_ids), ([], []))
+            tensors.append(tensor)
+            ids.append(arg_ids)
+    rows: dict = {}  # key -> the unfoldings along the axes that read it
+    for m, (tensors, ids) in stacks.items():
+        stack = np.stack(tensors)
+        c = stack.shape[1]
+        for t in range(m):
+            unfolded = np.moveaxis(stack, t + 2, -1).reshape(len(tensors), -1, c)
+            reading: dict = {}
+            for i, arg_ids in enumerate(ids):
+                reading.setdefault(arg_ids[t], []).append(i)
+            for a, i in reading.items():
+                rows.setdefault(a, []).append(unfolded[i].reshape(-1, c))
+    return {a: _forms(np.concatenate(blocks)) for a, blocks in rows.items()}
+
+
+def _cut(tensor: np.ndarray, arg_ids, pivots: dict) -> np.ndarray:
+    """``tensor`` zeroed off ``pivots[a]`` along each axis that reads a key ``a`` of ``pivots``."""
+    tensor = tensor.copy()
+    for axis, a in enumerate(arg_ids, start=1):
+        if a in pivots:
+            tensor[(slice(None),) * axis + (np.setdiff1d(np.arange(len(tensor)), pivots[a]),)] = 0
+    return tensor
+
+
+def _combine(out: np.ndarray, terms) -> np.ndarray:
+    """``out`` = the signed sum of the (sign, src) ``terms``, left to right.
+
+    The first term is copied or negated, the others added or subtracted
+    (``_accumulate``): exact-rounded ufuncs, whatever the layout.  No terms
+    give zero.
+    """
+    if not terms:
+        out.fill(0.0)
+        return out
+    (a, src), rest = terms[0], terms[1:]
+    if a == 1:
+        np.copyto(out, src)
+    else:
+        np.negative(src, out=out)
+    return _accumulate(out, rest)
+
+
+def _accumulate(out: np.ndarray, terms) -> np.ndarray:
+    """``out`` with the (sign, src) ``terms`` added or subtracted in place, left to right."""
+    for a, src in terms:
+        (np.add if a == 1 else np.subtract)(out, src, out=out)
+    return out
+
+
 class _ConvolutionPlan:
     """m-fold convolutions of spectra given on sets of grid nodes.
 
     ``nodes`` maps each argument key to the flat grid indices its spectra
     are given on, or None for the whole grid; ``terms`` maps each output key
     (also a key of ``nodes``) to its (tensor, argument keys) terms, evaluated
-    on that key's nodes.  The entries of all terms of an output key are
-    grouped by ``_entry_groups``, summed in r-space through one coefficient
-    ``matmul`` and forward-transformed.
+    on that key's nodes.
+
+    The products read each argument key through its linear forms
+    (``_argument_forms``), signed sums of components: a form is 1 at its
+    pivot component and 0 at the other forms' pivots, and the tensors cut
+    to the pivots give every product exactly.  Full-rank tensors have the
+    plain components as forms, so a component read is the special case;
+    ``cubic_full`` and ``quadratic_conjugate`` read U_+ + U_- only.
+    ``forms[key]`` holds the (pivots, w) of the forms some product uses and
+    ``comps[key]`` the components they read.  The entries of all cut terms
+    of an output key are grouped by ``_entry_groups``, with a form named by
+    its pivot.  Of the resulting (C, G) coefficients only the rows at the
+    pivots of the forms of their transpose are summed in r-space and
+    forward-transformed, and every other component is its exact signed sum
+    of them (``expand[key]``) on the key's nodes.
 
     Spectra sit on a transform grid with the grid's dk and P nodes per axis,
     in ``np.fft`` order: node j at slot (j - n/2) mod P, the centred index
     modulo P, so the circular convolution adds centred indices like the
-    linear one; the whole grid goes in and out through ``pad_spectrum`` and
-    ``crop_spectrum`` in that order (2^dim block copies).  P is the
-    smallest ``transform_size`` per axis at which no wrapped product lands
-    on a gathered output node and no argument wraps onto itself, judged on
-    index boxes; on the whole grid that is (m+1)n/2 nodes or more (n = 2048:
-    3072 at order 2, 4096 at order 3, 5184 at order 4), on 129-node windows
-    of cubic products 288.  Products whose index box misses their output
-    key's box are dropped before P is sized: they vanish on every output
-    node.
+    linear one; the whole grid goes in and out in that order in 2^dim block
+    copies (``pad_spectrum``, ``crop_spectrum``).  P is the smallest
+    ``transform_size`` per axis at which no wrapped product lands on a
+    gathered output node and no argument wraps onto itself, judged on index
+    boxes; on the whole grid that is (m+1)n/2 nodes or more (n = 2048: 3072
+    at order 2, 4096 at order 3, 5184 at order 4), on 129-node windows of
+    cubic products 288.  Products whose index box misses their output key's
+    box are dropped before P is sized: they vanish on every output node.
 
     Every key shares that transform grid, so a call makes one inverse and
     one forward transform, both in place in one stacked (rows, B, X) buffer,
     component-major so that each row is one contiguous (B, X) block: it
-    takes the zero-padded argument rows of all keys, their r-space samples
-    until the products are formed, then the ``matmul`` results of all output
-    keys and their spectra.  Between the transforms the batch goes in slabs
-    of ``_slab`` rows, sized so that a slab's argument, sum and product rows
-    fit in ``_SLAB_BYTES`` and stay in cache: per slab the steps of
-    ``_product_schedule`` fill one (G, slab, X) products array per distinct
-    factor list (output keys with the same list share it), and each output
-    key's sums are one flat (rows, G) x (G, slab X) ``matmul`` over the
-    slab's spent argument rows.  Each key's gather or crop then writes
-    straight into its result.  The buffer is kept across calls, sized to the
-    largest batch seen, and the products arrays, sized to one slab: fresh
-    arrays would be mapped and page-faulted anew on every call.  One buffer
-    rather than an input buffer kept zero plus a work array costs a zero
-    fill per call, but a second kept array stays resident while the
-    caller's own arrays peak and raised the solver's peak memory.  Nothing a
-    call returns views any of them.
+    takes the zero-padded form rows of all keys, each combined from its
+    components straight into its slots (``pad_spectrum`` the pivot, then
+    ``_accumulate`` the others block by block), their r-space
+    samples until the products are formed, then the summed rows of all
+    output keys and their spectra.  Between the transforms the batch goes in
+    slabs of ``_slab`` rows, sized so that a slab's argument, sum and
+    product rows fit in ``_SLAB_BYTES`` and stay in cache: per slab the steps
+    of ``_product_schedule`` fill one (G, slab, X) products array per
+    distinct factor list (output keys with the same list share it), and each
+    output key's sums are one flat (rows, G) x (G, slab X) ``matmul`` over
+    the slab's spent argument rows.  Each key's gather or crop then writes
+    straight into its result, and the derived components follow.  The
+    buffer is kept across calls, sized to the largest batch seen, and the
+    products arrays, sized to one slab: fresh arrays would be mapped and
+    page-faulted anew on every call.  One buffer rather than an input buffer
+    kept zero plus a work array costs a zero fill per call, but a second
+    kept array stays resident while the caller's own arrays peak and raised
+    the solver's peak memory.  A window form of several components is
+    combined in one more kept array, then scattered.  Nothing a call
+    returns views any of them.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -321,12 +470,18 @@ class _ConvolutionPlan:
         }
         box = {key: (c.min(axis=1), c.max(axis=1)) for key, c in centred.items() if c.size}
         need = np.full(grid.dim, 4)
-        # outs[key]: (factors, (rows, G) coefficients, the output components ``rows``);
-        # comps[key]: the argument components the products read
+        forms = _argument_forms(terms)
+        # keys read through forms of several components; the tensors are zero
+        # off the pivots of plain ones
+        mixed = {a: pivots for a, (pivots, w) in forms.items() if np.count_nonzero(w) > len(pivots)}
+        # outs[key]: (factors, (rows, G) coefficients, the summed output components
+        # ``rows``); used[key]: the pivots of the forms the products read
         self.outs: dict = {}
-        comps: dict = {}
+        self.expand: dict = {}
+        used: dict = {}
         for key, key_terms in terms.items():
-            factors, coeffs = _entry_groups(key_terms) if key_terms else ([], None)
+            cut = [(_cut(t, arg_ids, mixed), arg_ids) for t, arg_ids in key_terms]
+            factors, coeffs = _entry_groups(cut) if key_terms else ([], None)
             # a product's index box is the sum of its arguments' boxes; one that
             # misses the output box on some axis is zero on every output node
             kept = []
@@ -337,7 +492,7 @@ class _ConvolutionPlan:
                     continue
                 kept.append(g)
                 for a, c in fac:
-                    comps.setdefault(a, set()).add(int(c))
+                    used.setdefault(a, set()).add(int(c))
                 # P exceeds every argument's width and the largest distance
                 # from a product index to a gathered output index, either way
                 need = np.max([need, *(box[a][1] - box[a][0] + 1 for a, _ in fac),
@@ -346,9 +501,22 @@ class _ConvolutionPlan:
                 continue
             factors, coeffs = [factors[g] for g in kept], coeffs[:, kept]
             self.ncomp = coeffs.shape[0]
-            rows = np.nonzero(coeffs.any(axis=1))[0]
+            # the summed output rows are the pivots of the forms of coeffs.T: every
+            # other component is their signed sum, given by the forms' entries
+            rows, w = _forms(coeffs.T)
+            self.expand[key] = [(c, [(j, a) for j, a in enumerate(w[:, c]) if a != 0])
+                                for c in range(len(coeffs)) if c not in rows]
             self.outs[key] = (factors, coeffs[rows], rows)
-        self.comps = {key: sorted(cs) for key, cs in comps.items()}
+        self.forms = {}
+        for key, piv in used.items():
+            pivots, w = forms[key]
+            at = np.searchsorted(pivots, sorted(piv))
+            self.forms[key] = (pivots[at], w[at])
+        self.comps = {key: [int(c) for c in np.nonzero(w.any(axis=0))[0]]
+                      for key, (_, w) in self.forms.items()}
+        # per form, its (column in comps[key], weight) terms
+        self._reads = {key: [[(self.comps[key].index(c), a) for c, a in enumerate(form) if a != 0]
+                             for form in w] for key, (_, w) in self.forms.items()}
         size = tuple(transform_size(v) for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
@@ -357,11 +525,11 @@ class _ConvolutionPlan:
                       for key, c in centred.items() if nodes[key] is not None}
         # the rows of each argument key in the input stack and of each output
         # key in the output stack
-        self._arg_rows, self._n_in = _stack_rows({key: len(cs) for key, cs in self.comps.items()})
+        self._arg_rows, self._n_in = _stack_rows({key: len(p) for key, (p, _) in self.forms.items()})
         self._out_rows, self._n_out = _stack_rows({key: len(r)
                                                    for key, (_, _, r) in self.outs.items()})
-        row = {(key, c): self._arg_rows[key].start + i
-               for key, cs in self.comps.items() for i, c in enumerate(cs)}
+        row = {(key, int(p)): self._arg_rows[key].start + i
+               for key, (pivots, _) in self.forms.items() for i, p in enumerate(pivots)}
         # one products array per distinct factor list, filled by one schedule
         # on the input rows of the factors
         self._lists = list(dict.fromkeys(tuple(f) for f, _, _ in self.outs.values()))
@@ -379,6 +547,7 @@ class _ConvolutionPlan:
         self._slab = max(1, _SLAB_BYTES // max(per_row, 1))
         self._buffer = None
         self._products: list = []
+        self._spare = np.empty(0, dtype=complex)
 
     def __call__(self, values: dict) -> dict:
         """Convolutions of the spectra ``values`` on every output key.
@@ -407,12 +576,25 @@ class _ConvolutionPlan:
             v = values[key]
             if v.shape[1] != len(comps):
                 v = v[:, comps]
-            block = inputs[self._arg_rows[key]]
-            if key in self.slots:
-                block[..., self.slots[key]] = v.swapaxes(0, 1)
-            else:
-                pad_spectrum(v.swapaxes(0, 1), self.grid, tg.shape, centred=False,
-                             out=block.reshape(block.shape[:2] + tg.shape))
+            for row, reads in zip(inputs[self._arg_rows[key]], self._reads[key]):
+                # the first term is the pivot, of weight 1
+                terms = [(a, v[:, i]) for i, a in reads]
+                if key in self.slots:
+                    if len(terms) > 1:
+                        # combined in a kept scratch array, then scattered
+                        n = v[:, 0].size
+                        if self._spare.size < n:
+                            self._spare = np.empty(n, dtype=complex)
+                        terms = [(1, _combine(self._spare[:n].reshape(v[:, 0].shape), terms))]
+                    row[..., self.slots[key]] = terms[0][1]
+                else:
+                    # the pivot is padded, the other terms added or subtracted
+                    # in place block by block
+                    padded = row.reshape((b,) + tg.shape)
+                    pad_spectrum(terms[0][1], self.grid, tg.shape, centred=False, out=padded)
+                    for nodes, slots in fft_blocks(self.grid.n, tg.shape):
+                        _accumulate(padded[(..., *slots)],
+                                    [(a, t[(..., *nodes)]) for a, t in terms[1:]])
         r = inputs.reshape((n_in, b) + tg.shape)
         spectrum_to_samples(r, tg, centred=False, out=r)
         for s in range(0, b, self._slab):
@@ -436,8 +618,7 @@ class _ConvolutionPlan:
         out = {}
         for key, (_, _, rows) in self.outs.items():
             nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
-            full = len(rows) == self.ncomp
-            out[key] = (np.empty if full else np.zeros)((b, self.ncomp) + nodes, dtype=complex)
+            out[key] = np.empty((b, self.ncomp) + nodes, dtype=complex)
             # each run of consecutive output components is one (rows, B, *nodes) view
             dst, block = out[key].swapaxes(0, 1), spec[self._out_rows[key]]
             for src, comps in self._runs[key]:
@@ -445,6 +626,8 @@ class _ConvolutionPlan:
                     dst[comps] = block[src].reshape(-1, b, x)[..., self.slots[key]]
                 else:
                     crop_spectrum(block[src], self.grid, centred=False, out=dst[comps])
+            for c, sums in self.expand[key]:
+                _combine(dst[c], [(a, dst[rows[j]]) for j, a in sums])
         return out
 
 

@@ -203,7 +203,7 @@ def pad_spectrum(values: np.ndarray, grid: Grid, shape, centred: bool = True,
         return np.pad(values, pads)
     if out is None:
         out = np.zeros(values.shape[:values.ndim - grid.dim] + tuple(shape), dtype=values.dtype)
-    for nodes, slots in _fft_blocks(grid.n, shape):
+    for nodes, slots in fft_blocks(grid.n, shape):
         out[(..., *slots)] = values[(..., *nodes)]
     return out
 
@@ -217,7 +217,7 @@ def crop_spectrum(values: np.ndarray, grid: Grid, centred: bool = True,
     if not centred:
         if out is None:
             out = np.empty(values.shape[:values.ndim - grid.dim] + grid.shape, dtype=values.dtype)
-        for nodes, slots in _fft_blocks(grid.n, values.shape[-grid.dim:]):
+        for nodes, slots in fft_blocks(grid.n, values.shape[-grid.dim:]):
             out[(..., *nodes)] = values[(..., *slots)]
         return out
     sl = [slice(None)] * (values.ndim - grid.dim)
@@ -225,8 +225,12 @@ def crop_spectrum(values: np.ndarray, grid: Grid, centred: bool = True,
     return values[tuple(sl)]
 
 
-def _fft_blocks(n, shape) -> list:
-    """(grid nodes, padded slots) of the 2^dim blocks: per axis, the negative half on top."""
+def fft_blocks(n, shape) -> list:
+    """(grid nodes, padded slots) of the 2^dim blocks of ``np.fft`` order.
+
+    Per axis the negative half of the n grid nodes goes on top of the P =
+    ``shape`` slots; node and slot indices are slices, so each block is a view.
+    """
     halves = [((slice(0, v // 2), slice(p - v // 2, p)), (slice(v // 2, v), slice(0, v // 2)))
               for v, p in zip(n, shape)]
     return [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
@@ -267,6 +271,7 @@ __all__ = [
     "from_r_space",
     "pad_spectrum",
     "crop_spectrum",
+    "fft_blocks",
     "pointwise_modulus",
     "l1_norm",
     "l1_norm_values",

@@ -327,8 +327,9 @@ class MonomialEvaluator:
     convolved by one ``_ConvolutionPlan`` with one key per window, so each
     product is an exact linear convolution on a small transform grid with
     the problem's dk; carrier centres need not lie on nodes.  Phases and
-    projections are evaluated on window nodes only, and only the band
-    components present in each window are transformed.  Callback
+    projections are evaluated on window nodes only, and only the components
+    that the plan's forms read (``plan.comps``) are mapped to the fast
+    frame; a scalar window holds its band component only.  Callback
     susceptibilities are refused.  Each window's phases are kept for the
     chunk of times of the last call and dropped when the chunk changes: the
     Picard driver evaluates every level of a chunk before it moves on, and

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
@@ -133,6 +133,103 @@ def test_grouped_fft_kernel_matches_direct_oracle(order_shape, sharing, seed):
     assert np.abs(o_fft.values - o_dir.values).max() <= 1e-12 * scale
 
 
+def gaussian_integers(rng, shape, radius=2):
+    return (rng.integers(-radius, radius + 1, shape)
+            + 1j * rng.integers(-radius, radius + 1, shape)).astype(complex)
+
+
+def plain(w):
+    """Whether forms ``w`` are plain component reads: one nonzero entry, 1, per row."""
+    return np.array_equal(np.abs(w) != 0, w == 1) and (np.count_nonzero(w, axis=1) == 1).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # (C, order, grid): the literal-sum oracle is slow, so large tensors,
+    # order 4 and 2-d grids only on few nodes
+    case=st.sampled_from([(2, 2, (16,)), (2, 3, (16,)), (2, 4, (8,)), (2, 3, (4, 4)),
+                          (3, 2, (16,)), (3, 3, (8,)), (3, 2, (4, 4)), (4, 2, (8,))]),
+    sharing=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    signs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_deficient_tensors_match_direct_oracle(case, sharing, signs, seed):
+    # T = core x_0 A x_1 W_1 ... x_m W_m with small Gaussian-integer factors
+    # (or, with ``signs``, factors of entries 0 and +-1), so the tensor is
+    # exact: every field is read through 1 to C-1 forms W (one set per
+    # distinct field) and the output rows are A-combinations of 1 to C rows.
+    # The plan reads through signed forms that it reproduces exactly, or else
+    # through plain components
+    c, order, grid_shape = case
+    rng = np.random.default_rng(seed)
+    factor = ((lambda shape: rng.choice([-1, 0, 1], shape, p=[0.4, 0.2, 0.4]).astype(complex))
+              if signs
+              else (lambda shape: gaussian_integers(rng, shape)))
+    keys = sharing[:order]
+    forms = {key: factor((int(rng.integers(1, c)), c)) for key in set(keys)}
+    out_rows = int(rng.integers(1, c + 1))
+    core_shape = (out_rows,) + tuple(len(forms[key]) for key in keys)
+    tensor = gaussian_integers(rng, core_shape) * (rng.random(core_shape) < 0.7)
+    for axis, w in enumerate([factor((out_rows, c))] + [forms[k] for k in keys]):
+        tensor = np.moveaxis(np.tensordot(tensor, w, axes=([axis], [0])), -1, axis)
+    assume(tensor.any())
+    chi = ev.Susceptibility(order=order, tensor=tensor)
+    g = Grid(len(grid_shape), grid_shape, (2.0,) * len(grid_shape))
+    pool = [ModalField(g, rng.normal(size=(c,) + grid_shape) + 1j * rng.normal(size=(c,) + grid_shape))
+            for _ in range(3)]
+    fields = [pool[key] for key in keys]
+    o_fft = ev.apply_nonlinearity(fields, chi, mode="fft")
+    o_dir = ev.apply_nonlinearity(fields, chi, mode="direct-oracle")
+    scale = max(np.abs(o_dir.values).max(), 1e-300)
+    assert np.abs(o_fft.values - o_dir.values).max() <= 1e-12 * scale
+    distinct = list(dict.fromkeys(keys))
+    plan = ev._ConvolutionPlan(g, dict.fromkeys(range(len(distinct))),
+                               {0: [(tensor, [distinct.index(k) for k in keys])]})
+    event("reduced" if not all(plain(w) for _, w in plan.forms.values()) else "plain")
+
+
+def test_inexact_reconstruction_falls_back_to_components(rng):
+    # argument 1 of T[0] = [[1, -1], [0.1, z]] reads [1, -1] and [0.1, z];
+    # both scale to the signed form [1, -1] at z = -0.1 - 2^-56, but -0.1 is
+    # not z, so that form does not reproduce the tensor and components are read
+    g = Grid(1, (16,), (2.0,))
+    for z, reduced in ((-0.1, True), (-0.10000000000000002, False)):
+        assert ev._unit_at(np.array([[0.1, z]]), [0])[0, 1] == -1 and (z == -0.1) == reduced
+        tensor = np.zeros((2, 2, 2), dtype=complex)
+        tensor[0] = [[1.0, -1.0], [0.1, z]]
+        plan = ev._ConvolutionPlan(g, {0: None, 1: None}, {0: [(tensor, [0, 1])]})
+        pivots, w = plan.forms[1]
+        if reduced:
+            assert pivots.tolist() == [0] and w.tolist() == [[1, -1]]
+        else:
+            assert plain(w) and pivots.tolist() == [0, 1]
+        fields = [ModalField(g, rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)))
+                  for _ in range(2)]
+        chi = ev.Susceptibility(order=2, tensor=tensor)
+        o_fft = ev.apply_nonlinearity(fields, chi, mode="fft")
+        o_dir = ev.apply_nonlinearity(fields, chi, mode="direct-oracle")
+        assert np.abs(o_fft.values - o_dir.values).max() <= 1e-12 * np.abs(o_dir.values).max()
+
+
+@pytest.mark.parametrize("chi, rows", [(ev.cubic_full(0.9), (1, 1, 1)),
+                                       (ev.quadratic_conjugate(0.7), (1, 1, 1)),
+                                       (ev.cubic_conjugate(1.3), (2, 2, 2))])
+def test_problem_plan_rows(nls_model, chi, rows):
+    # (input rows, summed output rows, products): the full nonlinearities read
+    # U_+ + U_- through one form and give U_- = -U_+ from one summed row
+    g = Grid(1, (64,), (4.0,))
+    problem = ev.EvolutionProblem(nls_model, [chi], 0.1, 0.5, g,
+                                  ModalField(g, np.zeros((2, 64), complex)))
+    plan = ev._problem_plan(problem)
+    (factors, coeffs, summed), = plan.outs.values()
+    assert (plan._n_in, plan._n_out, len(factors)) == rows and len(summed) == rows[1]
+    if rows[0] == 1:
+        assert plan.forms["u"][1].tolist() == [[1, 1]]
+        assert plan.expand["u"] == [(1, [(0, -1)])]
+    else:
+        assert plain(plan.forms["u"][1]) and plan.expand["u"] == []
+
+
 @pytest.mark.parametrize("chi, products", [(ev.cubic_full(0.9), 4), (ev.cubic_conjugate(1.3), 2),
                                            (ev.quadratic_conjugate(0.7), 3)])
 def test_permuted_entries_share_one_product(chi, products):
@@ -175,10 +272,13 @@ def test_crop_into_a_strided_destination_is_the_fresh_crop(shape, rng):
 def centred_plan(plan, nodes, values):
     """A plan's convolutions on the centred layout: the arithmetic it must reproduce bitwise.
 
-    Spectra are zero-padded about the centre (``pad_spectrum``) or scattered
-    at centred index + P/2, shifted by ``ifftshift`` and inverse-transformed;
-    the products are forward-transformed, shifted by ``fftshift`` and
-    cropped (``crop_spectrum``) or gathered at the same positions.
+    Each form of ``plan.forms`` is the literal sum of weight times component,
+    left to right.  Spectra are zero-padded about the centre
+    (``pad_spectrum``) or scattered at centred index + P/2, shifted by
+    ``ifftshift`` and inverse-transformed; the products are
+    forward-transformed, shifted by ``fftshift`` and cropped
+    (``crop_spectrum``) or gathered at the same positions, and every other
+    component is the literal sum of ``plan.expand``'s weights times them.
     """
     grid, tg = plan.grid, plan.tgrid
     axes = tuple(range(2, 2 + grid.dim))
@@ -190,18 +290,26 @@ def centred_plan(plan, nodes, values):
             c = np.array(np.unravel_index(idx, grid.shape)) - np.array(grid.n)[:, None] // 2
             position[key] = np.ravel_multi_index(tuple((c + p // 2) % p), tg.shape)
     b = next(iter(values.values())).shape[0]
+
+    def literal_sum(terms):
+        total = None
+        for a, v in terms:
+            total = v * a if total is None else total + v * a
+        return total
+
     r_args = {}
-    for key, comps in plan.comps.items():
-        v = values[key][:, comps]
+    for key, (pivots, w) in plan.forms.items():
+        v = np.stack([literal_sum([(a, values[key][:, c]) for c, a in enumerate(form) if a != 0])
+                      for form in w], axis=1)
         if key in position:
-            small = np.zeros((b, len(comps), x), dtype=complex)
+            small = np.zeros((b, len(w), x), dtype=complex)
             small[..., position[key]] = v
-            small = small.reshape((b, len(comps)) + tg.shape)
+            small = small.reshape((b, len(w)) + tg.shape)
         else:
             small = pad_spectrum(v, grid, tg.shape)
         r = (1.0 / np.prod(tg.dr)) * np.fft.ifftn(np.fft.ifftshift(small, axes=axes), axes=axes)
-        r = r.reshape(b, len(comps), x)
-        r_args.update(((key, c), r[:, i]) for i, c in enumerate(comps))
+        r = r.reshape(b, len(w), x)
+        r_args.update(((key, p), r[:, i]) for i, p in enumerate(pivots))
     out = {}
     for key, (factors, coeffs, rows) in plan.outs.items():
         prods = np.empty((b, len(factors), x), dtype=complex)
@@ -219,6 +327,9 @@ def centred_plan(plan, nodes, values):
             vals = crop_spectrum(spec, grid)
         out[key] = np.zeros((b, plan.ncomp) + vals.shape[2:], dtype=complex)
         out[key][:, rows] = vals
+        for c, sums in plan.expand[key]:
+            if sums:
+                out[key][:, c] = literal_sum([(a, vals[:, j]) for j, a in sums])
     return out
 
 
@@ -245,14 +356,17 @@ def slabbed_plan(grid, nodes, terms, slab_rows=None):
 SLAB_ROWS = st.integers(1, 4)
 
 
-def fft_order_plan_case(dim, order, windowed, seed, slab_rows):
+def fft_order_plan_case(dim, order, windowed, seed, slab_rows, make_tensor=None):
     # whole-grid keys are placed and gathered in 2^dim blocks, window keys at
     # their slots; the reused input buffers must hold no stale values, so a
-    # long chunk is followed by a short one and a long one with new values
+    # long chunk is followed by a short one and a long one with new values.
+    # ``make_tensor(rng)`` replaces the random dense tensors.
     rng = np.random.default_rng(seed)
     grid = Grid(dim, (16,) if dim == 1 else (8, 8), (2.0,) * dim)
 
     def tensor():
+        if make_tensor is not None:
+            return make_tensor(rng)
         shape = (2,) * (order + 1)
         return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.6)
 
@@ -275,6 +389,7 @@ def fft_order_plan_case(dim, order, windowed, seed, slab_rows):
         got, want = plan(values), centred_plan(plan, nodes, values)
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[key], want[key]) for key in want)
+    return plan
 
 
 @pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
@@ -294,6 +409,39 @@ def test_fft_order_plan_is_bitwise_the_centred_plan(dim, order, windowed, seed):
 def test_fft_order_plan_is_bitwise_the_centred_plan_in_slabs(dim, order, windowed, seed,
                                                               slab_rows):
     fft_order_plan_case(dim, order, windowed, seed, slab_rows)
+
+
+def signed_rank_one_tensor(rng, order=3):
+    """x A (x) W (x) ... (x) W with signs A = [1, a] and W = [1, w], x complex normal.
+
+    The plan reads U_+ + w U_- and sums one row, U_- being a U_+: the four
+    sign patterns take every copy, negation, addition and subtraction.
+    """
+    a, w = rng.choice([1, -1], size=2)
+    tensor = complex(*rng.normal(size=2)) * np.array([1, a], dtype=complex)
+    for _ in range(order):
+        tensor = np.multiply.outer(tensor, np.array([1, w]))
+    return tensor
+
+
+RANK_ONE = {"cubic_full": (3, lambda rng: ev.cubic_full(0.9).tensor),
+            "quadratic_conjugate": (2, lambda rng: ev.quadratic_conjugate(0.7).tensor),
+            "signed": (3, signed_rank_one_tensor)}
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windows"])
+@pytest.mark.parametrize("case", RANK_ONE)
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slab_rows=st.one_of(st.none(), SLAB_ROWS))
+def test_reduced_plan_is_bitwise_the_centred_plan(dim, case, windowed, seed, slab_rows):
+    # one form per key in and one summed row per key out (one tensor for
+    # every term); a window form goes through the plan's scratch array
+    order, make_tensor = RANK_ONE[case]
+    tensor = make_tensor(np.random.default_rng(seed))
+    plan = fft_order_plan_case(dim, order, windowed, seed, slab_rows, lambda rng: tensor)
+    assert all(len(w) == 1 for _, w in plan.forms.values())
+    assert all(len(rows) == 1 for _, _, rows in plan.outs.values())
 
 
 def averaging_like_layout(rng, below=4, above=4, scalar=False):
@@ -405,21 +553,31 @@ def test_plan_keeps_one_slab_of_products(layout):
 
 
 def test_plan_call_makes_one_transform_pair(monkeypatch):
-    # every key's rows go through one inverse and one forward transform
+    # every key's rows go through one inverse and one forward transform: the
+    # forms in, the summed rows out.  Dense window tensors read both
+    # components of each window as they are; the scalar windows of a scalar
+    # model keep plain component reads too, and sum one row; cubic_full on
+    # the whole grid reads one form and sums one row
     rng = np.random.default_rng(4)
-    grid, nodes, terms = averaging_like_layout(rng)
-    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    cases = [(averaging_like_layout(rng), 8, 8), (averaging_like_layout(rng, scalar=True), 8, 4),
+             ((Grid(1, (64,), (4.0,)), {"u": None}, {"u": [(ev.cubic_full(0.9).tensor, ["u"] * 3)]}),
+              1, 1)]
     calls = []
     for name in ("spectrum_to_samples", "samples_to_spectrum"):
-        def counted(*args, name=name, inner=getattr(ev, name), **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
+        def counted(values, *args, name=name, inner=getattr(ev, name), **kwargs):
+            calls.append((name, values.shape[0]))
+            return inner(values, *args, **kwargs)
 
         monkeypatch.setattr(ev, name, counted)
-    for b in (6, 3):
-        calls.clear()
-        plan(plan_values(rng, nodes, grid, b))
-        assert sorted(calls) == ["samples_to_spectrum", "spectrum_to_samples"]
+    for (grid, nodes, terms), rows_in, rows_out in cases:
+        plan = ev._ConvolutionPlan(grid, nodes, terms)
+        if rows_in > 1:
+            assert all(plain(w) for _, w in plan.forms.values())
+        for b in (6, 3):
+            calls.clear()
+            plan(plan_values(rng, nodes, grid, b))
+            assert sorted(calls) == [("samples_to_spectrum", rows_out),
+                                     ("spectrum_to_samples", rows_in)]
 
 
 @pytest.mark.parametrize("factors, multiplies", [
