@@ -317,75 +317,67 @@ def _unit_at(rows: np.ndarray, cols) -> np.ndarray:
 def _forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed forms through which ``rows`` read their columns: (pivots, w).
 
-    ``w`` is the reduced row-echelon basis of the row space (``_echelon``),
-    kept if its entries are signs and every row is bitwise the sum, form by
-    form, of its entry at the form's pivot times the form.  Otherwise the
-    forms are the unit vectors of the nonzero columns.  Rows on one column
-    give its unit form; else each row is scaled to 1 at its first nonzero
-    entry (``_unit_at``) and equal rows are eliminated once.
+    ``w`` is the reduced row-echelon basis of the row space (``_echelon`` of
+    the rows scaled to 1 at their first nonzero entry by ``_unit_at``, equal
+    ones once), kept if its entries are signs and every row is bitwise the
+    sum, form by form, of its entry at the form's pivot times the form.
+    Otherwise, and when the rows hold one column only, the forms are the
+    unit vectors of the nonzero columns.
     """
     r = rows[rows.any(axis=1)]
     cols = np.nonzero(r.any(axis=0))[0]
-    pivots, w = _echelon(r[:1] if len(cols) == 1 else
-                         np.unique(_unit_at(r, (r != 0).argmax(axis=1)), axis=0))
+    plain = cols, np.eye(rows.shape[1], dtype=complex)[cols]
+    if len(cols) < 2:
+        return plain
+    pivots, w = _echelon(np.unique(_unit_at(r, (r != 0).argmax(axis=1)), axis=0))
     total = np.zeros_like(rows)
     for p, form in zip(pivots, w):
         total = total + rows[:, p, None] * form
     if np.isin(w[w != 0], (1, -1)).all() and np.array_equal(total, rows):
         return pivots, w
-    return cols, np.eye(rows.shape[1], dtype=complex)[cols]
+    return plain
 
 
 def _argument_forms(terms: dict) -> dict:
     """Per argument key, the (pivots, w) linear forms through which the terms read it.
 
-    The forms (``_forms``) of the stacked unfoldings of every term tensor
-    along each axis that reads the key.  A form is a signed sum of
+    The forms (``_forms``) of the stacked unfoldings of every distinct term
+    tensor along each axis that reads the key.  A form is a signed sum of
     components, and each unfolding row is bitwise its pivot entries times
     the forms, so along each such axis a tensor is the tensor cut to the
     pivots (``_cut``) contracted with the forms.  Full-rank tensors read
     plain components; ``cubic_full`` and ``quadratic_conjugate`` read their
     field through one form, U_+ + U_-.
     """
-    stacks: dict = {}  # order -> ([tensors], [argument keys])
+    reads: dict = {}  # each distinct tensor -> (tensor, its (axis, key) reads)
     for key_terms in terms.values():
         for tensor, arg_ids in key_terms:
-            tensors, ids = stacks.setdefault(len(arg_ids), ([], []))
-            tensors.append(tensor)
-            ids.append(arg_ids)
+            _, pairs = reads.setdefault((tensor.shape, tensor.tobytes()), (tensor, set()))
+            pairs.update(enumerate(arg_ids, start=1))
     rows: dict = {}  # key -> the unfoldings along the axes that read it
-    for m, (tensors, ids) in stacks.items():
-        stack = np.stack(tensors)
-        c = stack.shape[1]
-        for t in range(m):
-            unfolded = np.moveaxis(stack, t + 2, -1).reshape(len(tensors), -1, c)
-            reading: dict = {}
-            for i, arg_ids in enumerate(ids):
-                reading.setdefault(arg_ids[t], []).append(i)
-            for a, i in reading.items():
-                rows.setdefault(a, []).append(unfolded[i].reshape(-1, c))
+    for tensor, pairs in reads.values():
+        for axis, a in sorted(pairs, key=lambda pair: pair[0]):
+            rows.setdefault(a, []).append(tensor.swapaxes(axis, -1).reshape(-1, len(tensor)))
     return {a: _forms(np.concatenate(blocks)) for a, blocks in rows.items()}
 
 
 def _cut(tensor: np.ndarray, arg_ids, pivots: dict) -> np.ndarray:
     """``tensor`` zeroed off ``pivots[a]`` along each axis that reads a key ``a`` of ``pivots``."""
-    tensor = tensor.copy()
+    cut = tensor
     for axis, a in enumerate(arg_ids, start=1):
         if a in pivots:
-            tensor[(slice(None),) * axis + (np.setdiff1d(np.arange(len(tensor)), pivots[a]),)] = 0
-    return tensor
+            if cut is tensor:
+                cut = tensor.copy()
+            cut[(slice(None),) * axis + (np.setdiff1d(np.arange(len(cut)), pivots[a]),)] = 0
+    return cut
 
 
 def _combine(out: np.ndarray, terms) -> np.ndarray:
     """``out`` = the signed sum of the (sign, src) ``terms``, left to right.
 
     The first term is copied or negated, the others added or subtracted
-    (``_accumulate``): exact-rounded ufuncs, whatever the layout.  No terms
-    give zero.
+    (``_accumulate``): exact-rounded ufuncs, whatever the layout.
     """
-    if not terms:
-        out.fill(0.0)
-        return out
     (a, src), rest = terms[0], terms[1:]
     if a == 1:
         np.copyto(out, src)
@@ -505,7 +497,7 @@ class _ConvolutionPlan:
             # other component is their signed sum, given by the forms' entries
             rows, w = _forms(coeffs.T)
             self.expand[key] = [(c, [(j, a) for j, a in enumerate(w[:, c]) if a != 0])
-                                for c in range(len(coeffs)) if c not in rows]
+                                for c in range(len(coeffs)) if c not in rows and w[:, c].any()]
             self.outs[key] = (factors, coeffs[rows], rows)
         self.forms = {}
         for key, piv in used.items():
@@ -618,7 +610,9 @@ class _ConvolutionPlan:
         out = {}
         for key, (_, _, rows) in self.outs.items():
             nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
-            out[key] = np.empty((b, self.ncomp) + nodes, dtype=complex)
+            # a fresh zero array is cheaper than zeroing the rows no term forms
+            full = len(rows) + len(self.expand[key]) == self.ncomp
+            out[key] = (np.empty if full else np.zeros)((b, self.ncomp) + nodes, dtype=complex)
             # each run of consecutive output components is one (rows, B, *nodes) view
             dst, block = out[key].swapaxes(0, 1), spec[self._out_rows[key]]
             for src, comps in self._runs[key]:
