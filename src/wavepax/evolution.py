@@ -29,10 +29,12 @@ from .grids import (
     ModalField,
     crop_spectrum,
     fft_blocks,
+    grid_mirror,
     l1_norm,
     l1_norm_values,
     pad_spectrum,
     pointwise_modulus,
+    r_cell,
     require_same_grid,
     samples_to_spectrum,
     spectrum_to_samples,
@@ -393,6 +395,13 @@ def _accumulate(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
+def _runs(positions: np.ndarray) -> list:
+    """The runs of consecutive ``positions``: (slice of their indices, slice of the positions)."""
+    cuts = np.nonzero(np.diff(positions) != 1)[0] + 1
+    return [(slice(i[0], i[-1] + 1), slice(positions[i[0]], positions[i[-1]] + 1))
+            for i in np.split(np.arange(len(positions)), cuts)]
+
+
 class _ConvolutionPlan:
     """m-fold convolutions of spectra given on sets of grid nodes.
 
@@ -441,7 +450,8 @@ class _ConvolutionPlan:
     distinct factor list (output keys with the same list share it), and each
     output key's sums are one flat (rows, G) x (G, slab X) ``matmul`` over
     the slab's spent argument rows.  Each key's gather or crop then writes
-    straight into its result, and the derived components follow.  The
+    straight into its result, where only its kept nodes are scaled by
+    ``r_cell``, and the derived components follow.  The
     buffer is kept across calls, sized to the largest batch seen, and the
     products arrays, sized to one slab: fresh arrays would be mapped and
     page-faulted anew on every call.  One buffer rather than an input buffer
@@ -449,7 +459,9 @@ class _ConvolutionPlan:
     kept array stays resident while the caller's own arrays peak and raised
     the solver's peak memory.  A window form of several components is
     combined in one more kept array, then scattered.  Nothing a call
-    returns views any of them.
+    returns views any of them.  ``_ConjugatePlan`` is this plan on the +
+    components of conjugation-symmetric spectra, with real transforms
+    where its forms are real in r-space.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict):
@@ -528,12 +540,11 @@ class _ConvolutionPlan:
         self._list_of = {key: self._lists.index(tuple(f)) for key, (f, _, _) in self.outs.items()}
         self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
                                          for factors in self._lists])
-        # per output key, the runs of consecutive components: (block rows, components)
-        self._runs = {}
-        for key, (_, _, rows) in self.outs.items():
-            cuts = np.nonzero(np.diff(rows) != 1)[0] + 1
-            self._runs[key] = [(slice(i[0], i[-1] + 1), slice(rows[i[0]], rows[i[-1]] + 1))
-                               for i in np.split(np.arange(len(rows)), cuts)]
+        # per output key, the runs of consecutive components: (block rows, components);
+        # a result holds ``_width`` component rows, component c at ``_at[c]``
+        self._runs = {key: _runs(rows) for key, (_, _, rows) in self.outs.items()}
+        self._width = self.ncomp if self.outs else 0
+        self._at = np.arange(self._width)
         # batch rows per slab: its argument, sum and product rows fit in _SLAB_BYTES
         per_row = (self._n_in + self._n_out + sum(map(len, self._lists))) * math.prod(size) * 16
         self._slab = max(1, _SLAB_BYTES // max(per_row, 1))
@@ -553,16 +564,9 @@ class _ConvolutionPlan:
         if not self.outs:
             return {}
         tg = self.tgrid
-        x = math.prod(tg.shape)
         b = next(iter(values.values())).shape[0]
-        n_in, n_out = self._n_in, self._n_out
-        size = max(n_in, n_out) * b * x
-        if self._buffer is None or self._buffer.size < size:
-            self._buffer = np.empty(size, dtype=complex)
-            self._products = [np.empty((len(factors), min(self._slab, b), x), dtype=complex)
-                              for factors in self._lists]
-        buf = self._buffer[:size].reshape(-1, b, x)
-        inputs = buf[:n_in]
+        buf = self._stack(b)
+        inputs = buf[:self._n_in]
         inputs.fill(0.0)
         for key, comps in self.comps.items():
             v = values[key]
@@ -574,10 +578,7 @@ class _ConvolutionPlan:
                 if key in self.slots:
                     if len(terms) > 1:
                         # combined in a kept scratch array, then scattered
-                        n = v[:, 0].size
-                        if self._spare.size < n:
-                            self._spare = np.empty(n, dtype=complex)
-                        terms = [(1, _combine(self._spare[:n].reshape(v[:, 0].shape), terms))]
+                        terms = [(1, _combine(self._scratch(v[:, 0].shape), terms))]
                     row[..., self.slots[key]] = terms[0][1]
                 else:
                     # the pivot is padded, the other terms added or subtracted
@@ -587,8 +588,34 @@ class _ConvolutionPlan:
                     for nodes, slots in fft_blocks(self.grid.n, tg.shape):
                         _accumulate(padded[(..., *slots)],
                                     [(a, t[(..., *nodes)]) for a, t in terms[1:]])
-        r = inputs.reshape((n_in, b) + tg.shape)
+        r = inputs.reshape((self._n_in, b) + tg.shape)
         spectrum_to_samples(r, tg, centred=False, out=r)
+        self._sums(buf, b)
+        return self._gather(buf, b)
+
+    def _stack(self, b: int) -> np.ndarray:
+        """The kept (rows, B, X) buffer for a batch of ``b``, and products arrays to match."""
+        x = math.prod(self.tgrid.shape)
+        size = max(self._n_in, self._n_out) * b * x
+        if self._buffer is None or self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=complex)
+            self._products = [np.empty((len(factors), min(self._slab, b), x), dtype=complex)
+                              for factors in self._lists]
+        return self._buffer[:size].reshape(-1, b, x)
+
+    def _scratch(self, shape) -> np.ndarray:
+        """A kept scratch array of ``shape``, for a form combined before it is placed."""
+        n = math.prod(shape)
+        if self._spare.size < n:
+            self._spare = np.empty(n, dtype=complex)
+        return self._spare[:n].reshape(shape)
+
+    def _sums(self, buf: np.ndarray, b: int) -> None:
+        """Per slab, the products of the r-space argument rows of ``buf`` and their sums.
+
+        Each output key's coefficient sums go into its rows of the output
+        stack, over the slab's spent argument rows.
+        """
         for s in range(0, b, self._slab):
             e = min(s + self._slab, b)
             prods = [p[:, :e - s] for p in self._products]
@@ -605,23 +632,206 @@ class _ConvolutionPlan:
                 assert np.may_share_memory(sums, buf)  # a reshape copy would drop the sums
                 p = prods[self._list_of[key]]
                 np.matmul(coeffs, p.reshape(len(p), -1), out=sums)
-        spec = buf[:n_out].reshape((n_out, b) + tg.shape)
+
+    def _gather(self, buf: np.ndarray, b: int) -> dict:
+        """Each output key's values from the summed rows of ``buf``.
+
+        The rows are forward-transformed in place; each key's gather or crop
+        writes straight into its result and only those nodes are scaled.
+        The derived components follow.
+        """
+        tg = self.tgrid
+        x = math.prod(tg.shape)
+        spec = buf[:self._n_out].reshape((self._n_out, b) + tg.shape)
         samples_to_spectrum(spec, tg, centred=False, out=spec)
+        scale = r_cell(tg)
         out = {}
         for key, (_, _, rows) in self.outs.items():
             nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
             # a fresh zero array is cheaper than zeroing the rows no term forms
-            full = len(rows) + len(self.expand[key]) == self.ncomp
-            out[key] = (np.empty if full else np.zeros)((b, self.ncomp) + nodes, dtype=complex)
+            full = len(rows) + len(self.expand[key]) == self._width
+            out[key] = (np.empty if full else np.zeros)((b, self._width) + nodes, dtype=complex)
             # each run of consecutive output components is one (rows, B, *nodes) view
             dst, block = out[key].swapaxes(0, 1), spec[self._out_rows[key]]
             for src, comps in self._runs[key]:
+                part = dst[comps]
                 if key in self.slots:
-                    dst[comps] = block[src].reshape(-1, b, x)[..., self.slots[key]]
+                    part[...] = block[src].reshape(-1, b, x)[..., self.slots[key]]
                 else:
-                    crop_spectrum(block[src], self.grid, centred=False, out=dst[comps])
+                    crop_spectrum(block[src], self.grid, centred=False, out=part)
+                part *= scale
+            at = self._at
             for c, sums in self.expand[key]:
-                _combine(dst[c], [(a, dst[rows[j]]) for j, a in sums])
+                _combine(dst[at[c]], [(a, dst[at[rows[j]]]) for j, a in sums])
+        return out
+
+
+class _ConjugatePlan(_ConvolutionPlan):
+    """Whole-grid convolutions of conjugation-symmetric spectra, on their + components.
+
+    Components 2n and 2n+1 hold the + and - member of band pair n.  With
+    spectra U_-(k) = conj U_+(-k), zero where -k is off the grid (``lone``
+    nodes of ``grid_mirror``), and tensors with T[i'; a', b', ...] =
+    conj T[i; a, b, ...] under + <-> -, every - output is the conjugate
+    mirror of its + partner.  So the terms are cut to their + output rows,
+    and a call takes and returns (B, J, *shape) + components only; lone
+    output nodes are 0.  The plan is the ``_ConvolutionPlan`` of the cut
+    terms on one key "u", with its - components read as conjugate mirrors
+    of the + ones.  In r-space u_- = conj u_+, so a form whose conjugate
+    (weights conj w[i'] at i) is another form is that form's row
+    conjugated, and one inverse transform serves both (``cubic_conjugate``
+    reads U_+ and U_-: one transform).  When every form is its own
+    conjugate (``real``: U_+ + U_- of ``cubic_full`` and
+    ``quadratic_conjugate``) its samples are real: the half spectrum of
+    each form goes through a real inverse transform, the products are real,
+    and their real forward transforms are cropped, the nodes of negative
+    last wavenumber read as conjugates of their mirrors, before the
+    coefficients are applied on the grid nodes.
+    """
+
+    def __init__(self, grid: Grid, terms: list):
+        cut = []
+        for tensor, arg_ids in terms:
+            plus = tensor.copy()
+            plus[1::2] = 0
+            cut.append((plus, arg_ids))
+        super().__init__(grid, {"u": None}, {"u": cut})
+        self.real = False
+        if not self.outs:
+            return
+        c = self.ncomp
+        _, _, rows = self.outs["u"]
+        self._width, self._at = c // 2, np.arange(c) // 2
+        self._runs = {"u": _runs(rows // 2)}
+        pivots, w = self.forms["u"]
+        # each form's components and weights, and the weights of its conjugate
+        self._terms = [[(self.comps["u"][i], a) for i, a in reads] for reads in self._reads["u"]]
+        conj = w[:, np.arange(c) ^ 1].conj()
+        self.real = np.array_equal(conj, w)
+        if self.real:
+            # the blocks of fft_blocks on the non-negative last wavenumbers, less
+            # the last axis; the kept half spectra and real rows
+            self._blocks = [(nodes[:-1], slots[:-1])
+                            for nodes, slots in fft_blocks(grid.n, self.tgrid.shape)
+                            if slots[-1].start == 0]
+            self._half = np.empty(0, dtype=complex)
+            self._real_rows = np.empty(0)
+            return
+        # rows: the forms transformed first, then those read as an earlier row's conjugate
+        source = [next((g for g in range(f) if np.array_equal(w[g], conj[f])), None)
+                  for f in range(len(w))]
+        order = ([f for f in range(len(w)) if source[f] is None]
+                 + [f for f in range(len(w)) if source[f] is not None])
+        row = {("u", int(pivots[f])): r for r, f in enumerate(order)}
+        self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
+                                         for factors in self._lists])
+        self._transformed = [self._terms[f] for f in order if source[f] is None]
+        self._conjugated = [(r, order.index(source[f])) for r, f in enumerate(order)
+                            if source[f] is not None]
+
+    def __call__(self, values: dict) -> dict:
+        """Convolutions of the (B, J, *shape) + spectra ``values["u"]``, as {"u": (B, J, *shape)}."""
+        if not self.outs:
+            return {}
+        v = values["u"]
+        shape = v.shape
+        v = v.reshape(shape[:2] + self.grid.shape)
+        out = self._real_call(v) if self.real else self._complex_call(v)
+        for axis in range(self.grid.dim):  # the lone nodes: 0 on some axis
+            out[(..., 0) + (slice(None),) * (self.grid.dim - 1 - axis)] = 0.0
+        return {"u": out.reshape(shape)}
+
+    def _mirror(self, x: np.ndarray, last: bool = True) -> np.ndarray:
+        """``x`` on the grid's (trailing) axes taken at -k on each, or on each but the last.
+
+        Axis node j goes to (n - j) mod n: a lone node's value comes from a
+        lone node.  Without ``last``, a 1-d ``x`` is returned as it is.
+        """
+        for a, n in enumerate(self.grid.n if last else self.grid.n[:-1]):
+            x = np.take(x, -np.arange(n) % n, axis=x.ndim - self.grid.dim + a)
+        return x
+
+    def _complex_call(self, v: np.ndarray) -> np.ndarray:
+        tg = self.tgrid
+        b = v.shape[0]
+        buf = self._stack(b)
+        n = len(self._transformed)
+        spectra = buf[:n]
+        spectra.fill(0.0)
+        for row, terms in zip(spectra, self._transformed):
+            parts = [(a, v[:, i // 2] if i % 2 == 0 else np.conj(self._mirror(v[:, i // 2])))
+                     for i, a in terms]
+            form = parts[0][1] if len(parts) == 1 else _combine(self._scratch(v[:, 0].shape),
+                                                                 parts)
+            pad_spectrum(form, self.grid, tg.shape, centred=False,
+                         out=row.reshape((b,) + tg.shape))
+        r = spectra.reshape((n, b) + tg.shape)
+        spectrum_to_samples(r, tg, centred=False, out=r)
+        for dst, src in self._conjugated:
+            np.conjugate(buf[src], out=buf[dst])
+        self._sums(buf, b)
+        return self._gather(buf, b)["u"]
+
+    def _real_call(self, v: np.ndarray) -> np.ndarray:
+        grid, tg = self.grid, self.tgrid
+        b, (n_last, p_last) = v.shape[0], (grid.n[-1], tg.shape[-1])
+        h = n_last // 2
+        half_shape = tg.shape[:-1] + (p_last // 2 + 1,)
+        factors, coeffs, rows = self.outs["u"]
+        n_in, g = self._n_in, len(factors)
+        size = max(n_in, g) * b * math.prod(half_shape)
+        if self._half.size < size:
+            self._half = np.empty(size, dtype=complex)
+            self._real_rows = np.empty((n_in + g) * b * math.prod(tg.shape))
+        half = self._half[:size].reshape((-1, b) + half_shape)
+        samples = self._real_rows[:(n_in + g) * b * math.prod(tg.shape)].reshape(
+            (n_in + g, b) + tg.shape)
+        spectra = half[:n_in]
+        spectra.fill(0.0)
+        for row, terms in zip(spectra, self._terms):
+            # the form is A + conj A(-k), A its + part; on the non-negative last
+            # wavenumbers (nodes h..n-1 of the last axis) in the half spectrum
+            parts = [(a, v[:, i // 2]) for i, a in terms if i % 2 == 0]
+            plus = parts[0][1] if len(parts) == 1 else _combine(self._scratch(v[:, 0].shape),
+                                                                parts)
+            mirrored = self._mirror(plus[..., h:0:-1], last=False)
+            for nodes, slots in self._blocks:
+                dst = row[(..., *slots, slice(0, h))]
+                np.conjugate(mirrored[(..., *nodes, slice(None))], out=dst)
+                dst += plus[(..., *nodes, slice(h, None))]
+        spectrum_to_samples(spectra, tg, centred=False, out=samples[:n_in], real=True)
+        prods = samples[n_in:]
+        for s in range(0, b, self._slab):
+            e = min(s + self._slab, b)
+            for left, right, (_, k) in self._steps:
+                src = samples[left, s:e] if isinstance(left, int) else prods[left[1], s:e]
+                if right is None:
+                    np.copyto(prods[k, s:e], src)
+                else:
+                    np.multiply(src, samples[right, s:e], out=prods[k, s:e])
+        spec = half[:g]
+        samples_to_spectrum(prods, tg, centred=False, out=spec)
+        # each product on the grid: the non-negative last wavenumbers from the
+        # half spectrum, the others the conjugates of their mirrors; the
+        # coefficients carry the transform's scale.  One product of the one +
+        # component is gathered straight into the result
+        single = g == 1 and self._width == 1
+        out = np.empty((b, self._width) + grid.shape, dtype=complex)
+        crop = out.swapaxes(0, 1) if single else np.empty((g, b) + grid.shape, dtype=complex)
+        for nodes, slots in self._blocks:
+            crop[(..., *nodes, slice(h, None))] = spec[(..., *slots, slice(0, h))]
+        np.conjugate(self._mirror(crop[..., n_last - 1:h:-1], last=False), out=crop[..., 1:h])
+        crop[..., 0] = 0.0
+        scaled = coeffs * r_cell(tg)
+        if single:
+            out *= scaled[0, 0]
+            return out
+        sums = np.matmul(scaled, crop.reshape(g, -1)).reshape((len(rows), b) + grid.shape)
+        dst = out.swapaxes(0, 1)
+        dst[...] = 0.0
+        dst[rows // 2] = sums
+        for c, terms in self.expand["u"]:
+            _combine(dst[c // 2], [(a, dst[rows[j] // 2]) for j, a in terms])
         return out
 
 
@@ -748,31 +958,44 @@ class PropagatorTables:
     The map turns each eigencomponent by a unit phase.  ``phases`` and
     ``chunk_phases`` give those factors, ``apply`` rotates by them, and
     every map back passes their conjugate, which is bitwise e^{+i tau L/rho}.
+    With ``comps`` (a scalar symbol only) the tables hold those component
+    rows alone, for values given on them.
     """
 
-    def __init__(self, model: dsp.DispersionModel, grid: Grid, rho: float):
+    def __init__(self, model: dsp.DispersionModel, grid: Grid, rho: float, comps=None):
         self.rho = rho
         omega, basis, _ = dsp.eigensystem_tables(model, grid)
         c, x = omega.shape[0], int(np.prod(grid.shape))
         self.omega_flat = omega.reshape(c, x)  # (C, X) in component layout
         self.basis_flat = None if basis is None else basis.reshape(x, c, c)
+        if comps is not None:
+            assert basis is None, "component rows of a matrix symbol do not rotate alone"
+            self.omega_flat = self.omega_flat[comps]
         self._step_table = None  # (h, e^{-i j h L/rho} for j < chunk length)
+        self._chunk = None  # ((t0, h, b), the chunk's phases, their conjugate)
 
-    def chunk_phases(self, t0: float, h: float, b: int) -> np.ndarray:
+    def chunk_phases(self, t0: float, h: float, b: int, back: bool = False) -> np.ndarray:
         """e^{-i (t0 + j h) L/rho} for j < b on the whole grid, shape (b, C, X).
 
         Factored as e^{-i t0 L/rho} times a table of e^{-i j h L/rho} that is
         cached for the mesh step ``h``, so a solve evaluates one (B, C, X)
         exponential instead of two per chunk.  Callers pass ``h`` itself:
         ``taus[1] - taus[0]`` differs in its last bits from chunk to chunk.
+        With ``back`` it returns the conjugate factors, those of the map
+        back.  The last chunk's factors and their conjugate are kept, so the
+        Picard levels of one chunk form them once; callers must not write
+        to either.
         """
-        if (self._step_table is None or self._step_table[0] != h
-                or self._step_table[1].shape[0] < b):
-            j = np.arange(b)
-            table = np.exp((-1j * h / self.rho) * j[:, None, None] * self.omega_flat[None])
-            self._step_table = (h, table)
-        start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
-        return self._step_table[1][:b] * start
+        if self._chunk is None or self._chunk[0] != (t0, h, b):
+            if (self._step_table is None or self._step_table[0] != h
+                    or self._step_table[1].shape[0] < b):
+                j = np.arange(b)
+                table = np.exp((-1j * h / self.rho) * j[:, None, None] * self.omega_flat[None])
+                self._step_table = (h, table)
+            start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
+            phases = self._step_table[1][:b] * start
+            self._chunk = ((t0, h, b), phases, np.conj(phases))
+        return self._chunk[2 if back else 1]
 
     def phases(self, taus: np.ndarray, nodes: np.ndarray | None = None,
                comps=None) -> np.ndarray:
@@ -866,9 +1089,14 @@ def time_mesh(problem: EvolutionProblem, config: SolverConfig) -> tuple[float, i
     return problem.tau_star / n, n
 
 
-def _problem_plan(problem: EvolutionProblem) -> _ConvolutionPlan:
-    """The problem's tensor terms on one key "u" covering the whole grid."""
+def _problem_plan(problem: EvolutionProblem, conjugate: bool = False) -> _ConvolutionPlan:
+    """The problem's tensor terms on one key "u" covering the whole grid.
+
+    With ``conjugate`` the ``_ConjugatePlan`` of a conjugation-symmetric problem.
+    """
     terms = [(s.tensor, ["u"] * s.order) for s in problem.nonlinearity if s.tensor is not None]
+    if conjugate:
+        return _ConjugatePlan(problem.grid, terms)
     return _ConvolutionPlan(problem.grid, {"u": None}, {"u": terms})
 
 
@@ -878,17 +1106,17 @@ def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
     """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) for a chunk of times.
 
     ``taus`` must be ``taus[0] + h * arange(B)``; ``plan`` comes from
-    ``_problem_plan``.
+    ``_problem_plan``, on the components ``tables`` holds.
     """
-    phases = tables.chunk_phases(taus[0], h, values.shape[0])
-    fast = tables.apply(values, phases)
+    b = values.shape[0]
+    fast = tables.apply(values, tables.chunk_phases(taus[0], h, b))
     out = plan({"u": fast})["u"] if mode == "fft" and plan.outs else np.zeros_like(values)
     for susc in problem.nonlinearity:
         if mode == "direct-oracle" or susc.callback is not None:
-            for b in range(values.shape[0]):
-                out[b] += _chi_direct([fast[b]] * susc.order, susc, problem.grid)
+            for i in range(b):
+                out[i] += _chi_direct([fast[i]] * susc.order, susc, problem.grid)
     # nothing else holds the plan's fresh result, so it is mapped back in place
-    return tables.apply(out, np.conj(phases, out=phases), out=out)
+    return tables.apply(out, tables.chunk_phases(taus[0], h, b, back=True), out=out)
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,
@@ -911,13 +1139,19 @@ def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_pr
     return acc
 
 
-def _node_l1(values: np.ndarray, cell: float, segments=(slice(None),)) -> np.ndarray:
+def _node_l1(values: np.ndarray, cell: float, segments=(slice(None),),
+             mirror: np.ndarray | None = None) -> np.ndarray:
     """L1 norms (as ``l1_norm_values``) of (B, C, nodes) values on each segment of the node axis.
 
     Returns (B, K) for the K slices ``segments`` (by default the whole
-    axis); a segment's sum takes the pairwise order of its own nodes.
+    axis); a segment's sum takes the pairwise order of its own nodes.  With
+    the flat grid reflection ``mirror`` (``grids.grid_mirror``) the values
+    are the + components of conjugation-symmetric states on the flat grid,
+    and each node's modulus is that of the expanded state
+    (``pointwise_modulus`` with ``mirror``): bitwise its norm, not twice the
+    + half's.
     """
-    mod = pointwise_modulus(values.swapaxes(0, 1))
+    mod = pointwise_modulus(values.swapaxes(0, 1), mirror)
     return np.stack([mod[:, seg].sum(axis=1) for seg in segments], axis=1) * cell
 
 
@@ -930,8 +1164,9 @@ class _Level:
     only that chunk of the iterate it integrates, plus these sums.
     """
 
-    def __init__(self, segments):
+    def __init__(self, segments, mirror=None):
         self.segments = segments
+        self.mirror = mirror
         self.integral = 0.0
         self.g_prev = None
         self.sup = np.zeros(len(segments))
@@ -956,7 +1191,8 @@ class _Level:
         new = np.empty(g.shape, dtype=complex)
         self.integral = _trapezoid_chunk(new, h0, self.integral, self.g_prev, g, h)
         self.g_prev = g[-1].copy()
-        d = _node_l1(new - chunk if measure_change else new, cell, self.segments).max(axis=0)
+        d = _node_l1(new - chunk if measure_change else new, cell, self.segments,
+                     self.mirror).max(axis=0)
         bad = np.flatnonzero(~np.isfinite(d))
         d = d[:bad[0] + 1] if bad.size else d
         sup = self.sup[:d.size]
@@ -1020,7 +1256,7 @@ def _picard_verdict(distances: list, config: SolverConfig) -> bool:
 
 
 def _picard_wavefront(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int, rows: np.ndarray, segments):
+                      config: SolverConfig, chunk: int, rows: np.ndarray, segments, mirror):
     """Picard levels 1..L computed chunk by chunk in one sweep over the mesh.
 
     Level k on a chunk reads only level k-1 on that chunk and level k's
@@ -1065,7 +1301,7 @@ def _picard_wavefront(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
                     if j > 0 and not every:  # the earlier chunks lack level k's sums
                         least, restart = k, True
                         break
-                    levels.append(_Level(segments))
+                    levels.append(_Level(segments, mirror))
                     if j > 0:  # bring the earlier chunks from level k-1 to k
                         _trapezoid_pass(rhs_chunk, out[:i0], h0, h, chunk, cell, True, levels[-1])
                         final = k
@@ -1101,8 +1337,8 @@ def _picard_wavefront(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
 
 
 def _picard_trapezoid(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
-                      config: SolverConfig, chunk: int, keep=None,
-                      segments=(slice(None),)) -> tuple[np.ndarray, int, list]:
+                      config: SolverConfig, chunk: int, keep=None, segments=(slice(None),),
+                      mirror=None) -> tuple[np.ndarray, int, list]:
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
     The iterate is one (n+1, C, nodes) array that starts at the (C, nodes)
@@ -1111,7 +1347,9 @@ def _picard_trapezoid(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
     composite-trapezoid pass over the n+1 nodes in chunks of ``chunk``; its
     distance is the largest node L1 norm of the change over all chunks,
     each taken on the slices ``segments`` of the node axis (the whole axis
-    by default), and iteration stops at the first distance at or below
+    by default; with ``mirror``, of the conjugation-symmetric states whose
+    + components the iterate holds, as ``_node_l1`` takes them), and
+    iteration stops at the first distance at or below
     ``config.picard_tol``, under the guard of ``_picard_verdict``.
     ``_picard_wavefront`` computes the iterations and holds only the rows
     ``keep`` of the last (every row when None).  Where it cannot decide,
@@ -1125,13 +1363,13 @@ def _picard_trapezoid(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
     rows = np.arange(n + 1) if keep is None else np.asarray(keep)
     if rhs_chunk is None:
         return np.broadcast_to(h0, (rows.size,) + h0.shape).copy(), 0, []
-    solved = _picard_wavefront(rhs_chunk, h0, n, h, cell, config, chunk, rows, segments)
+    solved = _picard_wavefront(rhs_chunk, h0, n, h, cell, config, chunk, rows, segments, mirror)
     if solved is not None:
         return solved
     state = np.broadcast_to(h0, (n + 1,) + h0.shape).copy()
     distances: list[float] = []
     while True:
-        level = _Level(segments)
+        level = _Level(segments, mirror)
         _trapezoid_pass(rhs_chunk, state, h0, h, chunk, cell, True, level)
         distances.append(level.distance)
         if _picard_verdict(distances, config):
@@ -1145,25 +1383,80 @@ def _kept_samples(n: int, record_stride: int | None) -> list:
     return sorted(set(range(0, n + 1, stride)) | {n})
 
 
+def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.ndarray | None:
+    """The flat grid reflection of ``grid_mirror`` if ``problem`` is conjugation-symmetric, else None.
+
+    Exact tests, with no tolerance, that every Picard iterate keeps
+    U_-(k) = conj U_+(-k) in each band pair (components 2n, 2n+1), so that
+    its + components determine it: FFT convolutions of tensors only, each
+    with T[i'; a', b', ...] = conj T[i; a, b, ...] under + <-> -; a scalar
+    symbol with omega_{n,-}[j] = -omega_{n,+}[-j] bitwise at every node j
+    that has a mirror -j on the grid; data with U_-[-j] = conj U_+[j]
+    bitwise there and 0 at every node without a mirror.
+    """
+    model, grid = problem.model, problem.grid
+    if (config.convolution_mode != "fft" or model.kind != "scalar-band"
+            or not problem.nonlinearity or any(s.tensor is None for s in problem.nonlinearity)):
+        return None
+    swap = np.arange(model.ncomp) ^ 1
+    if not all(np.array_equal(s.tensor[np.ix_(*[swap] * s.tensor.ndim)], s.tensor.conj())
+               for s in problem.nonlinearity):
+        return None
+    mirror, lone = grid_mirror(grid)
+    omega = dsp.eigensystem_tables(model, grid)[0].reshape(model.ncomp, -1)
+    u = problem.initial.values.reshape(model.ncomp, -1)
+    paired = ~lone
+    if (np.array_equal(omega[swap][:, mirror[paired]], -omega[:, paired])
+            and np.array_equal(u[swap][:, mirror[paired]], u[:, paired].conj())
+            and not u[:, lone].any()):
+        return mirror
+    return None
+
+
 def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = None) -> Trajectory:
-    """Picard solution of the integrated slow-frame equation."""
+    """Picard solution of the integrated slow-frame equation.
+
+    A conjugation-symmetric problem (``_conjugate_mirror``) is solved on its
+    + components: phases, convolutions (``_ConjugatePlan``), trapezoid sums
+    and distances run on half the state, and each kept row is expanded with
+    U_-(k) = conj U_+(-k) at the end.  Its nodes without a mirror on the
+    grid (k = -k_max on some axis) stay 0, where a full-state solve takes
+    rounding-level values from the products' spectra (at most about 3e-17
+    on a 2048-node cubic solve): the symmetry is kept exactly instead.
+    Every other problem, and ``direct-oracle``, is solved on the full state.
+    """
     config = config or SolverConfig()
+    return _solve_integrated(problem, config, _conjugate_mirror(problem, config))
+
+
+def _solve_integrated(problem: EvolutionProblem, config: SolverConfig,
+                      mirror: np.ndarray | None) -> Trajectory:
+    """``solve_integrated`` on the + components with the reflection ``mirror``, or on the full state."""
     h, n = time_mesh(problem, config)
-    tables = PropagatorTables(problem.model, problem.grid, problem.rho)
-    plan = _problem_plan(problem)
     shape = problem.initial.values.shape
+    h0 = problem.initial.values.reshape(shape[0], -1)
+    comps = None if mirror is None else slice(0, shape[0], 2)
+    tables = PropagatorTables(problem.model, problem.grid, problem.rho, comps)
+    plan = _problem_plan(problem, conjugate=mirror is not None)
 
     def rhs_chunk(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        g = _slow_rhs_chunk(values.reshape(values.shape[:1] + shape), taus, h, problem, tables,
-                            plan, config.convolution_mode)
+        g = _slow_rhs_chunk(values.reshape(values.shape[:2] + shape[1:]), taus, h, problem,
+                            tables, plan, config.convolution_mode)
         return g.reshape(values.shape)
 
     keep = _kept_samples(n, config.record_stride)
     rows, iterations, distances = _picard_trapezoid(
         rhs_chunk if problem.nonlinearity else None,
-        problem.initial.values.reshape(shape[0], -1),
-        n, h, problem.grid.cell, config, DEFAULT_CHUNK, keep,
+        h0 if comps is None else h0[comps],
+        n, h, problem.grid.cell, config, DEFAULT_CHUNK, keep, mirror=mirror,
     )
+    if mirror is not None:
+        # row by row, so the expansion holds no state-sized temporary
+        full = np.empty((len(keep),) + h0.shape, dtype=complex)
+        full[:, comps] = rows
+        for plus, minus in zip(rows, full[:, 1::2]):
+            np.conjugate(np.take(plus, mirror, axis=-1, out=minus, mode="wrap"), out=minus)
+        rows = full
     u = rows.reshape((len(keep),) + shape)
     fields = [ModalField(problem.grid, values, frame="slow") for values in u]
     return Trajectory(

@@ -156,14 +156,20 @@ def require_same_grid(*fields: ModalField) -> Grid:
 # weights dk^d and dr^d so that forward(inverse(x)) == x exactly.
 
 def spectrum_to_samples(values: np.ndarray, grid: Grid, centred: bool = True,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None, real: bool = False) -> np.ndarray:
     """Inverse transform of k-samples (``np.fft`` order if not ``centred``) to r-samples.
 
-    The samples are written to ``out`` if given.
+    With ``real`` the values are the half spectrum of real samples in
+    ``np.fft.rfftn`` layout (``np.fft`` order, last axis cut to its P/2 + 1
+    non-negative slots) and the samples are real.  The samples are written
+    to ``out`` if given.
     """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    out = np.fft.ifftn(np.fft.ifftshift(values, axes=axes) if centred else values, axes=axes,
-                       out=out)
+    if real:
+        out = np.fft.irfftn(values, s=grid.shape, axes=axes, out=out)
+    else:
+        out = np.fft.ifftn(np.fft.ifftshift(values, axes=axes) if centred else values,
+                           axes=axes, out=out)
     out *= 1.0 / np.prod(grid.dr)
     return out
 
@@ -172,14 +178,25 @@ def samples_to_spectrum(values: np.ndarray, grid: Grid, centred: bool = True,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Forward transform of r-samples to k-samples (``np.fft`` order if not ``centred``).
 
-    The unshifted transform is written to ``out`` if given (it may be ``values``).
+    Centred, the spectrum is shifted and scaled.  Otherwise it is the raw
+    transform, written to ``out`` if given (it may be complex ``values``),
+    and the caller multiplies the slots it keeps by ``r_cell(grid)``: a real
+    factor, so scaling after a gather is bitwise scaling before it.  Real
+    ``values`` then give their half spectrum in ``np.fft.rfftn`` layout.
     """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    if not centred and np.isrealobj(values):
+        return np.fft.rfftn(values, axes=axes, out=out)
     out = np.fft.fftn(values, axes=axes, out=out)
     if centred:
         out = np.fft.fftshift(out, axes=axes)
-    out *= np.prod(grid.dr)
+        out *= r_cell(grid)
     return out
+
+
+def r_cell(grid: Grid):
+    """Quadrature weight dr^d of the r-grid: the scale of a forward transform."""
+    return np.prod(grid.dr)
 
 
 def to_r_space(f: ModalField) -> np.ndarray:
@@ -236,11 +253,38 @@ def fft_blocks(n, shape) -> list:
     return [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
 
 
+def grid_mirror(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of the node at -k for every flat node, and the nodes without one.
+
+    Axis node j sits at centred index j - n/2, so its mirror is node
+    (n - j) mod n.  A node at k = -k_max on some axis has no mirror on the
+    grid: it is flagged in the boolean ``lone`` and maps to a lone node.
+    Returns (mirror, lone).
+    """
+    idx = np.indices(grid.shape).reshape(grid.dim, -1)
+    n = np.array(grid.n)[:, None]
+    return np.ravel_multi_index(tuple((n - idx) % n), grid.shape), (idx == 0).any(axis=0)
+
+
 # -- norms ------------------------------------------------------------------
 
-def pointwise_modulus(values: np.ndarray) -> np.ndarray:
-    """Euclidean modulus over the leading component axis."""
-    return np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=0))
+def pointwise_modulus(values: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean modulus over the leading component axis.
+
+    With the flat ``mirror`` of ``grid_mirror`` the values hold the +
+    component of each conjugate pair of a state with U_-(k) = conj U_+(-k)
+    (and 0 at lone nodes), the last axis being the flat grid: each component
+    is followed by its partner, whose square at a node is the + square at the
+    mirror node, added in the same order as on the expanded state.
+    """
+    squares = values.real ** 2 + values.imag ** 2
+    if mirror is None:
+        return np.sqrt(squares.sum(axis=0))
+    total = None
+    for sq in squares:
+        for part in (sq, np.take(sq, mirror, axis=-1)):
+            total = part if total is None else total + part
+    return np.sqrt(total)
 
 
 def l1_norm(f: ModalField, a: float = 0.0) -> float:
@@ -272,6 +316,8 @@ __all__ = [
     "pad_spectrum",
     "crop_spectrum",
     "fft_blocks",
+    "grid_mirror",
+    "r_cell",
     "pointwise_modulus",
     "l1_norm",
     "l1_norm_values",

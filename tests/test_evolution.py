@@ -22,6 +22,7 @@ from wavepax.grids import (
     ModalField,
     crop_spectrum,
     from_r_space,
+    grid_mirror,
     l1_norm,
     l1_norm_values,
     linf_r_norm,
@@ -1429,3 +1430,176 @@ def test_trajectory_records_endpoints(nls_model, grid256):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.3)
     assert np.abs(traj.fields[0].values - h.values).max() == 0.0
+
+
+# -- the conjugate-pair reduction ---------------------------------------------------------
+
+def symmetric_values(rng, grid, c, b=None, radius=None):
+    """Random (b, c, X) (or (c, X)) values with U_-[-j] = conj U_+[j] and 0 at lone nodes.
+
+    With ``radius`` the + components vanish beyond that many nodes from k = 0.
+    """
+    mirror, lone = grid_mirror(grid)
+    lead = (c // 2,) if b is None else (b, c // 2)
+    plus = rng.normal(size=lead + (mirror.size,)) + 1j * rng.normal(size=lead + (mirror.size,))
+    if radius is not None:
+        centred = np.indices(grid.shape).reshape(grid.dim, -1) - np.array(grid.n)[:, None] // 2
+        plus *= np.sqrt((centred ** 2).sum(axis=0)) <= radius
+    plus[..., lone] = 0
+    values = np.empty(lead[:-1] + (c, mirror.size), dtype=complex)
+    values[..., 0::2, :] = plus
+    values[..., 1::2, :] = np.conj(plus[..., mirror])
+    return values
+
+
+def symmetric_tensor(rng, order, c):
+    """A random tensor with T[i'; a', b', ...] = conj T[i; a, b, ...] (' swaps 2n and 2n+1)."""
+    shape = (c,) * (order + 1)
+    t = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.5)
+    t /= max(np.abs(t).sum() / c, 1e-300)
+    swap = np.arange(c) ^ 1
+    t[1::2] = np.conj(t[np.ix_(*[swap] * (order + 1))])[1::2]
+    return t
+
+
+@pytest.mark.parametrize("dim, c", [(1, 2), (1, 4), (1, 6), (2, 2), (2, 4)])
+def test_mirrored_node_l1_is_the_expanded_state_norm(dim, c):
+    # the distance read from the + half and its grid reflection is bitwise
+    # the full-state _node_l1 of the expanded values, whose partner squares
+    # sit at the mirror nodes
+    rng = np.random.default_rng(dim * 10 + c)
+    grid = Grid(dim, (16,) * dim if dim == 2 else (64,), (2.0,) * dim)
+    mirror, _ = grid_mirror(grid)
+    for b in (1, 3):
+        full = symmetric_values(rng, grid, c, b)
+        want = ev._node_l1(full, 0.37)
+        got = ev._node_l1(np.ascontiguousarray(full[:, 0::2]), 0.37, mirror=mirror)
+        assert np.array_equal(got, want)
+        segments = segments_of([5, mirror.size - 5])
+        assert np.array_equal(ev._node_l1(np.ascontiguousarray(full[:, 0::2]), 0.37, segments,
+                                          mirror), ev._node_l1(full, 0.37, segments))
+
+
+def reduction_model(name):
+    if name == "2d":
+        return dsp.scalar_band_model([lambda k: (k ** 2).sum(axis=0) + 1.0], dim=2)
+    params = {"nls1d": {"a2": 1.0, "a0": 1.0}, "power": {"p": 1.5, "a0": 0.5},
+              "twoband": {"c1": 1.0, "d1": 0.5, "c2": 2.0, "d2": 1.5}}[name]
+    return dsp.model_from_config({"preset": name, "params": params})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(["nls1d", "power", "twoband", "2d"]),
+    chi=st.sampled_from(["cubic_full", "cubic_conjugate", "quadratic_conjugate", "random"]),
+    n=st.sampled_from([16, 32, 64, 128]),
+    amp=st.floats(0.1, 1.0),
+    tau=st.floats(0.05, 0.3),
+    rho=st.floats(0.05, 0.5),
+    order=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_solve_matches_the_full_state(model, chi, n, amp, tau, rho, order, seed):
+    # random conjugation-symmetric data, tensors and symbols: the solve on
+    # the + half, expanded, is the full-state solve to rounding.  The data
+    # are band-limited so that the full state's nodes without a mirror,
+    # which the reduced solve keeps at 0, stay at rounding level
+    rng = np.random.default_rng(seed)
+    m = reduction_model(model)
+    grid = Grid(2, (16, 16), (2.0, 2.0)) if model == "2d" else Grid(1, (n,), (4.0,))
+    c, j = m.ncomp, m.ncomp // 2
+    susc = {"cubic_full": lambda: ev.cubic_full(1.0, j),
+            "cubic_conjugate": lambda: ev.cubic_conjugate(1.0, j),
+            "quadratic_conjugate": lambda: ev.quadratic_conjugate(1.0, j),
+            "random": lambda: ev.Susceptibility(order, symmetric_tensor(rng, order, c))}[chi]()
+    radius = max(1, grid.n[0] // (4 * susc.order ** 2))
+    u = symmetric_values(rng, grid, c, radius=radius)
+    u *= amp / np.abs(u).max()
+    problem = ev.EvolutionProblem(m, [susc], rho, tau, grid, ModalField(grid, u.reshape((c,) + grid.shape)))
+    config = ev.SolverConfig(picard_tol=1e-11)
+    assert ev._conjugate_mirror(problem, config) is not None
+    event("real forms" if ev._problem_plan(problem, conjugate=True).real else "complex forms")
+    full = ev._solve_integrated(problem, config, None)
+    scale = max(np.abs(f.values).max() for f in full.fields)
+    _, lone = grid_mirror(grid)
+    assume(max(np.abs(f.values.reshape(c, -1)[:, lone]).max() for f in full.fields)
+           <= 1e-15 * scale)
+    reduced = ev.solve_integrated(problem, config)
+    assert reduced.iterations == full.iterations
+    for a, b in zip(reduced.fields, full.fields):
+        assert np.abs(a.values - b.values).max() <= 1e-13 * scale
+    got, want = np.array(reduced.distances), np.array(full.distances)
+    assert np.all((np.abs(got - want) <= 1e-12 * want) | (np.abs(got - want) <= 1e-14))
+
+
+def test_reduced_solve_keeps_lone_nodes_at_zero(nls_model):
+    # the documented difference: a quadratic solve whose spectrum reaches
+    # k = -k_max in the full state keeps it 0 there, and every state stays
+    # exactly conjugation-symmetric
+    g = Grid(1, (256,), (4.0,))
+    h = packet(nls_model, g, beta=0.12, amp=0.4, width=0.5)
+    problem = ev.EvolutionProblem(nls_model, [ev.quadratic_conjugate(1.0)], 0.05, 0.3, g, h)
+    mirror, lone = grid_mirror(g)
+    full = ev._solve_integrated(problem, ev.SolverConfig(), None)
+    reduced = ev.solve_integrated(problem)
+    assert np.abs(full.fields[-1].values[:, lone]).max() > 0
+    for f in reduced.fields:
+        assert not f.values[:, lone].any()
+        assert np.array_equal(f.values[1], np.conj(f.values[0][mirror]))
+
+
+def full_path_cases(nls_model):
+    """(name, problem, config) inputs that break the conjugation symmetry somewhere."""
+    g = Grid(1, (256,), (4.0,))
+    h = packet(nls_model, g, beta=0.12, amp=0.3, width=0.5)
+    chi = ev.cubic_conjugate(1.0)
+
+    def problem(values=h.values, susc=chi, model=nls_model, grid=g):
+        return ev.EvolutionProblem(model, [susc], 0.05, 0.2, grid, ModalField(grid, values))
+
+    off = h.values.copy()
+    j = int(np.abs(off[1]).argmax())
+    off[1, j] = np.nextafter(off[1, j].real, np.inf) + 1j * off[1, j].imag
+    edge = h.values.copy()
+    edge[:, 0] = 1e-30
+    plus_only = h.values * np.array([[1.0], [0.0]])
+    g37 = Grid(1, (256,), (3.7,))
+    h37 = packet(nls_model, g37, beta=0.12, amp=0.3, width=0.5)
+    callback = ev.Susceptibility(order=3, callback=lambda k, kvecs: chi.tensor)
+    return [
+        ("symmetric", problem(), ev.SolverConfig()),
+        ("one ulp off the mirror", problem(off), ev.SolverConfig()),
+        ("+ components only", problem(plus_only), ev.SolverConfig()),
+        ("tensor phase", problem(susc=ev.Susceptibility(3, chi.tensor * np.exp(0.3j))),
+         ev.SolverConfig()),
+        ("callback", problem(susc=callback), ev.SolverConfig()),
+        ("direct-oracle", problem(), ev.SolverConfig(convolution_mode="direct-oracle")),
+        ("k_max 3.7", problem(h37.values, grid=g37), ev.SolverConfig()),
+        ("nonzero at -k_max", problem(edge), ev.SolverConfig()),
+        ("matrix symbol", problem(model=two_band_matrix_model()), ev.SolverConfig()),
+    ]
+
+
+def test_asymmetric_inputs_take_the_full_path(nls_model):
+    # each input breaks one condition of the exact symmetry test; the
+    # reference input passes it
+    for name, problem, config in full_path_cases(nls_model):
+        reduced = ev._conjugate_mirror(problem, config) is not None
+        assert reduced == (name == "symmetric"), name
+    # doublet_reality: false builds the - components from the envelope
+    # itself; the shipped envelopes are real and even in k, so the data,
+    # and the path, are those of doublet_reality: true
+    g = Grid(1, (256,), (4.0,))
+    built = [wp.build_wavepacket(wp.WavepacketSpec(
+        n=1, k_star=1.0, r_star=0.0, beta=0.12, epsilon=0.1,
+        envelope=wp.Envelope("gaussian", 0.5, 0.3), doublet_reality=flag), nls_model, g)
+        for flag in (True, False)]
+    assert np.array_equal(built[0].values, built[1].values)
+
+
+def test_full_path_solve_is_the_full_state_solve(nls_model):
+    # an input that fails the test runs the unreduced solve, bit for bit
+    _, problem, config = full_path_cases(nls_model)[1]
+    a, b = ev.solve_integrated(problem, config), ev._solve_integrated(problem, config, None)
+    assert a.distances == b.distances
+    assert all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))

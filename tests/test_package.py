@@ -42,3 +42,34 @@ def test_reads_no_environment_variable(name):
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
             reads += [a.name for a in node.names if a.name in ("environ", "environb", "getenv")]
     assert not reads, reads
+
+
+# every Fourier transform in src goes through these two functions, which
+# perfbench's grids.fft.points probe wraps
+FFT_FUNCTIONS = {("grids", "spectrum_to_samples"), ("grids", "samples_to_spectrum")}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_numpy_fft_only_in_the_grid_transforms(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name
+        if isinstance(node, ast.Import):
+            uses.extend((a.name, function) for a in node.names if a.name.startswith("numpy.fft"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.startswith("numpy.fft")
+                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+            uses.append((node.module, function))
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            uses.append((ast.unparse(node), function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    assert all((name, function) in FFT_FUNCTIONS for _, function in uses), uses
