@@ -450,8 +450,9 @@ class _ConvolutionPlan:
     distinct factor list (output keys with the same list share it), and each
     output key's sums are one flat (rows, G) x (G, slab X) ``matmul`` over
     the slab's spent argument rows.  Each key's gather or crop then writes
-    straight into its result, where only its kept nodes are scaled by
-    ``r_cell``, and the derived components follow.  The
+    straight into its result (the whole grid's cropped nodes are scaled by
+    ``r_cell`` there, window rows before their strided gather), and the
+    derived components follow.  The
     buffer is kept across calls, sized to the largest batch seen, and the
     products arrays, sized to one slab: fresh arrays would be mapped and
     page-faulted anew on every call.  One buffer rather than an input buffer
@@ -545,6 +546,7 @@ class _ConvolutionPlan:
         self._runs = {key: _runs(rows) for key, (_, _, rows) in self.outs.items()}
         self._width = self.ncomp if self.outs else 0
         self._at = np.arange(self._width)
+        self._scale = r_cell(self.tgrid)
         # batch rows per slab: its argument, sum and product rows fit in _SLAB_BYTES
         per_row = (self._n_in + self._n_out + sum(map(len, self._lists))) * math.prod(size) * 16
         self._slab = max(1, _SLAB_BYTES // max(per_row, 1))
@@ -637,14 +639,17 @@ class _ConvolutionPlan:
         """Each output key's values from the summed rows of ``buf``.
 
         The rows are forward-transformed in place; each key's gather or crop
-        writes straight into its result and only those nodes are scaled.
-        The derived components follow.
+        writes straight into its result, and on the whole grid only the
+        cropped nodes are scaled.  The derived components follow.
         """
         tg = self.tgrid
         x = math.prod(tg.shape)
         spec = buf[:self._n_out].reshape((self._n_out, b) + tg.shape)
         samples_to_spectrum(spec, tg, centred=False, out=spec)
-        scale = r_cell(tg)
+        if self.slots:
+            # gathered window nodes are strided: one pass over the contiguous
+            # rows costs less than scaling them (bitwise the same)
+            spec *= self._scale
         out = {}
         for key, (_, _, rows) in self.outs.items():
             nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
@@ -659,7 +664,8 @@ class _ConvolutionPlan:
                     part[...] = block[src].reshape(-1, b, x)[..., self.slots[key]]
                 else:
                     crop_spectrum(block[src], self.grid, centred=False, out=part)
-                part *= scale
+                    if not self.slots:
+                        part *= self._scale
             at = self._at
             for c, sums in self.expand[key]:
                 _combine(dst[at[c]], [(a, dst[at[rows[j]]]) for j, a in sums])
@@ -822,7 +828,7 @@ class _ConjugatePlan(_ConvolutionPlan):
             crop[(..., *nodes, slice(h, None))] = spec[(..., *slots, slice(0, h))]
         np.conjugate(self._mirror(crop[..., n_last - 1:h:-1], last=False), out=crop[..., 1:h])
         crop[..., 0] = 0.0
-        scaled = coeffs * r_cell(tg)
+        scaled = coeffs * self._scale
         if single:
             out *= scaled[0, 0]
             return out
