@@ -1427,8 +1427,9 @@ def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = No
     and distances run on half the state, and each kept row is expanded with
     U_-(k) = conj U_+(-k) at the end.  Its nodes without a mirror on the
     grid (k = -k_max on some axis) stay 0, where a full-state solve takes
-    rounding-level values from the products' spectra (at most about 3e-17
-    on a 2048-node cubic solve): the symmetry is kept exactly instead.
+    what the products' spectra put there: rounding level on band-limited
+    packets (below 3e-20 on a 2048-node cubic solve), more where they reach
+    the grid's edge.  The symmetry is kept exactly instead.
     Every other problem, and ``direct-oracle``, is solved on the full state.
     """
     config = config or SolverConfig()
