@@ -31,7 +31,6 @@ from .grids import (
     fft_blocks,
     grid_mirror,
     l1_norm,
-    l1_norm_values,
     pad_spectrum,
     pointwise_modulus,
     r_cell,
@@ -200,11 +199,15 @@ def _entry_groups(terms):
     another share one product, which is accumulated into every output
     component with the summed coefficient.  Returns (factors, coeffs): a list
     of G sorted factor tuples and the (C, G) coefficients of each product in
-    each output component.
+    each output component.  Terms may share a tensor object, whose entries
+    are then found once.
     """
     groups: dict = {}
+    found: dict = {}
     for tensor, arg_ids in terms:
-        for entry, coeff in _tensor_entries(tensor):
+        if id(tensor) not in found:
+            found[id(tensor)] = _tensor_entries(tensor)
+        for entry, coeff in found[id(tensor)]:
             factors = tuple(sorted(zip(arg_ids, entry[1:])))
             outs = groups.setdefault(factors, np.zeros(tensor.shape[0], dtype=complex))
             outs[entry[0]] += coeff
@@ -465,8 +468,9 @@ class _ConvolutionPlan:
     where its forms are real in r-space.
     """
 
-    def __init__(self, grid: Grid, nodes: dict, terms: dict):
+    def __init__(self, grid: Grid, nodes: dict, terms: dict, conjugates: dict | None = None):
         self.grid = grid
+        conjugates = conjugates or {}
         # centred (dim, nodes) index of every node of each key, and its (lo, hi) box
         centred = {
             key: np.array(np.unravel_index(np.arange(math.prod(grid.n)) if idx is None else idx,
@@ -512,16 +516,28 @@ class _ConvolutionPlan:
             self.expand[key] = [(c, [(j, a) for j, a in enumerate(w[:, c]) if a != 0])
                                 for c in range(len(coeffs)) if c not in rows and w[:, c].any()]
             self.outs[key] = (factors, coeffs[rows], rows)
+        # a conjugated key reads the plain components of a scalar window; its
+        # partner's rows at the swapped components serve it
+        for key, partner in conjugates.items():
+            if key in used:
+                used.setdefault(partner, set()).update(c ^ 1 for c in used[key])
+                pivots, w = forms.get(partner, ((), ()))
+                if np.count_nonzero(w) == len(pivots):  # plain forms, widened to every component
+                    ncomp = forms[key][1].shape[1]
+                    forms[partner] = (np.arange(ncomp), np.eye(ncomp, dtype=complex))
         self.forms = {}
-        for key, piv in used.items():
+        for key in sorted(used, key=lambda k: k in conjugates):  # conjugated keys last
             pivots, w = forms[key]
-            at = np.searchsorted(pivots, sorted(piv))
+            at = np.searchsorted(pivots, sorted(used[key]))
             self.forms[key] = (pivots[at], w[at])
+            if key in conjugates or key in conjugates.values():
+                assert (np.array_equal(pivots[at], sorted(used[key]))
+                        and np.count_nonzero(w[at]) == len(at)), "conjugates read plain components"
         self.comps = {key: [int(c) for c in np.nonzero(w.any(axis=0))[0]]
-                      for key, (_, w) in self.forms.items()}
+                      for key, (_, w) in self.forms.items() if key not in conjugates}
         # per form, its (column in comps[key], weight) terms
         self._reads = {key: [[(self.comps[key].index(c), a) for c, a in enumerate(form) if a != 0]
-                             for form in w] for key, (_, w) in self.forms.items()}
+                             for form in self.forms[key][1]] for key in self.comps}
         size = tuple(transform_size(v) for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
@@ -535,6 +551,12 @@ class _ConvolutionPlan:
                                                    for key, (_, _, r) in self.outs.items()})
         row = {(key, int(p)): self._arg_rows[key].start + i
                for key, (pivots, _) in self.forms.items() for i, p in enumerate(pivots)}
+        # (row, source row) of each conjugated form: the inputs are the rows
+        # before them
+        self._conjugated = [(row[(key, int(p))], row[(conjugates[key], int(p) ^ 1)])
+                            for key in self.forms if key in conjugates
+                            for p in self.forms[key][0]]
+        self._n_src = self._n_in - len(self._conjugated)
         # one products array per distinct factor list, filled by one schedule
         # on the input rows of the factors
         self._lists = list(dict.fromkeys(tuple(f) for f, _, _ in self.outs.values()))
@@ -568,7 +590,7 @@ class _ConvolutionPlan:
         tg = self.tgrid
         b = next(iter(values.values())).shape[0]
         buf = self._stack(b)
-        inputs = buf[:self._n_in]
+        inputs = buf[:self._n_src]
         inputs.fill(0.0)
         for key, comps in self.comps.items():
             v = values[key]
@@ -590,8 +612,10 @@ class _ConvolutionPlan:
                     for nodes, slots in fft_blocks(self.grid.n, tg.shape):
                         _accumulate(padded[(..., *slots)],
                                     [(a, t[(..., *nodes)]) for a, t in terms[1:]])
-        r = inputs.reshape((self._n_in, b) + tg.shape)
+        r = inputs.reshape((self._n_src, b) + tg.shape)
         spectrum_to_samples(r, tg, centred=False, out=r)
+        for dst, src in self._conjugated:
+            np.conjugate(buf[src], out=buf[dst])
         self._sums(buf, b)
         return self._gather(buf, b)
 
@@ -1389,20 +1413,19 @@ def _kept_samples(n: int, record_stride: int | None) -> list:
     return sorted(set(range(0, n + 1, stride)) | {n})
 
 
-def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.ndarray | None:
-    """The flat grid reflection of ``grid_mirror`` if ``problem`` is conjugation-symmetric, else None.
+def _symmetric_terms(problem: EvolutionProblem):
+    """``grid_mirror``'s (mirror, lone) if the FFT equation keeps conjugation symmetry, else None.
 
-    Exact tests, with no tolerance, that every Picard iterate keeps
-    U_-(k) = conj U_+(-k) in each band pair (components 2n, 2n+1), so that
-    its + components determine it: FFT convolutions of tensors only, each
-    with T[i'; a', b', ...] = conj T[i; a, b, ...] under + <-> -; a scalar
-    symbol with omega_{n,-}[j] = -omega_{n,+}[-j] bitwise at every node j
-    that has a mirror -j on the grid; data with U_-[-j] = conj U_+[j]
-    bitwise there and 0 at every node without a mirror.
+    Exact tests, with no tolerance, that the equation maps states with
+    U_-(k) = conj U_+(-k) in each band pair (components 2n, 2n+1) to such
+    states: tensors only, each with T[i'; a', b', ...] = conj T[i; a, b, ...]
+    under + <-> -, and a scalar symbol with omega_{n,-}[j] = -omega_{n,+}[-j]
+    bitwise at every node j that has a mirror -j on the grid.  The
+    convolution mode and the data are the caller's to test.
     """
     model, grid = problem.model, problem.grid
-    if (config.convolution_mode != "fft" or model.kind != "scalar-band"
-            or not problem.nonlinearity or any(s.tensor is None for s in problem.nonlinearity)):
+    if (model.kind != "scalar-band" or not problem.nonlinearity
+            or any(s.tensor is None for s in problem.nonlinearity)):
         return None
     swap = np.arange(model.ncomp) ^ 1
     if not all(np.array_equal(s.tensor[np.ix_(*[swap] * s.tensor.ndim)], s.tensor.conj())
@@ -1410,10 +1433,29 @@ def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.nda
         return None
     mirror, lone = grid_mirror(grid)
     omega = dsp.eigensystem_tables(model, grid)[0].reshape(model.ncomp, -1)
-    u = problem.initial.values.reshape(model.ncomp, -1)
     paired = ~lone
-    if (np.array_equal(omega[swap][:, mirror[paired]], -omega[:, paired])
-            and np.array_equal(u[swap][:, mirror[paired]], u[:, paired].conj())
+    if np.array_equal(omega[swap][:, mirror[paired]], -omega[:, paired]):
+        return mirror, lone
+    return None
+
+
+def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.ndarray | None:
+    """The flat grid reflection of ``grid_mirror`` if ``problem`` is conjugation-symmetric, else None.
+
+    Exact tests, with no tolerance, that every Picard iterate keeps
+    U_-(k) = conj U_+(-k), so that its + components determine it: FFT
+    convolutions, the equation's symmetry (``_symmetric_terms``), and data
+    with U_-[-j] = conj U_+[j] bitwise at every node j with a mirror and 0
+    at every node without one.
+    """
+    symmetric = None if config.convolution_mode != "fft" else _symmetric_terms(problem)
+    if symmetric is None:
+        return None
+    mirror, lone = symmetric
+    u = problem.initial.values.reshape(problem.model.ncomp, -1)
+    swap = np.arange(len(u)) ^ 1
+    paired = ~lone
+    if (np.array_equal(u[swap][:, mirror[paired]], u[:, paired].conj())
             and not u[:, lone].any()):
         return mirror
     return None
@@ -1514,22 +1556,6 @@ def integrate_slow_midpoint(problem: EvolutionProblem, n_steps: int,
     )
 
 
-def trajectory_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over shared sample times of the L1 distance."""
-    times_b = {round(t, 12): i for i, t in enumerate(b.times)}
-    dist = 0.0
-    shared = 0
-    for i, t in enumerate(a.times):
-        j = times_b.get(round(t, 12))
-        if j is None:
-            continue
-        shared += 1
-        dist = max(dist, l1_norm_values(a.fields[i].values - b.fields[j].values, a.problem.grid))
-    if shared < 2:
-        raise ValueError("trajectories share too few sample times to compare")
-    return dist
-
-
 __all__ = [
     "Susceptibility",
     "cubic_conjugate",
@@ -1546,6 +1572,5 @@ __all__ = [
     "modal_project",
     "solve_integrated",
     "integrate_slow_midpoint",
-    "trajectory_distance",
     "time_mesh",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -30,10 +31,11 @@ from .evolution import (
     _node_l1,
     _picard_trapezoid,
     _stack_rows,
+    _symmetric_terms,
     _trapezoid_pass,
     time_mesh,
 )
-from .grids import Grid, ModalField
+from .grids import Grid, grid_mirror
 from .resonance import (
     DecoratedIndex,
     NkSpectrum,
@@ -187,7 +189,51 @@ class ComponentLayout:
             self.columns[key] = cols
             self.comps[key] = ([] if idx.size == 0 else [cols] if isinstance(cols, int)
                                else list(range(model.ncomp)))
-        self.segments, _ = _stack_rows({key: self.mask[key].size for key in self.keys})
+        self.segments, self.width = _stack_rows({key: self.mask[key].size for key in self.keys})
+        # the + window of each - window when every (l, -1) window is the
+        # node-reversed mirror of (l, +1) off the unmirrored nodes, with the
+        # same cutoff and the partner component; None otherwise.  The + windows
+        # then have their own joint node axis, that of a half state
+        mirror, lone = grid_mirror(grid)
+        self.partner = {}
+        for l in range(1, spectrum.n_pairs + 1):
+            plus, minus = (l, +1), (l, -1)
+            if not (np.array_equal(mirror[self.mask[plus]][::-1], self.mask[minus])
+                    and not lone[self.mask[plus]].any()
+                    and np.array_equal(self.cut[plus][::-1], self.cut[minus])
+                    and self.comps[minus] == [c ^ 1 for c in self.comps[plus]]):
+                self.partner = None
+                break
+            self.partner[minus] = plus
+        self.half_segments = None if self.partner is None else _stack_rows(
+            {plus: self.mask[plus].size for plus in self.partner.values()})[0]
+
+    def mirrored(self, values: np.ndarray) -> bool:
+        """Whether (..., C, W) values are bitwise conjugate mirrors on the window pairs.
+
+        Each (l, -1) window's component must be the conjugate of its
+        partner's, node-reversed; the components a scalar window does not
+        hold are not read.
+        """
+        return self.partner is not None and all(
+            np.array_equal(values[..., c ^ 1, self.segments[minus]],
+                           np.conj(values[..., c, self.segments[plus]][..., ::-1]))
+            for minus, plus in self.partner.items() for c in self.comps[plus])
+
+    def halve(self, values: np.ndarray) -> np.ndarray:
+        """The (..., C/2, W/2) half state of mirrored values: the + components of the + windows."""
+        return np.concatenate([values[..., 0::2, self.segments[plus]]
+                               for plus in self.partner.values()], axis=-1)
+
+    def expand(self, half: np.ndarray) -> np.ndarray:
+        """The (..., C, W) values of a half state, each (l, -1) window its partner's conjugate mirror."""
+        out = np.zeros(half.shape[:-2] + (self.model.ncomp, self.width), dtype=complex)
+        for minus, plus in self.partner.items():
+            src = half[..., self.half_segments[plus]]
+            out[..., 0::2, self.segments[plus]] = src
+            for c in self.comps[plus]:
+                np.conjugate(src[..., c // 2, ::-1], out=out[..., c ^ 1, self.segments[minus]])
+        return out
 
     def window(self, key, full_flat: np.ndarray) -> np.ndarray:
         """Project full (B, C, X) values onto the cutoff window of one component."""
@@ -239,22 +285,10 @@ class InteractionSolution:
     def sample_indices(self) -> list:
         return _kept_samples(len(self.times) - 1, self.record_stride)
 
-    def sum_values(self, i: int) -> np.ndarray:
-        return self._embedded(self.layout.keys, i)
-
-    def component_field(self, l: int, theta: int, i: int) -> ModalField:
-        return ModalField(self.problem.grid, self._embedded([(l, theta)], i), frame="slow")
-
     def component_samples(self, l: int, theta: int, rows) -> FieldSamples:
         """Component (l, theta) at the mesh nodes ``rows``, on its window."""
         return FieldSamples(self.problem.grid, self.layout.mask[(l, theta)],
                             self.data[rows, :, self.layout.segments[(l, theta)]])
-
-    def _embedded(self, keys, i: int) -> np.ndarray:
-        """Sum of the components ``keys`` at mesh node i on the full grid, (C, *shape)."""
-        full = self.layout.embed({key: self.data[i:i + 1, :, self.layout.segments[key]]
-                                  for key in keys})[0]
-        return full.reshape((self.problem.model.ncomp,) + self.problem.grid.shape)
 
 
 def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> np.ndarray:
@@ -263,33 +297,56 @@ def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> np.n
     return np.concatenate([layout.window(key, h_flat)[0] for key in layout.keys], axis=-1)
 
 
+def _symmetric_windows(problem: EvolutionProblem, layout: ComponentLayout, sets_flat: dict,
+                       values: np.ndarray) -> bool:
+    """Whether half states carry the windowed problem: it is conjugation-symmetric.
+
+    Exact tests, with no tolerance: the equation's symmetry
+    (``evolution._symmetric_terms``), mirrored window pairs
+    (``ComponentLayout.partner``), index sets of each (l, -1) window that
+    are the negated sets of its partner's, compared as multisets, and
+    (..., C, W) ``values`` (the initial windows, or a trajectory) that are
+    bitwise conjugate mirrors (``ComponentLayout.mirrored``).
+    """
+    return (layout.partner is not None and _symmetric_terms(problem) is not None
+            and all(Counter(sets_flat.get(minus, []))
+                    == Counter((m, ix.negated()) for m, ix in sets_flat.get(plus, []))
+                    for minus, plus in layout.partner.items())
+            and layout.mirrored(values))
+
+
 def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
                     beta: float, epsilon: float, sets_flat: dict | None,
                     clip_arguments: bool) -> tuple[InteractionSolution, MonomialEvaluator | None]:
     """Picard solution of the windowed system whose nonlinearity keeps ``sets_flat``.
 
     With ``sets_flat`` None the nonlinearity is zero and the initial windows
-    are returned after 0 iterations.  Returns the solution and its evaluator.
+    are returned after 0 iterations.  A conjugation-symmetric problem
+    (``_symmetric_windows``) is iterated on half states, the + components
+    of the (l, +1) windows, and expanded at the end; every other one on the
+    full state.  Returns the solution and its evaluator.
     """
     config = config or SolverConfig()
     if config.convolution_mode == "direct-oracle":
         raise ValueError("the windowed solvers convolve by FFT only; "
                          "the direct oracle runs through apply_nonlinearity")
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
+    h0 = _initial_windows(layout, problem)
+    half = sets_flat is not None and _symmetric_windows(problem, layout, sets_flat, h0)
     evaluator = (None if sets_flat is None
-                 else MonomialEvaluator(problem, layout, sets_flat, clip_arguments))
+                 else MonomialEvaluator(problem, layout, sets_flat, clip_arguments, half))
     h, n = time_mesh(problem, config)
     data, iterations, distances = _picard_trapezoid(
-        None if evaluator is None else evaluator.integrand_chunk, _initial_windows(layout, problem),
+        None if evaluator is None else evaluator.integrand_chunk, layout.halve(h0) if half else h0,
         n, h, problem.grid.cell, config, AVERAGED_CHUNK, keep=None,
-        segments=layout.segments.values(),
+        segments=(layout.half_segments if half else layout.segments).values(),
     )
     return InteractionSolution(
         spectrum=spectrum,
         layout=layout,
         problem=problem,
         times=h * np.arange(n + 1),
-        data=data,
+        data=layout.expand(data) if half else data,
         iterations=iterations,
         distances=distances,
         record_stride=config.record_stride,
@@ -334,6 +391,14 @@ class MonomialEvaluator:
     chunk of times of the last call and dropped when the chunk changes: the
     Picard driver evaluates every level of a chunk before it moves on, and
     ``coupling_norm`` visits each chunk once.
+
+    With ``half`` the states are half states of a conjugation-symmetric
+    problem on the layout's mirrored windows (``ComponentLayout.halve``):
+    the plan forms the (l, +1) outputs only and reads each (l, -1) argument
+    as the conjugate of its partner's r-space row, one inverse transform
+    per pair, and phases, the map back and the projection run on the +
+    windows only.  Every (l, -1) output is the conjugate mirror of its
+    partner's.
     """
 
     def __init__(
@@ -342,28 +407,36 @@ class MonomialEvaluator:
         layout: ComponentLayout,
         sets_flat: dict,          # (l,theta) -> [(m, DecoratedIndex)]
         clip_arguments: bool = True,
+        half: bool = False,
     ):
         self.problem = problem
         self.layout = layout
         self.clip_arguments = clip_arguments
+        self.half = half
         self.tables = PropagatorTables(problem.model, problem.grid, problem.rho)
         by_order: dict = {}
         for susc in problem.nonlinearity:
             by_order.setdefault(susc.order, []).append(susc)
         # a scalar window holds its band component only, so each term is
-        # restricted to the components present in its windows
+        # restricted to the components present in its windows; each distinct
+        # restriction of a tensor is built once and shared by its terms
         terms: dict = {}
-        for key in layout.keys:
+        masked: dict = {}
+        for key in layout.partner.values() if half else layout.keys:
             for m, index in sets_flat.get(key, []):
                 arg_keys = [(l, z) for z, l in index.entries]
-                for susc in by_order.get(m, []):
+                comps = tuple(tuple(layout.comps[a]) for a in [key, *arg_keys])
+                for s, susc in enumerate(by_order.get(m, [])):
                     if susc.tensor is None:
                         raise ValueError(f"windowed evaluation needs a tensor susceptibility; "
                                          f"{susc.name or 'a callback'} has none")
-                    keep = np.zeros(susc.tensor.shape, dtype=bool)
-                    keep[np.ix_(layout.comps[key], *(layout.comps[a] for a in arg_keys))] = True
-                    terms.setdefault(key, []).append((np.where(keep, susc.tensor, 0), arg_keys))
-        self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms)
+                    if (m, s, comps) not in masked:
+                        keep = np.zeros(susc.tensor.shape, dtype=bool)
+                        keep[np.ix_(*comps)] = True
+                        masked[(m, s, comps)] = np.where(keep, susc.tensor, 0)
+                    terms.setdefault(key, []).append((masked[(m, s, comps)], arg_keys))
+        self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms,
+                                     layout.partner if half else None)
         # jobs[key]: [(factors, out_comp, coeff)], one per product and output
         # component; permuted monomials share one product
         self.jobs = {key: [] for key in layout.keys}
@@ -375,10 +448,13 @@ class MonomialEvaluator:
     def integrand_chunk(self, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Windowed integrand of (B, C, W) states at a chunk of times, as a new (B, C, W) array.
 
-        ``values`` may hold one time slice for the whole chunk.
+        ``values`` may hold one time slice for the whole chunk; with
+        ``half`` they and the result are (B, C/2, W/2) half states.
         """
         b = taus.shape[0]
         values = np.broadcast_to(values, (b,) + values.shape[1:])
+        layout = self.layout
+        segments = layout.half_segments if self.half else layout.segments
 
         tag = taus.tobytes()
         if tag != self._phase_taus:
@@ -388,25 +464,32 @@ class MonomialEvaluator:
             # e^{-i tau L/rho} on the window and rows comps[key]; a scalar window has
             # one component, so they serve the way in too
             if key not in self._phases:
-                self._phases[key] = self.tables.phases(taus, self.layout.mask[key],
-                                                       self.layout.comps[key])
+                self._phases[key] = self.tables.phases(taus, layout.mask[key], layout.comps[key])
             return self._phases[key]
+
+        def rows(comps):
+            # a half state holds component c in row c // 2
+            return [c // 2 for c in comps] if self.half else comps
 
         args = {}
         for key, comps in self.plan.comps.items():
-            vals = values[..., self.layout.segments[key]]
+            vals = values[..., segments[key]]
             if self.clip_arguments:
                 # the window profile again: neutral on cutoff-built data,
                 # it damps only spillover into the window's skirt
-                vals = vals * self.layout.cut[key]
-            args[key] = self.tables.apply(vals, phases(key), nodes=self.layout.mask[key],
-                                          comps=comps)
+                vals = vals * layout.cut[key]
+            args[key] = self.tables.apply(vals, phases(key), nodes=layout.mask[key],
+                                          comps=rows(comps))
         out = np.zeros(values.shape, dtype=complex)
         for key, acc in self.plan(args).items():
-            rows = self.layout.comps[key]
-            acc[:, rows] = self.tables.apply(acc, np.conj(phases(key)),
-                                             nodes=self.layout.mask[key], comps=rows)
-            self.layout.project(key, acc, out=out[..., self.layout.segments[key]])
+            comps = layout.comps[key]
+            acc[:, comps] = self.tables.apply(acc, np.conj(phases(key)),
+                                              nodes=layout.mask[key], comps=comps)
+            if self.half:
+                for c in comps:  # the projection of a scalar window keeps its component
+                    np.multiply(acc[:, c], layout.cut[key], out=out[:, c // 2, segments[key]])
+            else:
+                layout.project(key, acc, out=out[..., segments[key]])
         return out
 
 
@@ -449,9 +532,13 @@ def solve_averaged_system(
     # integrand with and without the clip, on a few late-time samples
     layout = solution.layout
     probe, taus_probe = solution.data[-1:], solution.times[-1:]
-    other = MonomialEvaluator(problem, layout, sets_flat, clip_arguments=False)
-    g_clip, g_raw = (e.integrand_chunk(probe, taus_probe)[0] for e in (evaluator, other))
-    clip_diff = sum(layout.component_l1(key, g_clip[:, seg] - g_raw[:, seg])
+    other = MonomialEvaluator(problem, layout, sets_flat, False, evaluator.half)
+    if evaluator.half:
+        probe = layout.halve(probe)
+    g_clip, g_raw = (e.integrand_chunk(probe, taus_probe) for e in (evaluator, other))
+    if evaluator.half:
+        g_clip, g_raw = layout.expand(g_clip), layout.expand(g_raw)
+    clip_diff = sum(layout.component_l1(key, g_clip[0, :, seg] - g_raw[0, :, seg])
                     for key, seg in layout.segments.items())
     solution.diagnostics["clip_difference"] = float(clip_diff)
     return solution
@@ -477,12 +564,20 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
     coup = index_sets.flat(index_sets.coupling(partition))
     if not any(coup.values()):
         return 0.0
-    evaluator = MonomialEvaluator(solution.problem, solution.layout, coup)
+    layout = solution.layout
+    # a trajectory of a conjugation-symmetric problem is integrated on its half
+    # states; an (l, -1) window's sup is then its partner's
+    half = _symmetric_windows(solution.problem, layout, coup, solution.data)
+    evaluator = MonomialEvaluator(solution.problem, layout, coup, half=half)
+    data, segments = ((layout.halve(solution.data), layout.half_segments) if half
+                      else (solution.data, layout.segments))
     h = solution.times[1] - solution.times[0]
-    level = _Level(solution.layout.segments.values())
-    _trapezoid_pass(evaluator.integrand_chunk, solution.data, np.zeros_like(solution.data[0]), h,
+    level = _Level(segments.values())
+    _trapezoid_pass(evaluator.integrand_chunk, data, np.zeros_like(data[0]), h,
                     AVERAGED_CHUNK, solution.problem.grid.cell, False, level)
-    return float(sum(level.sup.tolist()))  # in key order, as the windows' own sum
+    sup = dict(zip(segments, level.sup.tolist()))
+    partner = layout.partner if half else {}
+    return float(sum(sup[partner.get(key, key)] for key in layout.keys))  # in key order
 
 
 def homogeneity_check(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavepax import dispersion as dsp
-from wavepax.grids import Grid
+from wavepax.grids import Grid, l1_norm_values
 
 # A failing hypothesis test imports libcst to write its explicit-example
 # patch.  That import warns (mypy_extensions.TypedDict is deprecated), and
@@ -54,3 +54,23 @@ def grid256():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def trajectory_distance():
+    """Sup over the shared sample times of two trajectories of their L1 distance."""
+    def distance(a, b):
+        times_b = {round(t, 12): i for i, t in enumerate(b.times)}
+        dist = 0.0
+        shared = 0
+        for i, t in enumerate(a.times):
+            j = times_b.get(round(t, 12))
+            if j is None:
+                continue
+            shared += 1
+            dist = max(dist, l1_norm_values(a.fields[i].values - b.fields[j].values, a.problem.grid))
+        if shared < 2:
+            raise ValueError("trajectories share too few sample times to compare")
+        return dist
+
+    return distance

@@ -97,7 +97,7 @@ def test_accept_02_convolution_oracle():
 
 # -- 3: solver correctness ------------------------------------------------------------
 
-def test_accept_03_solver_correctness():
+def test_accept_03_solver_correctness(trajectory_distance):
     model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}})
     g = Grid(1, (256,), (2.0,))
     spec = wp.WavepacketSpec(
@@ -115,7 +115,7 @@ def test_accept_03_solver_correctness():
     cfg = ev.SolverConfig(substeps_per_rho=200, record_stride=100)
     traj = ev.solve_integrated(prob, cfg)
     mid = ev.integrate_slow_midpoint(prob, n_steps=traj.n_steps, record_stride=100)
-    dist = ev.trajectory_distance(traj, mid)
+    dist = trajectory_distance(traj, mid)
     ok_b = dist <= 1e-6
 
     # (c) time-mesh halving reduces the solution change by >= 3x
@@ -202,18 +202,20 @@ def test_accept_06_superposition_scaling():
 
 # -- 7: averaged-system fidelity ------------------------------------------------------------
 
+ACCEPT_07_CONFIG = {
+    "model": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
+    "grid": {"n": 2048, "k_max": 4.0},
+    "spectrum": [[1, 1.0], [1, -1.0]],
+    "nonlinearity": {"preset": "cubic_full", "q": 1.0},
+    "packets": [{"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12}}],
+    "beta": 0.1, "epsilon": 0.1, "rho": 0.004, "tau_star": 0.25,
+    "solver": {"picard_tol": 3e-10},
+    "experiment": {"rho_values": [0.004, 0.002, 0.001]},
+}
+
+
 def test_accept_07_averaging_fidelity():
-    cfg = {
-        "model": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
-        "grid": {"n": 2048, "k_max": 4.0},
-        "spectrum": [[1, 1.0], [1, -1.0]],
-        "nonlinearity": {"preset": "cubic_full", "q": 1.0},
-        "packets": [{"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12}}],
-        "beta": 0.1, "epsilon": 0.1, "rho": 0.004, "tau_star": 0.25,
-        "solver": {"picard_tol": 3e-10},
-        "experiment": {"rho_values": [0.004, 0.002, 0.001]},
-    }
-    res = harness.averaging_experiment(cfg)
+    res = harness.averaging_experiment(ACCEPT_07_CONFIG)
     ratios = res.fits["vw_ratios"]
     slope = res.fits["coupling_scaling"]["slope"]
     ok = bool(res.passed)
@@ -224,22 +226,24 @@ def test_accept_07_averaging_fidelity():
 
 # -- 8: position transport through a collision ------------------------------------------------
 
+ACCEPT_08_CONFIG = {
+    "model": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
+    "grid": {"n": 1024, "k_max": 4.0},
+    "spectrum": [[1, 1.0], [1, -1.0]],
+    "nonlinearity": {"preset": "cubic_conjugate", "q": 1.0},
+    "packets": [
+        {"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
+         "r_star": -25.0},
+        {"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
+         "r_star": 25.0},
+    ],
+    "beta": 0.1, "epsilon": 0.1, "rho": 0.01, "tau_star": 0.5,
+    "experiment": {"n_track_times": 9},
+}
+
+
 def test_accept_08_position_transport():
-    cfg = {
-        "model": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
-        "grid": {"n": 1024, "k_max": 4.0},
-        "spectrum": [[1, 1.0], [1, -1.0]],
-        "nonlinearity": {"preset": "cubic_conjugate", "q": 1.0},
-        "packets": [
-            {"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
-             "r_star": -25.0},
-            {"envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.12},
-             "r_star": 25.0},
-        ],
-        "beta": 0.1, "epsilon": 0.1, "rho": 0.01, "tau_star": 0.5,
-        "experiment": {"n_track_times": 9},
-    }
-    res = harness.position_tracking_experiment(cfg)
+    res = harness.position_tracking_experiment(ACCEPT_08_CONFIG)
     ok = bool(res.passed)
     # the trajectories must actually cross within the run
     p1 = [r for r in res.runs if r["packet"] == 1]
@@ -253,6 +257,24 @@ def test_accept_08_position_transport():
              f"{res.thresholds['max_y_deviation']:.3f}, "
              f"final diameter {res.fits['max_final_diameter']:.0f} <= "
              f"{res.thresholds['max_diameter']:.0f}, crossed {crossed}")
+
+
+def test_acceptance_geometries_take_the_half_state_paths(monkeypatch):
+    # a fallback to the full state shows only as slowness: the ACCEPT-07
+    # geometry runs its interaction, averaged, clip-diagnostic and coupling
+    # evaluators on half states, forming the (l, +1) outputs only, and the
+    # ACCEPT-08 problem passes the full-grid symmetry test
+    built = []
+    init = ia.MonomialEvaluator.__init__
+    monkeypatch.setattr(ia.MonomialEvaluator, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args,
+                                                                                  **kwargs))
+    harness.averaging_experiment({**ACCEPT_07_CONFIG, "experiment": {"rho_values": [0.004]}})
+    assert len(built) == 4
+    assert all(e.half and set(e.plan.outs) == {(1, 1), (2, 1)} for e in built)
+    rc = harness.load_config(ACCEPT_08_CONFIG)
+    problem = harness.build_problem(rc, harness.build_initial(rc)[0])
+    assert ev._conjugate_mirror(problem, rc.solver) is not None
 
 
 # -- 9: homogeneity identity --------------------------------------------------------------------

@@ -1340,14 +1340,14 @@ def test_zero_nonlinearity_is_exact(nls_model, grid256):
 
 
 @pytest.mark.filterwarnings("error")
-def test_picard_matches_midpoint_oracle(nls_model):
+def test_picard_matches_midpoint_oracle(nls_model, trajectory_distance):
     g = Grid(1, (256,), (2.0,))
     h = packet(nls_model, g, beta=0.1, amp=0.25, width=0.5)
     prob = ev.EvolutionProblem(nls_model, [ev.cubic_conjugate(1.0)], 0.1, 0.25, g, h)
     cfg = ev.SolverConfig(substeps_per_rho=200, record_stride=100)
     traj = ev.solve_integrated(prob, cfg)
     mid = ev.integrate_slow_midpoint(prob, n_steps=traj.n_steps, record_stride=100)
-    dist = ev.trajectory_distance(traj, mid)
+    dist = trajectory_distance(traj, mid)
     # nonlinear effect is large compared with the agreement level
     moved = l1_norm_values(traj.fields[-1].values - h.values, g)
     assert dist <= 1e-6

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from wavepax import dispersion as dsp
@@ -11,7 +11,7 @@ from wavepax import interaction as ia
 from wavepax import resonance as rs
 from wavepax import wavepacket as wp
 from wavepax.errors import PicardDiverged
-from wavepax.grids import Grid, ModalField, l1_norm_values, transform_size
+from wavepax.grids import Grid, ModalField, grid_mirror, l1_norm_values, transform_size
 
 
 BETA, EPS = 0.12, 0.1
@@ -36,6 +36,20 @@ def by_window(layout, values):
 def joined(layout, states):
     """Per-key (..., C, win) window values as one (..., C, W) array."""
     return np.concatenate([states[key] for key in layout.keys], axis=-1)
+
+
+def embedded(sol, keys, i):
+    """Sum of the components ``keys`` of a windowed solution at mesh node i on the full grid."""
+    full = sol.layout.embed({key: sol.data[i:i + 1, :, sol.layout.segments[key]] for key in keys})
+    return full[0].reshape((sol.problem.model.ncomp,) + sol.problem.grid.shape)
+
+
+def sum_values(sol, i):
+    return embedded(sol, sol.layout.keys, i)
+
+
+def component_field(sol, l, theta, i):
+    return ModalField(sol.problem.grid, embedded(sol, [(l, theta)], i), frame="slow")
 
 
 @pytest.fixture
@@ -125,7 +139,7 @@ def test_interaction_f0_constant(counterprop):
     for window in by_window(sol.layout, sol.data).values():
         assert np.abs(window - window[0]).max() == 0.0
     # the windows reproduce cutoff-built data exactly
-    recon = sol.sum_values(0)
+    recon = sum_values(sol, 0)
     assert np.abs(recon - initial.values).max() <= 1e-14
 
 
@@ -137,7 +151,7 @@ def test_interaction_support_property(counterprop):
     k = grid.k_axis()
     for (l, theta) in sol.layout.keys:
         center = theta * spectrum.kvec(l)[0]
-        f = sol.component_field(l, theta, len(sol.times) - 1)
+        f = component_field(sol, l, theta, len(sol.times) - 1)
         outside = np.abs(k - center) >= radius
         assert np.abs(f.values[:, outside]).max() == 0.0
 
@@ -154,7 +168,7 @@ def test_sum_consistency_improves_with_rho(counterprop):
         d = 0.0
         kept = sol.sample_indices
         for fi, si in zip(range(len(full.times)), kept):
-            d = max(d, l1_norm_values(sol.sum_values(si) - full.fields[fi].values, grid))
+            d = max(d, l1_norm_values(sum_values(sol, si) - full.fields[fi].values, grid))
         dists.append(d)
     assert dists[1] <= 0.75 * dists[0]
     assert dists[0] <= 0.05
@@ -641,7 +655,7 @@ def parent_coupling_norm(solution, index_sets):
     (ev.cubic_conjugate(1.0), [1.0, 0.37]),
     (ev.cubic_full(0.8), [1.0, 0.37]),
 ], ids=["chi0", "chi1", "chi0-unequal", "chi1-unequal"])
-def test_solvers_match_parent_loops(nls_model, chi, carriers):
+def test_solvers_match_parent_loops(nls_model, chi, carriers, monkeypatch):
     # 41 mesh nodes: one full chunk of 32 and a short one of 9; carriers
     # 1 and 0.37 give windows of 37, 37, 38 and 38 nodes
     model, grid = nls_model, Grid(1, (512,), (4.0,))
@@ -650,6 +664,13 @@ def test_solvers_match_parent_loops(nls_model, chi, carriers):
     cfg = ev.SolverConfig(substeps_per_rho=10)
     sets = ia.build_index_sets(spectrum, model, [3])
     prob = ev.EvolutionProblem(model, [chi], 0.05, 0.2, grid, initial)
+    # every case is conjugation-symmetric, so the solves would run on half
+    # states (test_half_windowed_solve_matches_the_full_state); the parent
+    # loops are compared with the full-state path
+    layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
+    assert ia._symmetric_windows(prob, layout, sets.flat(sets.contributing),
+                                 ia._initial_windows(layout, prob))
+    monkeypatch.setattr(ia, "_symmetric_terms", lambda problem: None)
     w = ia.solve_interaction_system(prob, spectrum, cfg, beta=BETA, epsilon=EPS)
     v = ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS)
     assert len(w.times) == 41
@@ -671,6 +692,157 @@ def test_solvers_match_parent_loops(nls_model, chi, carriers):
     coupling = ia.coupling_norm(v, sets)
     assert coupling > 0.0
     assert coupling == pytest.approx(parent_coupling_norm(v, sets), rel=1e-12, abs=0.0)
+
+
+# -- half windowed solves ---------------------------------------------------------------------
+
+def mirrored_values(rng, grid, c):
+    """Random (C, X) values with U_-(k) = conj U_+(-k) in each band pair and 0 at -k_max."""
+    mirror, lone = grid_mirror(grid)
+    plus = rng.normal(size=(c // 2, mirror.size)) + 1j * rng.normal(size=(c // 2, mirror.size))
+    plus[:, lone] = 0
+    values = np.empty((c, mirror.size), dtype=complex)
+    values[0::2], values[1::2] = plus, np.conj(plus[:, mirror])
+    return values
+
+
+def mirrored_tensor(rng, order, c):
+    """A random tensor with T[i'; a', b', ...] = conj T[i; a, b, ...] (' swaps 2n and 2n+1)."""
+    shape = (c,) * (order + 1)
+    t = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.5)
+    t /= max(np.abs(t).sum() / c, 1e-300)
+    swap = np.arange(c) ^ 1
+    t[1::2] = np.conj(t[np.ix_(*[swap] * (order + 1))])[1::2]
+    return t
+
+
+def full_state_path(monkeypatch):
+    """Make every windowed solve and coupling norm run on the full state."""
+    monkeypatch.setattr(ia, "_symmetric_terms", lambda problem: None)
+
+
+def same_solution(a, b):
+    return (a.iterations == b.iterations and a.distances == b.distances
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.filterwarnings("ignore:component windows")
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(["nls1d", "twoband"]),
+    n=st.sampled_from([32, 64]),
+    order=st.sampled_from([2, 3]),
+    system=st.sampled_from(["interaction", "averaged", "random"]),
+    clip=st.booleans(),
+    amp=st.floats(0.1, 1.0),
+    tau=st.floats(0.05, 0.3),
+    rho=st.floats(0.05, 0.5),
+    data=st.data(),
+)
+def test_half_windowed_solve_matches_the_full_state(model, n, order, system, clip, amp, tau, rho,
+                                                    data):
+    # random conjugation-symmetric windowed problems: the solve on the (l, +1)
+    # windows' + components, expanded, is the full-state solve to rounding;
+    # so is the coupling norm of the averaged system
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m = dsp.model_from_config({"nls1d": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
+                               "twoband": {"preset": "twoband", "params": {
+                                   "c1": 1.0, "d1": 0.5, "c2": 2.0, "d2": 1.5}}}[model])
+    grid, c = Grid(1, (n,), (2.0,)), m.ncomp
+    carriers = [[band, sign * k] for band, k, sign in data.draw(st.lists(
+        st.tuples(st.integers(1, c // 2), st.floats(0.3, 0.9), st.sampled_from([1, -1])),
+        min_size=1, max_size=2))]
+    assume(len(carriers) == 1 or carriers[0][0] != carriers[1][0]
+           or abs(carriers[0][1] - carriers[1][1]) > 1e-3)
+    spectrum = rs.spectrum_from_list(carriers)
+    beta = data.draw(st.floats(0.25, 0.4))
+    susc = data.draw(st.sampled_from(
+        ["quadratic_conjugate", "random"] if order == 2 else ["cubic_full", "cubic_conjugate",
+                                                              "random"]))
+    susc = {"quadratic_conjugate": lambda: ev.quadratic_conjugate(1.0, c // 2),
+            "cubic_full": lambda: ev.cubic_full(1.0, c // 2),
+            "cubic_conjugate": lambda: ev.cubic_conjugate(1.0, c // 2),
+            "random": lambda: ev.Susceptibility(order, mirrored_tensor(rng, order, c))}[susc]()
+    u = mirrored_values(rng, grid, c)
+    problem = ev.EvolutionProblem(m, [susc], rho, tau, grid,
+                                  ModalField(grid, u * (amp / np.abs(u).max())))
+    layout = ia.ComponentLayout(spectrum, m, grid, beta, EPS)
+    slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (1, -1)]
+    every = [(order, rs.DecoratedIndex(e)) for e in itertools.product(slots, repeat=order)]
+    index_sets = ia.build_index_sets(spectrum, m, [order])
+    if system == "interaction":
+        sets_flat = dict.fromkeys(layout.keys, every)
+    elif system == "averaged":
+        sets_flat = index_sets.flat(index_sets.contributing)
+    else:
+        # a drawn set per (l, +1) window, negated in another order for (l, -1)
+        sets_flat = {}
+        for l in range(1, spectrum.n_pairs + 1):
+            picks = data.draw(st.lists(st.sampled_from(every), max_size=4, unique=True))
+            sets_flat[(l, 1)] = picks
+            sets_flat[(l, -1)] = [(o, ix.negated()) for o, ix in picks[::-1]]
+    event(f"{system}, clip {clip}")
+    config = ev.SolverConfig(picard_tol=1e-11)
+    assert ia._symmetric_windows(problem, layout, sets_flat, ia._initial_windows(layout, problem))
+    half, _ = ia._solve_windowed(problem, spectrum, config, beta, EPS, sets_flat, clip)
+    with pytest.MonkeyPatch.context() as mp:
+        full_state_path(mp)
+        full, _ = ia._solve_windowed(problem, spectrum, config, beta, EPS, sets_flat, clip)
+        full_coupling = ia.coupling_norm(full, index_sets) if system == "averaged" else None
+    assert half.iterations == full.iterations
+    scale = np.abs(full.data).max()
+    assert np.abs(half.data - full.data).max() <= 1e-13 * scale
+    got, want = np.array(half.distances), np.array(full.distances)
+    assert np.all((np.abs(got - want) <= 1e-12 * want) | (np.abs(got - want) <= 1e-14))
+    if full_coupling is not None:
+        coupling = ia.coupling_norm(half, index_sets)
+        assert abs(coupling - full_coupling) <= 1e-12 * full_coupling + 1e-14
+
+
+def test_asymmetric_windowed_inputs_take_the_full_path(nls_model, monkeypatch):
+    # each input breaks one condition of the exact symmetry test and is
+    # solved bitwise as on the full state; the reference input passes it
+    grid = Grid(1, (64,), (2.0,))
+    spectrum = rs.spectrum_from_list([[1, 0.7]])
+    beta = 0.3
+    h = doublet_sum(nls_model, grid, [0.7], beta=beta, amp=0.5)
+    chi = ev.cubic_full(1.0)
+    slots = [(1, 1), (-1, 1)]
+    every = [(3, rs.DecoratedIndex(e)) for e in itertools.product(slots, repeat=3)]
+    sets_flat = {(1, 1): every, (1, -1): [(3, ix.negated()) for _, ix in every]}
+    off = h.values.copy()
+    j = ia.ComponentLayout(spectrum, nls_model, grid, beta, EPS).mask[(1, -1)][3]
+    off[1, j] = np.nextafter(off[1, j].real, np.inf) + 1j * off[1, j].imag
+
+    def shifted(grid, center, radius):
+        # the window at -k_1 one node off the mirror of the one at +k_1
+        cut = wp.build_cutoff(grid, center, radius)
+        return np.roll(cut, 1) if np.ravel(center)[0] < 0 else cut
+
+    cases = [
+        ("symmetric", nls_model, chi, h.values, sets_flat, None),
+        ("one shifted window", nls_model, chi, h.values, sets_flat, shifted),
+        ("tensor phase", nls_model, ev.Susceptibility(3, chi.tensor * np.exp(0.3j)), h.values,
+         sets_flat, None),
+        ("set not negated", nls_model, chi, h.values,
+         {**sets_flat, (1, -1): sets_flat[(1, -1)][:-1]}, None),
+        ("one ulp off the mirror", nls_model, chi, off, sets_flat, None),
+        ("matrix symbol", _matrix_model(), chi, h.values, sets_flat, None),
+    ]
+    for name, model, susc, values, sets, cutoff in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            if cutoff is not None:
+                mp.setattr(ia, "build_cutoff", cutoff)
+            problem = ev.EvolutionProblem(model, [susc], 0.05, 0.2, grid, ModalField(grid, values))
+            layout = ia.ComponentLayout(spectrum, model, grid, beta, EPS)
+            windows = ia._initial_windows(layout, problem)
+            assert ia._symmetric_windows(problem, layout, sets, windows) == (name == "symmetric"), name
+            if name == "symmetric":
+                continue
+            solved, _ = ia._solve_windowed(problem, spectrum, None, beta, EPS, sets, True)
+            full_state_path(mp)
+            assert same_solution(solved, ia._solve_windowed(problem, spectrum, None, beta, EPS,
+                                                            sets, True)[0]), name
 
 
 # -- coupling norm ----------------------------------------------------------------------
@@ -764,7 +936,7 @@ def test_particle_norm_bounded_along_averaged_run(counterprop):
         comps, positions = [], []
         for l in (1, 2):
             for theta in (+1, -1):
-                comps.append(sol.component_field(l, theta, i))
+                comps.append(component_field(sol, l, theta, i))
                 positions.append(np.zeros(1))
         norms.append(wp.particle_norm(comps, positions, BETA, EPS))
     assert max(norms) <= 2.0 * norms[0]
@@ -781,7 +953,7 @@ def test_batched_particle_norms_are_the_per_sample_norms(counterprop):
     positions = [np.array([3.0 * l - 2.0 * theta]) for l, theta in keys]
     batched = wp.particle_norm([sol.component_samples(l, theta, sol.sample_indices)
                                 for l, theta in keys], positions, BETA, EPS)
-    loop = [wp.particle_norm([sol.component_field(l, theta, i) for l, theta in keys],
+    loop = [wp.particle_norm([component_field(sol, l, theta, i) for l, theta in keys],
                              positions, BETA, EPS)
             for i in sol.sample_indices]
     assert len(loop) > 2 and batched.tolist() == loop
