@@ -549,8 +549,11 @@ def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> floa
     if len(a.times) != len(b.times):
         raise ValueError("solutions discretise time differently")
     cell = a.problem.grid.cell
-    # one window at a time: the difference of whole trajectories is not held
-    return sum(float(_node_l1(a.data[..., seg] - b.data[..., seg], cell).max())
+    # one window and chunk of mesh nodes at a time: the difference of whole
+    # trajectories is not held
+    rows = [slice(i, i + AVERAGED_CHUNK) for i in range(0, len(a.times), AVERAGED_CHUNK)]
+    return sum(float(np.max([_node_l1(a.data[r, :, seg] - b.data[r, :, seg], cell).max()
+                             for r in rows]))
                for seg in a.layout.segments.values())
 
 
