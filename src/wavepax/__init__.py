@@ -41,8 +41,6 @@ from .resonance import (  # noqa: F401
     enumerate_solutions,
     genericity_probe,
     gvm_check,
-    kappa,
-    omega_combination,
     output_spectrum,
     partial_gvm_check,
     resonance_select,

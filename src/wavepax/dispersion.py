@@ -14,8 +14,7 @@ band ``(n, +)`` and component ``2*(n-1)+1`` holds band ``(n, -)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +42,8 @@ class DispersionModel:
     symbol: Optional[Callable] = None    # matrix-symbol: k -> (2J, 2J)
     h_fd: float = DEFAULT_FD_STEP
     exact_bands: Optional[tuple] = None  # optional Fraction-valued band maps
+    # grid -> symbol_eigensystem tables, filled by eigensystem_tables
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "scalar-band":
@@ -149,22 +150,41 @@ def _spectrum(model: DispersionModel, pts: np.ndarray):
     return evals, vecs
 
 
+def _bands_at(model: DispersionModel, n, zeta: int, pts: np.ndarray):
+    """Band (n, zeta) at (dim, M) points, with n one band or one per point.
+
+    Returns the eigenvalues (M,), the eigenvectors (M, 2J) (None if
+    scalar-band), and per point the gap from the band to the bands on either
+    side with its tolerance (M,).  A scalar-band gap is inf.
+    """
+    n = np.asarray(n)
+    if not ((1 <= n) & (n <= model.j_bands)).all() or zeta not in (1, -1):
+        raise ValueError("invalid band index")
+    evals, vecs = _spectrum(model, pts)
+    pos, at = _band_position(model, n, zeta), np.arange(pts.shape[1])
+    if vecs is None:
+        return evals[pos, at], None, np.full(at.shape, np.inf), np.zeros(at.shape)
+    # row p of below: the gap from spectrum row p to the row below it
+    below = np.pad(np.diff(evals, axis=0), ((1, 1), (0, 0)), constant_values=np.inf)
+    gap = np.minimum(below[pos, at], below[pos + 1, at])
+    return evals[pos, at], vecs[at, :, pos], gap, _gap_tolerance(np.abs(evals).max(axis=0))
+
+
+def _check_gaps(gap: np.ndarray, tol: np.ndarray) -> None:
+    """Raise BandCrossing at the first point whose band gap is below its tolerance."""
+    bad = np.flatnonzero(gap < tol)
+    if bad.size:
+        raise BandCrossing(f"eigenvalue gap {gap[bad[0]]:.3e} below tolerance {tol[bad[0]]:.3e}")
+
+
 def _band_at(model: DispersionModel, n: int, zeta: int, k):
     """Eigenvalue and eigenvector (None if scalar-band) of band (n, zeta) at one k.
 
     A matrix symbol raises BandCrossing where the band's gap closes.
     """
-    if not (1 <= n <= model.j_bands) or zeta not in (1, -1):
-        raise ValueError("invalid band index")
-    evals, vecs = _spectrum(model, _as_points(model, k))
-    evals, pos = evals[:, 0], _band_position(model, n, zeta)
-    if vecs is None:
-        return float(evals[pos]), None
-    gap = np.diff(evals)[max(pos - 1, 0):pos + 1].min()  # to the bands on either side
-    tol = _gap_tolerance(float(np.abs(evals).max()))
-    if gap < tol:
-        raise BandCrossing(f"eigenvalue gap {gap:.3e} below tolerance {tol:.3e}")
-    return float(evals[pos]), vecs[0, :, pos]
+    value, vecs, gap, tol = _bands_at(model, n, zeta, _as_points(model, k)[:, :1])
+    _check_gaps(gap, tol)
+    return float(value[0]), None if vecs is None else vecs[0]
 
 
 # -- point operations ---------------------------------------------------------
@@ -264,10 +284,14 @@ def symbol_eigensystem(model: DispersionModel, grid: Grid):
     return omega, basis, mask
 
 
-@lru_cache(maxsize=16)
 def eigensystem_tables(model: DispersionModel, grid: Grid):
-    """``symbol_eigensystem`` of a model on a grid, computed once."""
-    return symbol_eigensystem(model, grid)
+    """``symbol_eigensystem`` of a model on a grid, computed once per grid.
+
+    The model holds the tables, so they are freed with it.
+    """
+    if grid not in model._tables:
+        model._tables[grid] = symbol_eigensystem(model, grid)
+    return model._tables[grid]
 
 
 def band_columns(model: DispersionModel, grid: Grid, n: int, zeta: int, nodes=None):

@@ -87,13 +87,19 @@ def _r_star(packet: dict) -> np.ndarray:
 def _config_grid(gspec: dict) -> Grid:
     """The grid of a config's "grid" block: ``n`` per axis, a power of two >= 4.
 
+    A non-integral ``n`` or a ``k_max`` that is not finite and > 0 is a
+    ConfigError.
+
     ``Grid`` also takes the 3-smooth sizes of convolution transform grids;
     a configured grid does not.
     """
-    dim, n = int(gspec["dim"]), int(gspec["n"])
+    n, k_max = float(gspec["n"]), float(gspec["k_max"])
+    _require(np.isfinite(n) and n == int(n), f"grid.n must be an integer, got {gspec['n']!r}")
+    _require(np.isfinite(k_max) and k_max > 0, f"grid.k_max must be finite and > 0, got {k_max}")
+    dim, n = int(gspec["dim"]), int(n)
     if n < 4 or n & (n - 1):
         raise ValueError("grid.n must be a power of two >= 4")
-    return Grid(dim, (n,) * dim, (float(gspec["k_max"]),) * dim)
+    return Grid(dim, (n,) * dim, (k_max,) * dim)
 
 
 def load_config(cfg: dict) -> RunConfig:
@@ -428,6 +434,8 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     rc = load_config(cfg)
     exp = rc.experiment
     seed = int(exp.get("seed", 0))
+    n_track = int(exp.get("n_track_times", 9))
+    _require(n_track > 0, f"experiment.n_track_times must be > 0, got {n_track}")
     hyp = hypothesis_block(rc)
     _require_invariant(hyp, exp, force)
     initial, specs = build_initial(rc)
@@ -435,7 +443,6 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     beta, eps = rc.beta, rc.epsilon
     scan_step = (1.0 / beta) / 4.0
     halfwidth = float(exp.get("box_halfwidth", 6.0 * beta ** (-1.0 - eps)))
-    n_track = int(exp.get("n_track_times", 9))
     idxs = np.unique(np.linspace(0, len(traj.times) - 1, n_track).astype(int))
     layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, beta, eps)
 

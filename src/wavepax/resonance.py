@@ -19,13 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import DispersionModel, band_frequencies, eval_omega, group_velocity
-from .errors import BandCrossingAtOutput, EnumerationCapExceeded, WavepaxError
+from .dispersion import (DispersionModel, _bands_at, _check_gaps, band_frequencies, eval_omega,
+                         group_velocity)
+from .errors import BandCrossingAtOutput, EnumerationCapExceeded
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 DEFAULT_CLOSURE_MAX_ITER = 16
 INVARIANT_CLASSES = ("universally_invariant", "conditionally_invariant")
-_DISTANCE_BLOCK = 256  # rows per block of pairwise distances
+_TRIAL_ROWS = 4096  # candidate rows per block of genericity trials
 
 
 # -- spectra ------------------------------------------------------------------
@@ -81,13 +82,6 @@ class NkSpectrum:
     def kvec(self, l: int) -> np.ndarray:
         return self.pairs[l - 1][1]
 
-    def contains_pair(self, n: int, k: np.ndarray) -> int | None:
-        """1-based index of the pair equal to (n, k) under tol_k, else None."""
-        for l, (nl, kl) in enumerate(self.pairs, start=1):
-            if nl == n and np.linalg.norm(kl - k) <= self.tol_k:
-                return l
-        return None
-
     def subset(self, indices) -> "NkSpectrum":
         return NkSpectrum(tuple(self.pairs[l - 1] for l in indices), dim=self.dim)
 
@@ -97,23 +91,6 @@ def spectrum_from_list(pairs, dim: int | None = None) -> NkSpectrum:
     rows = [list(np.atleast_1d(row)) for row in pairs]
     d = dim or (len(rows[0]) - 1)
     return NkSpectrum(tuple((int(r[0]), np.array(r[1:], dtype=float)) for r in rows), dim=d)
-
-
-def spectra_equal(a: NkSpectrum, b: NkSpectrum, tol_k: float | None = None) -> bool:
-    if a.n_pairs != b.n_pairs:
-        return False
-    tol = tol_k if tol_k is not None else max(a.tol_k, b.tol_k)
-    used = set()
-    for n, k in a.pairs:
-        hit = None
-        for j, (nb, kb) in enumerate(b.pairs):
-            if j not in used and n == nb and np.linalg.norm(k - kb) <= tol:
-                hit = j
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True
 
 
 # -- decorated indices ----------------------------------------------------------
@@ -140,34 +117,13 @@ class DecoratedIndex:
         return DecoratedIndex(tuple((-z, l) for z, l in self.entries))
 
 
-def all_indices(n_pairs: int, m: int):
-    """All decorated indices of order m, in a fixed lexicographic order."""
-    entries = [(z, l) for l in range(1, n_pairs + 1) for z in (+1, -1)]
-    for combo in itertools.product(entries, repeat=m):
-        yield DecoratedIndex(combo)
-
-
-def kappa(index: DecoratedIndex, spectrum: NkSpectrum):
-    """Signed sum of carrier wavevectors of an index."""
-    out = np.zeros(spectrum.dim)
-    for z, l in index.entries:
-        out = out + z * spectrum.kvec(l)
-    return float(out[0]) if spectrum.dim == 1 else out
-
-
-def omega_combination(index: DecoratedIndex, spectrum: NkSpectrum, model: DispersionModel) -> float:
-    """Signed sum of positive-branch band frequencies of an index."""
-    return float(
-        sum(z * eval_omega(model, spectrum.band(l), +1, spectrum.kvec(l)) for z, l in index.entries)
-    )
-
-
 @lru_cache(maxsize=16)
 def _index_tables(n_pairs: int, orders: tuple) -> tuple:
     """Signs and 0-based slots of every index of the orders, built once and read-only.
 
     Each order's (2 n_pairs)^m rows follow those of the orders before it, in
-    ``all_indices`` order; sign 0 (slot 0) pads the columns past its order.
+    lexicographic order of their entries, an entry ranking as (+1, 1),
+    (-1, 1), (+1, 2), ...; sign 0 (slot 0) pads the columns past its order.
     """
     e = [np.indices((2 * n_pairs,) * m).reshape(m, -1).T for m in orders]
     signs = np.zeros((sum(len(t) for t in e), max(orders, default=0)), dtype=int)
@@ -182,48 +138,67 @@ def _index_tables(n_pairs: int, orders: tuple) -> tuple:
 
 
 def _slot_sums(signs: np.ndarray, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_j z_j * values[l_j] for each row of an index table; values is (n_pairs, d).
+    """sum_j z_j * values[..., l_j, :] for each row of an index table; values is (..., n_pairs, d).
 
-    Starts from zero and adds one slot at a time in entry order, as ``kappa``
-    and ``omega_combination`` do, so the sums agree with theirs bit for bit.
+    Starts from zero and adds one slot at a time in entry order, so the sums
+    agree bit for bit with a per-index loop over the entries.
     """
-    out = np.zeros((signs.shape[0], values.shape[1]))
+    out = np.zeros(values.shape[:-2] + (signs.shape[0], values.shape[-1]))
     for j in range(signs.shape[1]):
-        out = out + signs[:, j, None] * values[slots[:, j]]
+        out = out + signs[:, j, None] * values[..., slots[:, j], :]
     return out
 
 
-def _kvec_table(spectrum: NkSpectrum) -> np.ndarray:
-    return np.array([k for _, k in spectrum.pairs], dtype=float).reshape(
-        spectrum.n_pairs, spectrum.dim
-    )
-
-
 def _candidates(values: np.ndarray, orders) -> tuple:
-    """Every decorated index of the orders, each order in ``all_indices`` order.
+    """Every decorated index of the orders, in ``_index_tables`` order.
 
     Returns ``(signs, slots, sums)``: the read-only ``_index_tables`` and
-    per index its ``_slot_sums`` of the (n_pairs, d) ``values``.
+    per index its ``_slot_sums`` of the (..., n_pairs, d) ``values``.
     """
-    signs, slots = _index_tables(len(values), tuple(orders))
-    sums, r0 = [np.empty((0, values.shape[1]))], 0
+    signs, slots = _index_tables(values.shape[-2], tuple(orders))
+    sums, r0 = [np.empty(values.shape[:-2] + (0, values.shape[-1]))], 0
     for m in orders:
-        r1 = r0 + (2 * len(values)) ** m
+        r1 = r0 + (2 * values.shape[-2]) ** m
         sums.append(_slot_sums(signs[r0:r1, :m], slots[r0:r1, :m], values))
         r0 = r1
-    return signs, slots, np.concatenate(sums)
+    return signs, slots, np.concatenate(sums, axis=-2)
+
+
+def _unique_rows(key: np.ndarray) -> tuple:
+    """First occurrences and inverse of the distinct rows of each (R, d) stack of a float key.
+
+    Per stack they are those of ``np.unique(stack, axis=0, return_index=True,
+    return_inverse=True)``: distinct rows in ascending lexicographic order,
+    -0.0 equal to 0.0, each first occurrence the lowest position of its row.
+    Both are positions in the (-1, d) rows of all stacks, stack by stack.
+    Per-stack argsorts stand in for its sort of a structured view.
+    """
+    rows, d = key.shape[-2:]
+    key = key.reshape(np.prod(key.shape[:-2], dtype=int), rows, d)
+    order = np.argsort(key[..., -1], axis=-1)  # unstable: first occurrences are found below
+    for j in range(d - 2, -1, -1):
+        col = np.take_along_axis(key[..., j], order, axis=-1)
+        order = np.take_along_axis(order, np.argsort(col, axis=-1, kind="stable"), axis=-1)
+    order = (order + rows * np.arange(len(key))[:, None]).reshape(-1)
+    srt = key.reshape(-1, d)[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    new[::max(rows, 1)] = True  # a stack's first row
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return np.minimum.reduceat(order, np.flatnonzero(new)) if order.size else order, inverse
 
 
 def _output_bands(model: DispersionModel, out_k: np.ndarray):
-    """omega_{n,+} (R, J) and singular flags (R,) at output wavevectors (R, dim).
+    """omega_{n,+} (T, R, J) and singular flags (T, R) at output wavevectors (T, R, dim).
 
-    Rows with the same 12-decimal rounding all take the values at the first.
+    Rows of one of the T stacks with the same 12-decimal rounding all take
+    the values at the first of them.
     """
-    key = np.round(out_k, 12)
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    omega, singular = band_frequencies(model, out_k[first].T)
-    inverse = inverse.reshape(-1)
-    return omega.T[inverse], singular[inverse]
+    t, rows, dim = out_k.shape
+    first, inverse = _unique_rows(np.round(out_k, 12))
+    omega, singular = band_frequencies(model, out_k.reshape(-1, dim)[first].T)
+    return omega.T[inverse].reshape(t, rows, model.j_bands), singular[inverse].reshape(t, rows)
 
 
 def _index_at(signs: np.ndarray, slots: np.ndarray) -> "DecoratedIndex":
@@ -251,26 +226,29 @@ class ResonanceSolution:
         return (self.m, self.zeta, self.n, self.index.entries)
 
 
+def _tol_res(omegas) -> float:
+    """The default frequency tolerance of a spectrum with carrier frequencies ``omegas``."""
+    return 1e-9 * (1.0 + max((abs(w) for w in omegas), default=0.0))
+
+
 def default_tol_res(spectrum: NkSpectrum, model: DispersionModel) -> float:
-    top = max(
-        abs(eval_omega(model, n, +1, k)) for n, k in spectrum.pairs
-    ) if spectrum.pairs else 0.0
-    return 1e-9 * (1.0 + top)
+    return _tol_res([eval_omega(model, n, +1, k) for n, k in spectrum.pairs])
 
 
 class _HitTable(NamedTuple):
-    """Resonant (m, zeta, n, index) tuples of a spectrum, in solution order.
+    """Resonant (m, zeta, n, index) tuples of T spectra, in solution order per spectrum.
 
     Hit i is the index with signs ``signs[i]`` and 0-based slots ``slots[i]``
     (sign 0 pads the columns past its order), row ``row[i]`` of the candidate
-    table, resonant for the output (n[i], zeta[i]).  ``close[i]`` flags the
-    pairs equal to (n[i], zeta[i] * kappa[i]) under tol_k and ``target[i]``
-    is the first of them (-1: the hit is external).  ``cond[i]`` =
-    delta - zeta * e_target vanishes exactly when an internal hit is
-    universal.  ``skipped`` lists the (m, zeta, index, output wavevector)
-    candidates on the singular set.
+    table of spectrum ``trial[i]``, resonant for the output (n[i], zeta[i]).
+    ``close[i]`` flags the pairs equal to (n[i], zeta[i] * kappa[i]) under
+    that spectrum's tol_k and ``target[i]`` is the first of them (-1: the hit
+    is external).  ``cond[i]`` = delta - zeta * e_target vanishes exactly
+    when an internal hit is universal.  ``skipped`` lists the (m, zeta,
+    index, output wavevector) candidates on the singular set.
     """
 
+    trial: np.ndarray      # (H,) 0-based, ascending
     zeta: np.ndarray       # (H,)
     n: np.ndarray          # (H,) 1-based band
     signs: np.ndarray      # (H, max order)
@@ -285,52 +263,79 @@ class _HitTable(NamedTuple):
     skipped: list
 
 
+def _candidate_rows(n_pairs: int, model: DispersionModel, orders, cap: int) -> int:
+    """Candidate indices of one spectrum; raises when their (zeta, n) outputs exceed ``cap``."""
+    rows = sum((2 * n_pairs) ** m for m in orders)
+    if 2 * model.j_bands * rows > cap:
+        raise EnumerationCapExceeded(f"{2 * model.j_bands * rows} candidate tuples exceed cap {cap}")
+    return rows
+
+
+def _carriers(spectra, model: DispersionModel) -> tuple:
+    """Bands (T, P), wavevectors (T, P, dim) and omega_{n,+} (T, P) of T spectra's pairs.
+
+    The last two values are ``_bands_at``'s gap and tolerance (T, P): where
+    the gap is below the tolerance, ``eval_omega`` raises BandCrossing.
+    """
+    t, p, dim = len(spectra), spectra[0].n_pairs, spectra[0].dim
+    bands = np.array([[n for n, _ in s.pairs] for s in spectra], dtype=int).reshape(t, p)
+    kvecs = np.array([[k for _, k in s.pairs] for s in spectra], dtype=float).reshape(t, p, dim)
+    omega, _, gap, tol = _bands_at(model, bands.reshape(-1), +1, kvecs.reshape(-1, dim).T)
+    return bands, kvecs, omega.reshape(t, p), gap.reshape(t, p), tol.reshape(t, p)
+
+
 def _hit_table(
-    spectrum: NkSpectrum,
+    spectra,
     model: DispersionModel,
     orders,
     tol_res: float | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> _HitTable:
-    """The resonant tuples of a spectrum, found and classified as arrays."""
-    n_pairs = spectrum.n_pairs
+    """The resonant tuples of T spectra, found and classified as arrays.
+
+    The spectra share their number of pairs and dimension; each keeps its
+    own bands, tol_k and default tol_res.  The hits of spectrum t are those
+    of its table alone, with trial t.  A carrier where ``eval_omega`` raises
+    BandCrossing raises it here too.
+    """
+    n_pairs, dim, t = spectra[0].n_pairs, spectra[0].dim, len(spectra)
     orders = sorted(set(int(m) for m in orders))
-    total = sum(2 * model.j_bands * (2 * n_pairs) ** m for m in orders)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} candidate tuples exceed cap {cap}")
+    _candidate_rows(n_pairs, model, orders, cap)
+    bands, kvecs, omegas, gap, tol = _carriers(spectra, model)
+    _check_gaps(gap.reshape(-1), tol.reshape(-1))
     if tol_res is None:
-        tol_res = default_tol_res(spectrum, model)
+        tol_res = [_tol_res(row) for row in omegas.tolist()]
+    tol_res = np.broadcast_to(np.asarray(tol_res, dtype=float), (t,))
+    tol_k = np.array([s.tol_k for s in spectra])
 
-    omegas = np.array([eval_omega(model, n, +1, k) for n, k in spectrum.pairs], dtype=float)
-    signs, slots, sums = _candidates(np.column_stack([_kvec_table(spectrum), omegas]), orders)
-    kap, comb = sums[:, :-1], sums[:, -1]
-    # output rows: index-major, zeta = +1, -1 inner
-    out_k = np.stack([kap, -kap], axis=1).reshape(-1, spectrum.dim)
+    signs, slots, sums = _candidates(np.concatenate([kvecs, omegas[..., None]], axis=-1), orders)
+    kap, comb = sums[..., :-1], sums[..., -1]
+    # output rows per spectrum: index-major, zeta = +1, -1 inner
+    out_k = np.stack([kap, -kap], axis=2).reshape(t, -1, dim)
     omega, singular = _output_bands(model, out_k)
-    zeta = np.tile([1, -1], len(kap))
-    residual = np.abs((-zeta)[:, None] * omega + np.repeat(comb, 2)[:, None])
-    hit = (residual <= tol_res) & ~singular[:, None]
+    zeta = np.tile([1, -1], kap.shape[1])
+    residual = np.abs((-zeta)[:, None] * omega + np.repeat(comb, 2, axis=-1)[..., None])
+    hit = (residual <= tol_res[:, None, None]) & ~singular[..., None]
     skipped = [(int(np.count_nonzero(signs[r // 2])), int(zeta[r]),
-                _index_at(signs[r // 2], slots[r // 2]), out_k[r].copy())
-               for r in np.nonzero(singular)[0]]
+                _index_at(signs[r // 2], slots[r // 2]), out_k[i, r].copy())
+               for i, r in zip(*np.nonzero(singular))]
 
-    r, b = np.nonzero(hit)
+    tr, r, b = np.nonzero(hit)
     signs, slots = signs[r // 2], slots[r // 2]
-    # solution order: (m, -zeta, n, entries), an entry (z, l) ranking by z, then l
+    # solution order: trial, then (m, -zeta, n, entries), an entry (z, l) ranking by z, then l
     rank = (signs + 1) * n_pairs + slots
-    order = np.lexsort(tuple(rank.T[::-1]) + (b, -zeta[r], np.count_nonzero(signs, axis=1)))
-    r, b, signs, slots = r[order], b[order], signs[order], slots[order]
-    row, zeta, n, kap = r // 2, zeta[r], b + 1, kap[r // 2]
+    order = np.lexsort(tuple(rank.T[::-1]) + (b, -zeta[r], np.count_nonzero(signs, axis=1), tr))
+    tr, r, b, signs, slots = tr[order], r[order], b[order], signs[order], slots[order]
+    row, zeta, n, kap = r // 2, zeta[r], b + 1, kap[tr, r // 2]
 
-    bands = np.array([nl for nl, _ in spectrum.pairs], dtype=int)
-    gap = np.linalg.norm(_kvec_table(spectrum) - (zeta[:, None] * kap)[:, None], axis=-1)
-    close = (bands == n[:, None]) & (gap <= spectrum.tol_k)
+    gap = np.linalg.norm(kvecs[tr] - (zeta[:, None] * kap)[:, None], axis=-1)
+    close = (bands[tr] == n[:, None]) & (gap <= tol_k[tr, None])
     first = (np.cumsum(close, axis=1) == 0).sum(axis=1)  # pairs before the first close one
     target = np.where(first < n_pairs, first, -1)
     delta = (signs[:, :, None] * (slots[:, :, None] == np.arange(n_pairs))).sum(axis=1)
     cond = delta - zeta[:, None] * (np.arange(n_pairs) == target[:, None])
-    return _HitTable(zeta, n, signs, slots, row, kap, residual[r, b], delta, close, target,
-                     cond, skipped)
+    return _HitTable(tr, zeta, n, signs, slots, row, kap, residual[tr, r, b], delta, close,
+                     target, cond, skipped)
 
 
 def _solutions(hits: _HitTable) -> list[ResonanceSolution]:
@@ -364,42 +369,41 @@ def enumerate_solutions(
     Indices whose output wavevector hits the singular set are skipped and,
     when ``collect_skipped`` is given, recorded there.
     """
-    hits = _hit_table(spectrum, model, orders, tol_res=tol_res, cap=cap)
+    hits = _hit_table([spectrum], model, orders, tol_res=tol_res, cap=cap)
     if collect_skipped is not None:
         collect_skipped.extend(hits.skipped)
     return _solutions(hits)
 
 
-def _greedy_distinct(rows: np.ndarray, tol: float, labels: np.ndarray | None = None) -> np.ndarray:
+def _greedy_distinct(rows: np.ndarray, tol, labels: np.ndarray | None = None) -> np.ndarray:
     """Positions of the rows (R, d) that a greedy pass in row order keeps.
 
-    A row is dropped when it lies within ``tol`` of a kept earlier row (with
-    the same label).  Exact repeats are dropped first: each lies within
-    ``tol`` of whatever kept or dropped its first occurrence.
+    A row is dropped when it lies within ``tol`` (one value, or one per row)
+    of a kept earlier row with the same label.  Each round keeps the first
+    undecided row of every label and drops the undecided rows of that label
+    within tol of it, which decides them as the pass in row order would.
     """
-    key = rows if labels is None else np.column_stack([labels, rows])
-    _, first = np.unique(key, axis=0, return_index=True)
-    first = np.sort(first)
-    rows = rows[first]
-    keep = np.zeros(len(first), dtype=bool)
-    for a in range(0, len(first), _DISTANCE_BLOCK):
-        b = min(a + _DISTANCE_BLOCK, len(first))
-        close = np.linalg.norm(rows[a:b, None] - rows[None, :b], axis=-1) <= tol
-        if labels is not None:
-            close &= labels[first[a:b], None] == labels[first[None, :b]]
-        for i in range(a, b):
-            keep[i] = not (close[i - a, :i] & keep[:i]).any()
-    return first[keep]
+    labels = np.zeros(len(rows), dtype=int) if labels is None else labels
+    tol = np.broadcast_to(tol, (len(rows),))
+    left, kept = np.arange(len(rows)), []
+    while left.size:
+        _, lead, group = np.unique(labels[left], return_index=True, return_inverse=True)
+        near = np.linalg.norm(rows[left] - rows[left[lead][group]], axis=-1) <= tol[left]
+        near[lead] = True
+        kept.append(left[lead])
+        left = left[~near]
+    return np.sort(np.concatenate(kept)) if kept else left
 
 
 def output_spectrum(spectrum: NkSpectrum, orders, tol_k: float | None = None) -> list[np.ndarray]:
     """All signed wavevector combinations reachable at the given orders.
 
     A combination is kept unless it lies within ``tol_k`` of one kept before
-    it in ``all_indices`` order.
+    it in ``_index_tables`` order.
     """
     tol = tol_k if tol_k is not None else spectrum.tol_k
-    kap = _candidates(_kvec_table(spectrum), sorted(set(int(v) for v in orders)))[2]
+    kvecs = np.array([k for _, k in spectrum.pairs], dtype=float).reshape(-1, spectrum.dim)
+    kap = _candidates(kvecs, sorted(set(int(v) for v in orders)))[2]
     return list(kap[_greedy_distinct(kap, tol)])
 
 
@@ -417,25 +421,36 @@ def _normalize_row(row: tuple) -> tuple:
     return row
 
 
+def _verdict_hits(out_k: np.ndarray, labels: np.ndarray, internal: np.ndarray,
+                  cond: np.ndarray, tol_k) -> tuple:
+    """The hits that decide a class: (representatives, new, conditional) positions.
+
+    Hit i outputs ``out_k[i]`` under ``labels[i]`` (its band, or its trial and
+    band), is internal when that output is a pair of its spectrum
+    (``internal[i]``) and has the condition row ``cond[i]``, zero exactly
+    when an internal hit is universal.  Each tol_k cluster of one label's
+    outputs is represented by its first hit; a representative without a
+    target is new, and an internal hit with a nonzero row is conditional.
+    A spectrum is universally invariant when it has neither.
+    """
+    reps = _greedy_distinct(out_k, tol_k, labels)
+    return reps, reps[~internal[reps]], np.flatnonzero(internal & cond.any(axis=1))
+
+
 def _verdict(out_k: np.ndarray, bands: np.ndarray, internal: np.ndarray, cond: np.ndarray,
              tol_k: float) -> _Verdict:
     """Resonant outputs, class and condition rows of a spectrum, from its hits.
 
-    Hit i outputs (``bands[i]``, ``out_k[i]``), is internal when that output
-    is a pair of the spectrum (``internal[i]``) and has the condition row
-    ``cond[i]``, zero exactly when an internal hit is universal.  Each tol_k
-    cluster of outputs is represented by its first hit; R(S) = S exactly when
-    every representative has a target.  Such a spectrum is universally
-    invariant unless an internal hit is not universal, which makes it
-    conditionally invariant under that hit's condition row.
+    R(S) = S exactly when no representative is new (``_verdict_hits``).
+    Such a spectrum is universally invariant unless a hit is conditional,
+    which makes it conditionally invariant under that hit's condition row.
     """
-    reps = _greedy_distinct(out_k, tol_k, bands)
+    reps, new, conditional = _verdict_hits(out_k, bands, internal, cond, tol_k)
     out_res = [(int(bands[i]), out_k[i]) for i in reps]
-    new = [pair for pair, known in zip(out_res, internal[reps]) if not known]
+    new = [(int(bands[i]), out_k[i]) for i in new]
     if new:
         return _Verdict(out_res, new, "not_invariant", [])
-    conditional = internal & cond.any(axis=1)
-    if not conditional.any():
+    if not conditional.size:
         return _Verdict(out_res, new, "universally_invariant", [])
     rows = {_normalize_row(tuple(row)) for row in cond[conditional].tolist()}
     return _Verdict(out_res, new, "conditionally_invariant", sorted(rows))
@@ -448,7 +463,7 @@ def _table_verdict(hits: _HitTable, tol_k: float) -> _Verdict:
 def _selection_step(spectrum: NkSpectrum, model: DispersionModel, orders,
                     tol_res: float | None) -> tuple[list, list]:
     """The pairs that resonance selection adds to a spectrum, and its skipped candidates."""
-    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
+    hits = _hit_table([spectrum], model, orders, tol_res=tol_res)
     return _table_verdict(hits, spectrum.tol_k).new, hits.skipped
 
 
@@ -520,10 +535,6 @@ class ResonanceReport:
     closure_iterations: int | None
     skipped: list = field(default_factory=list)
     conditions_exact: bool | None = None
-
-    @property
-    def is_invariant(self) -> bool:
-        return self.classification in INVARIANT_CLASSES
 
     def to_dict(self) -> dict:
         def row(n, k):
@@ -634,7 +645,7 @@ def _index_sets(spectrum: NkSpectrum, hits: _HitTable, orders):
     resonant: dict = {(l, theta, m): [] for l in range(1, spectrum.n_pairs + 1)
                       for theta in (+1, -1) for m in sorted(set(int(v) for v in orders))}
     contributing: dict = {key: [] for key in resonant}
-    for i in np.argsort(hits.row, kind="stable"):  # all_indices order within each key
+    for i in np.argsort(hits.row, kind="stable"):  # candidate order within each key
         index = _index_at(hits.signs[i], hits.slots[i])
         for l in range(1, spectrum.n_pairs + 1):
             if spectrum.band(l) == hits.n[i]:
@@ -657,9 +668,9 @@ def resonant_index_sets(
     the output (band(l), theta) vanishes.  ``contributing`` keeps only those
     whose signed wavevector sum equals theta * k_l, i.e. the terms that
     survive the output cutoff in the interaction equations.  Both list
-    indices in ``all_indices`` order.
+    indices in ``_index_tables`` order.
     """
-    return _index_sets(spectrum, _hit_table(spectrum, model, orders, tol_res=tol_res), orders)
+    return _index_sets(spectrum, _hit_table([spectrum], model, orders, tol_res=tol_res), orders)
 
 
 # -- group velocity matching ---------------------------------------------------------
@@ -737,7 +748,7 @@ def partial_gvm_check(
         if _selection_step(spectrum.subset(p), model, orders, tol_res)[0]:
             violations.append(("part_not_invariant", p))
 
-    hits = _hit_table(spectrum, model, orders, tol_res=tol_res)
+    hits = _hit_table([spectrum], model, orders, tol_res=tol_res)
     _, contributing = _index_sets(spectrum, hits, orders)
     flags, _ = gvm_check(spectrum, model, contributing, tol_gv=tol_gv)
     if tol_gv is None:
@@ -769,36 +780,43 @@ def genericity_probe(
     radius: float,
     seed: int = 0,
 ) -> float:
-    """Fraction of radius-perturbed spectra that are universally invariant."""
+    """Fraction of radius-perturbed spectra that are universally invariant.
+
+    Each trial shifts every carrier wavevector by a uniform draw from
+    [-radius, radius]^dim.  A trial with a carrier where ``eval_omega``
+    raises BandCrossing counts as not invariant.  The trials are decided in
+    blocks, each from one hit table.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    orders = sorted(set(int(m) for m in orders))
+    rows = _candidate_rows(spectrum.n_pairs, model, orders, DEFAULT_ENUMERATION_CAP)
+    per_block = max(1, _TRIAL_ROWS // max(rows, 1))  # trials
     rng = np.random.default_rng(seed)
     universal = 0
-    for _ in range(trials):
-        pairs = []
-        for n, k in spectrum.pairs:
-            shift = rng.uniform(-radius, radius, size=spectrum.dim)
-            pairs.append((n, k + shift))
-        trial = NkSpectrum(tuple(pairs), dim=spectrum.dim)
-        try:
-            hits = _hit_table(trial, model, orders)
-        except EnumerationCapExceeded:
-            raise  # the same for every trial: no sample to count
-        except WavepaxError:
-            continue  # e.g. a perturbed carrier on the singular set
-        if _table_verdict(hits, trial.tol_k).classification == "universally_invariant":
-            universal += 1
+    for start in range(0, trials, per_block):
+        shifts = rng.uniform(-radius, radius,
+                             size=(min(per_block, trials - start), spectrum.n_pairs, spectrum.dim))
+        block = [NkSpectrum(tuple((n, k + d) for (n, k), d in zip(spectrum.pairs, shift)),
+                            dim=spectrum.dim) for shift in shifts]
+        gap, tol = _carriers(block, model)[3:]
+        block = [s for s, closed in zip(block, (gap < tol).any(axis=1)) if not closed]
+        if not block:
+            continue
+        hits = _hit_table(block, model, orders)
+        tol_k = np.array([s.tol_k for s in block])[hits.trial]
+        _, new, conditional = _verdict_hits(hits.zeta[:, None] * hits.kappa,
+                                            hits.trial * (model.j_bands + 1) + hits.n,
+                                            hits.target >= 0, hits.cond, tol_k)
+        failed = np.bincount(hits.trial[np.concatenate([new, conditional])], minlength=len(block))
+        universal += int(np.count_nonzero(failed == 0))
     return universal / trials
 
 
 __all__ = [
     "NkSpectrum",
     "spectrum_from_list",
-    "spectra_equal",
     "DecoratedIndex",
-    "all_indices",
-    "kappa",
-    "omega_combination",
     "ResonanceSolution",
     "ResonanceReport",
     "enumerate_solutions",

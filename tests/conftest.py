@@ -56,6 +56,28 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture(scope="session")
+def spectra_equal():
+    """Whether two spectra hold the same (band, wavevector) pairs under tol_k, in any order."""
+    def equal(a, b, tol_k=None):
+        if a.n_pairs != b.n_pairs:
+            return False
+        tol = tol_k if tol_k is not None else max(a.tol_k, b.tol_k)
+        used = set()
+        for n, k in a.pairs:
+            hit = None
+            for j, (nb, kb) in enumerate(b.pairs):
+                if j not in used and n == nb and np.linalg.norm(k - kb) <= tol:
+                    hit = j
+                    break
+            if hit is None:
+                return False
+            used.add(hit)
+        return True
+
+    return equal
+
+
 @pytest.fixture
 def trajectory_distance():
     """Sup over the shared sample times of two trajectories of their L1 distance."""

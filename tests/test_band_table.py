@@ -1,5 +1,8 @@
 """The band table of ``dispersion``: band order, cached eigenbasis, one projector."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -232,3 +235,20 @@ def test_eigen_cache_fills_once_and_crossing_scan_does_not_use_it(monkeypatch):
     dsp.detect_band_crossings(model, grid)
     assert len(calls) == 3
     assert not hasattr(wp, "eigensystem_tables")
+
+
+def test_eigen_tables_are_freed_with_their_model():
+    # a config builds a new model per run: the tables of a finished run's
+    # model must not stay alive, and an equal new model fills its own
+    grid = Grid(1, (64,), (3.0,))
+    cfg = {"preset": "twoband", "params": {}}
+    model = dsp.model_from_config(cfg)
+    omega = dsp.eigensystem_tables(model, grid)[0]
+    assert dsp.eigensystem_tables(model, grid)[0] is omega
+    assert dsp.eigensystem_tables(model, Grid(1, (64,), (3.0,)))[0] is omega
+    held = weakref.ref(omega)
+    del model, omega
+    gc.collect()
+    assert held() is None
+    again = dsp.eigensystem_tables(dsp.model_from_config(cfg), grid)[0]
+    assert again.tobytes() == dsp.symbol_eigensystem(dsp.model_from_config(cfg), grid)[0].tobytes()

@@ -63,6 +63,35 @@ def test_configured_grid_is_a_power_of_two(n):
     assert Grid(1, (288,), (4.0,)).shape == (288,)
 
 
+@pytest.mark.parametrize("grid", [{"n": 512, "k_max": 0.0}, {"n": 512, "k_max": -4.0},
+                                  {"n": 512, "k_max": float("nan")},
+                                  {"n": 512, "k_max": float("inf")},
+                                  {"n": 1024.5, "k_max": 4.0}, {"n": float("inf"), "k_max": 4.0},
+                                  {"n": float("nan"), "k_max": 4.0}])
+def test_grid_fields_are_config_errors(grid, tmp_path):
+    # once a ZeroDivisionError, a silent FAIL, a silent int() or an OverflowError
+    with pytest.raises(ConfigError, match="grid"):
+        harness.load_config(counterprop_cfg(grid=grid))
+    with pytest.raises(ConfigError, match="grid"):
+        harness.soliton_experiment({"grid": grid})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(counterprop_cfg(grid=grid, experiment={"n_track_times": 3})))
+    assert cli_main(["experiment", "positions", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("n_track", [0, -3])
+def test_track_times_are_positive(n_track, tmp_path):
+    # n_track_times 0 once ended in an IndexError after the solve
+    cfg = counterprop_cfg(experiment={"n_track_times": n_track})
+    with pytest.raises(ConfigError, match="n_track_times"):
+        harness.position_tracking_experiment(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["experiment", "positions", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 3
+
+
 @pytest.mark.parametrize("rho, warns", [(0.01, False), (0.004, True)])
 def test_dispersion_ratio_warning(rho, warns):
     # beta^2/rho evaluates to 1.0000000000000002 at beta = 0.1, rho = 0.01

@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from wavepax import dispersion as dsp
 from wavepax import resonance as rs
 from wavepax.cli import main as cli_main
-from wavepax.errors import BandCrossing, BandCrossingAtOutput, EnumerationCapExceeded
+from wavepax.errors import (BandCrossing, BandCrossingAtOutput, EnumerationCapExceeded,
+                            WavepaxError)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,32 +24,67 @@ def idx(*entries):
     return rs.DecoratedIndex(tuple(entries))
 
 
+# -- per-index oracles --------------------------------------------------------------
+#
+# Only the tests use these: the enumeration reads the same sums off the
+# candidate tables (``rs._candidates``).
+
+def _all_indices(n_pairs, m):
+    """All decorated indices of order m, in a fixed lexicographic order."""
+    entries = [(z, l) for l in range(1, n_pairs + 1) for z in (+1, -1)]
+    for combo in itertools.product(entries, repeat=m):
+        yield rs.DecoratedIndex(combo)
+
+
+def _kappa(index, spectrum):
+    """Signed sum of carrier wavevectors of an index."""
+    out = np.zeros(spectrum.dim)
+    for z, l in index.entries:
+        out = out + z * spectrum.kvec(l)
+    return float(out[0]) if spectrum.dim == 1 else out
+
+
+def _omega_combination(index, spectrum, model):
+    """Signed sum of positive-branch band frequencies of an index."""
+    return float(
+        sum(z * dsp.eval_omega(model, spectrum.band(l), +1, spectrum.kvec(l)) for z, l in index.entries)
+    )
+
+
+def _contains_pair(spectrum, n, k):
+    """1-based index of the pair equal to (n, k) under tol_k, else None."""
+    for l, (nl, kl) in enumerate(spectrum.pairs, start=1):
+        if nl == n and np.linalg.norm(kl - k) <= spectrum.tol_k:
+            return l
+    return None
+
+
 # -- kappa / omega combinations -------------------------------------------------
 
 def test_kappa_values():
     s = rs.spectrum_from_list([[1, 0.7]])
-    assert rs.kappa(idx((1, 1), (-1, 1), (1, 1)), s) == pytest.approx(0.7)
-    assert rs.kappa(idx((1, 1), (1, 1)), s) == pytest.approx(1.4)
+    assert _kappa(idx((1, 1), (-1, 1), (1, 1)), s) == pytest.approx(0.7)
+    assert _kappa(idx((1, 1), (1, 1)), s) == pytest.approx(1.4)
     s2 = rs.spectrum_from_list([[1, 0.7], [1, -0.7]])
     # one slot on the counterpropagating partner flips the output carrier
-    assert rs.kappa(idx((1, 1), (-1, 1), (1, 2)), s2) == pytest.approx(-0.7)
+    assert _kappa(idx((1, 1), (-1, 1), (1, 2)), s2) == pytest.approx(-0.7)
 
 
 def test_omega_combination_values():
     m = model(1.0)
     s2 = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
     # counterpropagating triple: the pair cancels, one band frequency remains
-    assert rs.omega_combination(idx((1, 1), (-1, 1), (1, 1)), s2, m) == pytest.approx(2.0)
+    assert _omega_combination(idx((1, 1), (-1, 1), (1, 1)), s2, m) == pytest.approx(2.0)
     s1 = rs.spectrum_from_list([[1, 1.0]])
     m0 = model(0.0)
-    assert rs.omega_combination(idx((1, 1), (1, 1)), s1, m0) == pytest.approx(2.0)
+    assert _omega_combination(idx((1, 1), (1, 1)), s1, m0) == pytest.approx(2.0)
     m3 = model(3.0)
-    assert rs.omega_combination(idx((1, 1), (1, 1), (1, 1)), s1, m3) == pytest.approx(12.0)
+    assert _omega_combination(idx((1, 1), (1, 1), (1, 1)), s1, m3) == pytest.approx(12.0)
 
 
 # -- enumeration golden set -------------------------------------------------------
 
-def test_quadratic_no_shg():
+def test_quadratic_no_shg(spectra_equal):
     # 2 omega(k*) != omega(2k*) and omega(0) != 0: nothing resonates
     m = model(1.0)
     s = rs.spectrum_from_list([[1, 1.0]])
@@ -55,11 +92,11 @@ def test_quadratic_no_shg():
     assert sols == []
     rep = rs.classify(s, m, [2])
     assert rep.out_res == []
-    assert rs.spectra_equal(rep.selected, s)
+    assert spectra_equal(rep.selected, s)
     assert rep.classification == "universally_invariant"
 
 
-def test_quadratic_with_shg():
+def test_quadratic_with_shg(spectra_equal):
     # omega = k^2 + 2 satisfies 2 omega(1) = omega(2) exactly
     m = model(2.0)
     s = rs.spectrum_from_list([[1, 1.0]])
@@ -68,7 +105,7 @@ def test_quadratic_with_shg():
     ext = [x for x in sols if x.klass == "external"]
     assert ext and all(tuple(x.delta) in ((2,), (-2,)) for x in ext)
     sel = rs.resonance_select(s, m, [2])
-    assert rs.spectra_equal(sel, rs.spectrum_from_list([[1, 1.0], [1, 2.0]]))
+    assert spectra_equal(sel, rs.spectrum_from_list([[1, 1.0], [1, 2.0]]))
     assert rs.classify(s, m, [2]).classification == "not_invariant"
 
 
@@ -94,16 +131,16 @@ def test_shg_condition_verified_exactly():
     assert rep.conditions_exact is False
 
 
-def test_cube_third_harmonic_spectrum_invariant(thg_model):
+def test_cube_third_harmonic_spectrum_invariant(thg_model, spectra_equal):
     # 3 omega(1) = omega(3) on the cubic band
     m = thg_model
     s1 = rs.spectrum_from_list([[1, 1.0]])
     sel = rs.resonance_select(s1, m, [3])
-    assert rs.spectra_equal(sel, rs.spectrum_from_list([[1, 1.0], [1, 3.0]]))
+    assert spectra_equal(sel, rs.spectrum_from_list([[1, 1.0], [1, 3.0]]))
     s4 = rs.spectrum_from_list([[1, 3.0], [1, 1.0], [1, -1.0], [1, -3.0]])
     rep = rs.classify(s4, m, [3])
-    assert rs.spectra_equal(rep.selected, s4)
-    assert rep.is_invariant
+    assert spectra_equal(rep.selected, s4)
+    assert rep.classification in rs.INVARIANT_CLASSES
     third = [x for x in rep.internal if x.klass == "internal"]
     assert third, "the third-harmonic channel should appear as a condition"
 
@@ -137,12 +174,12 @@ def test_output_spectrum_sets():
     assert rs.output_spectrum(s1, []) == []
 
 
-def test_closure_and_iterations():
+def test_closure_and_iterations(spectra_equal):
     m = model(2.0)
     s1 = rs.spectrum_from_list([[1, 1.0]])
     closed, converged, iters = rs.closure(s1, m, [2])
     assert converged and iters == 2
-    assert rs.spectra_equal(closed, rs.spectrum_from_list([[1, 1.0], [1, 2.0]]))
+    assert spectra_equal(closed, rs.spectrum_from_list([[1, 1.0], [1, 2.0]]))
     # already invariant: one application suffices
     _, converged, iters = rs.closure(closed, m, [2])
     assert converged and iters == 1
@@ -177,7 +214,7 @@ def test_set_inclusions_and_sign_symmetry():
         assert mirrored in keys
     # S subset of R(S)
     for n, k in s2.pairs:
-        assert rep.selected.contains_pair(n, k) is not None
+        assert _contains_pair(rep.selected, n, k) is not None
 
 
 def test_universality_is_k_independent(rng):
@@ -189,14 +226,14 @@ def test_universality_is_k_independent(rng):
         for _ in range(10):
             knew = rng.uniform(0.3, 2.5, size=2)
             snew = rs.spectrum_from_list([[1, knew[0]], [1, -knew[1]]])
-            kap = np.atleast_1d(rs.kappa(x.index, snew))
-            resid = -x.zeta * dsp.eval_omega(m, x.n, +1, x.zeta * kap) + rs.omega_combination(
+            kap = np.atleast_1d(_kappa(x.index, snew))
+            resid = -x.zeta * dsp.eval_omega(m, x.n, +1, x.zeta * kap) + _omega_combination(
                 x.index, snew, m
             )
             assert abs(resid) <= rs.default_tol_res(snew, m)
 
 
-def test_classify_keeps_close_outputs_apart_at_the_spectrum_tolerance():
+def test_classify_keeps_close_outputs_apart_at_the_spectrum_tolerance(spectra_equal):
     # the outputs 0.5 -+ 2e-9 of this spectrum are distinct pairs at its own
     # tol_k (1.5e-9); the selected spectrum keeps that tolerance instead of
     # one grown with the new pairs' larger |k|, under which they would collide
@@ -205,7 +242,7 @@ def test_classify_keeps_close_outputs_apart_at_the_spectrum_tolerance():
     report = rs.classify(s, m, [3])
     assert report.classification == "not_invariant"
     assert report.selected.n_pairs == 7 and report.selected.tol_k == s.tol_k
-    assert rs.spectra_equal(rs.resonance_select(s, m, [3]), report.selected)
+    assert spectra_equal(rs.resonance_select(s, m, [3]), report.selected)
 
 
 def test_classify_invariant_under_pair_permutation():
@@ -309,6 +346,11 @@ def test_probe_determinism():
     assert a == b
 
 
+def _crossing_symbol(k):
+    # omega = |k|: the two eigenvalues meet at k = 0
+    return np.array([[k, 0.0], [0.0, -k]], dtype=complex)
+
+
 def test_genericity_probe_propagates_unexpected_errors(monkeypatch):
     m = model(1.0)
     s = rs.spectrum_from_list([[1, 1.0]])
@@ -318,16 +360,26 @@ def test_genericity_probe_propagates_unexpected_errors(monkeypatch):
             raise exc
         return hit_table
 
-    # each trial is decided from its hit table
-    monkeypatch.setattr(rs, "_hit_table", raising(RuntimeError("bug")))
-    with pytest.raises(RuntimeError):
-        rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
-    monkeypatch.setattr(rs, "_hit_table", raising(EnumerationCapExceeded("cap")))
+    # the trials are decided from hit tables
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "_hit_table", raising(RuntimeError("bug")))
+        with pytest.raises(RuntimeError):
+            rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
+        patch.setattr(rs, "_hit_table", raising(EnumerationCapExceeded("cap")))
+        with pytest.raises(EnumerationCapExceeded):
+            rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
+    # a trial carrier where a matrix symbol's gap closes is a miss, not an error
+    crossing = dsp.matrix_symbol_model(_crossing_symbol, j_bands=1)
+    at_gap = rs.spectrum_from_list([[1, 0.0]])
+    with pytest.raises(BandCrossing):
+        dsp.eval_omega(crossing, 1, +1, at_gap.kvec(1))
+    for radius in (0.0, 1e-12):
+        assert rs.genericity_probe(at_gap, crossing, [3], trials=3, radius=radius) == 0.0
+        assert _trial_probe(at_gap, crossing, [3], 3, radius, 0) == 0.0
+    # the cap is the same for every trial: raised before any is drawn
+    big = rs.spectrum_from_list([[1, float(k)] for k in range(1, 7)])
     with pytest.raises(EnumerationCapExceeded):
-        rs.genericity_probe(s, m, [3], trials=3, radius=0.05)
-    # a trial carrier on the singular set is a miss, not an error
-    monkeypatch.setattr(rs, "_hit_table", raising(BandCrossing("gap")))
-    assert rs.genericity_probe(s, m, [3], trials=3, radius=0.05) == 0.0
+        rs.genericity_probe(big, m, [6], trials=3, radius=0.05)
 
 
 # (model, spectrum, orders, trials, radius, seed) and the fraction that
@@ -382,7 +434,7 @@ def test_candidate_tables_are_built_once(n_pairs, orders, seed):
     again = rs._candidates(2.0 * values, orders)
     assert again[0] is signs and again[1] is slots
     assert not signs.flags.writeable and not slots.flags.writeable
-    indices = [index for m in orders for index in rs.all_indices(n_pairs, m)]
+    indices = [index for m in orders for index in _all_indices(n_pairs, m)]
     assert [rs._index_at(z, l) for z, l in zip(signs, slots)] == indices
     assert sums.shape == (len(indices), 2)
     for row, index in zip(sums, indices):
@@ -414,7 +466,7 @@ def _index_cardinality(index, n_pairs):
 
 def _classify_solution(spectrum, n, zeta, index, kap, residual):
     kv = np.atleast_1d(np.asarray(kap, dtype=float))
-    target = spectrum.contains_pair(n, zeta * kv)
+    target = _contains_pair(spectrum, n, zeta * kv)
     delta = tuple(int(d) for d in _index_delta(index, spectrum.n_pairs))
     if target is None:
         return rs.ResonanceSolution(
@@ -474,9 +526,9 @@ def _oracle_enumerate(spectrum, model, orders, collect_skipped):
 
     out = []
     for m in orders:
-        for index in rs.all_indices(spectrum.n_pairs, m):
-            kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
-            comb = rs.omega_combination(index, spectrum, model)
+        for index in _all_indices(spectrum.n_pairs, m):
+            kap = np.atleast_1d(np.asarray(_kappa(index, spectrum), dtype=float))
+            comb = _omega_combination(index, spectrum, model)
             for zeta in (+1, -1):
                 out_k = zeta * kap
                 if crossing_at(out_k):
@@ -493,8 +545,8 @@ def _oracle_enumerate(spectrum, model, orders, collect_skipped):
 def _oracle_output_spectrum(spectrum, orders):
     seen = []
     for m in sorted(set(int(v) for v in orders)):
-        for index in rs.all_indices(spectrum.n_pairs, m):
-            kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
+        for index in _all_indices(spectrum.n_pairs, m):
+            kap = np.atleast_1d(np.asarray(_kappa(index, spectrum), dtype=float))
             if not any(np.linalg.norm(kap - s) <= spectrum.tol_k for s in seen):
                 seen.append(kap)
     return seen
@@ -519,12 +571,12 @@ def _oracle_index_sets(spectrum, model, orders):
         for theta in (+1, -1):
             for m in orders:
                 res_list, con_list = [], []
-                for index in rs.all_indices(spectrum.n_pairs, m):
-                    kap = np.atleast_1d(np.asarray(rs.kappa(index, spectrum), dtype=float))
+                for index in _all_indices(spectrum.n_pairs, m):
+                    kap = np.atleast_1d(np.asarray(_kappa(index, spectrum), dtype=float))
                     out_k = theta * kap
                     if _oracle_crossing(model, out_k):
                         continue
-                    residual = -theta * dsp.eval_omega(model, n_l, +1, out_k) + rs.omega_combination(
+                    residual = -theta * dsp.eval_omega(model, n_l, +1, out_k) + _omega_combination(
                         index, spectrum, model
                     )
                     if abs(residual) <= tol_res:
@@ -630,18 +682,18 @@ def test_enumeration_matches_per_index_oracle(case):
             assert [ix.entries for ix in got_sets[key]] == [ix.entries for ix in want_sets[key]]
 
 
-def _oracle_classification(spectrum, model, orders):
+def _oracle_classification(spectrum, model, orders, spectra_equal):
     """R(S), class and condition rows by the report-based rule, on the oracle's solutions."""
     solutions = _oracle_enumerate(spectrum, model, orders, [])
     new_pairs = list(spectrum.pairs)
     for n, k in _oracle_output_pairs(solutions, spectrum.tol_k):
-        if spectrum.contains_pair(n, k) is None:
+        if _contains_pair(spectrum, n, k) is None:
             if not any(
                 n == pn and np.linalg.norm(k - pk) <= spectrum.tol_k for pn, pk in new_pairs
             ):
                 new_pairs.append((n, k))
     selected = rs.NkSpectrum(tuple(new_pairs), dim=spectrum.dim)
-    if not rs.spectra_equal(selected, spectrum):
+    if not spectra_equal(selected, spectrum):
         return selected, "not_invariant", []
     nonuniv = [x for x in solutions if x.klass == "internal"]
     if not nonuniv:
@@ -658,20 +710,20 @@ def _oracle_classification(spectrum, model, orders):
 @example(("power_p1", [[1, 1.0], [1, 2.0], [1, 0.5]], [3]))
 @example(("twoband", [[1, 1.0], [2, 1.0]], [2, 3]))
 @example(("power_p1", [[1, 1.0], [1, 0.5]], [2, 3]))
-def test_trial_decision_matches_classify(case):
+def test_trial_decision_matches_classify(spectra_equal, case):
     name, rows, orders = case
     m = ORACLE_MODELS[name]
     s = _spectrum_or_reject(rows, m.dim)
     report = rs.classify(s, m, orders)
-    selected, classification, conditions = _oracle_classification(s, m, orders)
+    selected, classification, conditions = _oracle_classification(s, m, orders, spectra_equal)
     assert (report.classification, report.conditions) == (classification, conditions)
     assert [n for n, _ in report.selected.pairs] == [n for n, _ in selected.pairs]
     for (_, a), (_, b) in zip(report.selected.pairs, selected.pairs):
         assert np.array_equal(a, b)
     # what genericity_probe decides a trial spectrum from
-    trial = rs._table_verdict(rs._hit_table(s, m, orders), s.tol_k)
+    trial = rs._table_verdict(rs._hit_table([s], m, orders), s.tol_k)
     assert (trial.classification, trial.conditions) == (report.classification, report.conditions)
-    assert rs.spectra_equal(rs.NkSpectrum(s.pairs + tuple(trial.new), dim=s.dim), report.selected)
+    assert spectra_equal(rs.NkSpectrum(s.pairs + tuple(trial.new), dim=s.dim), report.selected)
     # classify continues the closure from its own first selection step
     try:
         _, converged, iterations = rs.closure(s, m, orders, max_pairs=16)
@@ -709,3 +761,181 @@ def test_band_frequencies_match_point_queries(name, values):
         if not singular[i]:
             for n in range(1, m.j_bands + 1):
                 assert omega[n - 1, i] == dsp.eval_omega(m, n, +1, k)
+
+
+# -- blocked genericity trials against the per-trial loop ---------------------------------
+#
+# ``_oracle_hit_table`` is the one-spectrum hit table the stacked one
+# replaced and ``_trial_probe`` the per-trial probe loop over it, both kept
+# literally as references.
+
+def _oracle_output_bands(model, out_k):
+    key = np.round(out_k, 12)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    omega, singular = dsp.band_frequencies(model, out_k[first].T)
+    inverse = inverse.reshape(-1)
+    return omega.T[inverse], singular[inverse]
+
+
+def _kvec_table(spectrum):
+    return np.array([k for _, k in spectrum.pairs], dtype=float).reshape(
+        spectrum.n_pairs, spectrum.dim
+    )
+
+
+def _oracle_hit_table(spectrum, model, orders, tol_res=None, cap=rs.DEFAULT_ENUMERATION_CAP):
+    n_pairs = spectrum.n_pairs
+    orders = sorted(set(int(m) for m in orders))
+    total = sum(2 * model.j_bands * (2 * n_pairs) ** m for m in orders)
+    if total > cap:
+        raise EnumerationCapExceeded(f"{total} candidate tuples exceed cap {cap}")
+    if tol_res is None:
+        tol_res = rs.default_tol_res(spectrum, model)
+
+    omegas = np.array([dsp.eval_omega(model, n, +1, k) for n, k in spectrum.pairs], dtype=float)
+    signs, slots, sums = rs._candidates(np.column_stack([_kvec_table(spectrum), omegas]), orders)
+    kap, comb = sums[:, :-1], sums[:, -1]
+    # output rows: index-major, zeta = +1, -1 inner
+    out_k = np.stack([kap, -kap], axis=1).reshape(-1, spectrum.dim)
+    omega, singular = _oracle_output_bands(model, out_k)
+    zeta = np.tile([1, -1], len(kap))
+    residual = np.abs((-zeta)[:, None] * omega + np.repeat(comb, 2)[:, None])
+    hit = (residual <= tol_res) & ~singular[:, None]
+    skipped = [(int(np.count_nonzero(signs[r // 2])), int(zeta[r]),
+                rs._index_at(signs[r // 2], slots[r // 2]), out_k[r].copy())
+               for r in np.nonzero(singular)[0]]
+
+    r, b = np.nonzero(hit)
+    signs, slots = signs[r // 2], slots[r // 2]
+    # solution order: (m, -zeta, n, entries), an entry (z, l) ranking by z, then l
+    rank = (signs + 1) * n_pairs + slots
+    order = np.lexsort(tuple(rank.T[::-1]) + (b, -zeta[r], np.count_nonzero(signs, axis=1)))
+    r, b, signs, slots = r[order], b[order], signs[order], slots[order]
+    row, zeta, n, kap = r // 2, zeta[r], b + 1, kap[r // 2]
+
+    bands = np.array([nl for nl, _ in spectrum.pairs], dtype=int)
+    gap = np.linalg.norm(_kvec_table(spectrum) - (zeta[:, None] * kap)[:, None], axis=-1)
+    close = (bands == n[:, None]) & (gap <= spectrum.tol_k)
+    first = (np.cumsum(close, axis=1) == 0).sum(axis=1)  # pairs before the first close one
+    target = np.where(first < n_pairs, first, -1)
+    delta = (signs[:, :, None] * (slots[:, :, None] == np.arange(n_pairs))).sum(axis=1)
+    cond = delta - zeta[:, None] * (np.arange(n_pairs) == target[:, None])
+    return rs._HitTable(np.zeros(len(r), dtype=int), zeta, n, signs, slots, row, kap,
+                        residual[r, b], delta, close, target, cond, skipped)
+
+
+def _trial_probe(spectrum, model, orders, trials, radius, seed):
+    rng = np.random.default_rng(seed)
+    universal = 0
+    for _ in range(trials):
+        pairs = []
+        for n, k in spectrum.pairs:
+            shift = rng.uniform(-radius, radius, size=spectrum.dim)
+            pairs.append((n, k + shift))
+        trial = rs.NkSpectrum(tuple(pairs), dim=spectrum.dim)
+        try:
+            hits = _oracle_hit_table(trial, model, orders)
+        except EnumerationCapExceeded:
+            raise  # the same for every trial: no sample to count
+        except WavepaxError:
+            continue  # e.g. a perturbed carrier on the singular set
+        if rs._table_verdict(hits, trial.tol_k).classification == "universally_invariant":
+            universal += 1
+    return universal / trials
+
+
+def _same_rows(got, want, rows=slice(None)):
+    """Fields ``got[rows]`` and ``want`` bit for bit, the trial ids aside."""
+    for name in rs._HitTable._fields[1:-1]:
+        a, b = getattr(got, name)[rows], getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+
+
+def _same_skipped(got, want):
+    assert len(got) == len(want)
+    for (m1, z1, i1, k1), (m2, z2, i2, k2) in zip(got, want):
+        assert (m1, z1, i1.entries) == (m2, z2, i2.entries) and k1.tobytes() == k2.tobytes()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, WavepaxError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+@example(("nls_a0_0", [[1, 1.0], [1, -1.0]], [2, 3]))
+@example(("tilted", [[1, 1.0], [1, -1.5]], [2, 3]))
+@example(("paraboloid2d", [[1, 1.0, 0.0], [1, 0.0, 1.0]], [2, 3]))
+# k1 + k2 is 5e-10 from k1, 2e-9 from it in the spectrum times 4 (tol_k 1.5e-9, 3e-9)
+@example(("power_p1", [[1, 0.5], [1, 5e-10]], [2, 3]))
+def test_one_spectrum_table_is_the_per_spectrum_table(case):
+    # field by field and bit for bit; in a stack each spectrum keeps its own
+    # rows and its own tol_k (the shifted one has a larger tol_k)
+    name, rows, orders = case
+    m = ORACLE_MODELS[name]
+    s = _spectrum_or_reject(rows, m.dim)
+    got, want = rs._hit_table([s], m, orders), _oracle_hit_table(s, m, orders)
+    assert not got.trial.any()
+    _same_rows(got, want)
+    _same_skipped(got.skipped, want.skipped)
+    stack = [s, rs.NkSpectrum(tuple((n, 4.0 * k) for n, k in s.pairs), dim=s.dim), s]
+    got, skipped = rs._hit_table(stack, m, orders), []
+    for t, spectrum in enumerate(stack):
+        want = _oracle_hit_table(spectrum, m, orders)
+        _same_rows(got, want, got.trial == t)
+        skipped += want.skipped
+    _same_skipped(got.skipped, skipped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=oracle_cases(),
+    radius=st.sampled_from([0.0, 1e-12, 0.05, 1.5]),
+    trials=st.integers(1, 40),
+    block_rows=st.sampled_from([rs._TRIAL_ROWS, 1, 100, 600]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=("nls_a0_1", [[1, 1.0], [1, -1.0], [1, 0.37]], [2, 3]), radius=0.05, trials=40,
+         block_rows=rs._TRIAL_ROWS, seed=0)
+@example(case=("matrix", [[1, 1.0], [1, -0.5]], [2, 3]), radius=1.5, trials=9, block_rows=100,
+         seed=3)
+# unperturbed trials of a not invariant and a conditionally invariant template
+@example(case=("nls_a0_2", [[1, 1.0]], [2]), radius=0.0, trials=5, block_rows=rs._TRIAL_ROWS,
+         seed=0)
+@example(case=("nls_a0_2", [[1, 1.0], [1, 2.0]], [2]), radius=1e-12, trials=5,
+         block_rows=rs._TRIAL_ROWS, seed=0)
+def test_genericity_probe_matches_the_per_trial_loop(case, radius, trials, block_rows, seed):
+    # blocks of _TRIAL_ROWS // candidate rows trials; 1 row makes one trial a block
+    name, rows, orders = case
+    m = ORACLE_MODELS[name]
+    s = _spectrum_or_reject(rows, m.dim)
+    want = _outcome(lambda: _trial_probe(s, m, orders, trials, radius, seed))
+    with mock.patch.object(rs, "_TRIAL_ROWS", block_rows):
+        got = _outcome(lambda: rs.genericity_probe(s, m, orders, trials=trials, radius=radius,
+                                                   seed=seed))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks=st.integers(1, 3), rows=st.integers(0, 30), d=st.integers(1, 3),
+       values=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(stacks=2, rows=3, d=1, values=1, seed=0)  # one row value: stacks meet at equal rows
+def test_unique_rows_are_numpy_unique_rows(stacks, rows, d, values, seed):
+    # repeats and signed zeros are likely among these values
+    key = np.random.default_rng(seed).choice([0.0, -0.0, 1.0, -1.5, 0.25, np.inf][:values],
+                                             size=(stacks, rows, d))
+    _, first, inverse = np.unique(key[0], axis=0, return_index=True, return_inverse=True)
+    got_first, got_inverse = rs._unique_rows(key[0])
+    assert np.array_equal(got_first, first) and np.array_equal(got_inverse, inverse.reshape(-1))
+    want_first, want_inverse, seen = [], [], 0
+    for t, stack in enumerate(key):
+        _, first, inverse = np.unique(stack, axis=0, return_index=True, return_inverse=True)
+        want_first.append(first + t * rows)
+        want_inverse.append(inverse.reshape(-1) + seen)
+        seen += len(first)
+    got_first, got_inverse = rs._unique_rows(key)
+    assert np.array_equal(got_first, np.concatenate(want_first))
+    assert np.array_equal(got_inverse, np.concatenate(want_inverse))
