@@ -873,7 +873,7 @@ def _outcome(call):
 @example(("power_p1", [[1, 0.5], [1, 5e-10]], [2, 3]))
 def test_one_spectrum_table_is_the_per_spectrum_table(case):
     # field by field and bit for bit; in a stack each spectrum keeps its own
-    # rows and its own tol_k (the shifted one has a larger tol_k)
+    # rows and its own tol_k (the scaled copy has a larger tol_k)
     name, rows, orders = case
     m = ORACLE_MODELS[name]
     s = _spectrum_or_reject(rows, m.dim)
