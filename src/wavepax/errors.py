@@ -53,5 +53,5 @@ class ParameterSignError(WavepaxError):
     """A parameter combination has the wrong sign (e.g. c^2 <= 0)."""
 
 
-class ConfigError(WavepaxError):
-    """A run configuration failed validation."""
+class ConfigError(WavepaxError, ValueError):
+    """A run configuration failed validation; also a ValueError, as the bad value it reports."""

@@ -44,6 +44,8 @@ from .wavepacket import project_band_values
 DEFAULT_CHUNK = 64
 # bytes of the rows a convolution plan multiplies and sums at a time (one slab)
 _SLAB_BYTES = 1 << 20
+# bytes of the iterate rows the Picard driver takes through a chunk at a time (one block)
+_BLOCK_BYTES = 1 << 19
 
 
 # -- susceptibilities -----------------------------------------------------------
@@ -72,12 +74,6 @@ class Susceptibility:
     @property
     def ncomp(self) -> int:
         return self.tensor.shape[0] if self.tensor is not None else 0
-
-    def sup_norm(self) -> float:
-        """Upper bound on the pointwise tensor norm (sum of entry moduli)."""
-        if self.tensor is not None:
-            return float(np.abs(self.tensor).sum())
-        return float("inf")
 
 
 def cubic_conjugate(q: float = 1.0, j_bands: int = 1, hamiltonian: bool = True) -> Susceptibility:
@@ -1002,30 +998,27 @@ class PropagatorTables:
             assert basis is None, "component rows of a matrix symbol do not rotate alone"
             self.omega_flat = self.omega_flat[comps]
         self._step_table = None  # (h, e^{-i j h L/rho} for j < chunk length)
-        self._chunk = None  # ((t0, h, b), the chunk's phases, their conjugate)
+        self._start = None  # (t0, e^{-i t0 L/rho})
 
-    def chunk_phases(self, t0: float, h: float, b: int, back: bool = False) -> np.ndarray:
-        """e^{-i (t0 + j h) L/rho} for j < b on the whole grid, shape (b, C, X).
+    def chunk_phases(self, t0: float, h: float, b: int, rows: slice = slice(None)) -> np.ndarray:
+        """e^{-i (t0 + j h) L/rho} for the ``rows`` of j < b on the whole grid, shape (rows, C, X).
 
         Factored as e^{-i t0 L/rho} times a table of e^{-i j h L/rho} that is
         cached for the mesh step ``h``, so a solve evaluates one (B, C, X)
         exponential instead of two per chunk.  Callers pass ``h`` itself:
         ``taus[1] - taus[0]`` differs in its last bits from chunk to chunk.
-        With ``back`` it returns the conjugate factors, those of the map
-        back.  The last chunk's factors and their conjugate are kept, so the
-        Picard levels of one chunk form them once; callers must not write
-        to either.
+        Each call forms its rows' factors in a new array, which the caller
+        may conjugate in place for the map back; a block of a chunk holds
+        no chunk-wide factors.
         """
-        if self._chunk is None or self._chunk[0] != (t0, h, b):
-            if (self._step_table is None or self._step_table[0] != h
-                    or self._step_table[1].shape[0] < b):
-                j = np.arange(b)
-                table = np.exp((-1j * h / self.rho) * j[:, None, None] * self.omega_flat[None])
-                self._step_table = (h, table)
-            start = np.exp((-1j * t0 / self.rho) * self.omega_flat)
-            phases = self._step_table[1][:b] * start
-            self._chunk = ((t0, h, b), phases, np.conj(phases))
-        return self._chunk[2 if back else 1]
+        if (self._step_table is None or self._step_table[0] != h
+                or self._step_table[1].shape[0] < b):
+            j = np.arange(b)
+            table = np.exp((-1j * h / self.rho) * j[:, None, None] * self.omega_flat[None])
+            self._step_table = (h, table)
+        if self._start is None or self._start[0] != t0:
+            self._start = (t0, np.exp((-1j * t0 / self.rho) * self.omega_flat))
+        return self._step_table[1][:b][rows] * self._start[1]
 
     def phases(self, taus: np.ndarray, nodes: np.ndarray | None = None,
                comps=None) -> np.ndarray:
@@ -1132,21 +1125,25 @@ def _problem_plan(problem: EvolutionProblem, conjugate: bool = False) -> _Convol
 
 def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
                     problem: EvolutionProblem, tables: PropagatorTables,
-                    plan: _ConvolutionPlan, mode: str) -> np.ndarray:
-    """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) for a chunk of times.
+                    plan: _ConvolutionPlan, mode: str, rows: slice = slice(None)) -> np.ndarray:
+    """G(u)(tau) = e^{+i tau L/rho} F(e^{-i tau L/rho} u) on the ``rows`` of a chunk of times.
 
-    ``taus`` must be ``taus[0] + h * arange(B)``; ``plan`` comes from
+    ``taus`` must be ``taus[0] + h * arange(B)``, the times of the whole
+    chunk ``values``: its phases are factored per chunk, and a block of rows
+    takes its rows of those factors.  ``plan`` comes from
     ``_problem_plan``, on the components ``tables`` holds.
     """
-    b = values.shape[0]
-    fast = tables.apply(values, tables.chunk_phases(taus[0], h, b))
+    values = values[rows]
+    phases = tables.chunk_phases(taus[0], h, len(taus), rows)
+    fast = tables.apply(values, phases)
     out = plan({"u": fast})["u"] if mode == "fft" and plan.outs else np.zeros_like(values)
     for susc in problem.nonlinearity:
         if mode == "direct-oracle" or susc.callback is not None:
-            for i in range(b):
+            for i in range(len(values)):
                 out[i] += _chi_direct([fast[i]] * susc.order, susc, problem.grid)
-    # nothing else holds the plan's fresh result, so it is mapped back in place
-    return tables.apply(out, tables.chunk_phases(taus[0], h, b, back=True), out=out)
+    # nothing else holds the plan's fresh result or the factors, so the map
+    # back turns the result in place by the factors conjugated in place
+    return tables.apply(out, np.conj(phases, out=phases), out=out)
 
 
 def _trapezoid_chunk(out: np.ndarray, h0: np.ndarray, integral: np.ndarray, g_prev,
@@ -1210,19 +1207,31 @@ class _Level:
              cell: float, measure_change: bool = True) -> tuple[np.ndarray | None, float]:
         """The pass h0 + integral_0^tau rhs(chunk) on one chunk of mesh nodes.
 
-        ``rhs_chunk(chunk, taus)`` maps (B, C, nodes) values to their
-        integrand in a new array.  The result goes into a new array and is
-        measured against ``chunk`` (with ``measure_change``) or by itself.
-        Returns the new values and the chunk's largest norm, or None and
-        that norm when a segment's norm is not finite; the sups then stop
-        at that segment, as a loop over the segments would.
+        ``rhs_chunk(chunk, taus, rows)`` maps the slice ``rows`` of the
+        (B, C, nodes) values at times ``taus`` to their integrand in a new
+        array.  The chunk goes through integrand, trapezoid and norm in
+        blocks of rows that fit ``_BLOCK_BYTES``: each step is row by row,
+        so the sums carried from block to block and the chunk's largest
+        norms (the max over its blocks) are bitwise one block's.  The result
+        goes into a new array and is measured against ``chunk`` (with
+        ``measure_change``) or by itself.  Returns the new values and the
+        chunk's largest norm, or None and that norm when a segment's norm is
+        not finite; the sups then stop at that segment, as a loop over the
+        segments would.
         """
-        g = rhs_chunk(chunk, taus)
-        new = np.empty(g.shape, dtype=complex)
-        self.integral = _trapezoid_chunk(new, h0, self.integral, self.g_prev, g, h)
-        self.g_prev = g[-1].copy()
-        d = _node_l1(new - chunk if measure_change else new, cell, self.segments,
-                     self.mirror).max(axis=0)
+        b = len(taus)
+        new = None
+        d = np.zeros(len(self.segments))
+        block = max(1, _BLOCK_BYTES // h0.nbytes)
+        for s in range(0, b, block):
+            rows = slice(s, min(s + block, b))
+            g = rhs_chunk(chunk, taus, rows)
+            if new is None:  # after the integrand's transients are freed, not beside them
+                new = np.empty((b,) + h0.shape, dtype=complex)
+            self.integral = _trapezoid_chunk(new[rows], h0, self.integral, self.g_prev, g, h)
+            self.g_prev = g[-1].copy()
+            part = new[rows] - chunk[rows] if measure_change else new[rows]
+            np.maximum(d, _node_l1(part, cell, self.segments, self.mirror).max(axis=0), out=d)
         bad = np.flatnonzero(~np.isfinite(d))
         d = d[:bad[0] + 1] if bad.size else d
         sup = self.sup[:d.size]
@@ -1372,8 +1381,9 @@ def _picard_trapezoid(rhs_chunk, h0: np.ndarray, n: int, h: float, cell: float,
     """Picard fixed point of u = h0 + integral_0^tau rhs(u) on the mesh h j, j <= n.
 
     The iterate is one (n+1, C, nodes) array that starts at the (C, nodes)
-    ``h0`` on every node; ``rhs_chunk(values, taus)`` maps a (B, C, nodes)
-    chunk of it to its integrand in a new array.  Iteration k is one
+    ``h0`` on every node; ``rhs_chunk(values, taus, rows)`` maps the rows
+    ``rows`` of a (B, C, nodes) chunk of it to their integrand in a new
+    array (``_Level.step``).  Iteration k is one
     composite-trapezoid pass over the n+1 nodes in chunks of ``chunk``; its
     distance is the largest node L1 norm of the change over all chunks,
     each taken on the slices ``segments`` of the node axis (the whole axis
@@ -1488,10 +1498,10 @@ def _solve_integrated(problem: EvolutionProblem, config: SolverConfig,
     tables = PropagatorTables(problem.model, problem.grid, problem.rho, comps)
     plan = _problem_plan(problem, conjugate=mirror is not None)
 
-    def rhs_chunk(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    def rhs_chunk(values: np.ndarray, taus: np.ndarray, rows: slice) -> np.ndarray:
         g = _slow_rhs_chunk(values.reshape(values.shape[:2] + shape[1:]), taus, h, problem,
-                            tables, plan, config.convolution_mode)
-        return g.reshape(values.shape)
+                            tables, plan, config.convolution_mode, rows)
+        return g.reshape((-1,) + values.shape[1:])
 
     keep = _kept_samples(n, config.record_stride)
     rows, iterations, distances = _picard_trapezoid(
@@ -1499,6 +1509,8 @@ def _solve_integrated(problem: EvolutionProblem, config: SolverConfig,
         h0 if comps is None else h0[comps],
         n, h, problem.grid.cell, config, DEFAULT_CHUNK, keep, mirror=mirror,
     )
+    # the solver's tables and plan buffers go before the kept rows are expanded
+    del rhs_chunk, tables, plan
     if mirror is not None:
         # row by row, so the expansion holds no state-sized temporary
         full = np.empty((len(keep),) + h0.shape, dtype=complex)

@@ -97,17 +97,6 @@ class Grid:
     def abs_k(self) -> np.ndarray:
         return np.sqrt((self.k_mesh() ** 2).sum(axis=0))
 
-    def index_of(self, k) -> tuple[int, ...]:
-        """Nearest node index of a wavevector."""
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        idx = []
-        for a in range(self.dim):
-            j = int(round((k[a] + self.k_max[a]) / self.dk[a]))
-            if not (0 <= j < self.n[a]):
-                raise ValueError(f"wavevector {k} outside grid")
-            idx.append(j)
-        return tuple(idx)
-
     def descriptor(self) -> dict:
         return {"dim": self.dim, "n": list(self.n), "k_max": list(self.k_max)}
 
@@ -201,10 +190,6 @@ def r_cell(grid: Grid):
 
 def to_r_space(f: ModalField) -> np.ndarray:
     return spectrum_to_samples(f.values, f.grid)
-
-
-def from_r_space(samples: np.ndarray, grid: Grid, frame: str = "slow") -> ModalField:
-    return ModalField(grid, samples_to_spectrum(samples, grid), frame)
 
 
 def pad_spectrum(values: np.ndarray, grid: Grid, shape, centred: bool = True,
@@ -312,7 +297,6 @@ __all__ = [
     "spectrum_to_samples",
     "samples_to_spectrum",
     "to_r_space",
-    "from_r_space",
     "pad_spectrum",
     "crop_spectrum",
     "fft_blocks",

@@ -71,12 +71,27 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _checked(what: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError or TypeError it raises is a ConfigError on ``what``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def _solver_config(block: dict, **defaults) -> ev.SolverConfig:
     """SolverConfig from a config's "solver" block over ``defaults``."""
-    try:
-        return ev.SolverConfig(**{**defaults, **block})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid solver block: {exc}") from exc
+    return _checked("solver block", ev.SolverConfig, **{**defaults, **block})
+
+
+def _envelope(packet: dict) -> wp.Envelope:
+    """The envelope of a packet block."""
+    envd = packet.get("envelope", {})
+    return _checked("envelope", lambda: wp.Envelope(
+        family=envd.get("family", "gaussian"),
+        width=float(envd.get("width", 1.0)),
+        amplitude=float(envd.get("amplitude", 0.1)),
+    ))
 
 
 def _r_star(packet: dict) -> np.ndarray:
@@ -87,31 +102,34 @@ def _r_star(packet: dict) -> np.ndarray:
 def _config_grid(gspec: dict) -> Grid:
     """The grid of a config's "grid" block: ``n`` per axis, a power of two >= 4.
 
-    A non-integral ``n`` or a ``k_max`` that is not finite and > 0 is a
-    ConfigError.
+    Any other ``n``, a ``k_max`` that is not finite and > 0, or a ``dim``
+    that is not a positive integer is a ConfigError.
 
     ``Grid`` also takes the 3-smooth sizes of convolution transform grids;
     a configured grid does not.
     """
-    n, k_max = float(gspec["n"]), float(gspec["k_max"])
+    n, k_max, dim = _checked("grid", lambda: (float(gspec["n"]), float(gspec["k_max"]),
+                                             float(gspec["dim"])))
     _require(np.isfinite(n) and n == int(n), f"grid.n must be an integer, got {gspec['n']!r}")
     _require(np.isfinite(k_max) and k_max > 0, f"grid.k_max must be finite and > 0, got {k_max}")
-    dim, n = int(gspec["dim"]), int(n)
-    if n < 4 or n & (n - 1):
-        raise ValueError("grid.n must be a power of two >= 4")
+    _require(np.isfinite(dim) and dim == int(dim) and dim >= 1,
+             f"grid.dim must be a positive integer, got {gspec['dim']!r}")
+    n, dim = int(n), int(dim)
+    _require(n >= 4 and not n & (n - 1), "grid.n must be a power of two >= 4")
     return Grid(dim, (n,) * dim, (k_max,) * dim)
 
 
 def load_config(cfg: dict) -> RunConfig:
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a mapping")
-    model = dsp.model_from_config(cfg.get("model", {"preset": "nls1d"}))
+    model = _checked("model", dsp.model_from_config, cfg.get("model", {"preset": "nls1d"}))
     grid = _config_grid({**DEFAULT_GRID, **cfg.get("grid", {})})
     _require("spectrum" in cfg and cfg["spectrum"], "config needs a spectrum")
-    spectrum = rs.spectrum_from_list(cfg["spectrum"], dim=grid.dim)
-    nonlinearity = ev.nonlinearity_from_config(
-        cfg.get("nonlinearity", {"preset": "none"}), j_bands=model.j_bands
-    )
+    spectrum = _checked("spectrum", rs.spectrum_from_list, cfg["spectrum"], dim=grid.dim)
+    _require(all(1 <= n <= model.j_bands for n, _ in spectrum.pairs),
+             f"spectrum bands must lie in 1..{model.j_bands}")
+    nonlinearity = _checked("nonlinearity", ev.nonlinearity_from_config,
+                            cfg.get("nonlinearity", {"preset": "none"}), j_bands=model.j_bands)
     beta = float(cfg.get("beta", 0.1))
     epsilon = float(cfg.get("epsilon", 0.1))
     rho = float(cfg.get("rho", 0.01))
@@ -127,6 +145,9 @@ def load_config(cfg: dict) -> RunConfig:
     if len(packets) == 1 and spectrum.n_pairs > 1:
         packets = [copy.deepcopy(packets[0]) for _ in range(spectrum.n_pairs)]
     _require(len(packets) == spectrum.n_pairs, "one packet block per spectrum pair")
+    for p in packets:
+        _envelope(p)
+        _require(np.isfinite(_r_star(p)).all(), f"r_star must be finite, got {p.get('r_star')!r}")
     solver = _solver_config(cfg.get("solver", {}))
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
@@ -159,19 +180,13 @@ def load_config(cfg: dict) -> RunConfig:
 def packet_spec(rc: RunConfig, l: int, beta: float | None = None) -> wp.WavepacketSpec:
     """Wavepacket spec of pair l (1-based) at an optional overriding beta."""
     p = rc.packets[l - 1]
-    envd = dict(p.get("envelope", {}))
-    env = wp.Envelope(
-        family=envd.get("family", "gaussian"),
-        width=float(envd.get("width", 1.0)),
-        amplitude=float(envd.get("amplitude", 0.1)),
-    )
     return wp.WavepacketSpec(
         n=rc.spectrum.band(l),
         k_star=rc.spectrum.kvec(l),
         r_star=_r_star(p),
         beta=beta if beta is not None else rc.beta,
         epsilon=rc.epsilon,
-        envelope=env,
+        envelope=_envelope(p),
         zeta_components=p.get("zeta_components", "both"),
         doublet_reality=bool(p.get("doublet_reality", True)),
     )

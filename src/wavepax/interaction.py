@@ -445,14 +445,16 @@ class MonomialEvaluator:
                               for i in range(len(rows)) if coeffs[i, g] != 0]
         self._phase_taus, self._phases = None, {}
 
-    def integrand_chunk(self, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Windowed integrand of (B, C, W) states at a chunk of times, as a new (B, C, W) array.
+    def integrand_chunk(self, values: np.ndarray, taus: np.ndarray,
+                        rows: slice = slice(None)) -> np.ndarray:
+        """Windowed integrand of the ``rows`` of (B, C, W) states at a chunk of times, as a new array.
 
         ``values`` may hold one time slice for the whole chunk; with
         ``half`` they and the result are (B, C/2, W/2) half states.
         """
+        values = np.broadcast_to(values, taus.shape + values.shape[1:])[rows]
+        taus = taus[rows]
         b = taus.shape[0]
-        values = np.broadcast_to(values, (b,) + values.shape[1:])
         layout = self.layout
         segments = layout.half_segments if self.half else layout.segments
 

@@ -12,6 +12,7 @@ and its closure, the index sets and group-velocity-matching checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,8 @@ def _as_kvec(k, dim: int) -> np.ndarray:
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.shape != (dim,):
         raise ValueError(f"wavevector {k} does not have dimension {dim}")
+    if not all(map(math.isfinite, kv.tolist())):  # cheaper than a numpy reduction per pair
+        raise ValueError(f"wavevector {k} is not finite")
     return kv
 
 

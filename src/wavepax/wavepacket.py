@@ -81,8 +81,10 @@ class Envelope:
     def __post_init__(self):
         if self.family not in ("gaussian", "sech", "bump"):
             raise ValueError(f"unknown envelope family {self.family!r}")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
     def khat(self, eta: np.ndarray, dim: int = 1) -> np.ndarray:
         """Transform of the unit-scale envelope at frequency eta (dim, ...)."""
@@ -100,36 +102,10 @@ class Envelope:
             return a * np.pi * w / np.cosh(0.5 * np.pi * w * np.sqrt(r2))
         return a * cutoff_profile(np.sqrt(r2) / w)
 
-    def rspace(self, z: np.ndarray, dim: int = 1) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        r2 = (z ** 2).sum(axis=0) if (z.ndim and dim > 1 and z.shape[0] == dim) else z ** 2
-        w, a = self.width, self.amplitude
-        if self.family == "gaussian":
-            return a * np.exp(-0.5 * r2 / (w * w))
-        if self.family == "sech":
-            return a / np.cosh(np.sqrt(r2) / w)
-        raise ValueError("bump envelope has no closed r-space form")
-
     @property
     def k_scale(self) -> float:
         """Characteristic k-extent of the transform."""
         return self.width if self.family == "bump" else 1.0 / self.width
-
-    def l1_khat(self, dim: int = 1, a_weight: float = 0.0) -> float:
-        """Quadrature value of the (weighted) L1 norm of the transform."""
-        span = 12.0 * max(self.k_scale, 1.0 / self.width)
-        n = 20001
-        if dim == 1:
-            eta = np.linspace(-span, span, n)
-            vals = np.abs(self.khat(eta, 1)) * (1 + np.abs(eta)) ** a_weight
-            return float(np.trapezoid(vals, eta))
-        axes = [np.linspace(-span, span, 801)] * dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
-        vals = np.abs(self.khat(mesh, dim))
-        if a_weight:
-            vals = vals * (1 + np.sqrt((mesh ** 2).sum(axis=0))) ** a_weight
-        h = axes[0][1] - axes[0][0]
-        return float(vals.sum() * h ** dim)
 
     def l1_grad_khat(self, dim: int = 1) -> float:
         """Quadrature value of the L1 norm of the transform gradient."""

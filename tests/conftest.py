@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavepax import dispersion as dsp
-from wavepax.grids import Grid, l1_norm_values
+from wavepax.grids import Grid, ModalField, l1_norm_values, samples_to_spectrum
 
 # A failing hypothesis test imports libcst to write its explicit-example
 # patch.  That import warns (mypy_extensions.TypedDict is deprecated), and
@@ -76,6 +76,15 @@ def spectra_equal():
         return True
 
     return equal
+
+
+@pytest.fixture(scope="session")
+def from_r_space():
+    """The modal field of r-space samples: the inverse of ``grids.to_r_space``."""
+    def field(samples, grid, frame="slow"):
+        return ModalField(grid, samples_to_spectrum(samples, grid), frame)
+
+    return field
 
 
 @pytest.fixture

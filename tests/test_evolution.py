@@ -21,7 +21,6 @@ from wavepax.grids import (
     Grid,
     ModalField,
     crop_spectrum,
-    from_r_space,
     grid_mirror,
     l1_norm,
     l1_norm_values,
@@ -29,6 +28,18 @@ from wavepax.grids import (
     pad_spectrum,
     to_r_space,
 )
+
+
+def index_of(grid, k):
+    """Nearest node index of a wavevector."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    idx = []
+    for a in range(grid.dim):
+        j = int(round((k[a] + grid.k_max[a]) / grid.dk[a]))
+        if not (0 <= j < grid.n[a]):
+            raise ValueError(f"wavevector {k} outside grid")
+        idx.append(j)
+    return tuple(idx)
 
 
 def packet(model, grid, beta=0.1, amp=0.2, k_star=1.0, width=0.5):
@@ -47,10 +58,10 @@ def test_delta_convolution_value():
     a, b = 1.5 + 0.5j, -0.25 + 2.0j
     f1 = ModalField(g, np.zeros((2, 64), complex))
     f2 = ModalField(g, np.zeros((2, 64), complex))
-    f1.values[0, g.index_of(1.0)[0]] = a
-    f2.values[0, g.index_of(0.5)[0]] = b
+    f1.values[0, index_of(g, 1.0)[0]] = a
+    f2.values[0, index_of(g, 0.5)[0]] = b
     out = ev.apply_nonlinearity([f1, f2], chi)
-    idx = g.index_of(1.5)[0]
+    idx = index_of(g, 1.5)[0]
     expected = 1j * a * b * g.dk[0] / (2 * np.pi)
     assert out.values[0, idx] == pytest.approx(expected, abs=1e-15)
     rest = np.abs(out.values).sum() - abs(out.values[0, idx]) - abs(out.values[1, idx])
@@ -887,12 +898,17 @@ def segments_of(widths):
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def by_rows(rhs):
+    """The driver's ``rhs_chunk(values, taus, rows)`` of an ``rhs(values, taus)`` on chunks."""
+    return lambda values, taus, rows: rhs(values[rows], taus[rows])
+
+
 def linear_solve(a, u0, tau, n, chunk, rhs=None, segments=(slice(None),), **config):
     """Driver solve of u' = a u on the (C, nodes) start ``u0``; ``a`` is a scalar or per node."""
     def linear(values, taus):
         return a * values
 
-    return ev._picard_trapezoid(rhs or linear, u0, n, tau / n, 1.0,
+    return ev._picard_trapezoid(by_rows(rhs or linear), u0, n, tau / n, 1.0,
                                 ev.SolverConfig(**config), chunk, None, segments)
 
 
@@ -983,6 +999,113 @@ def test_picard_trapezoid_holds_one_trajectory():
         tracemalloc.stop()
     assert state.nbytes == state_bytes
     assert peak < 1.5 * state_bytes
+
+
+def test_half_state_solve_peaks_at_its_kept_rows_and_blocks(nls_model):
+    # a simulate-like 2048-node cubic_full solve keeping two rows: the
+    # driver's transient memory is a fixed number of block-sized arrays
+    # (two chunks of iterates and the phase table, 4 blocks each, and a
+    # dozen or so per block); chunk-wide passes peaked at about 51
+    g = Grid(1, (2048,), (4.0,))
+    h = packet(nls_model, g, beta=0.1, amp=0.1, width=0.5)
+    prob = ev.EvolutionProblem(nls_model, [ev.cubic_full(1.0)], 0.01, 0.2, g, h)
+    _, n = ev.time_mesh(prob, ev.SolverConfig())
+    config = ev.SolverConfig(record_stride=n)
+    assert ev._conjugate_mirror(prob, config) is not None
+    row = h.values.nbytes // 2  # one + component
+    block = ev._BLOCK_BYTES // row * row
+    assert ev.DEFAULT_CHUNK * row == 4 * block
+    tracemalloc.start()
+    try:
+        traj = ev.solve_integrated(prob, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(f.values.nbytes for f in traj.fields)
+    assert len(traj.fields) == 2 and traj.iterations == 4
+    assert peak < kept + 26 * block
+
+
+# -- row blocks of the Picard step ----------------------------------------------------
+
+BLOCK_PATHS = {
+    # (grid nodes, nonlinearity, mode, half state): the full and the half
+    # (real-form) path with two products, so the plan sums by matmul, and
+    # the direct oracle
+    "full": (64, [ev.cubic_full(0.9), ev.quadratic_conjugate(0.6)], "fft", False),
+    "half": (64, [ev.cubic_full(0.9), ev.quadratic_conjugate(0.6)], "fft", True),
+    "direct": (32, [ev.quadratic_conjugate(0.6)], "direct-oracle", False),
+}
+
+
+def blocked_step(path, data, block_rows, slab_rows, measure_change):
+    """One ``_Level.step`` of the solver's integrand in blocks of ``block_rows`` rows.
+
+    ``data`` is (chunk, taus, h, h0, carried integral, g_prev, sup), drawn
+    once for all block sizes; the plan has slabs of ``slab_rows`` rows, or
+    the module's.  Returns the new values, the chunk's norm and the level's
+    carried sums.
+    """
+    nodes, chi, mode, half = BLOCK_PATHS[path]
+    chunk, taus, h, h0, integral, g_prev, sup = data
+    model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}})
+    grid = Grid(1, (nodes,), (2.0,))
+    problem = ev.EvolutionProblem(model, chi, 0.05, 1.0, grid,
+                                  ModalField(grid, np.zeros((2, nodes))))
+    mirror = grid_mirror(grid)[0] if half else None
+    tables = ev.PropagatorTables(model, grid, problem.rho, slice(0, 2, 2) if half else None)
+    plan = ev._problem_plan(problem, conjugate=half)
+    if slab_rows is not None:
+        with mock.patch.object(ev, "_SLAB_BYTES", slab_rows * slab_bytes(plan)):
+            plan = ev._problem_plan(problem, conjugate=half)
+
+    def rhs_chunk(values, taus, rows):
+        return ev._slow_rhs_chunk(values, taus, h, problem, tables, plan, mode, rows)
+
+    level = ev._Level((slice(None),), mirror)
+    level.integral, level.g_prev, level.sup = integral, g_prev, sup.copy()
+    with mock.patch.object(ev, "_BLOCK_BYTES", block_rows * h0.nbytes):
+        new, d = level.step(rhs_chunk, chunk, taus, h0, h, grid.cell, measure_change)
+    return new, d, level.integral, level.g_prev, level.sup
+
+
+@pytest.mark.parametrize("path", list(BLOCK_PATHS))
+@settings(max_examples=12, deadline=None)
+@given(
+    rows=st.sampled_from([64, 35]),
+    first=st.booleans(),
+    broadcast=st.booleans(),
+    measure_change=st.booleans(),
+    slab_rows=st.one_of(st.none(), SLAB_ROWS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_step_is_bitwise_the_one_block_step(path, rows, first, broadcast,
+                                                    measure_change, slab_rows, seed):
+    # a full chunk and a short last one (simulate ends on 35 rows), the first
+    # chunk of a pass or a later one with carried sums, the broadcast start
+    # of level 1 or drawn iterates, a Picard pass or a coupling_norm pass
+    rng = np.random.default_rng(seed)
+    nodes, _, _, half = BLOCK_PATHS[path]
+    comps = 1 if half else 2
+
+    def draw(*shape):
+        return 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    h = 0.01 * rng.uniform(0.5, 1.0)
+    i0 = 0 if first else 64 * int(rng.integers(1, 20))
+    taus = (h * np.arange(i0 + rows))[i0:]
+    h0 = draw(comps, nodes)
+    chunk = np.broadcast_to(h0, (rows, comps, nodes)) if broadcast else draw(rows, comps, nodes)
+    carried = ((0.0, None, np.zeros(1)) if first
+               else (draw(comps, nodes), draw(comps, nodes), rng.uniform(0, 1, size=1)))
+    data = (chunk, taus, h, h0) + carried
+    want = blocked_step(path, data, rows, slab_rows, measure_change)
+    for block_rows in (1, 3, 16):
+        got = blocked_step(path, data, block_rows, slab_rows, measure_change)
+        assert np.array_equal(got[0], want[0])
+        assert repr(got[1]) == repr(want[1])
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a, b)
 
 
 def test_solve_integrated_holds_no_trajectory(nls_model):
@@ -1086,8 +1209,8 @@ def kept_rows(mode, n):
 
 def assert_same_outcome(rhs, u0, tau, n, chunk, keep=None, segments=(slice(None),), **config):
     """The driver's rows ``keep`` equal the oracle's bitwise, as do iterations and distances."""
-    state, its, dists = driver_outcome(ev._picard_trapezoid, rhs, u0, tau, n, chunk, keep,
-                                       segments, **config)
+    state, its, dists = driver_outcome(ev._picard_trapezoid, by_rows(rhs), u0, tau, n, chunk,
+                                       keep, segments, **config)
     want_state, want_its, want_dists = driver_outcome(two_buffer_picard, rhs, u0, tau, n,
                                                       chunk, segments, **config)
     assert its == want_its
@@ -1200,7 +1323,7 @@ def test_wavefront_falls_back_on_growth(keep):
     assert len(visits) > len(loop) and visits[-len(loop):] == loop
 
 
-def test_cubic_matches_r_space_product(nls_model, rng):
+def test_cubic_matches_r_space_product(nls_model, rng, from_r_space):
     # spectrally concentrated fields: i q U+^2 U- equals the transformed
     # pointwise r-space product even on the unpadded grid
     g = Grid(1, (256,), (4.0,))
@@ -1359,14 +1482,14 @@ def test_single_mode_closed_form(nls_model):
     q, rho, tau_star, k0 = 0.8, 0.1, 0.4, 0.5
     vals = np.zeros((2, 64), complex)
     a0 = 0.9 + 0.4j
-    vals[0, g.index_of(k0)[0]] = a0
-    vals[1, g.index_of(-k0)[0]] = np.conj(a0)
+    vals[0, index_of(g, k0)[0]] = a0
+    vals[1, index_of(g, -k0)[0]] = np.conj(a0)
     prob = ev.EvolutionProblem(nls_model, [ev.cubic_conjugate(q)], rho, tau_star,
                                g, ModalField(g, vals))
     traj = ev.solve_integrated(prob, ev.SolverConfig(substeps_per_rho=50))
     w = g.dk[0] / (2 * np.pi)
     expected = a0 * np.exp(1j * q * w * w * abs(a0) ** 2 * tau_star)
-    got = traj.fields[-1].values[0, g.index_of(k0)[0]]
+    got = traj.fields[-1].values[0, index_of(g, k0)[0]]
     assert got == pytest.approx(expected, rel=1e-8)
 
 

@@ -80,6 +80,54 @@ def test_grid_fields_are_config_errors(grid, tmp_path):
                      "--out", str(tmp_path / "out")]) == 3
 
 
+def envelope_cfg(**fields):
+    return counterprop_cfg(packets=[{"envelope": {"family": "bump", "width": 0.7,
+                                                  "amplitude": 0.15, **fields}}])
+
+
+# each once a bare ValueError, which a sweep did not record as an error row
+CONFIG_FIELD_ERRORS = {
+    "model": (counterprop_cfg(model={"preset": "nope"}), "unknown model preset 'nope'"),
+    "nonlinearity": (counterprop_cfg(nonlinearity={"preset": "nope"}),
+                     "unknown nonlinearity preset 'nope'"),
+    "width-zero": (envelope_cfg(width=0), "width must be positive and finite"),
+    "width-nan": (envelope_cfg(width=float("nan")), "width must be positive and finite"),
+    "amplitude-nan": (envelope_cfg(amplitude=float("nan")), "amplitude must be finite"),
+    "family": (envelope_cfg(family="nope"), "unknown envelope family"),
+    "spectrum-short": (counterprop_cfg(spectrum=[[1]]), "does not have dimension 1"),
+    "spectrum-nan": (counterprop_cfg(spectrum=[[1, float("nan")], [1, -1.0]]), "not finite"),
+    "band": (counterprop_cfg(spectrum=[[0, 1.0], [1, -1.0]]), "bands must lie in 1..1"),
+    "grid-n": (counterprop_cfg(grid={"n": 3, "k_max": 4.0}), "power of two"),
+    "grid-n-text": (counterprop_cfg(grid={"n": "x", "k_max": 4.0}), "invalid grid"),
+    "grid-dim-zero": (counterprop_cfg(grid={"n": 512, "k_max": 4.0, "dim": 0}), "grid.dim"),
+    "grid-dim-fraction": (counterprop_cfg(grid={"n": 512, "k_max": 4.0, "dim": 1.5}), "grid.dim"),
+    "r-star-nan": (counterprop_cfg(packets=[{"r_star": float("nan")}]), "r_star must be finite"),
+}
+
+
+@pytest.mark.parametrize("field", list(CONFIG_FIELD_ERRORS))
+def test_config_fields_are_config_errors(field, tmp_path):
+    cfg, message = CONFIG_FIELD_ERRORS[field]
+    with pytest.raises(ConfigError, match=message):
+        harness.load_config(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**cfg, "experiment": {"n_track_times": 3}}))
+    assert cli_main(["experiment", "positions", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_config_field_errors():
+    # a bad envelope width is one error row; the sweep goes on
+    cfg = sweep_cfg()
+    cfg["experiment"]["sweep"] = {"packets": [[{"envelope": {"width": 0.7}}],
+                                              [{"envelope": {"width": 0}}]]}
+    res = harness.sweep(cfg)
+    assert [r["status"] for r in res.runs] == ["ok", "error"]
+    assert res.runs[1]["error_type"] == "ConfigError"
+    assert "width must be positive" in res.runs[1]["error"]
+
+
 @pytest.mark.parametrize("n_track", [0, -3])
 def test_track_times_are_positive(n_track, tmp_path):
     # n_track_times 0 once ended in an IndexError after the solve

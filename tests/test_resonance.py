@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -418,6 +419,22 @@ def test_cli_report_matches_golden_bytes(tmp_path):
     assert code == 0
     golden = Path(__file__).parent / "data" / "resonance_counterprop_probe20.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_wavevectors_are_rejected(bad, tmp_path):
+    # a NaN carrier was once classified universally invariant, with 0 solutions
+    with pytest.raises(ValueError, match="not finite"):
+        rs.classify(rs.spectrum_from_list([[1, bad]]), model(1.0), [3])
+    with pytest.raises(ValueError, match="not finite"):
+        rs.spectrum_from_list([[1, bad], [1, bad]])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
+                               "spectrum": [[1, 1.0], [1, bad]], "orders": [3]}))
+    out = tmp_path / "report.json"
+    assert cli_main(["resonance", "analyze", "--probe", "5", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 @settings(max_examples=30, deadline=None)
