@@ -148,6 +148,10 @@ def load_config(cfg: dict) -> RunConfig:
     for p in packets:
         _envelope(p)
         _require(np.isfinite(_r_star(p)).all(), f"r_star must be finite, got {p.get('r_star')!r}")
+        _require(p.get("zeta_components", "both") in ("both", "+", "-"),
+                 f"zeta_components must be 'both', '+' or '-', got {p.get('zeta_components')!r}")
+        _require(isinstance(p.get("doublet_reality", True), bool),
+                 f"doublet_reality must be true or false, got {p.get('doublet_reality')!r}")
     solver = _solver_config(cfg.get("solver", {}))
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
@@ -188,7 +192,7 @@ def packet_spec(rc: RunConfig, l: int, beta: float | None = None) -> wp.Wavepack
         epsilon=rc.epsilon,
         envelope=_envelope(p),
         zeta_components=p.get("zeta_components", "both"),
-        doublet_reality=bool(p.get("doublet_reality", True)),
+        doublet_reality=p.get("doublet_reality", True),
     )
 
 
@@ -449,8 +453,9 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     rc = load_config(cfg)
     exp = rc.experiment
     seed = int(exp.get("seed", 0))
-    n_track = int(exp.get("n_track_times", 9))
-    _require(n_track > 0, f"experiment.n_track_times must be > 0, got {n_track}")
+    n_track = _checked("experiment.n_track_times", float, exp.get("n_track_times", 9))
+    _require(n_track.is_integer() and n_track > 0,
+             f"experiment.n_track_times must be an integer > 0, got {exp.get('n_track_times')!r}")
     hyp = hypothesis_block(rc)
     _require_invariant(hyp, exp, force)
     initial, specs = build_initial(rc)
@@ -458,7 +463,7 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     beta, eps = rc.beta, rc.epsilon
     scan_step = (1.0 / beta) / 4.0
     halfwidth = float(exp.get("box_halfwidth", 6.0 * beta ** (-1.0 - eps)))
-    idxs = np.unique(np.linspace(0, len(traj.times) - 1, n_track).astype(int))
+    idxs = np.unique(np.linspace(0, len(traj.times) - 1, int(n_track)).astype(int))
     layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, beta, eps)
 
     def track(field: ModalField, l: int) -> ModalField:

@@ -225,15 +225,25 @@ class ComponentLayout:
         return np.concatenate([values[..., 0::2, self.segments[plus]]
                                for plus in self.partner.values()], axis=-1)
 
+    def unfold(self, key, half: np.ndarray) -> np.ndarray:
+        """Window ``key``'s (..., C, win) values of (..., C/2, W/2) half states.
+
+        An (l, -1) window holds its partner's components conjugated and
+        node-reversed in the partner component; every other component is 0.
+        """
+        plus = self.partner.get(key, key)
+        src = half[..., self.half_segments[plus]]
+        out = np.zeros(src.shape[:-2] + (self.model.ncomp, src.shape[-1]), dtype=complex)
+        if key == plus:
+            out[..., 0::2, :] = src
+        else:
+            for c in self.comps[plus]:
+                np.conjugate(src[..., c // 2, ::-1], out=out[..., c ^ 1, :])
+        return out
+
     def expand(self, half: np.ndarray) -> np.ndarray:
         """The (..., C, W) values of a half state, each (l, -1) window its partner's conjugate mirror."""
-        out = np.zeros(half.shape[:-2] + (self.model.ncomp, self.width), dtype=complex)
-        for minus, plus in self.partner.items():
-            src = half[..., self.half_segments[plus]]
-            out[..., 0::2, self.segments[plus]] = src
-            for c in self.comps[plus]:
-                np.conjugate(src[..., c // 2, ::-1], out=out[..., c ^ 1, self.segments[minus]])
-        return out
+        return np.concatenate([self.unfold(key, half) for key in self.keys], axis=-1)
 
     def window(self, key, full_flat: np.ndarray) -> np.ndarray:
         """Project full (B, C, X) values onto the cutoff window of one component."""
@@ -265,8 +275,12 @@ class ComponentLayout:
 class InteractionSolution:
     """Full-mesh trajectory of the 2N windowed components.
 
-    ``data`` is one (n+1, C, W) array; component ``key`` sits on the slice
-    ``layout.segments[key]`` of its node axis.  Unlike ``solve_integrated``,
+    ``states`` holds what the Picard driver iterated.  With ``half`` it is
+    the (n+1, C/2, W/2) half states of a conjugation-symmetric problem
+    (``ComponentLayout.halve``): the + components of the (l, +1) windows,
+    whose (l, -1) partners are their conjugate mirrors.  Otherwise it is
+    the (n+1, C, W) full states, component ``key`` on the slice
+    ``layout.segments[key]`` of the node axis.  Unlike ``solve_integrated``,
     which keeps only its recorded samples, the windowed solves keep every
     mesh node: ``interaction_distance`` and ``coupling_norm`` read them all.
     """
@@ -275,7 +289,8 @@ class InteractionSolution:
     layout: ComponentLayout
     problem: EvolutionProblem
     times: np.ndarray                     # full mesh
-    data: np.ndarray                      # (n+1, C, W)
+    states: np.ndarray                    # (n+1, C/2, W/2) with half, else (n+1, C, W)
+    half: bool
     iterations: int
     distances: list
     record_stride: int | None             # None: the default stride of _kept_samples
@@ -287,8 +302,10 @@ class InteractionSolution:
 
     def component_samples(self, l: int, theta: int, rows) -> FieldSamples:
         """Component (l, theta) at the mesh nodes ``rows``, on its window."""
-        return FieldSamples(self.problem.grid, self.layout.mask[(l, theta)],
-                            self.data[rows, :, self.layout.segments[(l, theta)]])
+        key = (l, theta)
+        values = (self.layout.unfold(key, self.states[rows]) if self.half
+                  else self.states[rows, :, self.layout.segments[key]])
+        return FieldSamples(self.problem.grid, self.layout.mask[key], values)
 
 
 def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> np.ndarray:
@@ -297,22 +314,20 @@ def _initial_windows(layout: ComponentLayout, problem: EvolutionProblem) -> np.n
     return np.concatenate([layout.window(key, h_flat)[0] for key in layout.keys], axis=-1)
 
 
-def _symmetric_windows(problem: EvolutionProblem, layout: ComponentLayout, sets_flat: dict,
-                       values: np.ndarray) -> bool:
-    """Whether half states carry the windowed problem: it is conjugation-symmetric.
+def _symmetric_sets(problem: EvolutionProblem, layout: ComponentLayout, sets_flat: dict) -> bool:
+    """Whether the windowed equation keeping ``sets_flat`` maps conjugate mirrors to mirrors.
 
     Exact tests, with no tolerance: the equation's symmetry
     (``evolution._symmetric_terms``), mirrored window pairs
-    (``ComponentLayout.partner``), index sets of each (l, -1) window that
-    are the negated sets of its partner's, compared as multisets, and
-    (..., C, W) ``values`` (the initial windows, or a trajectory) that are
-    bitwise conjugate mirrors (``ComponentLayout.mirrored``).
+    (``ComponentLayout.partner``) and index sets of each (l, -1) window
+    that are the negated sets of its partner's, compared as multisets.
+    Half states carry the problem when its data are mirrors too
+    (``ComponentLayout.mirrored``).
     """
     return (layout.partner is not None and _symmetric_terms(problem) is not None
             and all(Counter(sets_flat.get(minus, []))
                     == Counter((m, ix.negated()) for m, ix in sets_flat.get(plus, []))
-                    for minus, plus in layout.partner.items())
-            and layout.mirrored(values))
+                    for minus, plus in layout.partner.items()))
 
 
 def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: SolverConfig | None,
@@ -322,9 +337,9 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
 
     With ``sets_flat`` None the nonlinearity is zero and the initial windows
     are returned after 0 iterations.  A conjugation-symmetric problem
-    (``_symmetric_windows``) is iterated on half states, the + components
-    of the (l, +1) windows, and expanded at the end; every other one on the
-    full state.  Returns the solution and its evaluator.
+    (``_symmetric_sets`` and mirrored initial windows) is iterated and kept
+    on half states, the + components of the (l, +1) windows; every other
+    one on the full state.  Returns the solution and its evaluator.
     """
     config = config or SolverConfig()
     if config.convolution_mode == "direct-oracle":
@@ -332,11 +347,12 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
                          "the direct oracle runs through apply_nonlinearity")
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     h0 = _initial_windows(layout, problem)
-    half = sets_flat is not None and _symmetric_windows(problem, layout, sets_flat, h0)
+    half = (sets_flat is not None and _symmetric_sets(problem, layout, sets_flat)
+            and layout.mirrored(h0))
     evaluator = (None if sets_flat is None
                  else MonomialEvaluator(problem, layout, sets_flat, clip_arguments, half))
     h, n = time_mesh(problem, config)
-    data, iterations, distances = _picard_trapezoid(
+    states, iterations, distances = _picard_trapezoid(
         None if evaluator is None else evaluator.integrand_chunk, layout.halve(h0) if half else h0,
         n, h, problem.grid.cell, config, AVERAGED_CHUNK, keep=None,
         segments=(layout.half_segments if half else layout.segments).values(),
@@ -346,7 +362,8 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
         layout=layout,
         problem=problem,
         times=h * np.arange(n + 1),
-        data=layout.expand(data) if half else data,
+        states=states,
+        half=half,
         iterations=iterations,
         distances=distances,
         record_stride=config.record_stride,
@@ -533,12 +550,10 @@ def solve_averaged_system(
     # size of the argument-clip ambiguity on the converged state: the same
     # integrand with and without the clip, on a few late-time samples
     layout = solution.layout
-    probe, taus_probe = solution.data[-1:], solution.times[-1:]
-    other = MonomialEvaluator(problem, layout, sets_flat, False, evaluator.half)
-    if evaluator.half:
-        probe = layout.halve(probe)
+    probe, taus_probe = solution.states[-1:], solution.times[-1:]
+    other = MonomialEvaluator(problem, layout, sets_flat, False, solution.half)
     g_clip, g_raw = (e.integrand_chunk(probe, taus_probe) for e in (evaluator, other))
-    if evaluator.half:
+    if solution.half:
         g_clip, g_raw = layout.expand(g_clip), layout.expand(g_raw)
     clip_diff = sum(layout.component_l1(key, g_clip[0, :, seg] - g_raw[0, :, seg])
                     for key, seg in layout.segments.items())
@@ -550,13 +565,17 @@ def interaction_distance(a: InteractionSolution, b: InteractionSolution) -> floa
     """Sum over components of the sup-time L1 distance (shared full mesh)."""
     if len(a.times) != len(b.times):
         raise ValueError("solutions discretise time differently")
-    cell = a.problem.grid.cell
-    # one window and chunk of mesh nodes at a time: the difference of whole
-    # trajectories is not held
+    cell, segments = a.problem.grid.cell, a.layout.segments.values()
+
+    def full(s, r):  # the full states of a chunk of mesh nodes
+        return s.layout.expand(s.states[r]) if s.half else s.states[r]
+
+    # one chunk of mesh nodes at a time: no whole trajectory is expanded and
+    # their difference is not held
     rows = [slice(i, i + AVERAGED_CHUNK) for i in range(0, len(a.times), AVERAGED_CHUNK)]
-    return sum(float(np.max([_node_l1(a.data[r, :, seg] - b.data[r, :, seg], cell).max()
-                             for r in rows]))
-               for seg in a.layout.segments.values())
+    sup = np.max([_node_l1(full(a, r) - full(b, r), cell, segments).max(axis=0) for r in rows],
+                 axis=0)
+    return sum(sup.tolist())  # in key order
 
 
 def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSets,
@@ -569,17 +588,25 @@ def coupling_norm(solution: InteractionSolution, index_sets: InteractionIndexSet
     coup = index_sets.flat(index_sets.coupling(partition))
     if not any(coup.values()):
         return 0.0
-    layout = solution.layout
-    # a trajectory of a conjugation-symmetric problem is integrated on its half
-    # states; an (l, -1) window's sup is then its partner's
-    half = _symmetric_windows(solution.problem, layout, coup, solution.data)
+    layout, states = solution.layout, solution.states
+    # a mirrored trajectory is integrated on its half states when the coupling
+    # sets keep the symmetry; an (l, -1) window's sup is then its partner's.
+    # A half solution is mirrored by construction
+    half = _symmetric_sets(solution.problem, layout, coup) and (
+        solution.half or layout.mirrored(states))
     evaluator = MonomialEvaluator(solution.problem, layout, coup, half=half)
-    data, segments = ((layout.halve(solution.data), layout.half_segments) if half
-                      else (solution.data, layout.segments))
+    segments = layout.half_segments if half else layout.segments
+    if half and not solution.half:
+        states = layout.halve(states)
+    rhs, h0 = evaluator.integrand_chunk, np.zeros_like(states[0])
+    if solution.half and not half:  # asymmetric sets: the half states expand a block at a time
+        h0 = np.zeros((layout.model.ncomp, layout.width), dtype=complex)
+
+        def rhs(values, taus, rows):
+            return evaluator.integrand_chunk(layout.expand(values[rows]), taus[rows])
     h = solution.times[1] - solution.times[0]
     level = _Level(segments.values())
-    _trapezoid_pass(evaluator.integrand_chunk, data, np.zeros_like(data[0]), h,
-                    AVERAGED_CHUNK, solution.problem.grid.cell, False, level)
+    _trapezoid_pass(rhs, states, h0, h, AVERAGED_CHUNK, solution.problem.grid.cell, False, level)
     sup = dict(zip(segments, level.sup.tolist()))
     partner = layout.partner if half else {}
     return float(sum(sup[partner.get(key, key)] for key in layout.keys))  # in key order

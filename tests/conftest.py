@@ -105,3 +105,12 @@ def trajectory_distance():
         return dist
 
     return distance
+
+
+@pytest.fixture(scope="session")
+def full_states():
+    """The (n+1, C, W) full states of a windowed solution, expanded if it holds half states."""
+    def states(sol):
+        return sol.layout.expand(sol.states) if sol.half else sol.states
+
+    return states

@@ -277,6 +277,22 @@ def test_acceptance_geometries_take_the_half_state_paths(monkeypatch):
     assert ev._conjugate_mirror(problem, rc.solver) is not None
 
 
+def test_accept_07_geometry_keeps_half_states(monkeypatch):
+    # both windowed solves keep the (n+1, C/2, W/2) half states they iterate:
+    # the + component of the two (l, +1) windows
+    solved = []
+    for name in ("solve_interaction_system", "solve_averaged_system"):
+        solve = getattr(ia, name)
+        monkeypatch.setattr(ia, name, lambda *args, _solve=solve, **kwargs:
+                            solved.append(_solve(*args, **kwargs)) or solved[-1])
+    harness.averaging_experiment({**ACCEPT_07_CONFIG, "experiment": {"rho_values": [0.004]}})
+    assert len(solved) == 2
+    for sol in solved:
+        plus = sum(sol.layout.mask[(l, 1)].size for l in (1, 2))
+        assert 2 * plus == sol.layout.width
+        assert sol.half and sol.states.shape == (len(sol.times), 1, plus)
+
+
 # -- 9: homogeneity identity --------------------------------------------------------------------
 
 def test_accept_09_homogeneity():

@@ -102,6 +102,13 @@ CONFIG_FIELD_ERRORS = {
     "grid-dim-zero": (counterprop_cfg(grid={"n": 512, "k_max": 4.0, "dim": 0}), "grid.dim"),
     "grid-dim-fraction": (counterprop_cfg(grid={"n": 512, "k_max": 4.0, "dim": 1.5}), "grid.dim"),
     "r-star-nan": (counterprop_cfg(packets=[{"r_star": float("nan")}]), "r_star must be finite"),
+    # each once read as another value, or a bare ValueError at build time
+    "band-fraction": (counterprop_cfg(spectrum=[[1.5, 1.0], [1, -1.0]]),
+                      "bands \\[1.5, 1.0\\] are not all integers"),
+    "zeta-components": (counterprop_cfg(packets=[{"zeta_components": "x"}]),
+                        "zeta_components must be"),
+    "doublet-reality": (counterprop_cfg(packets=[{"doublet_reality": "false"}]),
+                        "doublet_reality must be true or false"),
 }
 
 
@@ -128,8 +135,25 @@ def test_sweep_records_config_field_errors():
     assert "width must be positive" in res.runs[1]["error"]
 
 
-@pytest.mark.parametrize("n_track", [0, -3])
+@pytest.mark.parametrize("path, value, message", [
+    ("spectrum", [[1.5, 1.0], [1, -1.0]], "bands [1.5, 1.0] are not all integers"),
+    ("packets", [{"zeta_components": "x"}], "zeta_components must be"),
+    ("packets", [{"doublet_reality": "false"}], "doublet_reality must be true or false"),
+    ("experiment.n_track_times", 2.5, "n_track_times must be an integer"),
+], ids=["band", "zeta-components", "doublet-reality", "n-track-times"])
+def test_sweep_records_read_field_errors(path, value, message):
+    # a field once read as another value, or a bare ValueError that aborted
+    # the sweep, is one error row
+    cfg = counterprop_cfg(experiment={"name": "positions", "sweep": {path: [value]}})
+    res = harness.sweep(cfg)
+    assert [r["status"] for r in res.runs] == ["error"]
+    assert res.runs[0]["error_type"] == "ConfigError"
+    assert message in res.runs[0]["error"]
+
+
+@pytest.mark.parametrize("n_track", [0, -3, 2.5, "x"])
 def test_track_times_are_positive(n_track, tmp_path):
+    # 2.5 once ran as 2 and "x" was a bare ValueError
     # n_track_times 0 once ended in an IndexError after the solve
     cfg = counterprop_cfg(experiment={"n_track_times": n_track})
     with pytest.raises(ConfigError, match="n_track_times"):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def joined(layout, states):
 
 def embedded(sol, keys, i):
     """Sum of the components ``keys`` of a windowed solution at mesh node i on the full grid."""
-    full = sol.layout.embed({key: sol.data[i:i + 1, :, sol.layout.segments[key]] for key in keys})
+    full = sol.layout.embed({key: sol.component_samples(*key, [i]).values for key in keys})
     return full[0].reshape((sol.problem.model.ncomp,) + sol.problem.grid.shape)
 
 
@@ -137,11 +138,11 @@ def test_shg_pair_averaged_sets(shg_model):
 
 # -- interaction system ----------------------------------------------------------------
 
-def test_interaction_f0_constant(counterprop):
+def test_interaction_f0_constant(counterprop, full_states):
     model, grid, spectrum, initial = counterprop
     prob = ev.EvolutionProblem(model, [], 0.05, 0.2, grid, initial)
     sol = ia.solve_interaction_system(prob, spectrum, beta=BETA, epsilon=EPS)
-    for window in by_window(sol.layout, sol.data).values():
+    for window in by_window(sol.layout, full_states(sol)).values():
         assert np.abs(window - window[0]).max() == 0.0
     # the windows reproduce cutoff-built data exactly
     recon = sum_values(sol, 0)
@@ -181,7 +182,7 @@ def test_sum_consistency_improves_with_rho(counterprop):
 
 # -- averaged systems ---------------------------------------------------------------------
 
-def test_averaged_nonresonant_state_constant(nls_model):
+def test_averaged_nonresonant_state_constant(nls_model, full_states):
     grid = Grid(1, (512,), (4.0,))
     spectrum = rs.spectrum_from_list([[1, 0.9], [1, 1.7]])
     initial = doublet_sum(nls_model, grid, [0.9, 1.7])
@@ -189,7 +190,7 @@ def test_averaged_nonresonant_state_constant(nls_model):
     prob = ev.EvolutionProblem(nls_model, [ev.quadratic_conjugate(1.0)], 0.05, 0.2,
                                grid, initial)
     sol = ia.solve_averaged_system(prob, spectrum, sets, beta=BETA, epsilon=EPS)
-    for window in by_window(sol.layout, sol.data).values():
+    for window in by_window(sol.layout, full_states(sol)).values():
         assert np.abs(window - window[0]).max() == 0.0
 
 
@@ -206,7 +207,7 @@ def test_averaged_tracks_interaction_in_rho(counterprop):
     assert dists[1] <= 0.75 * dists[0]
 
 
-def test_diagonal_mode_separates(counterprop):
+def test_diagonal_mode_separates(counterprop, full_states):
     model, grid, spectrum, initial = counterprop
     cfg = ev.SolverConfig(substeps_per_rho=10)
     sets = ia.build_index_sets(spectrum, model, [3])
@@ -219,8 +220,8 @@ def test_diagonal_mode_separates(counterprop):
         single = ia.solve_averaged_system(prob, sub, sub_sets, cfg, beta=BETA,
                                           epsilon=EPS, mode="diagonal")
         for theta in (+1, -1):
-            a = by_window(joint.layout, joint.data)[(l, theta)]
-            b = by_window(single.layout, single.data)[(1, theta)]
+            a = by_window(joint.layout, full_states(joint))[(l, theta)]
+            b = by_window(single.layout, full_states(single))[(1, theta)]
             assert np.abs(a - b).max() <= 1e-12
 
 
@@ -630,20 +631,19 @@ def parent_averaged_loop(problem, spectrum, sets, config, beta, epsilon):
     raise AssertionError("the parent loop did not converge")
 
 
-def parent_coupling_norm(solution, index_sets):
+def parent_coupling_norm(solution, index_sets, data):
     coup = index_sets.flat(index_sets.coupling(None))
     layout = solution.layout
     evaluator = ia.MonomialEvaluator(solution.problem, layout, coup)
     n = len(solution.times) - 1
     h = solution.times[1] - solution.times[0]
-    integral = {key: np.zeros_like(w[0]) for key, w in by_window(layout, solution.data).items()}
+    integral = {key: np.zeros_like(w[0]) for key, w in by_window(layout, data).items()}
     sup = {key: 0.0 for key in layout.keys}
     g_prev = None
     chunk = ia.AVERAGED_CHUNK
     for i0 in range(0, n + 1, chunk):
         i1 = min(i0 + chunk, n + 1)
-        g = by_window(layout, evaluator.integrand_chunk(solution.data[i0:i1],
-                                                        solution.times[i0:i1]))
+        g = by_window(layout, evaluator.integrand_chunk(data[i0:i1], solution.times[i0:i1]))
         for j in range(i1 - i0):
             for key in layout.keys:
                 if i0 + j > 0:
@@ -660,7 +660,7 @@ def parent_coupling_norm(solution, index_sets):
     (ev.cubic_conjugate(1.0), [1.0, 0.37]),
     (ev.cubic_full(0.8), [1.0, 0.37]),
 ], ids=["chi0", "chi1", "chi0-unequal", "chi1-unequal"])
-def test_solvers_match_parent_loops(nls_model, chi, carriers, monkeypatch):
+def test_solvers_match_parent_loops(nls_model, chi, carriers, monkeypatch, full_states):
     # 41 mesh nodes: one full chunk of 32 and a short one of 9; carriers
     # 1 and 0.37 give windows of 37, 37, 38 and 38 nodes
     model, grid = nls_model, Grid(1, (512,), (4.0,))
@@ -673,8 +673,8 @@ def test_solvers_match_parent_loops(nls_model, chi, carriers, monkeypatch):
     # states (test_half_windowed_solve_matches_the_full_state); the parent
     # loops are compared with the full-state path
     layout = ia.ComponentLayout(spectrum, model, grid, BETA, EPS)
-    assert ia._symmetric_windows(prob, layout, sets.flat(sets.contributing),
-                                 ia._initial_windows(layout, prob))
+    assert (ia._symmetric_sets(prob, layout, sets.flat(sets.contributing))
+            and layout.mirrored(ia._initial_windows(layout, prob)))
     monkeypatch.setattr(ia, "_symmetric_terms", lambda problem: None)
     w = ia.solve_interaction_system(prob, spectrum, cfg, beta=BETA, epsilon=EPS)
     v = ia.solve_averaged_system(prob, spectrum, sets, cfg, beta=BETA, epsilon=EPS)
@@ -684,19 +684,20 @@ def test_solvers_match_parent_loops(nls_model, chi, carriers, monkeypatch):
     # projected the integral, so it matches to rounding
     data, iterations, distances = parent_interaction_loop(prob, spectrum, cfg, BETA, EPS)
     scale = max(np.abs(data[key]).max() for key in w.layout.keys)
-    w_data = by_window(w.layout, w.data)
+    w_data = by_window(w.layout, full_states(w))
     assert all(np.abs(w_data[key] - data[key]).max() <= 1e-12 * scale for key in w.layout.keys)
     assert w.iterations == iterations
     np.testing.assert_allclose(w.distances, distances, rtol=1e-12, atol=1e-14)
     # the averaged system keeps the parent's arithmetic exactly
     data, iterations, distances = parent_averaged_loop(prob, spectrum, sets, cfg, BETA, EPS)
-    v_data = by_window(v.layout, v.data)
+    v_data = by_window(v.layout, full_states(v))
     assert all(np.array_equal(v_data[key], data[key]) for key in v.layout.keys)
     assert v.iterations == iterations
     np.testing.assert_allclose(v.distances, distances, rtol=1e-12, atol=0.0)
     coupling = ia.coupling_norm(v, sets)
     assert coupling > 0.0
-    assert coupling == pytest.approx(parent_coupling_norm(v, sets), rel=1e-12, abs=0.0)
+    assert coupling == pytest.approx(parent_coupling_norm(v, sets, full_states(v)), rel=1e-12,
+                                     abs=0.0)
 
 
 # -- half windowed solves ---------------------------------------------------------------------
@@ -728,7 +729,7 @@ def full_state_path(monkeypatch):
 
 def same_solution(a, b):
     return (a.iterations == b.iterations and a.distances == b.distances
-            and np.array_equal(a.data, b.data))
+            and a.half == b.half and np.array_equal(a.states, b.states))
 
 
 @pytest.mark.filterwarnings("ignore:component windows")
@@ -748,7 +749,7 @@ def same_solution(a, b):
     data=st.data(),
 )
 def test_half_windowed_solve_matches_the_full_state(model, n, order, system, clip, amp, tau, rho,
-                                                    data):
+                                                    data, full_states):
     # random conjugation-symmetric windowed problems: the solve on the (l, +1)
     # windows' + components, expanded, is the full-state solve to rounding;
     # so is the coupling norm of the averaged system
@@ -791,15 +792,16 @@ def test_half_windowed_solve_matches_the_full_state(model, n, order, system, cli
             sets_flat[(l, -1)] = [(o, ix.negated()) for o, ix in picks[::-1]]
     event(f"{system}, clip {clip}")
     config = ev.SolverConfig(picard_tol=1e-11)
-    assert ia._symmetric_windows(problem, layout, sets_flat, ia._initial_windows(layout, problem))
+    assert (ia._symmetric_sets(problem, layout, sets_flat)
+            and layout.mirrored(ia._initial_windows(layout, problem)))
     half, _ = ia._solve_windowed(problem, spectrum, config, beta, EPS, sets_flat, clip)
     with pytest.MonkeyPatch.context() as mp:
         full_state_path(mp)
         full, _ = ia._solve_windowed(problem, spectrum, config, beta, EPS, sets_flat, clip)
         full_coupling = ia.coupling_norm(full, index_sets) if system == "averaged" else None
     assert half.iterations == full.iterations
-    scale = np.abs(full.data).max()
-    assert np.abs(half.data - full.data).max() <= 1e-13 * scale
+    scale = np.abs(full_states(full)).max()
+    assert np.abs(full_states(half) - full_states(full)).max() <= 1e-13 * scale
     got, want = np.array(half.distances), np.array(full.distances)
     assert np.all((np.abs(got - want) <= 1e-12 * want) | (np.abs(got - want) <= 1e-14))
     if full_coupling is not None:
@@ -844,13 +846,154 @@ def test_asymmetric_windowed_inputs_take_the_full_path(nls_model, monkeypatch):
             problem = ev.EvolutionProblem(model, [susc], 0.05, 0.2, grid, ModalField(grid, values))
             layout = ia.ComponentLayout(spectrum, model, grid, beta, EPS)
             windows = ia._initial_windows(layout, problem)
-            assert ia._symmetric_windows(problem, layout, sets, windows) == (name == "symmetric"), name
+            assert (ia._symmetric_sets(problem, layout, sets)
+                    and layout.mirrored(windows)) == (name == "symmetric"), name
             if name == "symmetric":
                 continue
             solved, _ = ia._solve_windowed(problem, spectrum, None, beta, EPS, sets, True)
             full_state_path(mp)
             assert same_solution(solved, ia._solve_windowed(problem, spectrum, None, beta, EPS,
                                                             sets, True)[0]), name
+
+
+# -- half-state storage -----------------------------------------------------------------------
+
+def parent_expand(layout, half):
+    """The parent's ``ComponentLayout.expand``: the (..., C, W) values of half states."""
+    out = np.zeros(half.shape[:-2] + (layout.model.ncomp, layout.width), dtype=complex)
+    for minus, plus in layout.partner.items():
+        src = half[..., layout.half_segments[plus]]
+        out[..., 0::2, layout.segments[plus]] = src
+        for c in layout.comps[plus]:
+            np.conjugate(src[..., c // 2, ::-1], out=out[..., c ^ 1, layout.segments[minus]])
+    return out
+
+
+def parent_distance(layout, a, b):
+    """The parent's ``interaction_distance`` of full (n+1, C, W) trajectories."""
+    cell = layout.grid.cell
+    rows = [slice(i, i + ia.AVERAGED_CHUNK) for i in range(0, len(a), ia.AVERAGED_CHUNK)]
+    return sum(float(np.max([ev._node_l1(a[r, :, seg] - b[r, :, seg], cell).max() for r in rows]))
+               for seg in layout.segments.values())
+
+
+def parent_coupling(problem, layout, times, data, index_sets):
+    """The parent's ``coupling_norm`` of a full (n+1, C, W) trajectory."""
+    coup = index_sets.flat(index_sets.coupling(None))
+    if not any(coup.values()):
+        return 0.0
+    half = ia._symmetric_sets(problem, layout, coup) and layout.mirrored(data)
+    evaluator = ia.MonomialEvaluator(problem, layout, coup, half=half)
+    data, segments = ((layout.halve(data), layout.half_segments) if half
+                      else (data, layout.segments))
+    level = ev._Level(segments.values())
+    ev._trapezoid_pass(evaluator.integrand_chunk, data, np.zeros_like(data[0]), times[1] - times[0],
+                       ia.AVERAGED_CHUNK, problem.grid.cell, False, level)
+    sup = dict(zip(segments, level.sup.tolist()))
+    partner = layout.partner if half else {}
+    return float(sum(sup[partner.get(key, key)] for key in layout.keys))
+
+
+@pytest.mark.filterwarnings("ignore:component windows")
+# No shrink phase, as for the half windowed solves.
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(
+    model=st.sampled_from(["nls1d", "twoband"]),
+    order=st.sampled_from([2, 3]),
+    steps=st.integers(1, 80),
+    storage=st.sampled_from(["half/half", "half/full", "full/half", "full/full"]),
+    bump=st.sampled_from([None, 1, -1]),
+    asymmetric=st.booleans(),
+    data=st.data(),
+)
+def test_half_storage_is_bitwise_the_full_data_formulas(model, order, steps, storage, bump,
+                                                        asymmetric, data):
+    # random mirrored trajectories a and b held as half or full states:
+    # per-component samples, distances and coupling norms are bitwise the
+    # parent's formulas on the full data.  A bump on one window of b's full
+    # data puts the distance's largest window there; asymmetric coupling
+    # sets integrate a half solution on its full states, a block at a time
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m = dsp.model_from_config({"nls1d": {"preset": "nls1d", "params": {"a2": 1.0, "a0": 1.0}},
+                               "twoband": {"preset": "twoband", "params": {
+                                   "c1": 1.0, "d1": 0.5, "c2": 2.0, "d2": 1.5}}}[model])
+    grid, c = Grid(1, (64,), (2.0,)), m.ncomp
+    carriers = [[band, sign * k] for band, k, sign in data.draw(st.lists(
+        st.tuples(st.integers(1, c // 2), st.floats(0.3, 0.9), st.sampled_from([1, -1])),
+        min_size=1, max_size=2))]
+    assume(len(carriers) == 1 or carriers[0][0] != carriers[1][0]
+           or abs(carriers[0][1] - carriers[1][1]) > 1e-3)
+    spectrum = rs.spectrum_from_list(carriers)
+    problem = ev.EvolutionProblem(m, [ev.Susceptibility(order, mirrored_tensor(rng, order, c))],
+                                  0.1, 0.2, grid, ModalField(grid, mirrored_values(rng, grid, c)))
+    layout = ia.ComponentLayout(spectrum, m, grid, 0.3, EPS)
+    slots = [(z, l) for l in range(1, spectrum.n_pairs + 1) for z in (1, -1)]
+    every = [rs.DecoratedIndex(e) for e in itertools.product(slots, repeat=order)]
+    contributing = {}
+    for l in range(1, spectrum.n_pairs + 1):
+        picks = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+        contributing[(l, 1, order)] = picks
+        contributing[(l, -1, order)] = [ix.negated() for ix in picks[::-1]]
+    if asymmetric:
+        contributing[(1, -1, order)] = contributing[(1, -1, order)] + [data.draw(st.sampled_from(
+            every))]
+    index_sets = ia.InteractionIndexSets(spectrum, [order], 0.0, {}, contributing)
+
+    def half_trajectory():
+        # the rows a + window does not hold are 0, as in a half solution
+        half = 0.3 * (rng.normal(size=(steps + 1, c // 2, layout.width // 2))
+                      + 1j * rng.normal(size=(steps + 1, c // 2, layout.width // 2)))
+        for plus in layout.partner.values():
+            held = [comp // 2 for comp in layout.comps[plus]]
+            half[:, [r for r in range(c // 2) if r not in held], layout.half_segments[plus]] = 0
+        return half
+
+    times = 0.2 / max(steps, 1) * np.arange(steps + 1)
+
+    def solution(states, half):
+        return ia.InteractionSolution(spectrum, layout, problem, times, states, half, 0, [], None)
+
+    half_a, half_b = half_trajectory(), half_trajectory()
+    full_a, full_b = parent_expand(layout, half_a), parent_expand(layout, half_b)
+    assert np.array_equal(layout.expand(half_a), full_a)
+    a_half, b_half = (side == "half" for side in storage.split("/"))
+    if bump is not None and not b_half:
+        keys = [key for key in layout.keys if key[1] == bump]
+        seg = layout.segments[keys[data.draw(st.integers(0, len(keys) - 1))]]
+        full_b[data.draw(st.integers(0, steps)), :, seg] += 10.0
+    a = solution(half_a, True) if a_half else solution(full_a, False)
+    b = solution(half_b, True) if b_half else solution(full_b, False)
+
+    for key in layout.keys:
+        rows = data.draw(st.lists(st.integers(0, steps), min_size=1, max_size=5))
+        got = a.component_samples(*key, rows)
+        want = full_a[rows, :, layout.segments[key]]
+        assert got.values.shape == want.shape and np.array_equal(got.values, want)
+        assert np.array_equal(got.nodes, layout.mask[key])
+    per_key = {key: parent_distance(layout, full_a[..., seg], full_b[..., seg])
+               for key, seg in layout.segments.items()}
+    event(f"distance max on theta {max(per_key, key=per_key.get)[1]}, {storage}")
+    assert ia.interaction_distance(a, b) == parent_distance(layout, full_a, full_b)
+    assert ia.interaction_distance(b, a) == parent_distance(layout, full_b, full_a)
+    want = parent_coupling(problem, layout, times, full_a, index_sets)
+    event(f"coupling {'zero' if want == 0.0 else 'nonzero'}, asymmetric {asymmetric}, "
+          f"a {storage[:4]}")
+    assert ia.coupling_norm(a, index_sets) == want
+
+
+def test_asymmetric_solve_keeps_full_states(nls_model):
+    # a tensor phase breaks the equation's conjugation symmetry: the solution
+    # holds (n+1, C, W) full states
+    grid = Grid(1, (64,), (2.0,))
+    spectrum = rs.spectrum_from_list([[1, 0.7]])
+    h = doublet_sum(nls_model, grid, [0.7], beta=0.3, amp=0.5)
+    chi = ev.cubic_full(1.0)
+    problem = ev.EvolutionProblem(nls_model, [ev.Susceptibility(3, chi.tensor * np.exp(0.3j))],
+                                  0.05, 0.2, grid, h)
+    sol = ia.solve_interaction_system(problem, spectrum, beta=0.3, epsilon=EPS)
+    assert not sol.half
+    assert sol.states.shape == (len(sol.times), nls_model.ncomp, sol.layout.width)
 
 
 # -- coupling norm ----------------------------------------------------------------------
@@ -885,10 +1028,10 @@ def test_coupling_norm_leaves_the_solution_unchanged(counterprop):
     prob = ev.EvolutionProblem(model, [ev.cubic_full(0.8)], 0.05, 0.2, grid, initial)
     sol = ia.solve_averaged_system(prob, spectrum, sets, ev.SolverConfig(substeps_per_rho=10),
                                    beta=BETA, epsilon=EPS)
-    before = sol.data.copy()
+    before = sol.states.copy()
     value = ia.coupling_norm(sol, sets)
     assert value > 0.0
-    assert np.array_equal(sol.data, before)
+    assert np.array_equal(sol.states, before)
     assert ia.coupling_norm(sol, sets) == value
 
 
@@ -965,6 +1108,39 @@ def test_batched_particle_norms_are_the_per_sample_norms(counterprop):
                              positions, BETA, EPS)
             for i in sol.sample_indices]
     assert len(loop) > 2 and batched.tolist() == loop
+
+
+def test_averaging_peak_is_two_half_trajectories(nls_model):
+    # the traced peak of one 512-node averaging operation (interaction and
+    # averaged solves, coupling norm, distance) stays below its two half
+    # trajectories plus 8 chunk-sized (32, C, W) arrays: no whole trajectory
+    # is expanded (that peaked 39 such arrays above the two half trajectories)
+    grid = Grid(1, (512,), (4.0,))
+    spectrum = rs.spectrum_from_list([[1, 1.0], [1, -1.0]])
+    initial = doublet_sum(nls_model, grid, [1.0, -1.0], beta=0.1)
+    problem = ev.EvolutionProblem(nls_model, [ev.cubic_full(1.0)], 0.004, 0.25, grid, initial)
+    config = ev.SolverConfig(picard_tol=3e-10)
+    sets = ia.build_index_sets(spectrum, nls_model, [3])
+
+    def operation():
+        w = ia.solve_interaction_system(problem, spectrum, config, beta=0.1, epsilon=EPS)
+        v = ia.solve_averaged_system(problem, spectrum, sets, config, beta=0.1, epsilon=EPS)
+        ia.coupling_norm(v, sets)
+        ia.interaction_distance(v, w)
+        return v
+
+    operation()  # tables and caches that outlive an operation are filled here
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        v = operation()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    layout = v.layout
+    assert v.half and v.states.shape == (626, 1, layout.width // 2)
+    chunk = ia.AVERAGED_CHUNK * nls_model.ncomp * layout.width * 16
+    assert peak < 2 * v.states.nbytes + 8 * chunk
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
