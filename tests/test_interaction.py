@@ -949,7 +949,7 @@ def test_half_storage_is_bitwise_the_full_data_formulas(model, order, steps, sto
             half[:, [r for r in range(c // 2) if r not in held], layout.half_segments[plus]] = 0
         return half
 
-    times = 0.2 / max(steps, 1) * np.arange(steps + 1)
+    times = 0.2 / steps * np.arange(steps + 1)
 
     def solution(states, half):
         return ia.InteractionSolution(spectrum, layout, problem, times, states, half, 0, [], None)
