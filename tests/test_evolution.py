@@ -281,7 +281,7 @@ def test_crop_into_a_strided_destination_is_the_fresh_crop(shape, rng):
     assert np.array_equal(crop_spectrum(pad_spectrum(v, grid, big), grid), v)
 
 
-def centred_plan(plan, nodes, values):
+def centred_plan(plan, nodes, values, conjugates=None):
     """A plan's convolutions on the centred layout: the arithmetic it must reproduce bitwise.
 
     Each form of ``plan.forms`` is the literal sum of weight times component,
@@ -291,7 +291,17 @@ def centred_plan(plan, nodes, values):
     forward-transformed, shifted by ``fftshift`` and cropped
     (``crop_spectrum``) or gathered at the same positions, and every other
     component is the literal sum of ``plan.expand``'s weights times them.
+
+    ``conjugates`` maps keys to partner keys, as the plan's.  A key that is
+    its own partner is given by its + components (2n in row n) and returns
+    them, 0 at the lone nodes (index 0 on some axis); a key with another
+    partner is given by none.  A form of such a key that reads a component
+    not given is the literal ``np.conj`` of its source's r-space row: the
+    form of the partner whose weights, conjugated under 2n <-> 2n+1, are its
+    own.
     """
+    conjugates = conjugates or {}
+    half = {key for key, partner in conjugates.items() if key == partner}
     grid, tg = plan.grid, plan.tgrid
     axes = tuple(range(2, 2 + grid.dim))
     x = int(np.prod(tg.shape))
@@ -309,10 +319,16 @@ def centred_plan(plan, nodes, values):
             total = v * a if total is None else total + v * a
         return total
 
-    r_args = {}
-    for key, (pivots, w) in plan.forms.items():
-        v = np.stack([literal_sum([(a, values[key][:, c]) for c, a in enumerate(form) if a != 0])
-                      for form in w], axis=1)
+    def given(key, c):
+        # the row of values[key] that holds component c, or None
+        if key in half:
+            return None if c % 2 else c // 2
+        return None if key in conjugates else c
+
+    def literal_rows(key, w):
+        # the (B, F, X) r-space rows of forms ``w`` on key's given components
+        v = np.stack([literal_sum([(a, values[key][:, given(key, c)])
+                                   for c, a in enumerate(form) if a != 0]) for form in w], axis=1)
         if key in position:
             small = np.zeros((b, len(w), x), dtype=complex)
             small[..., position[key]] = v
@@ -320,8 +336,16 @@ def centred_plan(plan, nodes, values):
         else:
             small = pad_spectrum(v, grid, tg.shape)
         r = (1.0 / np.prod(tg.dr)) * np.fft.ifftn(np.fft.ifftshift(small, axes=axes), axes=axes)
-        r = r.reshape(b, len(w), x)
-        r_args.update(((key, p), r[:, i]) for i, p in enumerate(pivots))
+        return r.reshape(b, len(w), x)
+
+    r_args = {}
+    for key, (pivots, w) in plan.forms.items():
+        for p, form in zip(pivots, w):
+            if all(given(key, c) is not None for c in np.flatnonzero(form)):
+                r_args[(key, p)] = literal_rows(key, form[None])[:, 0]
+            else:
+                source = form[np.arange(form.size) ^ 1].conj()
+                r_args[(key, p)] = np.conj(literal_rows(conjugates[key], source[None])[:, 0])
     out = {}
     for key, (factors, coeffs, rows) in plan.outs.items():
         prods = np.empty((b, len(factors), x), dtype=complex)
@@ -342,6 +366,10 @@ def centred_plan(plan, nodes, values):
         for c, sums in plan.expand[key]:
             if sums:
                 out[key][:, c] = literal_sum([(a, vals[:, j]) for j, a in sums])
+        if key in half:
+            out[key] = out[key][:, 0::2]
+            for axis in range(grid.dim):
+                out[key][(slice(None),) * (2 + axis) + (0,)] = 0.0
     return out
 
 
@@ -351,13 +379,13 @@ def slab_bytes(plan) -> int:
     return rows * math.prod(plan.tgrid.shape) * 16
 
 
-def slabbed_plan(grid, nodes, terms, slab_rows=None):
+def slabbed_plan(grid, nodes, terms, slab_rows=None, conjugates=None):
     """A plan with the module's slab size, or with ``_SLAB_BYTES`` set to ``slab_rows`` rows."""
-    plan = ev._ConvolutionPlan(grid, nodes, terms)
+    plan = ev._ConvolutionPlan(grid, nodes, terms, conjugates)
     if slab_rows is None or not plan.outs:
         return plan
     with mock.patch.object(ev, "_SLAB_BYTES", slab_rows * slab_bytes(plan)):
-        plan = ev._ConvolutionPlan(grid, nodes, terms)
+        plan = ev._ConvolutionPlan(grid, nodes, terms, conjugates)
     assert plan._slab == slab_rows
     return plan
 
@@ -752,6 +780,64 @@ def test_window_plans_are_bitwise_the_centred_plan_at_two_blas_threads():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- conjugated rows ----------------------------------------------------------------
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slab_rows=st.one_of(st.none(), SLAB_ROWS))
+def test_conjugated_window_rows_are_bitwise_the_centred_plan(seed, slab_rows):
+    # the half-state windows: each (l, -1) window is the node-reversed
+    # mirror of (l, +1), only the (l, +1) windows form outputs and are given,
+    # and every form of an (l, -1) window is a conjugated (l, +1) row
+    rng = np.random.default_rng(seed)
+    grid, nodes, terms = averaging_like_layout(rng)
+    conjugates = {(1, -1): (1, +1), (2, -1): (2, +1)}
+    for minus, plus in conjugates.items():
+        assert np.array_equal(nodes[minus], np.sort(-nodes[plus] % grid.n[0]))
+        del terms[minus]
+    plan = slabbed_plan(grid, nodes, terms, slab_rows, conjugates)
+    assert set(plan.forms) == set(nodes) and set(plan.outs) == set(terms)
+    given = {key: idx for key, idx in nodes.items() if key not in conjugates}
+    for b in (5, 3, 5):
+        values = plan_values(rng, given, grid, b)
+        got, want = plan(values), centred_plan(plan, nodes, values, conjugates)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chi=st.sampled_from(["cubic_conjugate", "random"]),
+    shape=st.sampled_from([(16,), (32,), (8, 8)]),
+    c=st.sampled_from([2, 4]),
+    order=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conjugated_grid_rows_are_bitwise_the_centred_plan(chi, shape, c, order, seed):
+    # the whole-grid plan of a conjugation-symmetric problem takes and
+    # returns + components: a - form is its + source's row conjugated, and
+    # the lone output nodes are 0.  Real forms run real transforms, which
+    # this oracle does not model
+    rng = np.random.default_rng(seed)
+    grid = Grid(len(shape), shape, (2.0,) * len(shape))
+    model = (dsp.scalar_band_model([lambda k: (k ** 2).sum(axis=0) + 1.0] * (c // 2), dim=2)
+             if grid.dim == 2 else reduction_model("nls1d" if c == 2 else "twoband"))
+    susc = (ev.cubic_conjugate(1.0, c // 2) if chi == "cubic_conjugate"
+            else ev.Susceptibility(order, symmetric_tensor(rng, order, c)))
+    initial = ModalField(grid, symmetric_values(rng, grid, c).reshape((c,) + shape))
+    problem = ev.EvolutionProblem(model, [susc], 0.1, 0.2, grid, initial)
+    assume(ev._conjugate_mirror(problem, ev.SolverConfig()) is not None)
+    plan = ev._problem_plan(problem, conjugate=True)
+    event("no products" if not plan.outs else "real forms" if plan.real else "complex forms")
+    assume(plan.outs and not plan.real)
+    # every - form has its source among the forms: plain forms read every component
+    pivots, w = plan.forms["u"]
+    assume(all(np.any((w == form[np.arange(c) ^ 1].conj()).all(axis=1)) for form in w))
+    for b in (5, 3, 5):
+        v = rng.normal(size=(b, c // 2) + shape) + 1j * rng.normal(size=(b, c // 2) + shape)
+        got = plan({"u": v})["u"]
+        assert np.array_equal(got, centred_plan(plan, {"u": None}, {"u": v}, {"u": "u"})["u"])
 
 
 def two_band_matrix_model():
