@@ -401,6 +401,44 @@ def _runs(positions: np.ndarray) -> list:
             for i in np.split(np.arange(len(positions)), cuts)]
 
 
+def _conjugate_rows(forms: dict, used: dict, conjugates: dict) -> dict | None:
+    """The forms read as a conjugated row: {(key, pivot): (partner, pivot) of its source}.
+
+    ``conjugates`` maps keys to partner keys.  A key that is its own partner
+    (halved) is given by its + components, one with another partner by
+    none.  A used form of such a key that reads a component it is not given
+    is its source's r-space row conjugated: the partner's form whose
+    weights, conjugated under 2n <-> 2n+1, are its own.  A form that is its
+    own source is real in r-space.  Plain partner forms are first widened to
+    every component in ``forms``, and each source joins ``used``.  Returns
+    None when the forms cannot be read so: a form has no source, or one is
+    its own source while another is not, or a source is itself conjugated.
+    """
+    sources = {}
+    for key, partner in conjugates.items():
+        if key not in used:
+            continue
+        c = forms[key][1].shape[1]
+        if partner not in forms or np.count_nonzero(forms[partner][1]) == len(forms[partner][0]):
+            forms[partner] = np.arange(c), np.eye(c, dtype=complex)
+        pivots, w = forms[partner]
+        swapped = w[:, np.arange(c) ^ 1].conj()
+        for p in sorted(used[key]):
+            form = forms[key][1][np.searchsorted(forms[key][0], p)]
+            if key == partner and not form[1::2].any():
+                continue  # reads + components only
+            hit = np.flatnonzero((swapped == form).all(axis=1))
+            if not hit.size:
+                return None
+            sources[(key, int(p))] = (partner, int(pivots[hit[0]]))
+            used.setdefault(partner, set()).add(int(pivots[hit[0]]))
+    real = [f for f, s in sources.items() if f == s]
+    if real:  # then every form of the halved keys, and no other
+        halved = sum(len(used[key]) for key, partner in conjugates.items() if key == partner)
+        return sources if len(real) == len(sources) == halved else None
+    return None if any(s in sources for s in sources.values()) else sources
+
+
 class _ConvolutionPlan:
     """m-fold convolutions of spectra given on sets of grid nodes.
 
@@ -459,9 +497,22 @@ class _ConvolutionPlan:
     kept array stays resident while the caller's own arrays peak and raised
     the solver's peak memory.  A window form of several components is
     combined in one more kept array, then scattered.  Nothing a call
-    returns views any of them.  ``_ConjugatePlan`` is this plan on the +
-    components of conjugation-symmetric spectra, with real transforms
-    where its forms are real in r-space.
+    returns views any of them.
+
+    ``conjugates`` maps keys to partner keys; a key may be its own partner
+    (halved).  A halved key covers the whole grid and is given and returned
+    as its + components (2n in row n), 0 at the lone nodes (k = -k_max on
+    some axis); a key with another partner is given by none.  One rule
+    (``_conjugate_rows``) reads both: a form of such a key that reads a
+    component it is not given is its source's r-space row conjugated, the
+    partner form whose weights, conjugated under 2n <-> 2n+1, are its own.
+    It takes a row of the input stack after the transformed ones and is
+    not transformed.  So a half state's (l, -1) windows are read from their
+    (l, +1) partners, and the whole grid of a conjugation-symmetric problem
+    reads U_- as conj u_+ (``cubic_conjugate`` transforms one row).  When
+    every form is its own source (U_+ + U_- of ``cubic_full`` and
+    ``quadratic_conjugate``) its samples are real, and the call runs
+    ``_real_call``: real transforms, real products, the same schedule.
     """
 
     def __init__(self, grid: Grid, nodes: dict, terms: dict, conjugates: dict | None = None):
@@ -512,58 +563,55 @@ class _ConvolutionPlan:
             self.expand[key] = [(c, [(j, a) for j, a in enumerate(w[:, c]) if a != 0])
                                 for c in range(len(coeffs)) if c not in rows and w[:, c].any()]
             self.outs[key] = (factors, coeffs[rows], rows)
-        # a conjugated key reads the plain components of a scalar window; its
-        # partner's rows at the swapped components serve it
-        for key, partner in conjugates.items():
-            if key in used:
-                used.setdefault(partner, set()).update(c ^ 1 for c in used[key])
-                pivots, w = forms.get(partner, ((), ()))
-                if np.count_nonzero(w) == len(pivots):  # plain forms, widened to every component
-                    ncomp = forms[key][1].shape[1]
-                    forms[partner] = (np.arange(ncomp), np.eye(ncomp, dtype=complex))
+        sources = _conjugate_rows(forms, used, conjugates)
+        assert sources is not None, "conjugated forms need sources that are read directly"
+        self._halved = {key for key, partner in conjugates.items() if key == partner}
         self.forms = {}
-        for key in sorted(used, key=lambda k: k in conjugates):  # conjugated keys last
+        for key in used:
             pivots, w = forms[key]
             at = np.searchsorted(pivots, sorted(used[key]))
             self.forms[key] = (pivots[at], w[at])
-            if key in conjugates or key in conjugates.values():
-                assert (np.array_equal(pivots[at], sorted(used[key]))
-                        and np.count_nonzero(w[at]) == len(at)), "conjugates read plain components"
-        self.comps = {key: [int(c) for c in np.nonzero(w.any(axis=0))[0]]
-                      for key, (_, w) in self.forms.items() if key not in conjugates}
-        # per form, its (column in comps[key], weight) terms
-        self._reads = {key: [[(self.comps[key].index(c), a) for c, a in enumerate(form) if a != 0]
-                             for form in self.forms[key][1]] for key in self.comps}
+        # forms that are their own sources are every form: real in r-space (``_real_call``)
+        self.real = any(f == s for f, s in sources.items())
+        conjugated = {f: s for f, s in sources.items() if s != f}
+        # rows of the input stack: the transformed forms key by key, then the conjugated ones
+        order = [(key, int(p)) for key, (pivots, _) in self.forms.items() for p in pivots]
+        order = [f for f in order if f not in conjugated] + [f for f in order if f in conjugated]
+        row = {f: r for r, f in enumerate(order)}
+        self._n_in, self._n_src = len(order), len(order) - len(conjugated)
+        self._conjugated = [(row[f], row[conjugated[f]]) for f in order[self._n_src:]]
+        # comps[key]: the rows of values[key] the transformed forms read (component
+        # c, or of a halved key + component 2n at row n); per form, its (column
+        # in comps[key], weight) terms on them
+        self.comps, self._reads = {}, {}
+        for key, (pivots, w) in self.forms.items():
+            step = 2 if key in self._halved else 1
+            terms = [[(c // step, a) for c, a in enumerate(form) if a != 0 and c % step == 0]
+                     for p, form in zip(pivots, w) if (key, int(p)) not in conjugated]
+            if terms:
+                self.comps[key] = sorted({c for t in terms for c, _ in t})
+                self._reads[key] = [[(self.comps[key].index(c), a) for c, a in t] for t in terms]
         size = tuple(transform_size(v) for v in need)
         self.tgrid = Grid(grid.dim, size,
                           tuple(km * p / n for km, p, n in zip(grid.k_max, size, grid.n)))
         # flat transform-grid slots of each key not on the whole grid
         self.slots = {key: np.ravel_multi_index(tuple(c % np.array(size)[:, None]), size)
                       for key, c in centred.items() if nodes[key] is not None}
-        # the rows of each argument key in the input stack and of each output
-        # key in the output stack
-        self._arg_rows, self._n_in = _stack_rows({key: len(p) for key, (p, _) in self.forms.items()})
+        # the transformed rows of each argument key in the input stack and the
+        # rows of each output key in the output stack
+        self._arg_rows, _ = _stack_rows({key: len(reads) for key, reads in self._reads.items()})
         self._out_rows, self._n_out = _stack_rows({key: len(r)
                                                    for key, (_, _, r) in self.outs.items()})
-        row = {(key, int(p)): self._arg_rows[key].start + i
-               for key, (pivots, _) in self.forms.items() for i, p in enumerate(pivots)}
-        # (row, source row) of each conjugated form: the inputs are the rows
-        # before them
-        self._conjugated = [(row[(key, int(p))], row[(conjugates[key], int(p) ^ 1)])
-                            for key in self.forms if key in conjugates
-                            for p in self.forms[key][0]]
-        self._n_src = self._n_in - len(self._conjugated)
         # one products array per distinct factor list, filled by one schedule
         # on the input rows of the factors
         self._lists = list(dict.fromkeys(tuple(f) for f, _, _ in self.outs.values()))
         self._list_of = {key: self._lists.index(tuple(f)) for key, (f, _, _) in self.outs.items()}
         self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
                                          for factors in self._lists])
-        # per output key, the runs of consecutive components: (block rows, components);
-        # a result holds ``_width`` component rows, component c at ``_at[c]``
-        self._runs = {key: _runs(rows) for key, (_, _, rows) in self.outs.items()}
-        self._width = self.ncomp if self.outs else 0
-        self._at = np.arange(self._width)
+        # per output key, the runs of consecutive result rows: (block rows, result
+        # rows); a halved key's result holds + component 2n in row n
+        self._runs = {key: _runs(rows // 2 if key in self._halved else rows)
+                      for key, (_, _, rows) in self.outs.items()}
         self._scale = r_cell(self.tgrid)
         # batch rows per slab: its argument, sum and product rows fit in _SLAB_BYTES
         per_row = (self._n_in + self._n_out + sum(map(len, self._lists))) * math.prod(size) * 16
@@ -571,18 +619,30 @@ class _ConvolutionPlan:
         self._buffer = None
         self._products: list = []
         self._spare = np.empty(0, dtype=complex)
+        if self.real:
+            # the blocks of fft_blocks on the non-negative last wavenumbers, less
+            # the last axis; the kept half spectra and real rows
+            self._blocks = [(nodes[:-1], slots[:-1])
+                            for nodes, slots in fft_blocks(grid.n, self.tgrid.shape)
+                            if slots[-1].start == 0]
+            self._half = np.empty(0, dtype=complex)
+            self._real_rows = np.empty(0)
 
     def __call__(self, values: dict) -> dict:
         """Convolutions of the spectra ``values`` on every output key.
 
         ``values[key]`` holds (B, c, *nodes) spectra of an argument key, with
-        c either all C components or those of ``comps[key]``, and *nodes the
-        grid shape for a whole-grid key, else the key's node count.  Returns
-        per output key with products its (B, C, *nodes) values; rows of
-        components no term forms are zero.
+        c either all C components (all C/2 + components of a halved key) or
+        the rows ``comps[key]``, and *nodes the grid shape for a whole-grid
+        key, else the key's node count.  Returns per output key with products
+        its (B, C, *nodes) values, or (B, C/2, *nodes) + components of a
+        halved key with 0 at its lone nodes; rows of components no term forms
+        are zero.
         """
         if not self.outs:
             return {}
+        if self.real:
+            return self._lone_zeroed(self._real_call(values))
         tg = self.tgrid
         b = next(iter(values.values())).shape[0]
         buf = self._stack(b)
@@ -613,7 +673,14 @@ class _ConvolutionPlan:
         for dst, src in self._conjugated:
             np.conjugate(buf[src], out=buf[dst])
         self._sums(buf, b)
-        return self._gather(buf, b)
+        return self._lone_zeroed(self._gather(buf, b))
+
+    def _lone_zeroed(self, out: dict) -> dict:
+        """``out`` with each halved key's lone nodes (index 0 on some axis) set to 0."""
+        for key in self._halved:
+            for axis in range(self.grid.dim):
+                out[key][(slice(None),) * (2 + axis) + (0,)] = 0.0
+        return out
 
     def _stack(self, b: int) -> np.ndarray:
         """The kept (rows, B, X) buffer for a batch of ``b``, and products arrays to match."""
@@ -632,6 +699,19 @@ class _ConvolutionPlan:
             self._spare = np.empty(n, dtype=complex)
         return self._spare[:n].reshape(shape)
 
+    def _multiply(self, args: np.ndarray, prods: list, s: int, e: int) -> None:
+        """The ``_product_schedule`` steps on batch rows s:e of the r-space rows ``args``.
+
+        ``prods[j]`` is the (G_j, e - s, ...) products array of factor list j.
+        """
+        for left, right, (j, g) in self._steps:
+            # operands: an input row (an int) or a product slot (j, g)
+            src = args[left, s:e] if isinstance(left, int) else prods[left[0]][left[1]]
+            if right is None:
+                np.copyto(prods[j][g], src)
+            else:
+                np.multiply(src, args[right, s:e], out=prods[j][g])
+
     def _sums(self, buf: np.ndarray, b: int) -> None:
         """Per slab, the products of the r-space argument rows of ``buf`` and their sums.
 
@@ -641,13 +721,7 @@ class _ConvolutionPlan:
         for s in range(0, b, self._slab):
             e = min(s + self._slab, b)
             prods = [p[:, :e - s] for p in self._products]
-            for left, right, (j, g) in self._steps:
-                # operands: an input row (an int) or a product slot (j, g)
-                src = buf[left, s:e] if isinstance(left, int) else prods[left[0]][left[1]]
-                if right is None:
-                    np.copyto(prods[j][g], src)
-                else:
-                    np.multiply(src, buf[right, s:e], out=prods[j][g])
+            self._multiply(buf, prods, s, e)
             # the slab's r-space arguments are spent: its rows take the sums
             for key, (_, coeffs, _) in self.outs.items():
                 sums = buf[self._out_rows[key], s:e].reshape(len(coeffs), -1)
@@ -673,10 +747,12 @@ class _ConvolutionPlan:
         out = {}
         for key, (_, _, rows) in self.outs.items():
             nodes = (len(self.slots[key]),) if key in self.slots else self.grid.shape
+            step = 2 if key in self._halved else 1
             # a fresh zero array is cheaper than zeroing the rows no term forms
-            full = len(rows) + len(self.expand[key]) == self._width
-            out[key] = (np.empty if full else np.zeros)((b, self._width) + nodes, dtype=complex)
-            # each run of consecutive output components is one (rows, B, *nodes) view
+            full = len(rows) + len(self.expand[key]) == self.ncomp // step
+            out[key] = (np.empty if full else np.zeros)((b, self.ncomp // step) + nodes,
+                                                        dtype=complex)
+            # each run of consecutive result rows is one (rows, B, *nodes) view
             dst, block = out[key].swapaxes(0, 1), spec[self._out_rows[key]]
             for src, comps in self._runs[key]:
                 part = dst[comps]
@@ -686,125 +762,39 @@ class _ConvolutionPlan:
                     crop_spectrum(block[src], self.grid, centred=False, out=part)
                     if not self.slots:
                         part *= self._scale
-            at = self._at
             for c, sums in self.expand[key]:
-                _combine(dst[at[c]], [(a, dst[at[rows[j]]]) for j, a in sums])
+                _combine(dst[c // step], [(a, dst[rows[j] // step]) for j, a in sums])
         return out
 
-
-class _ConjugatePlan(_ConvolutionPlan):
-    """Whole-grid convolutions of conjugation-symmetric spectra, on their + components.
-
-    Components 2n and 2n+1 hold the + and - member of band pair n.  With
-    spectra U_-(k) = conj U_+(-k), zero where -k is off the grid (``lone``
-    nodes of ``grid_mirror``), and tensors with T[i'; a', b', ...] =
-    conj T[i; a, b, ...] under + <-> -, every - output is the conjugate
-    mirror of its + partner.  So the terms are cut to their + output rows,
-    and a call takes and returns (B, J, *shape) + components only; lone
-    output nodes are 0.  The plan is the ``_ConvolutionPlan`` of the cut
-    terms on one key "u", with its - components read as conjugate mirrors
-    of the + ones.  In r-space u_- = conj u_+, so a form whose conjugate
-    (weights conj w[i'] at i) is another form is that form's row
-    conjugated, and one inverse transform serves both (``cubic_conjugate``
-    reads U_+ and U_-: one transform).  When every form is its own
-    conjugate (``real``: U_+ + U_- of ``cubic_full`` and
-    ``quadratic_conjugate``) its samples are real: the half spectrum of
-    each form goes through a real inverse transform, the products are real,
-    and their real forward transforms are cropped, the nodes of negative
-    last wavenumber read as conjugates of their mirrors, before the
-    coefficients are applied on the grid nodes.
-    """
-
-    def __init__(self, grid: Grid, terms: list):
-        cut = []
-        for tensor, arg_ids in terms:
-            plus = tensor.copy()
-            plus[1::2] = 0
-            cut.append((plus, arg_ids))
-        super().__init__(grid, {"u": None}, {"u": cut})
-        self.real = False
-        if not self.outs:
-            return
-        c = self.ncomp
-        _, _, rows = self.outs["u"]
-        self._width, self._at = c // 2, np.arange(c) // 2
-        self._runs = {"u": _runs(rows // 2)}
-        pivots, w = self.forms["u"]
-        # each form's components and weights, and the weights of its conjugate
-        self._terms = [[(self.comps["u"][i], a) for i, a in reads] for reads in self._reads["u"]]
-        conj = w[:, np.arange(c) ^ 1].conj()
-        self.real = np.array_equal(conj, w)
-        if self.real:
-            # the blocks of fft_blocks on the non-negative last wavenumbers, less
-            # the last axis; the kept half spectra and real rows
-            self._blocks = [(nodes[:-1], slots[:-1])
-                            for nodes, slots in fft_blocks(grid.n, self.tgrid.shape)
-                            if slots[-1].start == 0]
-            self._half = np.empty(0, dtype=complex)
-            self._real_rows = np.empty(0)
-            return
-        # rows: the forms transformed first, then those read as an earlier row's conjugate
-        source = [next((g for g in range(f) if np.array_equal(w[g], conj[f])), None)
-                  for f in range(len(w))]
-        order = ([f for f in range(len(w)) if source[f] is None]
-                 + [f for f in range(len(w)) if source[f] is not None])
-        row = {("u", int(pivots[f])): r for r, f in enumerate(order)}
-        self._steps = _product_schedule([[tuple(row[f] for f in fac) for fac in factors]
-                                         for factors in self._lists])
-        self._transformed = [self._terms[f] for f in order if source[f] is None]
-        self._conjugated = [(r, order.index(source[f])) for r, f in enumerate(order)
-                            if source[f] is not None]
-
-    def __call__(self, values: dict) -> dict:
-        """Convolutions of the (B, J, *shape) + spectra ``values["u"]``, as {"u": (B, J, *shape)}."""
-        if not self.outs:
-            return {}
-        v = values["u"]
-        shape = v.shape
-        v = v.reshape(shape[:2] + self.grid.shape)
-        out = self._real_call(v) if self.real else self._complex_call(v)
-        for axis in range(self.grid.dim):  # the lone nodes: 0 on some axis
-            out[(..., 0) + (slice(None),) * (self.grid.dim - 1 - axis)] = 0.0
-        return {"u": out.reshape(shape)}
-
-    def _mirror(self, x: np.ndarray, last: bool = True) -> np.ndarray:
-        """``x`` on the grid's (trailing) axes taken at -k on each, or on each but the last.
+    def _mirror(self, x: np.ndarray) -> np.ndarray:
+        """``x`` on the grid's trailing axes taken at -k on each axis but the last.
 
         Axis node j goes to (n - j) mod n: a lone node's value comes from a
-        lone node.  Without ``last``, a 1-d ``x`` is returned as it is.
+        lone node.  A 1-d ``x`` is returned as it is.
         """
-        for a, n in enumerate(self.grid.n if last else self.grid.n[:-1]):
+        for a, n in enumerate(self.grid.n[:-1]):
             x = np.take(x, -np.arange(n) % n, axis=x.ndim - self.grid.dim + a)
         return x
 
-    def _complex_call(self, v: np.ndarray) -> np.ndarray:
-        tg = self.tgrid
-        b = v.shape[0]
-        buf = self._stack(b)
-        n = len(self._transformed)
-        spectra = buf[:n]
-        spectra.fill(0.0)
-        for row, terms in zip(spectra, self._transformed):
-            parts = [(a, v[:, i // 2] if i % 2 == 0 else np.conj(self._mirror(v[:, i // 2])))
-                     for i, a in terms]
-            form = parts[0][1] if len(parts) == 1 else _combine(self._scratch(v[:, 0].shape),
-                                                                 parts)
-            pad_spectrum(form, self.grid, tg.shape, centred=False,
-                         out=row.reshape((b,) + tg.shape))
-        r = spectra.reshape((n, b) + tg.shape)
-        spectrum_to_samples(r, tg, centred=False, out=r)
-        for dst, src in self._conjugated:
-            np.conjugate(buf[src], out=buf[dst])
-        self._sums(buf, b)
-        return self._gather(buf, b)["u"]
+    def _real_call(self, values: dict) -> dict:
+        """The call of a plan whose forms are real in r-space: real transforms, real products.
 
-    def _real_call(self, v: np.ndarray) -> np.ndarray:
+        Its one key is halved, and each form is A + conj A(-k), A its +
+        part.  The half spectrum of each form goes through a real inverse
+        transform, the schedule multiplies real rows, and their real forward
+        transforms are cropped, the nodes of negative last wavenumber read as
+        conjugates of their mirrors, before the coefficients are applied on
+        the grid nodes.
+        """
+        (key, (factors, coeffs, rows)), = self.outs.items()
         grid, tg = self.grid, self.tgrid
+        v, comps = values[key], self.comps[key]
+        if v.shape[1] != len(comps):
+            v = v[:, comps]
         b, (n_last, p_last) = v.shape[0], (grid.n[-1], tg.shape[-1])
         h = n_last // 2
         half_shape = tg.shape[:-1] + (p_last // 2 + 1,)
-        factors, coeffs, rows = self.outs["u"]
-        n_in, g = self._n_in, len(factors)
+        n_in, g, width = self._n_in, len(factors), self.ncomp // 2
         size = max(n_in, g) * b * math.prod(half_shape)
         if self._half.size < size:
             self._half = np.empty(size, dtype=complex)
@@ -814,13 +804,13 @@ class _ConjugatePlan(_ConvolutionPlan):
             (n_in + g, b) + tg.shape)
         spectra = half[:n_in]
         spectra.fill(0.0)
-        for row, terms in zip(spectra, self._terms):
-            # the form is A + conj A(-k), A its + part; on the non-negative last
-            # wavenumbers (nodes h..n-1 of the last axis) in the half spectrum
-            parts = [(a, v[:, i // 2]) for i, a in terms if i % 2 == 0]
+        for row, reads in zip(spectra, self._reads[key]):
+            # the form is A + conj A(-k), on the non-negative last wavenumbers
+            # (nodes h..n-1 of the last axis) in the half spectrum
+            parts = [(a, v[:, i]) for i, a in reads]
             plus = parts[0][1] if len(parts) == 1 else _combine(self._scratch(v[:, 0].shape),
                                                                 parts)
-            mirrored = self._mirror(plus[..., h:0:-1], last=False)
+            mirrored = self._mirror(plus[..., h:0:-1])
             for nodes, slots in self._blocks:
                 dst = row[(..., *slots, slice(0, h))]
                 np.conjugate(mirrored[(..., *nodes, slice(None))], out=dst)
@@ -829,36 +819,31 @@ class _ConjugatePlan(_ConvolutionPlan):
         prods = samples[n_in:]
         for s in range(0, b, self._slab):
             e = min(s + self._slab, b)
-            for left, right, (_, k) in self._steps:
-                src = samples[left, s:e] if isinstance(left, int) else prods[left[1], s:e]
-                if right is None:
-                    np.copyto(prods[k, s:e], src)
-                else:
-                    np.multiply(src, samples[right, s:e], out=prods[k, s:e])
+            self._multiply(samples, [prods[:, s:e]], s, e)
         spec = half[:g]
         samples_to_spectrum(prods, tg, centred=False, out=spec)
         # each product on the grid: the non-negative last wavenumbers from the
         # half spectrum, the others the conjugates of their mirrors; the
         # coefficients carry the transform's scale.  One product of the one +
         # component is gathered straight into the result
-        single = g == 1 and self._width == 1
-        out = np.empty((b, self._width) + grid.shape, dtype=complex)
+        single = g == 1 and width == 1
+        out = np.empty((b, width) + grid.shape, dtype=complex)
         crop = out.swapaxes(0, 1) if single else np.empty((g, b) + grid.shape, dtype=complex)
         for nodes, slots in self._blocks:
             crop[(..., *nodes, slice(h, None))] = spec[(..., *slots, slice(0, h))]
-        np.conjugate(self._mirror(crop[..., n_last - 1:h:-1], last=False), out=crop[..., 1:h])
+        np.conjugate(self._mirror(crop[..., n_last - 1:h:-1]), out=crop[..., 1:h])
         crop[..., 0] = 0.0
         scaled = coeffs * self._scale
         if single:
             out *= scaled[0, 0]
-            return out
+            return {key: out}
         sums = np.matmul(scaled, crop.reshape(g, -1)).reshape((len(rows), b) + grid.shape)
         dst = out.swapaxes(0, 1)
         dst[...] = 0.0
         dst[rows // 2] = sums
-        for c, terms in self.expand["u"]:
+        for c, terms in self.expand[key]:
             _combine(dst[c // 2], [(a, dst[rows[j] // 2]) for j, a in terms])
-        return out
+        return {key: out}
 
 
 def _chi_direct(args, susceptibility: Susceptibility, grid: Grid) -> np.ndarray:
@@ -1112,15 +1097,27 @@ def time_mesh(problem: EvolutionProblem, config: SolverConfig) -> tuple[float, i
     return problem.tau_star / n, n
 
 
+def _problem_terms(problem: EvolutionProblem, conjugate: bool = False) -> list:
+    """The problem's tensor terms on one key "u", with ``conjugate`` cut to their + output rows."""
+    terms = [(s.tensor, ["u"] * s.order) for s in problem.nonlinearity if s.tensor is not None]
+    if conjugate:  # 0 on the - output rows 2n+1
+        terms = [(np.where(np.arange(len(t)).reshape(-1, *[1] * (t.ndim - 1)) % 2, 0, t), ids)
+                 for t, ids in terms]
+    return terms
+
+
 def _problem_plan(problem: EvolutionProblem, conjugate: bool = False) -> _ConvolutionPlan:
     """The problem's tensor terms on one key "u" covering the whole grid.
 
-    With ``conjugate`` the ``_ConjugatePlan`` of a conjugation-symmetric problem.
+    With ``conjugate``, for a conjugation-symmetric problem
+    (``_conjugate_mirror``): every - output is the conjugate mirror of its
+    + partner, so the terms are cut to their + output rows and "u" is its
+    own conjugate: a call takes and returns (B, J, *shape) + components,
+    reads each - form as its + source's r-space row conjugated, and takes
+    real transforms when every form is real.
     """
-    terms = [(s.tensor, ["u"] * s.order) for s in problem.nonlinearity if s.tensor is not None]
-    if conjugate:
-        return _ConjugatePlan(problem.grid, terms)
-    return _ConvolutionPlan(problem.grid, {"u": None}, {"u": terms})
+    return _ConvolutionPlan(problem.grid, {"u": None}, {"u": _problem_terms(problem, conjugate)},
+                            {"u": "u"} if conjugate else None)
 
 
 def _slow_rhs_chunk(values: np.ndarray, taus: np.ndarray, h: float,
@@ -1456,7 +1453,11 @@ def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.nda
     U_-(k) = conj U_+(-k), so that its + components determine it: FFT
     convolutions, the equation's symmetry (``_symmetric_terms``), and data
     with U_-[-j] = conj U_+[j] bitwise at every node j with a mirror and 0
-    at every node without one.
+    at every node without one.  The forms of the terms cut to their +
+    outputs must be readable from + components (``_conjugate_rows``): each
+    reads + components or is the conjugate of one that does (complex), or
+    each is its own conjugate (real).  Other, mixed, forms take the full
+    path.
     """
     symmetric = None if config.convolution_mode != "fft" else _symmetric_terms(problem)
     if symmetric is None:
@@ -1465,17 +1466,19 @@ def _conjugate_mirror(problem: EvolutionProblem, config: SolverConfig) -> np.nda
     u = problem.initial.values.reshape(problem.model.ncomp, -1)
     swap = np.arange(len(u)) ^ 1
     paired = ~lone
-    if (np.array_equal(u[swap][:, mirror[paired]], u[:, paired].conj())
-            and not u[:, lone].any()):
-        return mirror
-    return None
+    if not np.array_equal(u[swap][:, mirror[paired]], u[:, paired].conj()) or u[:, lone].any():
+        return None
+    forms = _argument_forms({"u": _problem_terms(problem, conjugate=True)})
+    every = {key: set(pivots.tolist()) for key, (pivots, _) in forms.items()}
+    return None if _conjugate_rows(forms, every, {"u": "u"}) is None else mirror
 
 
 def solve_integrated(problem: EvolutionProblem, config: SolverConfig | None = None) -> Trajectory:
     """Picard solution of the integrated slow-frame equation.
 
     A conjugation-symmetric problem (``_conjugate_mirror``) is solved on its
-    + components: phases, convolutions (``_ConjugatePlan``), trapezoid sums
+    + components: phases, convolutions (``_problem_plan`` with
+    ``conjugate``), trapezoid sums
     and distances run on half the state, and each kept row is expanded with
     U_-(k) = conj U_+(-k) at the end.  Its nodes without a mirror on the
     grid (k = -k_max on some axis) stay 0, where a full-state solve takes

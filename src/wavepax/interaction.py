@@ -411,11 +411,12 @@ class MonomialEvaluator:
 
     With ``half`` the states are half states of a conjugation-symmetric
     problem on the layout's mirrored windows (``ComponentLayout.halve``):
-    the plan forms the (l, +1) outputs only and reads each (l, -1) argument
-    as the conjugate of its partner's r-space row, one inverse transform
-    per pair, and phases, the map back and the projection run on the +
-    windows only.  Every (l, -1) output is the conjugate mirror of its
-    partner's.
+    the plan forms the (l, +1) outputs only, and its ``conjugates`` map
+    (``ComponentLayout.partner``) reads each (l, -1) argument by the plan's
+    one conjugated-row rule, as the conjugate of its partner's r-space
+    row: one inverse transform per pair.  Phases, the map back and the
+    projection run on the + windows only.  Every (l, -1) output is the
+    conjugate mirror of its partner's.
     """
 
     def __init__(
@@ -453,7 +454,7 @@ class MonomialEvaluator:
                         masked[(m, s, comps)] = np.where(keep, susc.tensor, 0)
                     terms.setdefault(key, []).append((masked[(m, s, comps)], arg_keys))
         self.plan = _ConvolutionPlan(problem.grid, layout.mask, terms,
-                                     layout.partner if half else None)
+                                     conjugates=layout.partner if half else None)
         # jobs[key]: [(factors, out_comp, coeff)], one per product and output
         # component; permuted monomials share one product
         self.jobs = {key: [] for key in layout.keys}
