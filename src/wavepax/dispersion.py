@@ -441,7 +441,7 @@ def _tabulated_symbol(path: str):
 
 def model_from_config(cfg: dict) -> DispersionModel:
     """Build a model from a config mapping {'preset': ..., 'params': {...}}."""
-    preset = cfg["preset"]
+    preset = cfg.get("preset")
     params = dict(cfg.get("params", {}))
     if preset == "nls1d":
         from fractions import Fraction
@@ -486,7 +486,7 @@ def model_from_config(cfg: dict) -> DispersionModel:
             dim=1,
             name="twoband",
         )
-    if preset.startswith("matrix:") or preset == "matrix":
+    if preset == "matrix" or str(preset).startswith("matrix:"):
         path = preset.split(":", 1)[1] if ":" in preset else params["file"]
         symbol, j = _tabulated_symbol(path)
         return matrix_symbol_model(symbol, j, dim=1, name=f"matrix({path})")

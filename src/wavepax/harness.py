@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +73,54 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+_REAL = "a finite real number"
+# what each node of a config that load_config reads must be, by path (a list
+# item's path ends in "[]"); any other node is _REAL
+_SHAPE = {
+    ("model",): dict, ("model", "preset"): str, ("model", "params"): dict,
+    ("model", "params", "file"): str, ("grid",): dict,
+    ("spectrum",): list, ("spectrum", "[]"): list, ("nonlinearity",): dict,
+    ("nonlinearity", "preset"): str, ("packets",): list, ("packets", "[]"): dict,
+    ("packets", "[]", "envelope"): dict, ("packets", "[]", "envelope", "family"): str,
+    ("packets", "[]", "r_star"): (list, _REAL), ("packets", "[]", "zeta_components"): str,
+    ("packets", "[]", "doublet_reality"): bool, ("solver",): dict,
+    ("solver", "convolution_mode"): str, ("solver", "record_stride"): (int, type(None)),
+    ("experiment",): dict,
+}
+_SHAPE_NAMES = {_REAL: _REAL, dict: "a mapping", list: "a list", str: "a string",
+                bool: "true or false", int: "an integer", type(None): "null"}
+
+
+def _real(value, finite: bool) -> bool:
+    """Whether ``value`` is a real number (a bool is not one) that a float holds, finite if asked."""
+    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return math.isfinite(float(value)) or not finite
+    except OverflowError:
+        return False
+
+
+def _check_fields(node, finite: bool, path=()) -> None:
+    """A ConfigError unless every node under ``node`` at ``path`` has the type ``_SHAPE`` names.
+
+    Real numbers must also be finite with ``finite``.  The experiment block
+    is only tested to be a mapping: each experiment reads its own fields.
+    """
+    kinds = _SHAPE.get(path, _REAL)
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    name = ".".join(path).replace(".[]", "[]")
+    _require(any(_real(node, finite) if kind is _REAL else isinstance(node, kind) for kind in kinds),
+             f"invalid {path[0]}: {name} must be "
+             f"{' or '.join(_SHAPE_NAMES[kind] for kind in kinds)}, got {node!r}")
+    if isinstance(node, dict) and path != ("experiment",):
+        for key, value in node.items():
+            _check_fields(value, finite, path + (str(key),))
+    elif isinstance(node, list):
+        for value in node:
+            _check_fields(value, finite, path + ("[]",))
+
+
 def _checked(what: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``; a ValueError or TypeError it raises is a ConfigError on ``what``."""
     try:
@@ -119,9 +169,25 @@ def _config_grid(gspec: dict) -> Grid:
     return Grid(dim, (n,) * dim, (k_max,) * dim)
 
 
+# the fields load_config reads; others are left to the reader that knows them
+_READ = ("model", "grid", "spectrum", "nonlinearity", "packets", "beta", "epsilon", "rho",
+         "tau_star", "solver", "experiment")
+
+
 def load_config(cfg: dict) -> RunConfig:
+    """The validated ``RunConfig`` of a config mapping; a ConfigError names the first bad field.
+
+    Every section must be a mapping or list and every field a finite real
+    number (``_SHAPE`` names the text and flag fields) before any is read.
+    The spectrum and packets have checks of their own for non-finite
+    values, with their own messages: their real numbers must be finite once
+    those checks pass.
+    """
     cfg = copy.deepcopy(cfg)
     _require(isinstance(cfg, dict), "config must be a mapping")
+    read = {key: cfg[key] for key in _READ if key in cfg}
+    for key, value in read.items():
+        _check_fields(value, key not in ("spectrum", "packets"), (key,))
     model = _checked("model", dsp.model_from_config, cfg.get("model", {"preset": "nls1d"}))
     grid = _config_grid({**DEFAULT_GRID, **cfg.get("grid", {})})
     _require("spectrum" in cfg and cfg["spectrum"], "config needs a spectrum")
@@ -153,6 +219,8 @@ def load_config(cfg: dict) -> RunConfig:
         _require(isinstance(p.get("doublet_reality", True), bool),
                  f"doublet_reality must be true or false, got {p.get('doublet_reality')!r}")
     solver = _solver_config(cfg.get("solver", {}))
+    for key in ("spectrum", "packets"):
+        _check_fields(read.get(key, []), True, (key,))
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
         if np.any(np.abs(_r_star(p)) > r_extent):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import dispersion as dsp
-from .errors import HypothesisViolated
+from .errors import ConfigError, HypothesisViolated
 from .evolution import (
     EvolutionProblem,
     PropagatorTables,
@@ -343,8 +343,8 @@ def _solve_windowed(problem: EvolutionProblem, spectrum: NkSpectrum, config: Sol
     """
     config = config or SolverConfig()
     if config.convolution_mode == "direct-oracle":
-        raise ValueError("the windowed solvers convolve by FFT only; "
-                         "the direct oracle runs through apply_nonlinearity")
+        raise ConfigError("the windowed solvers convolve by FFT only; "
+                          "the direct oracle runs through apply_nonlinearity")
     layout = ComponentLayout(spectrum, problem.model, problem.grid, beta, epsilon)
     h0 = _initial_windows(layout, problem)
     half = (sets_flat is not None and _symmetric_sets(problem, layout, sets_flat)

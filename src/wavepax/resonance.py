@@ -90,8 +90,10 @@ class NkSpectrum:
 
 
 def spectrum_from_list(pairs, dim: int | None = None) -> NkSpectrum:
-    """Build a spectrum from [[n, k components...], ...]; a band n that is not an integer raises."""
+    """Build a spectrum from [[n, k components...], ...]; an empty row or a band n that is not an integer raises."""
     rows = [list(np.atleast_1d(row)) for row in pairs]
+    if not all(rows):
+        raise ValueError("every spectrum row needs a band and a wavevector")
     if not all(float(r[0]).is_integer() for r in rows):
         raise ValueError(f"spectrum bands {[float(r[0]) for r in rows]} are not all integers")
     d = dim or (len(rows[0]) - 1)

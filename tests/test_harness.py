@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepax import cli, harness
 from wavepax import dispersion as dsp
@@ -14,7 +17,7 @@ from wavepax import io as wio
 from wavepax import resonance as rs
 from wavepax import wavepacket as wp
 from wavepax.cli import main as cli_main
-from wavepax.errors import ConfigError, HypothesisViolated, ParameterSignError
+from wavepax.errors import ConfigError, HypothesisViolated, ParameterSignError, WavepaxError
 from wavepax.grids import Grid, ModalField, l1_norm_values
 
 
@@ -149,6 +152,77 @@ def test_sweep_records_read_field_errors(path, value, message):
     assert [r["status"] for r in res.runs] == ["error"]
     assert res.runs[0]["error_type"] == "ConfigError"
     assert message in res.runs[0]["error"]
+
+
+SHIPPED = sorted(p for p in (Path(__file__).parents[1] / "demos" / "configs").glob("*.json")
+                 if not p.name.startswith("resonance"))
+BAD_VALUES = [None, True, "x", -1, 0, 0.5, float("inf"), -float("inf"), float("nan"), 10**400,
+              [], {}, [1.0], {"x": 1.0}]
+
+
+def config_paths(node, path=()):
+    """The path of every node under a config, itself included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from config_paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_configs_load_or_raise_typed_errors(data):
+    # one node of a shipped experiment or simulate config (on a 64-node grid)
+    # replaced by a value of another type, sign or size, removed, or joined
+    # by an unknown key: loading it and building its packets either works or
+    # raises a WavepaxError, never a TypeError, AttributeError, IndexError,
+    # KeyError, OverflowError or bare ValueError
+    cfg = json.loads(data.draw(st.sampled_from(SHIPPED)).read_text(encoding="utf-8"))
+    cfg.get("grid", {})["n"] = 64
+    path = data.draw(st.sampled_from(list(config_paths(cfg))[1:]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    how = data.draw(st.sampled_from(["replace", "remove", "add a key"]))
+    if how == "remove":
+        del node[path[-1]]
+    elif how == "add a key" and isinstance(node, dict):
+        node["unknown"] = data.draw(st.sampled_from(BAD_VALUES))
+    else:
+        node[path[-1]] = data.draw(st.sampled_from(BAD_VALUES))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            harness.build_initial(harness.load_config(cfg))
+    except WavepaxError:
+        pass
+
+
+@pytest.mark.parametrize("field, value", [("beta", None), ("nonlinearity", "cubic_conjugate"),
+                                          ("model", {"preset": 3}),
+                                          ("model", {"preset": "nls1d", "params": {"a2": 1e999}})])
+def test_mistyped_config_fields_exit_3(field, value, tmp_path):
+    # each once a traceback with exit code 1 ("threshold fail") and no result.json
+    cfg = json.loads((Path(__file__).parents[1] / "demos" / "configs"
+                      / "experiment_positions.json").read_text(encoding="utf-8"))
+    cfg[field] = value
+    with pytest.raises(ConfigError, match=f"invalid {field}"):
+        harness.load_config(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["experiment", "positions", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_direct_oracle_on_windowed_solves():
+    # the windowed solves refuse the direct oracle: once a bare ValueError
+    # that aborted the sweep, now one error row
+    cfg = counterprop_cfg(experiment={"name": "averaging",
+                                      "sweep": {"solver.convolution_mode": ["direct-oracle"]}})
+    res = harness.sweep(cfg)
+    assert [r["status"] for r in res.runs] == ["error"]
+    assert res.runs[0]["error_type"] == "ConfigError"
+    assert "convolve by FFT only" in res.runs[0]["error"]
 
 
 @pytest.mark.parametrize("n_track", [0, -3, 2.5, "x"])
