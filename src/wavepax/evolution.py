@@ -571,7 +571,8 @@ class _ConvolutionPlan:
             pivots, w = forms[key]
             at = np.searchsorted(pivots, sorted(used[key]))
             self.forms[key] = (pivots[at], w[at])
-        # forms that are their own sources are every form: real in r-space (``_real_call``)
+        # a form that is its own source is real in r-space, and then so is every
+        # form (``_real_call``)
         self.real = any(f == s for f, s in sources.items())
         conjugated = {f: s for f, s in sources.items() if s != f}
         # rows of the input stack: the transformed forms key by key, then the conjugated ones

@@ -216,8 +216,6 @@ def load_config(cfg: dict) -> RunConfig:
         _require(np.isfinite(_r_star(p)).all(), f"r_star must be finite, got {p.get('r_star')!r}")
         _require(p.get("zeta_components", "both") in ("both", "+", "-"),
                  f"zeta_components must be 'both', '+' or '-', got {p.get('zeta_components')!r}")
-        _require(isinstance(p.get("doublet_reality", True), bool),
-                 f"doublet_reality must be true or false, got {p.get('doublet_reality')!r}")
     solver = _solver_config(cfg.get("solver", {}))
     for key in ("spectrum", "packets"):
         _check_fields(read.get(key, []), True, (key,))
