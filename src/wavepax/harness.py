@@ -92,7 +92,7 @@ _SHAPE_NAMES = {_REAL: _REAL, dict: "a mapping", list: "a list", str: "a string"
 
 
 def _real(value, finite: bool) -> bool:
-    """Whether ``value`` is a real number (a bool is not one) that a float holds, finite if asked."""
+    """Whether ``value`` is a real number (not a bool) that a float holds, finite if asked."""
     if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
         return False
     try:
@@ -110,9 +110,9 @@ def _check_fields(node, finite: bool, path=()) -> None:
     kinds = _SHAPE.get(path, _REAL)
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     name = ".".join(path).replace(".[]", "[]")
-    _require(any(_real(node, finite) if kind is _REAL else isinstance(node, kind) for kind in kinds),
-             f"invalid {path[0]}: {name} must be "
-             f"{' or '.join(_SHAPE_NAMES[kind] for kind in kinds)}, got {node!r}")
+    ok = any(_real(node, finite) if kind is _REAL else isinstance(node, kind) for kind in kinds)
+    _require(ok, f"invalid {path[0]}: {name} must be "
+                 f"{' or '.join(_SHAPE_NAMES[kind] for kind in kinds)}, got {node!r}")
     if isinstance(node, dict) and path != ("experiment",):
         for key, value in node.items():
             _check_fields(value, finite, path + (str(key),))

@@ -90,7 +90,10 @@ class NkSpectrum:
 
 
 def spectrum_from_list(pairs, dim: int | None = None) -> NkSpectrum:
-    """Build a spectrum from [[n, k components...], ...]; an empty row or a band n that is not an integer raises."""
+    """Build a spectrum from [[n, k components...], ...].
+
+    An empty row, or a band n that is not an integer, raises.
+    """
     rows = [list(np.atleast_1d(row)) for row in pairs]
     if not all(rows):
         raise ValueError("every spectrum row needs a band and a wavevector")

@@ -1701,7 +1701,7 @@ def reduction_model(name):
 
 
 def signed_tensor(order, c):
-    """T[0; a, b, ...] = i s_a s_b ... and T[1; ...] = -(-1)^m i s_a s_b ..., s = (1, -1) on band pair 0.
+    """T[0; a, ...] = i s_a ..., T[1; ...] = -(-1)^m i s_a ... (m factors), s = (1, -1) on pair 0.
 
     Conjugation-symmetric, and read through the one form U_+ - U_-: neither
     plain nor its own conjugate (a mixed form).
@@ -1748,8 +1748,8 @@ def test_random_symmetric_tensors_take_the_half_path():
     kinds = []
     for order in (2, 3) * 200:
         u = symmetric_values(rng, grid, 4)
-        problem = ev.EvolutionProblem(model, [ev.Susceptibility(order, symmetric_tensor(rng, order, 4))],
-                                      0.1, 0.2, grid, ModalField(grid, u))
+        susc = ev.Susceptibility(order, symmetric_tensor(rng, order, 4))
+        problem = ev.EvolutionProblem(model, [susc], 0.1, 0.2, grid, ModalField(grid, u))
         kinds.append(form_kind(problem))
         assert ev._conjugate_mirror(problem, ev.SolverConfig()) is not None
     assert set(kinds) == {"complex"}

@@ -163,7 +163,8 @@ BAD_VALUES = [None, True, "x", -1, 0, 0.5, float("inf"), -float("inf"), float("n
 def config_paths(node, path=()):
     """The path of every node under a config, itself included."""
     yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
     for key, value in items:
         yield from config_paths(value, path + (key,))
 
