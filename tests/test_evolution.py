@@ -340,12 +340,14 @@ def centred_plan(plan, nodes, values, conjugates=None):
 
     r_args = {}
     for key, (pivots, w) in plan.forms.items():
-        for p, form in zip(pivots, w):
-            if all(given(key, c) is not None for c in np.flatnonzero(form)):
-                r_args[(key, p)] = literal_rows(key, form[None])[:, 0]
-            else:
-                source = form[np.arange(form.size) ^ 1].conj()
-                r_args[(key, p)] = np.conj(literal_rows(conjugates[key], source[None])[:, 0])
+        read = np.array([all(given(key, c) is not None for c in np.flatnonzero(form))
+                         for form in w], dtype=bool)
+        if read.any():
+            r = literal_rows(key, w[read])
+            r_args.update(((key, p), r[:, i]) for i, p in enumerate(pivots[read]))
+        for p, form in zip(pivots[~read], w[~read]):
+            source = form[np.arange(form.size) ^ 1].conj()
+            r_args[(key, p)] = np.conj(literal_rows(conjugates[key], source[None])[:, 0])
     out = {}
     for key, (factors, coeffs, rows) in plan.outs.items():
         prods = np.empty((b, len(factors), x), dtype=complex)
