@@ -15,12 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import dispersion as dsp
 from . import evolution as ev
 from . import harness
 from . import interaction as ia
 from . import resonance as rs
-from .errors import HypothesisViolated, WavepaxError
+from .errors import ConfigError, HypothesisViolated, WavepaxError
 from .grids import l1_norm, l1_norm_values, linf_r_norm
 from .io import write_field, write_metrics_csv
 
@@ -58,20 +57,16 @@ def _report_table(report: rs.ResonanceReport) -> str:
 
 
 def cmd_resonance(args) -> int:
-    cfg = _load_json(args.config)
-    model = dsp.model_from_config(cfg["model"])
-    spectrum = rs.spectrum_from_list(cfg["spectrum"])
-    orders = [int(m) for m in cfg.get("orders", [3])]
-    report = rs.classify(spectrum, model, orders, exact=bool(cfg.get("exact", False)))
+    model, spectrum, fields = harness.resonance_config(_load_json(args.config))
+    orders, radius = fields["orders"], fields["probe_radius"]
+    report = rs.classify(spectrum, model, orders, exact=fields["exact"])
     payload = report.to_dict()
     if args.probe:
-        radius = float(cfg.get("probe_radius", 0.05))
         payload["genericity_probe"] = {
             "trials": args.probe,
             "radius": radius,
             "fraction_universal": rs.genericity_probe(
-                spectrum, model, orders, trials=args.probe, radius=radius,
-                seed=int(cfg.get("seed", 0)),
+                spectrum, model, orders, trials=args.probe, radius=radius, seed=fields["seed"],
             ),
         }
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
@@ -118,11 +113,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_json(args.config)
-    cfg.setdefault("experiment", {})
+    exp = cfg.setdefault("experiment", {}) if isinstance(cfg, dict) else None
+    if not isinstance(exp, dict):
+        raise ConfigError("a config and its experiment block must be mappings")
     if args.seed is not None:
-        cfg["experiment"]["seed"] = int(args.seed)
-    if args.name == "sweep" or "sweep" in cfg["experiment"]:
-        cfg["experiment"].setdefault("name", args.name if args.name != "sweep" else None)
+        exp["seed"] = int(args.seed)
+    if args.name == "sweep" or "sweep" in exp:
+        if args.name != "sweep":
+            exp.setdefault("name", args.name)
         result = harness.sweep(cfg, force=args.force, workers=args.workers)
     else:
         if args.name not in harness.EXPERIMENTS:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BandCrossing, SpectrumOnSingularSet
+from .errors import BandCrossing, ConfigError, SpectrumOnSingularSet
 from .grids import Grid
 
 DEFAULT_FD_STEP = 1e-4
@@ -418,8 +418,13 @@ def neighborhood_bounds(
 # -- presets -------------------------------------------------------------------
 
 def _tabulated_symbol(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix model table {path!r}: {exc.strerror}") from exc
+    if not isinstance(data, dict) or not {"k", "matrices"} <= data.keys():
+        raise ConfigError(f"matrix model table {path!r} needs \"k\" and \"matrices\"")
     kgrid = np.asarray(data["k"], dtype=float)
     mats = np.asarray(data["matrices"], dtype=float)
     # entries stored as [re, im] pairs: shape (M, 2J, 2J, 2)
@@ -487,6 +492,8 @@ def model_from_config(cfg: dict) -> DispersionModel:
             name="twoband",
         )
     if preset == "matrix" or str(preset).startswith("matrix:"):
+        if ":" not in preset and "file" not in params:
+            raise ConfigError("a matrix model needs model.params.file or a 'matrix:<file>' preset")
         path = preset.split(":", 1)[1] if ":" in preset else params["file"]
         symbol, j = _tabulated_symbol(path)
         return matrix_symbol_model(symbol, j, dim=1, name=f"matrix({path})")

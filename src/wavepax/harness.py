@@ -40,9 +40,6 @@ from .io import config_hash
 
 # -- configuration -----------------------------------------------------------------
 
-DEFAULT_GRID = {"dim": 1, "n": 1024, "k_max": 4.0}
-
-
 @dataclass
 class RunConfig:
     """Validated experiment description."""
@@ -52,7 +49,7 @@ class RunConfig:
     grid: Grid
     spectrum: rs.NkSpectrum
     nonlinearity: list
-    packets: list          # per-pair packet dicts
+    packets: list          # per-pair checked packet fields, as WavepacketSpec takes them
     beta: float
     epsilon: float
     rho: float
@@ -73,22 +70,67 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-_REAL = "a finite real number"
-# what each node of a config that load_config reads must be, by path (a list
-# item's path ends in "[]"); any other node is _REAL
+# what each node of a config section must be, by path (a list item's path
+# ends in "[]"); float is a finite real number, and any other node is one
 _SHAPE = {
     ("model",): dict, ("model", "preset"): str, ("model", "params"): dict,
     ("model", "params", "file"): str, ("grid",): dict,
     ("spectrum",): list, ("spectrum", "[]"): list, ("nonlinearity",): dict,
     ("nonlinearity", "preset"): str, ("packets",): list, ("packets", "[]"): dict,
     ("packets", "[]", "envelope"): dict, ("packets", "[]", "envelope", "family"): str,
-    ("packets", "[]", "r_star"): (list, _REAL), ("packets", "[]", "zeta_components"): str,
+    ("packets", "[]", "r_star"): (list, float), ("packets", "[]", "zeta_components"): str,
     ("packets", "[]", "doublet_reality"): bool, ("solver",): dict,
     ("solver", "convolution_mode"): str, ("solver", "record_stride"): (int, type(None)),
     ("experiment",): dict,
 }
-_SHAPE_NAMES = {_REAL: _REAL, dict: "a mapping", list: "a list", str: "a string",
-                bool: "true or false", int: "an integer", type(None): "null"}
+
+_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+_RHO = ("in (0, 1]", lambda v: 0 < v <= 1)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_EXPERIMENT = {"seed": 0, "force": False}
+# every field of every config block that is read, by block: its default, or
+# (default, range), where a range is (text, test) and a list field's range
+# holds for each item.  The default's type is the field's: a float is a finite
+# real number, an int an integer, a bool true or false, a str a string, a dict
+# a mapping and a list a non-empty list of its first item's type.  A type in
+# place of a default, such as float or [float], is a field whose default the
+# reader works out from the run.  A field at a _SHAPE path is a section, which
+# _SHAPE types node by node.
+_FIELDS = {
+    "run": {"model": {"preset": "nls1d"}, "grid": {}, "spectrum": [],
+            "nonlinearity": {"preset": "none"}, "packets": [{}], "beta": (0.1, _UNIT),
+            "epsilon": (0.1, _UNIT), "rho": (0.01, _RHO), "tau_star": (0.5, _POSITIVE),
+            "solver": {}, "experiment": {}},
+    "grid": {"dim": (1, _POSITIVE), "k_max": (4.0, _POSITIVE), "n": (
+        1024, ("that is a power of two >= 4", lambda v: v >= 4 and not v & (v - 1)))},
+    "packet": {"envelope": {}, "r_star": 0.0, "zeta_components": "both", "doublet_reality": True},
+    "envelope": {"family": "gaussian", "width": 1.0, "amplitude": 0.1},
+    "preservation": {**_EXPERIMENT, "cutoff_factor": 2.0, "beta_rho_pairs": (
+        [[float]], ("in pairs [beta, rho], beta in (0, 1) and rho in (0, 1]",
+                    lambda v: len(v) == 2 and _UNIT[1](v[0]) and _RHO[1](v[1])))},
+    "preservation thresholds": {"max_ratio": 0.5},
+    "superposition": {**_EXPERIMENT, "rho_values": ([float], _RHO)},
+    "superposition thresholds": {"slope_min": 0.8, "slope_max": 1.2, "max_residual": 0.1},
+    "positions": {**_EXPERIMENT, "n_track_times": (9, _POSITIVE), "box_halfwidth": float,
+                  "threshold_factor": 2.0},
+    "positions thresholds": {"max_y_deviation": float, "max_diameter": float},
+    "soliton run": {"rho": (0.05, _RHO), "tau_star": (0.5, _POSITIVE), "grid": {},
+                    "solver": {}, "model": {}, "nonlinearity": {}, "experiment": {}},
+    "soliton": {"seed": 0, "a2": float, "a0": float, "q": float, "b": 0.5, "x0": float,
+                "control_width": 6.0},
+    "soliton thresholds": {"max_residual_rel": 1e-8, "max_modulus_drift": 1e-3},
+    "averaging": {**_EXPERIMENT, "rho_values": ([float], _RHO)},
+    "averaging thresholds": {"max_vw_ratio": 0.6, "slope_min": 0.8, "slope_max": 1.2},
+    "sweep run": {"experiment": {}},
+    "sweep": {"name": "", "seed": 0, "sweep": (
+        {}, ("whose values are non-empty lists",
+             lambda v: all(isinstance(x, list) and len(x) > 0 for x in v.values())))},
+    "resonance": {"model": {}, "spectrum": [], "orders": ([3], _POSITIVE), "exact": False,
+                  "probe_radius": 0.05, "seed": (0, (">= 0", lambda v: v >= 0))},
+}
+_KIND_NAMES = {float: "a finite real number", int: "an integer", bool: "true or false",
+               str: "a string", dict: "a mapping", list: "a list", type(None): "null"}
+_NOT = object()  # what _as returns for a value that is not of the kind
 
 
 def _real(value, finite: bool) -> bool:
@@ -101,24 +143,80 @@ def _real(value, finite: bool) -> bool:
         return False
 
 
-def _check_fields(node, finite: bool, path=()) -> None:
-    """A ConfigError unless every node under ``node`` at ``path`` has the type ``_SHAPE`` names.
+def _as(value, like, finite: bool = True):
+    """``value`` as a value of the kind of ``like``, else _NOT.
+
+    ``like`` is a type or a default, whose type is the kind; a list is a
+    non-empty list of items of its first item's kind.  float and int take
+    real numbers, finite if asked.
+    """
+    if isinstance(like, list):
+        items = [_as(v, like[0], finite) for v in value] if isinstance(value, list) else []
+        return items if items and _NOT not in items else _NOT
+    kind = like if isinstance(like, type) else type(like)
+    if kind is float or kind is int:
+        ok = _real(value, finite) and (kind is float or float(value).is_integer())
+        return kind(value) if ok else _NOT
+    return value if isinstance(value, kind) else _NOT
+
+
+def _kind_name(like) -> str:
+    if isinstance(like, list):
+        return f"a non-empty list, each item {_kind_name(like[0])}"
+    return _KIND_NAMES[like if isinstance(like, type) else type(like)]
+
+
+def _check(value, likes: tuple, path: tuple, finite: bool = True, within=None):
+    """``value`` as a value of the first kind of ``likes`` it is, in the range ``within`` if given.
+
+    Anything else is a ConfigError that names the field at ``path``.  A
+    list field's range holds for each of its items.
+    """
+    for like in likes:
+        got = _as(value, like, finite)
+        if got is not _NOT and (within is None or all(map(
+                within[1], got if isinstance(like, list) else [got]))):
+            return got
+    raise ConfigError(f"invalid {path[0]}: {'.'.join(path).replace('.[]', '[]')} must be "
+                      f"{' or '.join(_kind_name(like) for like in likes)}"
+                      f"{' ' + within[0] if within else ''}, got {value!r}")
+
+
+def _check_fields(node, finite: bool, path=()):
+    """``node``; a ConfigError unless every node under it at ``path`` has the type ``_SHAPE`` names.
 
     Real numbers must also be finite with ``finite``.  The experiment block
     is only tested to be a mapping: each experiment reads its own fields.
     """
-    kinds = _SHAPE.get(path, _REAL)
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    name = ".".join(path).replace(".[]", "[]")
-    ok = any(_real(node, finite) if kind is _REAL else isinstance(node, kind) for kind in kinds)
-    _require(ok, f"invalid {path[0]}: {name} must be "
-                 f"{' or '.join(_SHAPE_NAMES[kind] for kind in kinds)}, got {node!r}")
+    kinds = _SHAPE.get(path, float)
+    _check(node, kinds if isinstance(kinds, tuple) else (kinds,), path, finite)
     if isinstance(node, dict) and path != ("experiment",):
         for key, value in node.items():
             _check_fields(value, finite, path + (str(key),))
     elif isinstance(node, list):
         for value in node:
             _check_fields(value, finite, path + ("[]",))
+    return node
+
+
+def _read(block: str, node, path: tuple = (), **given) -> dict:
+    """The checked value of each field of ``block`` in ``node``, the config at ``path``, by name.
+
+    An absent field takes its ``_FIELDS`` default, or its value in ``given``
+    where the table names only its type.  A value of the wrong type or
+    outside its range is a ConfigError that names the field.  Real numbers
+    must be finite, except in the sections that check their own.
+    """
+    _require(isinstance(node, dict), f"{'.'.join(path) or 'config'} must be a mapping, got {node!r}")
+    values = {}
+    for name, spec in _FIELDS[block].items():
+        default, within = spec if isinstance(spec, tuple) else (spec, None)
+        value = node[name] if name in node else copy.deepcopy(given.get(name, default))
+        at = path + (name,)
+        finite = at[0] not in ("spectrum", "packets")  # these report non-finite numbers themselves
+        values[name] = (_check_fields(value, finite, at) if at in _SHAPE
+                        else _check(value, (default,), at, finite, within))
+    return values
 
 
 def _checked(what: str, build, *args, **kwargs):
@@ -134,94 +232,66 @@ def _solver_config(block: dict, **defaults) -> ev.SolverConfig:
     return _checked("solver block", ev.SolverConfig, **{**defaults, **block})
 
 
-def _envelope(packet: dict) -> wp.Envelope:
-    """The envelope of a packet block."""
-    envd = packet.get("envelope", {})
-    return _checked("envelope", lambda: wp.Envelope(
-        family=envd.get("family", "gaussian"),
-        width=float(envd.get("width", 1.0)),
-        amplitude=float(envd.get("amplitude", 0.1)),
-    ))
+def _packet(packet: dict) -> dict:
+    """The checked fields of a packet block, its envelope a ``wp.Envelope`` and r_star an array.
 
-
-def _r_star(packet: dict) -> np.ndarray:
-    """Position of a packet block, 0 when it gives none."""
-    return np.atleast_1d(np.asarray(packet.get("r_star", 0.0), dtype=float))
+    The envelope reports a non-finite number itself, as does r_star here.
+    """
+    p = _read("packet", packet, ("packets", "[]"))
+    p["envelope"] = _checked("envelope", wp.Envelope,
+                             **_read("envelope", p["envelope"], ("packets", "[]", "envelope")))
+    p["r_star"] = np.atleast_1d(np.asarray(p["r_star"], dtype=float))
+    _require(np.isfinite(p["r_star"]).all(), f"r_star must be finite, got {packet.get('r_star')!r}")
+    _require(p["zeta_components"] in ("both", "+", "-"),
+             f"zeta_components must be 'both', '+' or '-', got {p['zeta_components']!r}")
+    _check_fields(packet, True, ("packets", "[]"))
+    return p
 
 
 def _config_grid(gspec: dict) -> Grid:
     """The grid of a config's "grid" block: ``n`` per axis, a power of two >= 4.
 
-    Any other ``n``, a ``k_max`` that is not finite and > 0, or a ``dim``
-    that is not a positive integer is a ConfigError.
-
     ``Grid`` also takes the 3-smooth sizes of convolution transform grids;
     a configured grid does not.
     """
-    n, k_max, dim = _checked("grid", lambda: (float(gspec["n"]), float(gspec["k_max"]),
-                                             float(gspec["dim"])))
-    _require(np.isfinite(n) and n == int(n), f"grid.n must be an integer, got {gspec['n']!r}")
-    _require(np.isfinite(k_max) and k_max > 0, f"grid.k_max must be finite and > 0, got {k_max}")
-    _require(np.isfinite(dim) and dim == int(dim) and dim >= 1,
-             f"grid.dim must be a positive integer, got {gspec['dim']!r}")
-    n, dim = int(n), int(dim)
-    _require(n >= 4 and not n & (n - 1), "grid.n must be a power of two >= 4")
-    return Grid(dim, (n,) * dim, (k_max,) * dim)
-
-
-# the fields load_config reads; others are left to the reader that knows them
-_READ = ("model", "grid", "spectrum", "nonlinearity", "packets", "beta", "epsilon", "rho",
-         "tau_star", "solver", "experiment")
+    g = _read("grid", gspec, ("grid",))
+    return Grid(g["dim"], (g["n"],) * g["dim"], (g["k_max"],) * g["dim"])
 
 
 def load_config(cfg: dict) -> RunConfig:
     """The validated ``RunConfig`` of a config mapping; a ConfigError names the first bad field.
 
-    Every section must be a mapping or list and every field a finite real
-    number (``_SHAPE`` names the text and flag fields) before any is read.
-    The spectrum and packets have checks of their own for non-finite
-    values, with their own messages: their real numbers must be finite once
-    those checks pass.
+    Every field ``_FIELDS["run"]`` names must have its type and range, and
+    every section the types ``_SHAPE`` names, before any is read.  The
+    spectrum and packets have checks of their own for non-finite values,
+    with their own messages: the spectrum's cover every number, and a
+    packet's numbers must be finite once its own checks pass.
     """
     cfg = copy.deepcopy(cfg)
-    _require(isinstance(cfg, dict), "config must be a mapping")
-    read = {key: cfg[key] for key in _READ if key in cfg}
-    for key, value in read.items():
-        _check_fields(value, key not in ("spectrum", "packets"), (key,))
-    model = _checked("model", dsp.model_from_config, cfg.get("model", {"preset": "nls1d"}))
-    grid = _config_grid({**DEFAULT_GRID, **cfg.get("grid", {})})
-    _require("spectrum" in cfg and cfg["spectrum"], "config needs a spectrum")
-    spectrum = _checked("spectrum", rs.spectrum_from_list, cfg["spectrum"], dim=grid.dim)
+    run = _read("run", cfg)
+    model = _checked("model", dsp.model_from_config, run["model"])
+    grid = _config_grid(run["grid"])
+    _require(run["spectrum"], "config needs a spectrum")
+    spectrum = _checked("spectrum", rs.spectrum_from_list, run["spectrum"], dim=grid.dim)
     _require(all(1 <= n <= model.j_bands for n, _ in spectrum.pairs),
              f"spectrum bands must lie in 1..{model.j_bands}")
-    nonlinearity = _checked("nonlinearity", ev.nonlinearity_from_config,
-                            cfg.get("nonlinearity", {"preset": "none"}), j_bands=model.j_bands)
-    beta = float(cfg.get("beta", 0.1))
-    epsilon = float(cfg.get("epsilon", 0.1))
-    rho = float(cfg.get("rho", 0.01))
-    tau_star = float(cfg.get("tau_star", 0.5))
-    _require(0 < beta < 1 and 0 < epsilon < 1, "beta and epsilon must lie in (0,1)")
-    _require(0 < rho <= 1 and tau_star > 0, "rho in (0,1] and tau_star > 0 required")
+    nonlinearity = _checked("nonlinearity", ev.nonlinearity_from_config, run["nonlinearity"],
+                            j_bands=model.j_bands)
+    beta, rho = run["beta"], run["rho"]
     if not _dispersion_ok(beta, rho):
         warnings.warn(
             f"dispersion ratio beta^2/rho = {beta * beta / rho:.2f} exceeds 1",
             stacklevel=2,
         )
-    packets = cfg.get("packets", [{}])
-    if len(packets) == 1 and spectrum.n_pairs > 1:
-        packets = [copy.deepcopy(packets[0]) for _ in range(spectrum.n_pairs)]
+    packets = run["packets"]
+    if len(packets) == 1:
+        packets = packets * spectrum.n_pairs  # one block for every pair
     _require(len(packets) == spectrum.n_pairs, "one packet block per spectrum pair")
-    for p in packets:
-        _envelope(p)
-        _require(np.isfinite(_r_star(p)).all(), f"r_star must be finite, got {p.get('r_star')!r}")
-        _require(p.get("zeta_components", "both") in ("both", "+", "-"),
-                 f"zeta_components must be 'both', '+' or '-', got {p.get('zeta_components')!r}")
-    solver = _solver_config(cfg.get("solver", {}))
-    for key in ("spectrum", "packets"):
-        _check_fields(read.get(key, []), True, (key,))
+    packets = [_packet(p) for p in packets]
+    solver = _solver_config(run["solver"])
     r_extent = 2.0 * np.pi / max(grid.dk)
     for p in packets:
-        if np.any(np.abs(_r_star(p)) > r_extent):
+        if np.any(np.abs(p["r_star"]) > r_extent):
             warnings.warn("packet position exceeds the r-grid extent", stacklevel=2)
     # carriers must be regular and the packet scale must fit their safe radius
     pi0 = dsp.safe_radius(model, spectrum, grid)
@@ -231,34 +301,28 @@ def load_config(cfg: dict) -> RunConfig:
             f"radius {pi0:.3g}",
             stacklevel=2,
         )
-    return RunConfig(
-        raw=cfg,
-        model=model,
-        grid=grid,
-        spectrum=spectrum,
-        nonlinearity=nonlinearity,
-        packets=packets,
-        beta=beta,
-        epsilon=epsilon,
-        rho=rho,
-        tau_star=tau_star,
-        solver=solver,
-        experiment=dict(cfg.get("experiment", {})),
-    )
+    # the run block's fields are RunConfig's, its sections built
+    run.update(model=model, grid=grid, spectrum=spectrum, nonlinearity=nonlinearity,
+               packets=packets, solver=solver, experiment=dict(run["experiment"]))
+    return RunConfig(raw=cfg, **run)
+
+
+def resonance_config(cfg: dict) -> tuple[dsp.DispersionModel, rs.NkSpectrum, dict]:
+    """The model, spectrum and checked fields of a ``resonance analyze`` config."""
+    fields = _read("resonance", cfg)
+    _require(fields["spectrum"], "config needs a spectrum")
+    return (_checked("model", dsp.model_from_config, fields["model"]),
+            _checked("spectrum", rs.spectrum_from_list, fields["spectrum"]), fields)
 
 
 def packet_spec(rc: RunConfig, l: int, beta: float | None = None) -> wp.WavepacketSpec:
     """Wavepacket spec of pair l (1-based) at an optional overriding beta."""
-    p = rc.packets[l - 1]
     return wp.WavepacketSpec(
         n=rc.spectrum.band(l),
         k_star=rc.spectrum.kvec(l),
-        r_star=_r_star(p),
         beta=beta if beta is not None else rc.beta,
         epsilon=rc.epsilon,
-        envelope=_envelope(p),
-        zeta_components=p.get("zeta_components", "both"),
-        doublet_reality=p.get("doublet_reality", True),
+        **rc.packets[l - 1],
     )
 
 
@@ -325,7 +389,7 @@ def _json_default(v):
 
 
 def _provenance(rc: RunConfig, seed: int) -> dict:
-    return {"config_sha256": config_hash(rc.canonical()), "seed": int(seed),
+    return {"config_sha256": config_hash(rc.canonical()), "seed": seed,
             "version": __version__}
 
 
@@ -366,10 +430,10 @@ def _dispersion_ok(beta: float, rho: float) -> bool:
     return beta ** 2 / rho <= 1.0 + 1e-12
 
 
-def _require_invariant(hyp: dict, exp: dict, force: bool) -> bool:
+def _require_invariant(hyp: dict, force: bool) -> bool:
     """Whether the spectrum of ``hyp`` is resonance invariant; unless forced, it must be."""
     invariant = hyp["classification"] in rs.INVARIANT_CLASSES
-    if not invariant and not (force or exp.get("force", False)):
+    if not invariant and not force:
         raise HypothesisViolated(
             f"spectrum classified {hyp['classification']}; pass force to proceed"
         )
@@ -409,7 +473,7 @@ def check_velocity_hypothesis(rc: RunConfig) -> dict:
     if equal_pairs:
         bounds = dsp.neighborhood_bounds(rc.model, rc.spectrum, rc.grid)
         for (i, j) in equal_pairs:
-            sep = float(np.linalg.norm(_r_star(rc.packets[i - 1]) - _r_star(rc.packets[j - 1])))
+            sep = float(np.linalg.norm(rc.packets[i - 1]["r_star"] - rc.packets[j - 1]["r_star"]))
             rhs = rc.rho / (2.0 * bounds.c_omega2 * rc.beta ** (1.0 - rc.epsilon))
             if sep == 0.0 or rc.tau_star / sep > rhs:
                 out["far_positions_ok"] = False
@@ -419,32 +483,38 @@ def check_velocity_hypothesis(rc: RunConfig) -> dict:
 
 # -- experiments ---------------------------------------------------------------------------
 
+def _experiment_config(name: str, cfg: dict) -> tuple[RunConfig, dict, dict]:
+    """The run config of ``cfg``, and the checked fields and thresholds of experiment ``name``."""
+    rc = load_config(cfg)
+    given = {"rho_values": [rc.rho], "beta_rho_pairs": [[rc.beta, rc.rho]],
+             "box_halfwidth": 6.0 * rc.beta ** (-1.0 - rc.epsilon),
+             "max_y_deviation": 5.0 * rc.beta ** (1.0 - rc.epsilon),
+             "max_diameter": 10.0 * rc.beta ** (-1.0 - rc.epsilon)}
+    return (rc, _read(name, rc.experiment, ("experiment",), **given),
+            _read(f"{name} thresholds", rc.experiment, ("experiment",), **given))
+
+
 def preservation_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Outside-mass of the evolved multiwavepacket across a (beta, rho) sweep."""
-    rc = load_config(cfg)
-    exp = rc.experiment
-    seed = int(exp.get("seed", 0))
+    rc, exp, thresholds = _experiment_config("preservation", cfg)
     hyp = hypothesis_block(rc)
-    invariant = _require_invariant(hyp, exp, force)
+    invariant = _require_invariant(hyp, force or exp["force"])
     hyp["invariant"] = invariant
-    pairs = exp.get("beta_rho_pairs") or [[rc.beta, rc.rho]]
-    radius_factor = float(exp.get("cutoff_factor", 2.0))
     rows = []
-    for b, r in pairs:
-        initial, _ = build_initial(rc, beta=float(b))
-        traj = ev.solve_integrated(build_problem(rc, initial, rho=float(r)), rc.solver)
+    for b, r in exp["beta_rho_pairs"]:
+        initial, _ = build_initial(rc, beta=b)
+        traj = ev.solve_integrated(build_problem(rc, initial, rho=r), rc.solver)
         m = mass_series(traj)
         rows.append({
-            "beta": float(b),
-            "rho": float(r),
-            "outside_mass": outside_mass(traj, rc, float(b), radius_factor),
+            "beta": b,
+            "rho": r,
+            "outside_mass": outside_mass(traj, rc, b, exp["cutoff_factor"]),
             "initial_l1": l1_norm(initial),
             "final_l1": l1_norm(traj.fields[-1]),
             "picard_iterations": traj.iterations,
             "mass_drift": float((m.max() - m.min()) / m[0]) if m[0] else 0.0,
         })
     fits = {}
-    thresholds = {"max_ratio": float(exp.get("max_ratio", 0.5))}
     passed = None
     if len(rows) >= 2 and rows[0]["outside_mass"] > 0:
         ratio = rows[-1]["outside_mass"] / rows[0]["outside_mass"]
@@ -453,29 +523,26 @@ def preservation_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     if not invariant:
         passed = None  # negative-control runs report values only
     return ExperimentResult(
-        "preservation", rows, fits, thresholds, hyp, passed, _provenance(rc, seed)
+        "preservation", rows, fits, thresholds, hyp, passed, _provenance(rc, exp["seed"])
     )
 
 
 def superposition_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Defect between evolving the sum and summing the evolutions."""
-    rc = load_config(cfg)
-    exp = rc.experiment
-    seed = int(exp.get("seed", 0))
+    rc, exp, thresholds = _experiment_config("superposition", cfg)
     hyp = hypothesis_block(rc)
     vel = check_velocity_hypothesis(rc)
     hyp["velocities"] = vel
-    forced = force or exp.get("force", False)
+    forced = force or exp["force"]
     if hyp["classification"] != "universally_invariant" and not forced:
         raise HypothesisViolated("spectrum is not universally resonance invariant")
     if not vel["ok"] and not forced:
         raise HypothesisViolated("neither distinct group velocities nor far positions hold")
-    rho_values = [float(r) for r in exp.get("rho_values", [rc.rho])]
     n_pairs = rc.spectrum.n_pairs
     initial, _ = build_initial(rc)
     singles = [build_initial(rc, subset=[l])[0] for l in range(1, n_pairs + 1)]
     rows = []
-    for r in rho_values:
+    for r in exp["rho_values"]:
         sum_traj = ev.solve_integrated(build_problem(rc, initial, rho=r), rc.solver)
         parts = [ev.solve_integrated(build_problem(rc, single, rho=r), rc.solver)
                  for single in singles]
@@ -493,11 +560,6 @@ def superposition_experiment(cfg: dict, force: bool = False) -> ExperimentResult
             "picard_iterations": sum_traj.iterations,
         })
     fits = {}
-    thresholds = {
-        "slope_min": float(exp.get("slope_min", 0.8)),
-        "slope_max": float(exp.get("slope_max", 1.2)),
-        "max_residual": float(exp.get("max_residual", 0.1)),
-    }
     passed = None
     if n_pairs == 1:
         passed = bool(max(r["defect"] for r in rows) == 0.0)
@@ -510,26 +572,21 @@ def superposition_experiment(cfg: dict, force: bool = False) -> ExperimentResult
             and fit["residual"] <= thresholds["max_residual"]
         )
     return ExperimentResult(
-        "superposition", rows, fits, thresholds, hyp, passed, _provenance(rc, seed)
+        "superposition", rows, fits, thresholds, hyp, passed, _provenance(rc, exp["seed"])
     )
 
 
 def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Track packet positions through the run and compare with straight lines."""
-    rc = load_config(cfg)
-    exp = rc.experiment
-    seed = int(exp.get("seed", 0))
-    n_track = _checked("experiment.n_track_times", float, exp.get("n_track_times", 9))
-    _require(n_track.is_integer() and n_track > 0,
-             f"experiment.n_track_times must be an integer > 0, got {exp.get('n_track_times')!r}")
+    rc, exp, thresholds = _experiment_config("positions", cfg)
     hyp = hypothesis_block(rc)
-    _require_invariant(hyp, exp, force)
+    _require_invariant(hyp, force or exp["force"])
     initial, specs = build_initial(rc)
     traj = ev.solve_integrated(build_problem(rc, initial), rc.solver)
     beta, eps = rc.beta, rc.epsilon
     scan_step = (1.0 / beta) / 4.0
-    halfwidth = float(exp.get("box_halfwidth", 6.0 * beta ** (-1.0 - eps)))
-    idxs = np.unique(np.linspace(0, len(traj.times) - 1, int(n_track)).astype(int))
+    halfwidth = exp["box_halfwidth"]
+    idxs = np.unique(np.linspace(0, len(traj.times) - 1, exp["n_track_times"]).astype(int))
     layout = ia.ComponentLayout(rc.spectrum, rc.model, rc.grid, beta, eps)
 
     def track(field: ModalField, l: int) -> ModalField:
@@ -541,7 +598,7 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
         single = wp.build_wavepacket(spec, rc.model, rc.grid)
         comp = track(single, l)
         a0 = wp.position_detection(comp, spec.r_star)
-        thresholds_a[l] = float(exp.get("threshold_factor", 2.0)) * a0 * beta ** (-eps)
+        thresholds_a[l] = exp["threshold_factor"] * a0 * beta ** (-eps)
 
     vels = _velocities(rc)
     rows = []
@@ -578,8 +635,6 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
     norms = wp.particle_norm(samples, [spec.r_star for spec in specs], beta, eps)
     particle_ratio = float(max(norms) / norms[0]) if norms[0] else float("nan")
 
-    dev_limit = float(exp.get("max_y_deviation", 5.0 * beta ** (1.0 - eps)))
-    diam_limit = float(exp.get("max_diameter", 10.0 * beta ** (-1.0 - eps)))
     max_dev = max(r["y_deviation"] for r in rows)
     max_final_diam = max(f.diameter for f in final_fixes.values())
     disjoint = True
@@ -590,8 +645,7 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
         )
         disjoint = all(spans[i][1] < spans[i + 1][0] for i in range(len(spans) - 1))
     split = any(r["n_components"] > 1 for r in rows)
-    slow_limit = 1.0 / beta
-    slow_ok = max(r["slow_drift"] for r in rows) <= slow_limit
+    thresholds["max_slow_drift"] = 1.0 / beta
     fits = {
         "max_y_deviation": max_dev,
         "max_final_diameter": max_final_diam,
@@ -600,36 +654,40 @@ def position_tracking_experiment(cfg: dict, force: bool = False) -> ExperimentRe
         "particle_norm_ratio": particle_ratio,
         "max_slow_drift": max(r["slow_drift"] for r in rows),
     }
-    thresholds = {
-        "max_y_deviation": dev_limit,
-        "max_diameter": diam_limit,
-        "max_slow_drift": slow_limit,
-    }
     passed = bool(
-        max_dev <= dev_limit and max_final_diam <= diam_limit and disjoint
-        and not split and slow_ok
+        max_dev <= thresholds["max_y_deviation"] and max_final_diam <= thresholds["max_diameter"]
+        and disjoint and not split and fits["max_slow_drift"] <= thresholds["max_slow_drift"]
     )
     return ExperimentResult(
-        "positions", rows, fits, thresholds, hyp, passed, _provenance(rc, seed)
+        "positions", rows, fits, thresholds, hyp, passed, _provenance(rc, exp["seed"])
     )
+
+
+def _soliton_config(cfg: dict) -> tuple[dict, dict, dict]:
+    """The checked top-level fields, experiment fields and thresholds of a soliton config.
+
+    The top level's grid and solver come built.  An absent experiment
+    ``a2``/``a0`` is ``model.params``' and an absent ``q`` ``nonlinearity.q``;
+    ``x0`` defaults to the grid's middle node.
+    """
+    run = _read("soliton run", cfg)
+    run["grid"] = _config_grid({"n": 4096, "k_max": 3.0, **run["grid"], "dim": 1})
+    run["solver"] = _solver_config(run["solver"], substeps_per_rho=20, picard_max_iter=96)
+    params, x = run["model"].get("params", {}), run["grid"].r_axis()
+    given = {"a2": params.get("a2", 1.0), "a0": params.get("a0", 0.0),
+             "q": run["nonlinearity"].get("q", 1.0), "x0": x[len(x) // 2]}
+    return (run, _read("soliton", run["experiment"], ("experiment",), **given),
+            _read("soliton thresholds", run["experiment"], ("experiment",)))
 
 
 def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Standing-profile benchmark of the cubic one-dimensional preset."""
-    cfg = copy.deepcopy(cfg)
-    exp = dict(cfg.get("experiment", {}))
-    seed = int(exp.get("seed", 0))
-    a2 = float(exp.get("a2", cfg.get("model", {}).get("params", {}).get("a2", 1.0)))
-    a0 = float(exp.get("a0", cfg.get("model", {}).get("params", {}).get("a0", 0.0)))
-    q = float(exp.get("q", cfg.get("nonlinearity", {}).get("q", 1.0)))
-    b = float(exp.get("b", 0.5))
-    rho = float(cfg.get("rho", 0.05))
-    tau_star = float(cfg.get("tau_star", 0.5))
-    grid = _config_grid({"n": 4096, "k_max": 3.0, **cfg.get("grid", {}), "dim": 1})
+    run, exp, thresholds = _soliton_config(cfg)
+    a2, a0, q, b, x0 = exp["a2"], exp["a0"], exp["q"], exp["b"], exp["x0"]
+    rho, grid = run["rho"], run["grid"]
     model = dsp.model_from_config({"preset": "nls1d", "params": {"a2": a2, "a0": a0}})
 
     x = grid.r_axis()
-    x0 = float(exp.get("x0", x[len(x) // 2]))
     rows = []
     fits: dict = {}
     hyp = {"q": q, "rho": rho}
@@ -641,8 +699,7 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         profile = np.sqrt(2.0) * b / np.cosh(b * (x - x0) / c)
         hyp["c"] = c
     else:
-        width = float(exp.get("control_width", 6.0))
-        profile = 0.5 * np.exp(-0.5 * ((x - x0) / width) ** 2)
+        profile = 0.5 * np.exp(-0.5 * ((x - x0) / exp["control_width"]) ** 2)
         c = None
 
     prof_hat = samples_to_spectrum(profile.astype(complex), grid)
@@ -657,9 +714,8 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     vals[1] = samples_to_spectrum(np.conj(profile.astype(complex)), grid)
     initial = ModalField(grid, vals)
     nl = [ev.cubic_conjugate(q)] if q != 0.0 else []
-    problem = ev.EvolutionProblem(model, nl, rho, tau_star, grid, initial)
-    solver = _solver_config(cfg.get("solver", {}), substeps_per_rho=20, picard_max_iter=96)
-    traj = ev.solve_integrated(problem, solver)
+    problem = ev.EvolutionProblem(model, nl, rho, run["tau_star"], grid, initial)
+    traj = ev.solve_integrated(problem, run["solver"])
 
     u0 = to_r_space(traj.fast_field(0))[0]
     ut = to_r_space(traj.fast_field(len(traj.times) - 1))[0]
@@ -683,10 +739,6 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         "phase_rate": rate,
         "picard_iterations": traj.iterations,
     })
-    thresholds = {
-        "max_residual_rel": float(exp.get("max_residual_rel", 1e-8)),
-        "max_modulus_drift": float(exp.get("max_modulus_drift", 1e-3)),
-    }
     if q != 0.0:
         passed = bool(
             fits["residual_rel"] <= thresholds["max_residual_rel"]
@@ -694,25 +746,21 @@ def soliton_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         )
     else:
         passed = None  # linear negative control: values reported only
-    rc_hashable = {"soliton": cfg}
     return ExperimentResult(
         "soliton", rows, fits, thresholds, hyp, passed,
-        {"config_sha256": config_hash(rc_hashable), "seed": seed, "version": __version__},
+        {"config_sha256": config_hash({"soliton": cfg}), "seed": exp["seed"], "version": __version__},
     )
 
 
 def averaging_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
     """Averaged-system fidelity and coupling size across a rho sweep."""
-    rc = load_config(cfg)
-    exp = rc.experiment
-    seed = int(exp.get("seed", 0))
+    rc, exp, thresholds = _experiment_config("averaging", cfg)
     hyp = hypothesis_block(rc)
-    _require_invariant(hyp, exp, force)
-    rho_values = [float(r) for r in exp.get("rho_values", [rc.rho])]
+    _require_invariant(hyp, force or exp["force"])
     sets = ia.build_index_sets(rc.spectrum, rc.model, rc.orders)
     initial, specs = build_initial(rc)
     rows = []
-    for r in rho_values:
+    for r in exp["rho_values"]:
         problem = build_problem(rc, initial, rho=r)
         w = ia.solve_interaction_system(problem, rc.spectrum, rc.solver,
                                         beta=rc.beta, epsilon=rc.epsilon)
@@ -735,11 +783,6 @@ def averaging_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
             "averaged_iterations": v.iterations,
         })
     fits = {}
-    thresholds = {
-        "max_vw_ratio": float(exp.get("max_vw_ratio", 0.6)),
-        "slope_min": float(exp.get("slope_min", 0.8)),
-        "slope_max": float(exp.get("slope_max", 1.2)),
-    }
     passed = None
     if len(rows) >= 2:
         ratios = [
@@ -754,7 +797,7 @@ def averaging_experiment(cfg: dict, force: bool = False) -> ExperimentResult:
         ok_cpl = thresholds["slope_min"] <= fit["slope"] <= thresholds["slope_max"]
         passed = bool(ok_vw and ok_cpl)
     return ExperimentResult(
-        "averaging", rows, fits, thresholds, hyp, passed, _provenance(rc, seed)
+        "averaging", rows, fits, thresholds, hyp, passed, _provenance(rc, exp["seed"])
     )
 
 
@@ -774,6 +817,7 @@ def _set_path(cfg: dict, path: str, value):
     node = cfg
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        _require(isinstance(node, dict), f"experiment.sweep path {path!r} crosses a non-mapping")
     node[keys[-1]] = value
 
 
@@ -790,14 +834,11 @@ def _sweep_one(args):
 def sweep(cfg: dict, force: bool = False, workers: int = 1) -> ExperimentResult:
     """Run the named experiment over a Cartesian parameter grid."""
     cfg = copy.deepcopy(cfg)
-    exp = cfg.get("experiment", {})
-    name = exp.get("name")
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"sweep needs experiment.name in {sorted(EXPERIMENTS)}")
-    grids = exp.get("sweep", {})
+    exp = _read("sweep", _read("sweep run", cfg)["experiment"], ("experiment",))
+    name, grids = exp["name"], exp["sweep"]
+    _require(name in EXPERIMENTS, f"sweep needs experiment.name in {sorted(EXPERIMENTS)}")
     keys = sorted(grids.keys())
-    values = [grids[k] for k in keys]
-    combos = list(itertools.product(*values)) if keys else [()]
+    combos = list(itertools.product(*(grids[k] for k in keys)))
     jobs = []
     for combo in combos:
         sub = copy.deepcopy(cfg)
@@ -829,10 +870,9 @@ def sweep(cfg: dict, force: bool = False, workers: int = 1) -> ExperimentResult:
         n_failed == 0
         and all(r.get("passed") in (True, None) for r in rows)
     )
-    seed = int(exp.get("seed", 0))
     return ExperimentResult(
         f"sweep:{name}", rows, {"n_runs": len(rows), "n_failed": n_failed}, {}, {},
-        passed, {"config_sha256": config_hash(cfg), "seed": seed, "version": __version__},
+        passed, {"config_sha256": config_hash(cfg), "seed": exp["seed"], "version": __version__},
     )
 
 
@@ -847,6 +887,7 @@ def flat_metric_rows(result: ExperimentResult) -> list:
 __all__ = [
     "RunConfig",
     "load_config",
+    "resonance_config",
     "packet_spec",
     "build_initial",
     "build_problem",

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -112,6 +114,10 @@ CONFIG_FIELD_ERRORS = {
                         "zeta_components must be"),
     "doublet-reality": (counterprop_cfg(packets=[{"doublet_reality": "false"}]),
                         "doublet_reality must be true or false"),
+    # each once a KeyError or a FileNotFoundError
+    "matrix-no-file": (counterprop_cfg(model={"preset": "matrix"}), "model.params.file"),
+    "matrix-missing-file": (counterprop_cfg(model={"preset": "matrix:no-such-table.json"}),
+                            "cannot read matrix model table 'no-such-table.json'"),
 }
 
 
@@ -138,24 +144,78 @@ def test_sweep_records_config_field_errors():
     assert "width must be positive" in res.runs[1]["error"]
 
 
-@pytest.mark.parametrize("path, value, message", [
-    ("spectrum", [[1.5, 1.0], [1, -1.0]], "bands [1.5, 1.0] are not all integers"),
-    ("packets", [{"zeta_components": "x"}], "zeta_components must be"),
-    ("packets", [{"doublet_reality": "false"}], "doublet_reality must be true or false"),
-    ("experiment.n_track_times", 2.5, "n_track_times must be an integer"),
-], ids=["band", "zeta-components", "doublet-reality", "n-track-times"])
-def test_sweep_records_read_field_errors(path, value, message):
+@pytest.mark.parametrize("name, path, value, message", [
+    ("positions", "spectrum", [[1.5, 1.0], [1, -1.0]], "bands [1.5, 1.0] are not all integers"),
+    ("positions", "packets", [{"zeta_components": "x"}], "zeta_components must be"),
+    ("positions", "packets", [{"doublet_reality": "false"}],
+     "doublet_reality must be true or false"),
+    ("positions", "experiment.n_track_times", 2.5, "n_track_times must be an integer"),
+    ("averaging", "experiment.rho_values", ["x"], "rho_values must be a non-empty list"),
+    ("soliton", "experiment.b", "x", "experiment.b must be a finite real number"),
+], ids=["band", "zeta-components", "doublet-reality", "n-track-times", "rho-values", "soliton-b"])
+def test_sweep_records_read_field_errors(name, path, value, message):
     # a field once read as another value, or a bare ValueError that aborted
     # the sweep, is one error row
-    cfg = counterprop_cfg(experiment={"name": "positions", "sweep": {path: [value]}})
+    cfg = counterprop_cfg(experiment={"name": name, "sweep": {path: [value]}})
     res = harness.sweep(cfg)
     assert [r["status"] for r in res.runs] == ["error"]
     assert res.runs[0]["error_type"] == "ConfigError"
     assert message in res.runs[0]["error"]
 
 
-SHIPPED = sorted(p for p in (Path(__file__).parents[1] / "demos" / "configs").glob("*.json")
-                 if not p.name.startswith("resonance"))
+@pytest.mark.parametrize("experiment", [
+    {"name": "positions", "sweep": [1]}, {"name": "positions", "sweep": {"beta": 0.1}},
+    {"name": "positions", "sweep": {"beta": []}}, {"name": "positions", "sweep": {"beta.x": [1]}},
+    {"name": "nope", "sweep": {"beta": [0.1]}}, {"sweep": {"beta": [0.1]}}, [1],
+])
+def test_bad_sweep_blocks_are_config_errors(experiment, monkeypatch):
+    # sweep: [1] was an AttributeError, {"beta": 0.1} a TypeError and a path
+    # through a number an AttributeError; an empty list ran no run and passed
+    monkeypatch.setitem(harness.EXPERIMENTS, "positions", None)  # no run may start
+    with pytest.raises(ConfigError, match="experiment"):
+        harness.sweep(counterprop_cfg(experiment=experiment))
+
+
+def no_solves(monkeypatch):
+    """Fail the test if any solve starts: the configs below are refused before the first."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    for module, name in ((ev, "solve_integrated"), (ia, "solve_interaction_system"),
+                         (ia, "solve_averaged_system")):
+        monkeypatch.setattr(module, name, solve)
+
+
+SOLITON_CFG = {"rho": 0.05, "tau_star": 0.2, "grid": {"n": 256, "k_max": 2.0},
+               "experiment": {"q": 1.0 / (0.05 * 9.0), "b": 0.4}}
+
+
+# each once a bare ValueError or TypeError, or (thresholds) a ConfigError
+# only after every solve had run
+@pytest.mark.parametrize("name, path, value", [
+    ("averaging", "experiment.rho_values", ["x"]), ("averaging", "experiment.rho_values", 5),
+    ("preservation", "experiment.beta_rho_pairs", [[0.1]]),
+    ("preservation", "experiment.beta_rho_pairs", [[2.0, 0.01]]),
+    ("soliton", "rho", "x"), ("soliton", "solver", "x"),
+    ("preservation", "experiment.max_ratio", "x"),
+    ("superposition", "experiment.slope_min", "x"),
+    ("positions", "experiment.max_diameter", "x"),
+    ("soliton", "experiment.max_modulus_drift", "x"),
+    ("averaging", "experiment.max_vw_ratio", "x"),
+])
+def test_experiment_fields_are_config_errors_before_any_solve(name, path, value, monkeypatch,
+                                                              tmp_path):
+    no_solves(monkeypatch)
+    cfg = copy.deepcopy(SOLITON_CFG) if name == "soliton" else counterprop_cfg()
+    harness._set_path(cfg, path, value)
+    with pytest.raises(ConfigError, match=f"{path} must be"):
+        harness.EXPERIMENTS[name](cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["experiment", name, "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+
+
+SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json"))
 BAD_VALUES = [None, True, "x", -1, 0, 0.5, float("inf"), -float("inf"), float("nan"), 10**400,
               [], {}, [1.0], {"x": 1.0}]
 
@@ -172,12 +232,13 @@ def config_paths(node, path=()):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_shipped_configs_load_or_raise_typed_errors(data):
-    # one node of a shipped experiment or simulate config (on a 64-node grid)
-    # replaced by a value of another type, sign or size, removed, or joined
-    # by an unknown key: loading it and building its packets either works or
+    # one node of a shipped config (on a 64-node grid) replaced by a value of
+    # another type, sign or size, removed, or joined by an unknown key: its
+    # checked read (and, for a run, building its packets) either works or
     # raises a WavepaxError, never a TypeError, AttributeError, IndexError,
-    # KeyError, OverflowError or bare ValueError
-    cfg = json.loads(data.draw(st.sampled_from(SHIPPED)).read_text(encoding="utf-8"))
+    # KeyError, OverflowError or bare ValueError; no experiment runs
+    shipped = data.draw(st.sampled_from(SHIPPED))
+    cfg = json.loads(shipped.read_text(encoding="utf-8"))
     cfg.get("grid", {})["n"] = 64
     path = data.draw(st.sampled_from(list(config_paths(cfg))[1:]))
     node = cfg
@@ -190,17 +251,26 @@ def test_mutated_shipped_configs_load_or_raise_typed_errors(data):
         node["unknown"] = data.draw(st.sampled_from(BAD_VALUES))
     else:
         node[path[-1]] = data.draw(st.sampled_from(BAD_VALUES))
+    name = shipped.stem.partition("_")[2]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            harness.build_initial(harness.load_config(cfg))
+            if shipped.stem.startswith("resonance"):
+                harness.resonance_config(cfg)
+            elif name == "soliton":
+                harness._soliton_config(cfg)
+            elif name in harness.EXPERIMENTS:
+                harness.build_initial(harness._experiment_config(name, cfg)[0])
+            else:
+                harness.build_initial(harness.load_config(cfg))
     except WavepaxError:
         pass
 
 
 @pytest.mark.parametrize("field, value", [("beta", None), ("nonlinearity", "cubic_conjugate"),
                                           ("model", {"preset": 3}),
-                                          ("model", {"preset": "nls1d", "params": {"a2": 1e999}})])
+                                          ("model", {"preset": "nls1d", "params": {"a2": 1e999}}),
+                                          ("experiment", "sweep")])
 def test_mistyped_config_fields_exit_3(field, value, tmp_path):
     # each once a traceback with exit code 1 ("threshold fail") and no result.json
     cfg = json.loads((Path(__file__).parents[1] / "demos" / "configs"
@@ -251,6 +321,18 @@ def test_dispersion_ratio_warning(rho, warns):
     assert harness.hypothesis_block(rc)["dispersion_ok"] is not warns
 
 
+def test_readme_lists_every_experiment_field():
+    # README's "Experiment blocks" list and the field table name the same
+    # fields, block by block
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = text.split("\nExperiment blocks.", 1)[1].split("\n\n", 2)[1]
+    listed = {name: set(re.findall(r"`(\w+)`", body))
+              for name, body in re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\Z)", bullets, re.M | re.S)}
+    table = {name: set(harness._FIELDS[name]) | set(harness._FIELDS.get(f"{name} thresholds", ()))
+             for name in [*harness.EXPERIMENTS, "sweep"]}
+    assert listed == table
+
+
 def test_config_hash_stability():
     cfg = counterprop_cfg()
     a = wio.config_hash(cfg)
@@ -277,6 +359,9 @@ def test_preservation_refuses_noninvariant_spectrum():
     cfg["experiment"] = {"beta_rho_pairs": [[0.12, 0.02]]}
     with pytest.raises(HypothesisViolated):
         harness.preservation_experiment(cfg)
+    # the text "false" once read as true, and the run went ahead
+    with pytest.raises(ConfigError, match="experiment.force must be true or false"):
+        harness.preservation_experiment({**cfg, "experiment": {"force": "false"}})
     res = harness.preservation_experiment(cfg, force=True)
     assert res.passed is None
     assert res.runs[0]["outside_mass"] > 0.0
@@ -604,6 +689,21 @@ def test_cli_resonance_analyze(tmp_path, capsys):
     payload = json.loads(out.out)
     assert payload["classification"] == "conditionally_invariant"
     assert payload["conditions"] == [[2, -1]]
+
+
+@pytest.mark.parametrize("field, value", [("orders", 3), ("orders", [0]), ("exact", "false"),
+                                          ("seed", -1), ("model", {"preset": "matrix"}),
+                                          ("spectrum", "x")])
+def test_cli_resonance_mistyped_fields_exit_3(field, value, tmp_path, capsys):
+    # orders 3 once ended in a TypeError traceback with exit code 1 ("threshold
+    # fail"), and exact "false" once ran the exact classification
+    cfg = json.loads((Path(__file__).parents[1] / "demos" / "configs"
+                      / "resonance_counterprop.json").read_text(encoding="utf-8"))
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["resonance", "analyze", "--config", str(path), "--probe", "2"]) == 3
+    assert f"invalid {field}" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
